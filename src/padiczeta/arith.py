@@ -12,7 +12,8 @@ can require roots of unity of order prime to p (the centralizer of a cyclic
 matrix over F_p can have order p^N - 1).
 
 Equality of cyclotomic values is decided by reduction modulo the cyclotomic
-polynomial Phi_n, so `cyc_eq` is exact -- never a numeric comparison.
+polynomial Phi_n, so `CycValue.__eq__` is exact -- never a numeric
+comparison.  Sums of many values are collected in place by `CycSum`.
 """
 
 from __future__ import annotations
@@ -188,7 +189,8 @@ class CycValue:
     def _promote(self, order: int) -> "CycValue":
         if order == self.order:
             return self
-        assert order % self.order == 0
+        if order % self.order:
+            raise ValueError(f"cannot promote order {self.order} to {order}")
         k = order // self.order
         return CycValue(order, {e * k: c for e, c in self.coeffs.items()})
 
@@ -307,20 +309,37 @@ def _lcm(a: int, b: int) -> int:
     return a * b // math.gcd(a, b)
 
 
-def cyc_add(a: CycValue, b: CycValue) -> CycValue:
-    return a + b
+class CycSum:
+    """A running sum of cyclotomic values, collected in place.
 
+    `add` promotes the running order to the lcm with the addend's order and
+    adds coefficients into one dict, so a long sum costs no intermediate
+    CycValue.  `value()` carries the same order as the chained sum
+    `zero + x1 + x2 + ...`: the lcm over every addend, cancelled ones
+    included.
+    """
 
-def cyc_mul(a: CycValue, b: CycValue) -> CycValue:
-    return a * b
+    __slots__ = ("order", "coeffs")
 
+    def __init__(self):
+        self.order = 1
+        self.coeffs: dict[int, Rat] = {}
 
-def cyc_eq(a: CycValue, b: CycValue) -> bool:
-    return a == b
+    def add(self, x) -> None:
+        x = _as_cyc(x)
+        if self.order % x.order:
+            n = _lcm(self.order, x.order)
+            k = n // self.order
+            self.coeffs = {e * k: c for e, c in self.coeffs.items()}
+            self.order = n
+        k = self.order // x.order
+        coeffs = self.coeffs
+        for e, c in x.coeffs.items():
+            e *= k
+            coeffs[e] = coeffs.get(e, 0) + c
 
-
-def cyc_is_zero(a: CycValue) -> bool:
-    return a.is_zero()
+    def value(self) -> CycValue:
+        return CycValue(self.order, self.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -491,30 +510,32 @@ class MellinPoly:
     __slots__ = ("terms",)
 
     def __init__(self):
-        self.terms: dict[tuple[tuple[int, ...], int], CycValue] = {}
+        self.terms: dict[tuple[tuple[int, ...], int], CycSum] = {}
 
     def add_monomial(self, mono: MellinMonomial, coeff=1) -> None:
         scalar = mono.scalar
         if isinstance(scalar, SqrtRational):
             raise TypeError("MellinPoly sums CycValue-scaled monomials only")
-        total = _as_cyc(scalar) * coeff
         key = (mono.exponents, mono.offset)
-        cur = self.terms.get(key)
-        self.terms[key] = total if cur is None else cur + total
+        self.terms.setdefault(key, CycSum()).add(_as_cyc(scalar) * coeff)
+
+    def _coefficients(self) -> dict:
+        return {k: acc.value() for k, acc in self.terms.items()}
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.terms.values())
+        return all(c.is_zero() for c in self._coefficients().values())
 
     def nonzero_terms(self) -> dict:
-        return {k: c for k, c in self.terms.items() if not c.is_zero()}
+        return {k: c for k, c in self._coefficients().items()
+                if not c.is_zero()}
 
     def __eq__(self, other):
         if not isinstance(other, MellinPoly):
             return NotImplemented
-        keys = set(self.terms) | set(other.terms)
+        mine, theirs = self._coefficients(), other._coefficients()
         z = CycValue.zero
-        return all((self.terms.get(k, z) - other.terms.get(k, z)).is_zero()
-                   for k in keys)
+        return all((mine.get(k, z) - theirs.get(k, z)).is_zero()
+                   for k in set(mine) | set(theirs))
 
     def __hash__(self):
         raise TypeError("unhashable")

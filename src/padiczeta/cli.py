@@ -17,6 +17,7 @@ job count.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -479,6 +480,7 @@ def _eval_object(args) -> dict:
 
 # -- argument plumbing ------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="padiczeta",

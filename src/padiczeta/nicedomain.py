@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import CycValue, DepthContext, SqrtRational, psi, valuation
+from .arith import CycSum, DepthContext, SqrtRational, psi, valuation
 from .group import (
     Mat,
     SubgroupSpec,
@@ -47,6 +47,7 @@ from .group import (
     modular_delta_half_exponent,
 )
 from .params import theta_matrix
+from .residue import residue_rows
 from .rslocal import EClassElement
 from .testfn import _explicit_on_K
 
@@ -153,14 +154,7 @@ class NiceDomain:
             return False
         if self.slope == 0:
             return True
-        mod = p ** n
-        for i in range(n):
-            for j in range(i + 1, n):
-                x = up.rows[i][j]
-                r = x.numerator * pow(x.denominator, -1, mod) % mod
-                if r != self.base[i][j]:
-                    return False
-        return True
+        return residue_rows(up, n) == self.base
 
     def volume(self) -> Fraction:
         """Haar measure (N(Z_p) has volume 1)."""
@@ -206,14 +200,7 @@ def classify(u: Mat) -> NiceDomain:
                 rho = max(rho, -(valuation(x, p) // (j - i)))
     if rho == 0:
         return NiceDomain(n, p, 0, 0, None, None)
-    up = conj_by_A(u, rho)
-    mod = p ** n
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            x = up.rows[i][j]
-            rows[i][j] = x.numerator * pow(x.denominator, -1, mod) % mod
-    return _cell_from_base(n, p, rho, rows)
+    return _cell_from_base(n, p, rho, residue_rows(conj_by_A(u, rho), n))
 
 
 # -- decomposition of truncated regions -------------------------------------
@@ -250,7 +237,6 @@ def verify_partition(n: int, p: int, b: int) -> dict:
     domains = decompose_region(n, p, b)
     index = {(d.slope, d.base): i for i, d in enumerate(domains)}
     slopes = sorted({d.slope for d in domains})
-    mod = p ** n
     counts = {i: 0 for i in range(len(domains))}
     total = 0
     for u in _region_classes(n, p, b):
@@ -262,12 +248,7 @@ def verify_partition(n: int, p: int, b: int) -> dict:
             up = conj_by_A(u, sl)
             if not up.is_integral():
                 continue
-            if sl == 0:
-                key = (0, None)
-            else:
-                key = (sl, tuple(
-                    tuple(x.numerator * pow(x.denominator, -1, mod) % mod
-                          for x in row) for row in up.rows))
+            key = (0, None) if sl == 0 else (sl, residue_rows(up, n))
             if key in index:
                 hits.append(index[key])
         if len(hits) != 1:
@@ -456,12 +437,6 @@ def _sqrt_split(r: Fraction) -> tuple:
     return Fraction(c_num, r.denominator), s
 
 
-def _k_residue_key(kmat: Mat, ctx: DepthContext):
-    mod = ctx.p ** (2 * ctx.m)
-    return tuple(x.numerator * pow(x.denominator, -1, mod) % mod
-                 for row in kmat.rows for x in row)
-
-
 def section_value(f: EClassElement, s: tuple, g: Mat,
                   cache: dict | None = None) -> dict:
     """The induced-model family through the class element, at g.
@@ -480,7 +455,7 @@ def section_value(f: EClassElement, s: tuple, g: Mat,
     w = Mat.longest_weyl(f.n, ctx.p)
     dec = iwasawa_UAK(tf.shift_mat() @ w @ g)
     if cache is not None:
-        key = _k_residue_key(dec.k, ctx)
+        key = residue_rows(dec.k, 2 * ctx.m)
         if key in cache:
             phase = cache[key]
         else:
@@ -502,14 +477,8 @@ def section_value(f: EClassElement, s: tuple, g: Mat,
     return {rad: phase * (c * coeff.sign)}
 
 
-def _parts_add(acc: dict, parts: dict, scale) -> None:
-    for rad, val in parts.items():
-        cur = acc.get(rad, CycValue.zero)
-        acc[rad] = cur + val * scale
-
-
-def _parts_clean(acc: dict) -> dict:
-    return {rad: v for rad, v in acc.items() if not v.is_zero()}
+def _parts_clean(parts: dict) -> dict:
+    return {rad: v for rad, v in parts.items() if not v.is_zero()}
 
 
 def h_right_invariance_level(ctx: DepthContext, a: Mat) -> int:
@@ -628,9 +597,10 @@ def _cell_sum(f: EClassElement, s: tuple, a: Mat, k: Mat,
         parts = section_value(f, s, wg @ u @ ak, cache)
         if not parts:
             continue
-        weight = psi(-sum(u.rows[i][i + 1] for i in range(n - 1)), p)
-        _parts_add(acc, parts, weight * vol)
-    return _parts_clean(acc), cells
+        weight = psi(-sum(u.rows[i][i + 1] for i in range(n - 1)), p) * vol
+        for rad, val in parts.items():
+            acc.setdefault(rad, CycSum()).add(val * weight)
+    return _parts_clean({rad: t.value() for rad, t in acc.items()}), cells
 
 
 @dataclass
@@ -737,10 +707,10 @@ def vanishing_mechanism_report(a: Mat, k: Mat, s: tuple,
             if psi(-sd_np, p) != psi(Fraction(p) ** (-l - 1) * piv * x, p):
                 raise ValueError("inverse move misses the pivot character")
         sampled += 1
-    inner = CycValue.zero
+    inner = CycSum()
     for x in xs:
-        inner = inner + psi(Fraction(p) ** (-l - 1) * piv * x, p)
-    if not inner.is_zero():
+        inner.add(psi(Fraction(p) ** (-l - 1) * piv * x, p))
+    if not inner.value().is_zero():
         raise ValueError("inner pivot character sum is nonzero")
     total = vanishing_check(a, k, s, domain, f)
     return {

@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import CycValue, DepthContext, frac_part, psi_T
+from .arith import CycSum, CycValue, DepthContext, frac_part
 from .group import Mat, SubgroupSpec, haar_volume
 from .residue import ZMat, centralizer_in_GL, charpoly, enumerate_matrices, resultant
 
@@ -268,10 +268,6 @@ def j_tau_membership(tau: TauParam, k: Mat) -> bool:
     return kbar @ tau.mat == tau.mat @ kbar
 
 
-def _root_value(r: Fraction) -> CycValue:
-    return CycValue.root_of_unity(r.denominator, r.numerator % r.denominator)
-
-
 def j_tau_transversal(tau: TauParam):
     """Representatives of J_tau/K(q^2) as ZMat at precision 2m, sorted.
 
@@ -357,14 +353,6 @@ def enumerate_chi_extensions(tau: TauParam):
     return sorted(tables, key=lambda tb: sorted(tb.items()))
 
 
-def extend_chi_theta(ctx: DepthContext, N: int, f_eval):
-    """Character table on J_theta/K(q^2) read off from an oracle f with
-    f(1) = 1; the caller supplies the explicit test function.  Returns a
-    dict from representative entries (mod q^2) to CycValue."""
-    theta = theta_matrix(N, ctx)
-    return {z.entries: f_eval(z.lift()) for z in j_tau_transversal(theta)}
-
-
 # -- the idempotent ---------------------------------------------------------
 
 @dataclass
@@ -384,26 +372,27 @@ class OmegaIdempotent:
         return self.tau.ctx
 
     def chi_value(self, g: Mat) -> CycValue:
-        key = ZMat.from_mat(g, 2 * self.ctx.m).entries
-        return _root_value(self.table[key])
+        r = self.table[ZMat.from_mat(g, 2 * self.ctx.m).entries]
+        return CycValue.root_of_unity(r.denominator, r.numerator)
 
     def value(self, g: Mat) -> CycValue:
         """omega(g), zero off J_tau."""
         if not j_tau_membership(self.tau, g):
             return CycValue.zero
-        key = ZMat.from_mat(g, 2 * self.ctx.m).entries
-        return _root_value(-self.table[key]) * (1 / self.vol_J)
+        r = self.table[ZMat.from_mat(g, 2 * self.ctx.m).entries]
+        phase = CycValue.root_of_unity(r.denominator, -r.numerator)
+        return phase * (1 / self.vol_J)
 
     def convolve_self_at(self, g: Mat) -> CycValue:
         """(omega * omega)(g) as an honest finite sum over J_tau/K(q^2)."""
         ctx = self.ctx
         vol_cell = haar_volume(SubgroupSpec("Kq", self.tau.n, ctx.p, 2 * ctx.m))
-        total = CycValue.zero
+        total = CycSum()
         for key in self.table:
             r = ZMat(key, ctx.p, 2 * ctx.m)
-            total = total + self.value(r.lift()) * self.value(
-                (r.inv() @ ZMat.from_mat(g, 2 * ctx.m)).lift())
-        return total * vol_cell
+            total.add(self.value(r.lift()) * self.value(
+                (r.inv() @ ZMat.from_mat(g, 2 * ctx.m)).lift()))
+        return total.value() * vol_cell
 
     def central_exponent_sum(self, trivial_central: bool) -> Fraction:
         """Average of (central twist) * conj(chitilde) over scalar units
@@ -415,13 +404,15 @@ class OmegaIdempotent:
         p, m, n = ctx.p, ctx.m, self.tau.n
         mod = p ** (2 * m)
         units = [u for u in range(1, mod) if u % p != 0]
-        total = CycValue.zero
+        total = CycSum()
         for u in units:
             key = ZMat.make([[u if i == j else 0 for j in range(n)]
                              for i in range(n)], p, 2 * m).entries
-            total = total + _root_value(-self.table[key])
-        val = total.as_rational()
-        assert val is not None, "central character sum must be rational"
+            r = self.table[key]
+            total.add(CycValue.root_of_unity(r.denominator, -r.numerator))
+        val = total.value().as_rational()
+        if val is None:
+            raise ArithmeticError("central character sum must be rational")
         return Fraction(val, len(units))
 
     def omega_sharp_L1(self, trivial_central: bool = False) -> Fraction:

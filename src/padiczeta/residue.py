@@ -30,6 +30,24 @@ def int_det(rows: list[list[int]]) -> int:
     return total
 
 
+def residue_rows(g: Mat, e: int) -> tuple:
+    """The entries of a p-integral Mat reduced modulo p^e, as integer rows
+    with canonical entries in [0, p^e)."""
+    p, mod = g.p, g.p ** e
+    rows = []
+    for row in g.rows:
+        out = []
+        for x in row:
+            if x.denominator == 1:
+                out.append(x.numerator % mod)
+            elif x.denominator % p == 0:
+                raise ValueError("entry not p-integral")
+            else:
+                out.append(x.numerator * pow(x.denominator, -1, mod) % mod)
+        rows.append(tuple(out))
+    return tuple(rows)
+
+
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -64,7 +82,8 @@ def charpoly(rows: list[list[int]]) -> tuple[int, ...]:
            for j in range(n)] for i in range(n)]
     out = _poly_det(pm)
     out += [0] * (n + 1 - len(out))
-    assert out[n] == 1
+    if out[n] != 1:
+        raise ArithmeticError("characteristic polynomial is not monic")
     return tuple(out)
 
 
@@ -117,16 +136,7 @@ class ZMat:
     @staticmethod
     def from_mat(g: Mat, e: int) -> "ZMat":
         """Reduce an integral Mat modulo p^e."""
-        mod = g.p ** e
-        rows = []
-        for row in g.rows:
-            out = []
-            for x in row:
-                if x.denominator % g.p == 0:
-                    raise ValueError("entry not p-integral")
-                out.append(x.numerator * pow(x.denominator, -1, mod) % mod)
-            rows.append(out)
-        return ZMat.make(rows, g.p, e)
+        return ZMat(residue_rows(g, e), g.p, e)
 
     def lift(self) -> Mat:
         """Canonical integral lift with entries in [0, p^e)."""

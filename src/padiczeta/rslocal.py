@@ -41,7 +41,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import CycValue, DepthContext, SqrtRational, psi, valuation
+from .arith import (CycSum, CycValue, DepthContext, SqrtRational, psi,
+                    valuation)
 from .group import (
     Mat,
     SubgroupSpec,
@@ -52,6 +53,7 @@ from .group import (
     modular_delta_half_exponent,
 )
 from .params import theta_matrix
+from .residue import residue_rows
 from .testfn import TestFunction, _explicit_on_K, translate_for_H
 
 
@@ -236,7 +238,8 @@ def _w_cell_data(f: EClassElement, c: Mat, a: Mat, B: int,
     factorization; the value at k in K is sum of weight * phase(kmat k).
     Only for forward elements (the dual takes the slow path)."""
     ctx, n = f.ctx, f.n
-    assert not f.dual
+    if f.dual:
+        raise ValueError("cell data is only built for forward elements")
     coords = [(k, l) for k in range(nprime, n) for l in range(k + 1, n)]
     head = _head(f, c, _block_weyl(n, nprime, ctx.p))
     grouped = {}
@@ -248,19 +251,12 @@ def _w_cell_data(f: EClassElement, c: Mat, a: Mat, B: int,
         w = psi(-s, ctx.p) * vol
         # the evaluated phase only sees the K-part mod q^2, so cells may
         # be merged along that reduction
-        key = _kq2_key(dec.k, ctx)
-        kmat, acc = grouped.get(key, (dec.k, CycValue.zero))
-        grouped[key] = (kmat, acc + w)
-    return [(w, kmat) for kmat, w in grouped.values() if not w.is_zero()]
-
-
-def _kq2_key(kmat: Mat, ctx: DepthContext):
-    mod = ctx.p ** (2 * ctx.m)
-    out = []
-    for row in kmat.rows:
-        for x in row:
-            out.append(x.numerator * pow(x.denominator, -1, mod) % mod)
-    return tuple(out)
+        key = residue_rows(dec.k, 2 * ctx.m)
+        if key not in grouped:
+            grouped[key] = (dec.k, CycSum())
+        grouped[key][1].add(w)
+    cells = [(acc.value(), kmat) for kmat, acc in grouped.values()]
+    return [(w, kmat) for w, kmat in cells if not w.is_zero()]
 
 
 def _coeff(f: EClassElement, c: Mat) -> SqrtRational:
@@ -287,15 +283,15 @@ class WValue:
 def _assemble(f: EClassElement, c: Mat, cells, k: Mat) -> WValue:
     ctx = f.ctx
     theta = theta_matrix(f.n, ctx)
-    total = CycValue.zero
+    total = CycSum()
     for weight, kmat in cells:
         val = _explicit_on_K(kmat @ k, ctx, theta)
         if val is None:
             continue
         if f.tf.conjugate:
             val = val.conj()
-        total = total + weight * val
-    return WValue(_coeff(f, c), total)
+        total.add(weight * val)
+    return WValue(_coeff(f, c), total.value())
 
 
 def _w_direct(f: EClassElement, c: Mat, a: Mat, k: Mat, B: int,
@@ -304,14 +300,14 @@ def _w_direct(f: EClassElement, c: Mat, a: Mat, k: Mat, B: int,
     ctx, n = f.ctx, f.n
     coords = [(i, l) for i in range(nprime, n) for l in range(i + 1, n)]
     wM = _block_weyl(n, nprime, ctx.p)
-    total = CycValue.zero
+    total = CycSum()
     for u, vol in _u_cells(ctx, n, a, B, coords):
         s = sum(u.rows[i][i + 1] for i in range(n - 1))
         val = f.phase(c.inv() @ wM @ u @ a @ k)
         if val.is_zero():
             continue
-        total = total + psi(-s, ctx.p) * vol * val
-    return WValue(_coeff(f, c), total)
+        total.add(psi(-s, ctx.p) * vol * val)
+    return WValue(_coeff(f, c), total.value())
 
 
 def W_fcg(f: EClassElement, c: Mat, a: Mat, k: Mat,
@@ -410,11 +406,6 @@ def _k_transversal(ctx: DepthContext, n: int):
     return enumerate_cosets(SubgroupSpec("K", n, ctx.p), ctx.m)
 
 
-def _to_int_mod(kmat: Mat, mod: int):
-    return [[x.numerator * pow(x.denominator, -1, mod) % mod for x in row]
-            for row in kmat.rows]
-
-
 def _explicit_exponent_mod(z, ctx: DepthContext):
     """Numerator of the explicit phase exponent (a T-th root of unity) for
     an integral K-element known mod q^2, or None off the support: upper
@@ -437,49 +428,38 @@ def _explicit_exponent_mod(z, ctx: DepthContext):
     return total
 
 
-def _k_square_sum(f: EClassElement, cells, kreps) -> CycValue:
-    ctx = f.ctx
-    mod = ctx.T
-    sign = -1 if f.tf.conjugate else 1
-    zcells = [(weight, _to_int_mod(kmat, mod)) for weight, kmat in cells]
-    inner = CycValue.zero
-    n = f.n
-    for k in kreps:
-        zk = _to_int_mod(k, mod)
-        val = CycValue.zero
-        for weight, zkm in zcells:
-            prod = [[sum(zkm[i][t] * zk[t][j] for t in range(n)) % mod
-                     for j in range(n)] for i in range(n)]
-            e = _explicit_exponent_mod(prod, ctx)
-            if e is None:
-                continue
-            val = val + weight * CycValue.root_of_unity(mod,
-                                                        (sign * e) % mod)
-        inner = inner + val.abs_sq()
-    return inner
-
-
-def _any_nonzero_over_K(f: EClassElement, cells, kreps) -> bool:
-    """Whether the transform is nonzero at some point of the K-transversal,
+def _transform_values_over_K(f: EClassElement, cells, kreps):
+    """The transform phase at each point of the K-transversal, in order,
     via the integer mod-q^2 evaluation path."""
     ctx, n = f.ctx, f.n
     mod = ctx.T
     sign = -1 if f.tf.conjugate else 1
-    zcells = [(weight, _to_int_mod(kmat, mod)) for weight, kmat in cells]
+    zcells = [(weight, residue_rows(kmat, 2 * ctx.m))
+              for weight, kmat in cells]
     for k in kreps:
-        zk = _to_int_mod(k, mod)
-        val = CycValue.zero
+        zk = residue_rows(k, 2 * ctx.m)
+        val = CycSum()
         for weight, zkm in zcells:
             prod = [[sum(zkm[i][t] * zk[t][j] for t in range(n)) % mod
                      for j in range(n)] for i in range(n)]
             e = _explicit_exponent_mod(prod, ctx)
             if e is None:
                 continue
-            val = val + weight * CycValue.root_of_unity(mod,
-                                                        (sign * e) % mod)
-        if not val.is_zero():
-            return True
-    return False
+            val.add(weight * CycValue.root_of_unity(mod, sign * e))
+        yield val.value()
+
+
+def _k_square_sum(f: EClassElement, cells, kreps) -> CycValue:
+    total = CycSum()
+    for val in _transform_values_over_K(f, cells, kreps):
+        total.add(val.abs_sq())
+    return total.value()
+
+
+def _any_nonzero_over_K(f: EClassElement, cells, kreps) -> bool:
+    """Whether the transform is nonzero at some point of the K-transversal."""
+    return any(not val.is_zero()
+               for val in _transform_values_over_K(f, cells, kreps))
 
 
 def _outer_diagonals(f: EClassElement, c: Mat, nprime: int,
@@ -534,15 +514,15 @@ def _q_single_box(f: EClassElement, c: Mat, nprime: int,
     ctx, n = f.ctx, f.n
     kreps = _k_transversal(ctx, n)
     vol_kq = haar_volume(SubgroupSpec("Kq", n, ctx.p, ctx.m))
-    total = CycValue.zero
+    total = CycSum()
     for a in _outer_diagonals(f, c, nprime, cfg, B):
         cells = _w_cell_data(f, c, a, B, nprime)
         if not cells:
             continue
         inner = _k_square_sum(f, cells, kreps)
-        total = total + inner * (vol_kq / modular_delta(a, "N"))
+        total.add(inner * (vol_kq / modular_delta(a, "N")))
     e2 = 2 * modular_delta_half_exponent(c, "N")
-    return total * (Fraction(ctx.p) ** e2 * f.tf.c1.squared())
+    return total.value() * (Fraction(ctx.p) ** e2 * f.tf.c1.squared())
 
 
 def Q_P(f: EClassElement, c: Mat, nprime: int = 0,
@@ -555,14 +535,18 @@ def Q_P(f: EClassElement, c: Mat, nprime: int = 0,
     the unipotent box.  c must be diagonal with first nprime entries 1.
     """
     cfg = cfg or RSIntegralConfig()
-    assert not f.dual, "integrals are computed for the forward element"
-    assert all(c.rows[i][i] == 1 for i in range(nprime))
+    if f.dual:
+        raise ValueError("integrals are computed for the forward element")
+    if any(c.rows[i][i] != 1 for i in range(nprime)):
+        raise ValueError(f"the first {nprime} entries of c must be 1")
     prev = None
     for B in range(cfg.box_start, cfg.box_cap + 1):
         cur = _q_single_box(f, c, nprime, cfg, B)
         if prev is not None and cur == prev:
             r = cur.as_rational()
-            assert r is not None and r >= 0, "integral must be rational"
+            if r is None or r < 0:
+                raise ArithmeticError(
+                    "integral must be a nonnegative rational")
             return r
         prev = cur
     raise RuntimeError("integral box cap exceeded without stabilization")

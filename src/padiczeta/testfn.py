@@ -27,17 +27,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import (
+    CycSum,
     CycValue,
     DepthContext,
     MellinMonomial,
     SqrtRational,
-    frac_part,
     psi_T,
     valuation,
 )
 from .group import Mat, SubgroupSpec, bruhat_open_cell, enumerate_cosets, iwasawa_UAK
 from .params import chi_tau_eval, theta_matrix
-from .residue import ZMat, int_det
+from .residue import int_det, residue_rows
 
 
 def J_open_cell(g: Mat, ctx: DepthContext) -> CycValue:
@@ -58,47 +58,45 @@ def _leading_minor(entries, size: int) -> int:
     return int_det([[entries[i][j] for j in range(size)] for i in range(size)])
 
 
-def _J_exponent_mod(z: ZMat, ctx: DepthContext):
-    """Exponent r with J(lift(z)) = exp(2 pi i r), or None when J vanishes,
-    for an integral argument known modulo q^2.
+def _J_exponent_mod(z, ctx: DepthContext):
+    """Exponent numerator e with J(lift(z)) = exp(2 pi i e / T), or None
+    when J vanishes, for an integral argument given by its integer rows
+    modulo q^2 = T.
 
     The superdiagonal entries of the upper factor are ratios of minors:
     n_{i,i+1} = det(rows 1..i, cols 1..i-1,i+1) / Delta_i, and all the
     Delta_i must be units for the cell's diagonal to be one.
     """
-    n, mod, p = z.n, z.modulus, z.p
+    n, mod, p = len(z), ctx.T, ctx.p
     total = 0
     for i in range(1, n):
-        delta = _leading_minor(z.entries, i) % mod
+        delta = _leading_minor(z, i) % mod
         if delta % p == 0:
             return None
-        sub = [[z.entries[r][c] for c in list(range(i - 1)) + [i]]
+        sub = [[z[r][c] for c in list(range(i - 1)) + [i]]
                for r in range(i)]
         total += int_det(sub) * pow(delta, -1, mod)
-    if _leading_minor(z.entries, n) % p == 0:
+    if _leading_minor(z, n) % p == 0:
         return None
-    return frac_part(Fraction(total % mod, ctx.T), ctx.p)
-
-
-def _phase(r: Fraction) -> CycValue:
-    return CycValue.root_of_unity(r.denominator, r.numerator % r.denominator)
+    return total % mod
 
 
 def _convolution_integral(g: Mat, ctx: DepthContext, tau=None) -> CycValue:
     """Exact convolution at level 2m via residue arithmetic (g integral).
 
     tau selects the projecting character; None means the subdiagonal
-    nilpotent, whose character only reads the superdiagonal.
+    nilpotent, whose character only reads the superdiagonal.  Each term
+    is the product z (1 + q off) = z + q (z off) mod q^2, formed on ints.
     """
-    p, m, n = ctx.p, ctx.m, g.n
-    q = ctx.q
-    z = ZMat.from_mat(g, 2 * m)
-    total = CycValue.zero
+    m, n = ctx.m, g.n
+    q, T = ctx.q, ctx.T
+    z = residue_rows(g, 2 * m)
+    total = CycSum()
     for off in itertools.product(range(q), repeat=n * n):
-        rows = [[(1 if i == j else 0) + q * off[i * n + j] for j in range(n)]
-                for i in range(n)]
-        r = ZMat.make(rows, p, 2 * m)
-        jexp = _J_exponent_mod(z @ r, ctx)
+        zr = [[(z[i][j] + q * sum(z[i][t] * off[t * n + j]
+                                  for t in range(n))) % T
+               for j in range(n)] for i in range(n)]
+        jexp = _J_exponent_mod(zr, ctx)
         if jexp is None:
             continue
         if tau is None:
@@ -106,9 +104,8 @@ def _convolution_integral(g: Mat, ctx: DepthContext, tau=None) -> CycValue:
         else:
             tr = sum(off[i * n + j] * tau.mat.entries[j][i]
                      for i in range(n) for j in range(n))
-        chi_exp = frac_part(Fraction(q * tr, ctx.T), p)
-        total = total + _phase(jexp - chi_exp)
-    return total * Fraction(1, q ** (n * n))
+        total.add(CycValue.root_of_unity(T, jexp - q * tr))
+    return total.value() * Fraction(1, q ** (n * n))
 
 
 def f_convolution(g: Mat, ctx: DepthContext, L: int | None = None,
@@ -134,13 +131,13 @@ def f_convolution(g: Mat, ctx: DepthContext, L: int | None = None,
         raise ValueError("level must be at least 2m")
     n = g.n
     theta = theta_matrix(n, ctx)
-    total = CycValue.zero
+    total = CycSum()
     for r in enumerate_cosets(SubgroupSpec("Kq", n, ctx.p, ctx.m), L):
         term = J_open_cell(g @ r, ctx)
         if term.is_zero():
             continue
-        total = total + term * chi_tau_eval(theta, r).conj()
-    return total * Fraction(1, ctx.p ** ((L - ctx.m) * n * n))
+        total.add(term * chi_tau_eval(theta, r).conj())
+    return total.value() * Fraction(1, ctx.p ** ((L - ctx.m) * n * n))
 
 
 def f_explicit(g: Mat, ctx: DepthContext) -> CycValue:

@@ -1,6 +1,7 @@
 """Exit codes, deterministic reports, and the single-object evaluators."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -140,3 +141,32 @@ def test_eval_Wfcg(capsys):
                  "--m", "1"]) == 0
     val = json.loads(capsys.readouterr().out)
     assert "zero" in val
+
+
+GOLDEN = Path(__file__).parent / "golden"
+VERIFY_ARGS = ["--p", "2", "--m", "1", "--rank", "2"]
+GOLDEN_RUNS = {
+    **{f"verify-{suite}.json": ["verify", "--suite", suite, *VERIFY_ARGS]
+       for suite in cli.SUITES},
+    "verify-zeta.md": ["verify", "--suite", "zeta", *VERIFY_ARGS,
+                       "--format", "markdown"],
+    # a zero phase kept at order 3
+    "eval-Wfcg-p3-zero.json": ["eval", "Wfcg", "--c", "1/3,0;0,1/3",
+                               "--a", "1/9,0;0,1", "--k", "1,0;0,1",
+                               "--p", "3", "--m", "1"],
+    "eval-Wfcg-p2-order4.json": ["eval", "Wfcg", "--c", "1/2,0;0,1/2",
+                                 "--a", "1/4,0;0,1", "--k", "0,1;1,1",
+                                 "--p", "2", "--m", "1"],
+    "eval-Wfcg-p2m2-zero.json": ["eval", "Wfcg", "--c", "1/4,0;0,1/4",
+                                 "--a", "1/16,0;0,1", "--k", "1,0;0,1",
+                                 "--p", "2", "--m", "2"],
+    "eval-chi-p2.json": ["eval", "chi", "--g", "3,2;4,5", "--p", "2",
+                         "--m", "1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_golden_output(name, capsys):
+    """stdout is byte-identical to the recorded report."""
+    assert main(GOLDEN_RUNS[name]) == 0
+    assert capsys.readouterr().out == (GOLDEN / name).read_text()

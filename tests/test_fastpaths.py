@@ -1,0 +1,151 @@
+"""Each fast evaluation path against its definitional twin, on seeded
+inputs: the residue convolution, the grouped transform cells, the merged
+mod-q^2 sweep over the K-transversal, the section cache, and the in-place
+cyclotomic accumulator."""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from padiczeta.arith import CycSum, CycValue, DepthContext, psi
+from padiczeta.group import Mat
+from padiczeta.nicedomain import section_value
+from padiczeta.rslocal import (
+    _any_nonzero_over_K,
+    _assemble,
+    _k_square_sum,
+    _k_transversal,
+    _transform_values_over_K,
+    _w_cell_data,
+    _w_direct,
+    pinned_outer_diagonal,
+    standard_E_element,
+)
+from padiczeta.testfn import _convolution_integral, f_convolution
+
+CTXS = [DepthContext(2, 1), DepthContext(3, 1)]
+ELEMS = {ctx: standard_E_element(ctx, 2) for ctx in CTXS}
+
+
+def diag_c(ctx, e1, e2):
+    p = ctx.p
+    return Mat.diag([Fraction(p) ** (-e1), Fraction(p) ** (-e2)], p)
+
+
+def transform_cases(ctx):
+    """(c, a, cells) at box depth 3 for diagonal c with exponents in
+    [0, 2]: both vanishing and nonvanishing transforms occur."""
+    f = ELEMS[ctx]
+    for e1, e2 in itertools.product(range(3), repeat=2):
+        c = diag_c(ctx, e1, e2)
+        a, _ = pinned_outer_diagonal(f, c)
+        yield c, a, _w_cell_data(f, c, a, 3)
+
+
+@pytest.mark.parametrize("ctx", CTXS, ids=lambda c: f"p{c.p}m{c.m}")
+def test_convolution_integral_matches_definition(ctx):
+    rng = random.Random(ctx.p)
+    p = ctx.p
+    for trial in range(10):
+        rows = [[rng.randrange(p ** 3) for _ in range(2)] for _ in range(2)]
+        if trial % 2:
+            # steer half the points onto the support: unit diagonal and
+            # upper entry divisible by q
+            rows[0][0] = rows[0][0] * p + 1
+            rows[1][1] = rows[1][1] * p + 1
+            rows[0][1] *= ctx.q
+        g = Mat([[Fraction(x) for x in row] for row in rows], p)
+        fast = _convolution_integral(g, ctx)
+        assert fast == f_convolution(g, ctx, L=2 * ctx.m), g.to_text()
+
+
+@pytest.mark.parametrize("ctx", CTXS, ids=lambda c: f"p{c.p}m{c.m}")
+def test_grouped_cells_match_direct_transform(ctx):
+    f = ELEMS[ctx]
+    rng = random.Random(10 + ctx.p)
+    kreps = _k_transversal(ctx, 2)
+    for c, a, cells in transform_cases(ctx):
+        for k in rng.sample(kreps, 2):
+            fast = _assemble(f, c, cells, k)
+            slow = _w_direct(f, c, a, k, 3)
+            assert fast.coeff == slow.coeff
+            assert fast.phase == slow.phase, (c.to_text(), k.to_text())
+
+
+@pytest.mark.parametrize("ctx", CTXS, ids=lambda c: f"p{c.p}m{c.m}")
+def test_k_sweep_matches_assembled_values(ctx):
+    f = ELEMS[ctx]
+    kreps = _k_transversal(ctx, 2)
+    outcomes = set()
+    for c, _, cells in transform_cases(ctx):
+        values = [_assemble(f, c, cells, k).phase for k in kreps]
+        assert list(_transform_values_over_K(f, cells, kreps)) == values
+        total = CycValue.zero
+        for v in values:
+            total = total + v.abs_sq()
+        assert _k_square_sum(f, cells, kreps) == total
+        nonzero = any(not v.is_zero() for v in values)
+        assert _any_nonzero_over_K(f, cells, kreps) == nonzero
+        outcomes.add(nonzero)
+    assert outcomes == {True, False}
+
+
+def test_section_cache_is_transparent():
+    ctx = CTXS[0]
+    f, p = ELEMS[ctx], ctx.p
+    rng = random.Random(5)
+    cache = {}
+    hits = 0
+    for _ in range(40):
+        g = Mat([[Fraction(rng.randrange(-8, 9), p ** rng.randrange(3))
+                  for _ in range(2)] for _ in range(2)], p)
+        if g.det() == 0:
+            continue
+        s = (rng.randrange(-2, 3), rng.randrange(-2, 3))
+        size = len(cache)
+        cached = section_value(f, s, g, cache)
+        hits += len(cache) == size
+        assert cached == section_value(f, s, g, None), g.to_text()
+    assert hits > 0
+
+
+def chained(values):
+    total = CycValue.zero
+    for v in values:
+        total = total + v
+    return total
+
+
+def test_cyc_sum_matches_chained_sum():
+    rng = random.Random(7)
+    for _ in range(60):
+        values = []
+        for _ in range(rng.randrange(1, 12)):
+            order = rng.choice([1, 2, 3, 4, 6, 8, 9, 12])
+            coeff = Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
+            values.append(CycValue.root_of_unity(order, rng.randrange(order))
+                          * coeff)
+        if rng.random() < 0.3:
+            values.append(rng.randrange(-3, 4))
+        acc = CycSum()
+        for v in values:
+            acc.add(v)
+        assert acc.value().to_json() == chained(values).to_json()
+
+
+def test_cyc_sum_keeps_order_of_cancelled_terms():
+    z4 = [CycValue.root_of_unity(4, 1), CycValue.root_of_unity(4, 3)]
+    acc = CycSum()
+    for v in z4:
+        acc.add(v)
+    assert acc.value().to_json() == {"order": 4, "coeffs": {}}
+    assert acc.value().to_json() == chained(z4).to_json()
+    # a full orbit of psi at level p^2 sums to zero at order p^2
+    orbit = [psi(Fraction(j, 9), 3) for j in range(9)]
+    acc = CycSum()
+    for v in orbit:
+        acc.add(v)
+    assert acc.value().to_json() == {"order": 9, "coeffs": {}}
+    assert CycSum().value().to_json() == CycValue.zero.to_json()

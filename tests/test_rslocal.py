@@ -141,6 +141,16 @@ def test_Q_values_rank2():
     assert Q_phi_f_c(F2, Mat.identity(2, 2)) == 0
 
 
+def test_Q_rejects_bad_arguments():
+    c = central_c(CTX21, 2)
+    with pytest.raises(ValueError):
+        Q_P(standard_E_element(CTX21, 2, dual=True), c)
+    with pytest.raises(ValueError):
+        Q_P(F2, c, nprime=1)
+    with pytest.raises(ValueError):
+        _w_cell_data(standard_E_element(CTX21, 2, dual=True), c, c, 2)
+
+
 def test_Q_depth_two():
     ctx = CTX22
     f = standard_E_element(ctx, 2)
