@@ -33,7 +33,8 @@ Rat = Union[int, Fraction]
 
 def valuation(x: Rat, p: int) -> int:
     """p-adic valuation of a nonzero rational."""
-    x = Fraction(x)
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
     if x == 0:
         raise ZeroDivisionError("valuation of zero")
     v = 0

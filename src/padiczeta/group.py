@@ -1,10 +1,17 @@
 """GL_N over the p-adic rationals with exact arithmetic.
 
-Matrices carry Fraction entries and a prime context.  The module provides the
-three decompositions every integration in the library is built on:
+A matrix is stored as integer numerator rows over one common positive
+denominator, in lowest terms, with a prime context; `Mat.rows` is a
+read-only view of the entries as Fractions.  Products, determinants,
+inverses and the decompositions below run on the integers and reduce each
+result once, by a single gcd.  Elimination is fraction-free (Bareiss,
+"Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 22, 1968): every intermediate entry is an
+integer minor.  The module provides the three decompositions every
+integration in the library is built on:
 
 * Iwasawa  g = n a k  (or u a k with the opposite unipotent), computed by
-  integral column elimination with minimal-valuation pivoting, so the k-factor
+  row elimination with minimal-valuation column pivoting, so the k-factor
   is genuinely in K = GL_N(Z_p) and the a-part is normalized to pure p-powers
   (units are folded into k);
 * the Bruhat open cell  g = u a n  (LDU), which exists iff every leading
@@ -21,29 +28,64 @@ finite sum of coset representatives weighted by such volumes.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .arith import norm, rat_from_text, rat_to_text, valuation
 
 
 class Mat:
-    """An invertible-or-not square matrix over Q with a prime context."""
+    """An invertible-or-not square matrix over Q with a prime context.
 
-    __slots__ = ("p", "n", "rows")
+    `num` holds the integer numerator rows and `den` the common positive
+    denominator, with no factor shared by `den` and every numerator.
+    """
+
+    __slots__ = ("p", "n", "num", "den", "_rows")
 
     def __init__(self, rows, p: int):
-        self.rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        self.n = len(self.rows)
-        if any(len(r) != self.n for r in self.rows):
+        ents = [[x if type(x) is int else Fraction(x) for x in row]
+                for row in rows]
+        n = len(ents)
+        if any(len(r) != n for r in ents):
             raise ValueError("matrix must be square")
-        self.p = p
+        # the lcm of reduced denominators is already in lowest terms
+        den = math.lcm(*(x.denominator for r in ents for x in r))
+        self.num = tuple(tuple(x.numerator * (den // x.denominator)
+                               for x in r) for r in ents)
+        self.den, self.n, self.p, self._rows = den, n, p, None
+
+    @classmethod
+    def _from_ints(cls, num, den: int, p: int) -> "Mat":
+        """num / den for integer rows (tuples) and a nonzero integer den,
+        reduced to lowest terms with a positive denominator."""
+        g = math.gcd(den, *itertools.chain.from_iterable(num))
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = tuple(tuple(x // g for x in r) for r in num)
+            den //= g
+        m = cls.__new__(cls)
+        m.num, m.den, m.n, m.p, m._rows = num, den, len(num), p, None
+        return m
+
+    @property
+    def rows(self) -> tuple:
+        """The entries as Fraction rows (built on first use)."""
+        if self._rows is None:
+            den = self.den
+            self._rows = tuple(tuple(Fraction(x, den) for x in r)
+                               for r in self.num)
+        return self._rows
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def identity(n: int, p: int) -> "Mat":
-        return Mat([[1 if i == j else 0 for j in range(n)] for i in range(n)], p)
+        return Mat._from_ints(tuple(tuple(int(i == j) for j in range(n))
+                                    for i in range(n)), 1, p)
 
     @staticmethod
     def diag(entries, p: int) -> "Mat":
@@ -71,9 +113,8 @@ class Mat:
     @staticmethod
     def elementary(n: int, p: int, i: int, j: int, c) -> "Mat":
         """I + c E_{ij} (0-based indices, i != j)."""
-        rows = [[Fraction(1) if a == b else Fraction(0) for b in range(n)]
-                for a in range(n)]
-        rows[i][j] = Fraction(c)
+        rows = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
+        rows[i][j] = c
         return Mat(rows, p)
 
     # -- basics -----------------------------------------------------------
@@ -81,103 +122,98 @@ class Mat:
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.n != other.n or self.p != other.p:
             raise ValueError("size/context mismatch")
-        n = self.n
-        a, b = self.rows, other.rows
-        return Mat([[sum(a[i][k] * b[k][j] for k in range(n))
-                     for j in range(n)] for i in range(n)], self.p)
+        cols = tuple(zip(*other.num))
+        return Mat._from_ints(
+            tuple(tuple(sum(map(mul, r, c)) for c in cols)
+                  for r in self.num),
+            self.den * other.den, self.p)
 
     def __eq__(self, other):
         return (isinstance(other, Mat) and self.p == other.p
-                and self.rows == other.rows)
+                and self.den == other.den and self.num == other.num)
 
     def __hash__(self):
         return hash((self.p, self.rows))
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        return Fraction(self.num[i][j], self.den)
 
     def transpose(self) -> "Mat":
-        return Mat(list(zip(*self.rows)), self.p)
-
-    def scale(self, c) -> "Mat":
-        c = Fraction(c)
-        return Mat([[c * x for x in row] for row in self.rows], self.p)
+        return Mat._from_ints(tuple(zip(*self.num)), self.den, self.p)
 
     def det(self) -> Fraction:
-        work = [list(row) for row in self.rows]
+        out = _eliminate(self.num, _first_nonzero)
+        if out is None:
+            return Fraction(0)
+        work, cols = out
         n = self.n
-        d = Fraction(1)
-        for i in range(n):
-            piv = next((r for r in range(i, n) if work[r][i] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != i:
-                work[i], work[piv] = work[piv], work[i]
-                d = -d
-            d *= work[i][i]
-            for r in range(i + 1, n):
-                f = work[r][i] / work[i][i]
-                if f:
-                    for c in range(i, n):
-                        work[r][c] -= f * work[i][c]
-        return d
+        inversions = sum(cols[a] > cols[b]
+                         for a in range(n) for b in range(a + 1, n))
+        return Fraction((-1) ** inversions * work[-1][-1],
+                        self.den ** n)
 
     def inv(self) -> "Mat":
+        """Fraction-free Gauss-Jordan on [num | I]: after step i the left
+        block is zero off the diagonal in columns <= i, and at the end it
+        is Delta * I for the determinant Delta of num (up to sign), so the
+        right block is Delta * num^{-1}."""
         n = self.n
-        work = [list(row) + [Fraction(1) if i == j else Fraction(0)
-                             for j in range(n)]
-                for i, row in enumerate(self.rows)]
+        work = [list(r) + [int(i == j) for j in range(n)]
+                for i, r in enumerate(self.num)]
+        prev = 1
         for i in range(n):
-            piv = next((r for r in range(i, n) if work[r][i] != 0), None)
-            if piv is None:
+            piv_row = next((r for r in range(i, n) if work[r][i]), None)
+            if piv_row is None:
                 raise ZeroDivisionError("singular matrix")
-            work[i], work[piv] = work[piv], work[i]
-            inv_piv = 1 / work[i][i]
-            work[i] = [x * inv_piv for x in work[i]]
+            work[i], work[piv_row] = work[piv_row], work[i]
+            top = work[i]
+            piv = top[i]
             for r in range(n):
-                if r != i and work[r][i]:
-                    f = work[r][i]
-                    work[r] = [x - f * y for x, y in zip(work[r], work[i])]
-        return Mat([row[n:] for row in work], self.p)
-
-    def ad(self, g: "Mat") -> "Mat":
-        """Conjugation: self acts, returning self @ g @ self^{-1}."""
-        return self @ g @ self.inv()
+                if r != i:
+                    row = work[r]
+                    f = row[i]
+                    work[r] = [(piv * x - f * y) // prev
+                               for x, y in zip(row, top)]
+            prev = piv
+        den = self.den
+        return Mat._from_ints(tuple(tuple(den * x for x in r[n:])
+                                    for r in work), prev, self.p)
 
     # -- valuation-based membership ---------------------------------------
 
     def is_integral(self) -> bool:
-        return all(x.denominator == 1 or valuation(x, self.p) >= 0
-                   for row in self.rows for x in row if x != 0)
+        # in lowest terms, p | den forces an entry of negative valuation
+        return self.den % self.p != 0
 
     def in_K(self) -> bool:
-        return self.is_integral() and norm(self.det(), self.p) == 1
+        return self.is_integral() and self.det().numerator % self.p != 0
 
     def in_congruence(self, e: int) -> bool:
         """Membership in K(p^e): congruent to 1 modulo p^e entrywise."""
         if e == 0:
             return self.in_K()
-        pe = Fraction(self.p) ** e
-        for i in range(self.n):
-            for j in range(self.n):
-                d = self.rows[i][j] - (1 if i == j else 0)
-                if d != 0 and valuation(d, self.p) < e:
-                    return False
-        return True
+        if not self.is_integral():
+            return False
+        pe, den = self.p ** e, self.den
+        return all((x - den if i == j else x) % pe == 0
+                   for i, r in enumerate(self.num)
+                   for j, x in enumerate(r))
 
     def is_upper_unipotent(self, e: int = None) -> bool:
         """Upper unipotent; with e, additionally in K_N(p^e)."""
-        for i in range(self.n):
-            for j in range(self.n):
-                x = self.rows[i][j]
+        den, p = self.den, self.p
+        vden = valuation(den, p)
+        for i, r in enumerate(self.num):
+            for j, x in enumerate(r):
                 if i == j:
-                    if x != 1:
+                    if x != den:
                         return False
                 elif i > j:
                     if x != 0:
                         return False
-                elif e is not None and x != 0 and valuation(x, self.p) < e:
+                elif (e is not None and x != 0
+                      and valuation(x, p) - vden < e):
                     return False
         return True
 
@@ -185,14 +221,89 @@ class Mat:
         return self.transpose().is_upper_unipotent(e)
 
     def is_diagonal(self) -> bool:
-        return all(self.rows[i][j] == 0
-                   for i in range(self.n) for j in range(self.n) if i != j)
+        return all(x == 0 for i, r in enumerate(self.num)
+                   for j, x in enumerate(r) if i != j)
 
     def diagonal(self) -> tuple[Fraction, ...]:
-        return tuple(self.rows[i][i] for i in range(self.n))
+        den = self.den
+        return tuple(Fraction(r[i], den) for i, r in enumerate(self.num))
 
     def __repr__(self):
         return f"Mat[{self.to_text()}; p={self.p}]"
+
+
+def _rows_over(rows, dens, p: int) -> Mat:
+    """The Mat whose row i is the integer row rows[i] divided by dens[i]."""
+    den = math.lcm(*dens)
+    return Mat._from_ints(tuple(tuple(x * (den // d) for x in r)
+                                for r, d in zip(rows, dens)), den, p)
+
+
+def _p_power_diag(exps, p: int) -> Mat:
+    """diag(p^e for e in exps), built on the integers."""
+    shift = max(0, -min(exps))
+    return Mat._from_ints(tuple(tuple(p ** (e + shift) if i == j else 0
+                                      for j in range(len(exps)))
+                                for i, e in enumerate(exps)), p ** shift, p)
+
+
+# ---------------------------------------------------------------------------
+# fraction-free elimination
+# ---------------------------------------------------------------------------
+
+def _first_nonzero(row, i):
+    return next((j for j in range(i, len(row)) if row[j]), None)
+
+
+def _diagonal_pivot(row, i):
+    return i if row[i] else None
+
+
+def _least_valuation(p: int):
+    """The Iwasawa pivot rule: the entry of least p-adic valuation,
+    leftmost on ties."""
+    def pick(row, i):
+        cand = [(valuation(x, p), j) for j, x in enumerate(row[i:], i) if x]
+        return min(cand)[1] if cand else None
+    return pick
+
+
+def _eliminate(num, pick):
+    """Bareiss row elimination, with column pivoting, on a copy of the
+    integer rows num.
+
+    Step i takes its pivot in row i at the position pick(row, i) >= i and
+    swaps that column into position i in every row; pick returns None
+    when there is no admissible pivot, and so does this function.  Step i
+    replaces row r > i by (piv * row_r - row_r[i] * row_i) / prev, an
+    exact division, so every entry stays an integer minor of the column-
+    permuted matrix: work[i][i] is its (i+1)-th leading principal minor.
+    Returns (work, cols), where cols[c] is the original index of column
+    position c.  The upper triangle of work holds the eliminated rows and
+    the strict lower triangle the multiplier numerators: the LDU
+    multiplier clearing entry (r, i) is work[r][i] / work[i][i].
+    """
+    n = len(num)
+    work = [list(r) for r in num]
+    cols = list(range(n))
+    prev = 1
+    for i in range(n):
+        j = pick(work[i], i)
+        if j is None:
+            return None
+        if j != i:
+            for row in work:
+                row[i], row[j] = row[j], row[i]
+            cols[i], cols[j] = cols[j], cols[i]
+        top = work[i]
+        piv = top[i]
+        for r in range(i + 1, n):
+            row = work[r]
+            f = row[i]
+            for c in range(i + 1, n):
+                row[c] = (piv * row[c] - f * top[c]) // prev
+        prev = piv
+    return work, cols
 
 
 # ---------------------------------------------------------------------------
@@ -220,49 +331,48 @@ class BruhatLDU:
     n: Mat  # upper unipotent
 
 
+def _unit_lower(work, p: int) -> Mat:
+    """The unit lower triangular factor with entries work[r][i] /
+    work[i][i] below the diagonal."""
+    n = len(work)
+    return _rows_over([[work[r][i] if r >= i else 0 for r in range(n)]
+                       for i in range(n)],
+                      [work[i][i] for i in range(n)], p).transpose()
+
+
 def iwasawa_UAK(g: Mat) -> IwasawaUAK:
     """g = u a k with u lower unipotent, a diagonal pure p-powers, k in K.
 
-    Integral column elimination: in each working row pick the entry of
-    minimal valuation as pivot (ties to the leftmost), so all clearing
-    multipliers are p-integral and the accumulated column operations stay
-    inside K.
+    Row elimination with column pivoting: in each working row the pivot
+    is the entry of minimal valuation (ties to the leftmost), so the
+    column permutation and the unipotent column operations that clear the
+    row to the right of its pivot are p-integral and stay inside K.  The
+    row multipliers are u, the pivots t_i = Delta_i / Delta_{i-1} give
+    a_i = p^{v(t_i)}, and the eliminated rows, scaled to unit diagonal,
+    are the inverse of the accumulated column operations, so
+    k = (t / a) * (eliminated rows) with the columns put back in order.
+    A singular g has a row without any pivot and raises ZeroDivisionError.
     """
-    n, p = g.n, g.p
-    if g.det() == 0:
+    n, p, d = g.n, g.p, g.den
+    out = _eliminate(g.num, _least_valuation(p))
+    if out is None:
         raise ZeroDivisionError("singular matrix")
-    work = [list(row) for row in g.rows]
-    k1 = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-          for i in range(n)]
-
-    def colswap(m, a, b):
-        for row in m:
-            row[a], row[b] = row[b], row[a]
-
-    def colsub(m, dst, src, f):
-        for row in m:
-            row[dst] -= f * row[src]
-
-    for i in range(n):
-        cand = [(valuation(work[i][j], p), j)
-                for j in range(i, n) if work[i][j] != 0]
-        _, jstar = min(cand)
-        if jstar != i:
-            colswap(work, i, jstar)
-            colswap(k1, i, jstar)
-        for j in range(i + 1, n):
-            if work[i][j] != 0:
-                f = work[i][j] / work[i][i]  # p-integral by pivot choice
-                colsub(work, j, i, f)
-                colsub(k1, j, i, f)
-    # work is now lower triangular and equals g @ k1
-    tdiag = [work[i][i] for i in range(n)]
-    a_entries = [Fraction(p) ** valuation(t, p) for t in tdiag]
-    u = Mat([[work[i][j] / tdiag[j] if j <= i else Fraction(0)
-              for j in range(n)] for i in range(n)], p)
-    units = Mat.diag([t / ae for t, ae in zip(tdiag, a_entries)], p)
-    k = units @ Mat(k1, p).inv()
-    return IwasawaUAK(u, Mat.diag(a_entries, p), k)
+    work, cols = out
+    # over the integer matrix d * g, t_i = minor_i / (d * minor_{i-1})
+    minors = [1] + [work[i][i] for i in range(n)]
+    vd = valuation(d, p)
+    vmin = [valuation(x, p) for x in minors]
+    exps = [vmin[i + 1] - vmin[i] - vd for i in range(n)]
+    # row i of k is work[i] / (d * minor_{i-1} * a_i), columns restored
+    krows, kdens = [], []
+    for i, e in enumerate(exps):
+        row = [0] * n
+        for c in range(i, n):
+            row[cols[c]] = work[i][c] * p ** max(-e, 0)
+        krows.append(row)
+        kdens.append(d * minors[i] * p ** max(e, 0))
+    return IwasawaUAK(_unit_lower(work, p), _p_power_diag(exps, p),
+                      _rows_over(krows, kdens, p))
 
 
 def iwasawa_NAK(g: Mat) -> IwasawaNAK:
@@ -275,23 +385,17 @@ def iwasawa_NAK(g: Mat) -> IwasawaNAK:
 def bruhat_open_cell(g: Mat) -> BruhatLDU | None:
     """g = u a n (lower-unipotent, diagonal, upper-unipotent).  Exists iff
     every leading principal minor is nonzero; a_i = Delta_i/Delta_{i-1}."""
-    n, p = g.n, g.p
-    work = [list(row) for row in g.rows]
-    lower = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-             for i in range(n)]
-    for i in range(n):
-        if work[i][i] == 0:
-            return None
-        for r in range(i + 1, n):
-            f = work[r][i] / work[i][i]
-            lower[r][i] = f
-            if f:
-                for c in range(i, n):
-                    work[r][c] -= f * work[i][c]
-    a = [work[i][i] for i in range(n)]
-    upper = [[work[i][j] / a[i] if j >= i else Fraction(0) for j in range(n)]
-             for i in range(n)]
-    return BruhatLDU(Mat(lower, p), Mat.diag(a, p), Mat(upper, p))
+    n, p, d = g.n, g.p, g.den
+    out = _eliminate(g.num, _diagonal_pivot)
+    if out is None:
+        return None
+    work, _ = out
+    minors = [1] + [work[i][i] for i in range(n)]
+    a = Mat.diag([Fraction(minors[i + 1], d * minors[i]) for i in range(n)],
+                 p)
+    upper = _rows_over([[x if c >= i else 0 for c, x in enumerate(r)]
+                        for i, r in enumerate(work)], minors[1:], p)
+    return BruhatLDU(_unit_lower(work, p), a, upper)
 
 
 def iwahori_factor(k: Mat, e: int) -> tuple[Mat, Mat, Mat]:
@@ -300,7 +404,9 @@ def iwahori_factor(k: Mat, e: int) -> tuple[Mat, Mat, Mat]:
     if not k.in_congruence(e):
         raise ValueError(f"input not in K(p^{e})")
     dec = bruhat_open_cell(k)
-    assert dec is not None, "congruence element has unit leading minors"
+    if dec is None:
+        raise ArithmeticError("congruence element has a non-unit leading "
+                              "minor")
     u, a, nn = dec.u, dec.a, dec.n
     if not (u.is_lower_unipotent(e) and nn.is_upper_unipotent(e)
             and all(valuation(x - 1, k.p) >= e for x in a.diagonal() if x != 1)):
@@ -317,13 +423,13 @@ def minor_norm_M(g: Mat, l: int) -> Fraction:
     n = g.n
     if not 1 <= l <= n:
         raise ValueError("l out of range")
-    rows = [g.rows[i] for i in range(n - l, n)]
+    rows = g.num[n - l:]
     best = Fraction(0)
     for cols in itertools.combinations(range(n), l):
-        sub = Mat([[rows[i][c] for c in cols] for i in range(l)], g.p)
+        sub = Mat._from_ints(tuple(tuple(r[c] for c in cols) for r in rows),
+                             g.den, g.p)
         best = max(best, norm(sub.det(), g.p))
     return best
-
 
 def modular_delta(a: Mat, side: str = "N") -> Fraction:
     """delta_N(a) = prod_{i<j} |a_i/a_j|; delta_U is its inverse."""
@@ -452,7 +558,7 @@ def open_cell_density(N: int, p: int) -> Fraction:
 
 def _digit_range(p: int, e: int, L: int):
     """Values c*p^e for c mod p^(L-e) (representatives of p^e Z / p^L Z)."""
-    return [Fraction(c * p ** e) for c in range(p ** (L - e))]
+    return [c * p ** e for c in range(p ** (L - e))]
 
 
 def enumerate_cosets(spec: SubgroupSpec, L: int) -> list[Mat]:
@@ -470,8 +576,7 @@ def enumerate_cosets(spec: SubgroupSpec, L: int) -> list[Mat]:
         coords = [(i, j) for i in range(N) for j in range(N)]
         reps = []
         for vals in itertools.product(_digit_range(p, e, L), repeat=len(coords)):
-            rows = [[Fraction(1) if i == j else Fraction(0) for j in range(N)]
-                    for i in range(N)]
+            rows = [[1 if i == j else 0 for j in range(N)] for i in range(N)]
             for (i, j), v in zip(coords, vals):
                 rows[i][j] += v
             reps.append(Mat(rows, p))
@@ -482,15 +587,14 @@ def enumerate_cosets(spec: SubgroupSpec, L: int) -> list[Mat]:
                   [(i, j) for i in range(N) for j in range(N) if i > j])
         reps = []
         for vals in itertools.product(_digit_range(p, e, L), repeat=len(coords)):
-            rows = [[Fraction(1) if i == j else Fraction(0) for j in range(N)]
-                    for i in range(N)]
+            rows = [[1 if i == j else 0 for j in range(N)] for i in range(N)]
             for (i, j), v in zip(coords, vals):
                 rows[i][j] = v
             reps.append(Mat(rows, p))
         return reps
     if spec.tag == "KA":
         if e == 0:
-            units = [Fraction(c) for c in range(1, p ** L) if c % p != 0]
+            units = [c for c in range(1, p ** L) if c % p != 0]
         else:
             units = [1 + v for v in _digit_range(p, e, L)]
         return [Mat.diag(list(vals), p)
@@ -503,9 +607,7 @@ def enumerate_cosets(spec: SubgroupSpec, L: int) -> list[Mat]:
         reps = []
         pl = p ** L
         for vals in itertools.product(range(pl), repeat=N * N):
-            rows = [[Fraction(vals[i * N + j]) for j in range(N)]
-                    for i in range(N)]
-            g = Mat(rows, p)
+            g = Mat([vals[i * N:(i + 1) * N] for i in range(N)], p)
             if g.det() % p != 0:
                 reps.append(g)
         return reps

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .group import Mat
 
@@ -34,18 +33,10 @@ def residue_rows(g: Mat, e: int) -> tuple:
     """The entries of a p-integral Mat reduced modulo p^e, as integer rows
     with canonical entries in [0, p^e)."""
     p, mod = g.p, g.p ** e
-    rows = []
-    for row in g.rows:
-        out = []
-        for x in row:
-            if x.denominator == 1:
-                out.append(x.numerator % mod)
-            elif x.denominator % p == 0:
-                raise ValueError("entry not p-integral")
-            else:
-                out.append(x.numerator * pow(x.denominator, -1, mod) % mod)
-        rows.append(tuple(out))
-    return tuple(rows)
+    if not g.is_integral():
+        raise ValueError("entry not p-integral")
+    inv = pow(g.den, -1, mod)
+    return tuple(tuple(x * inv % mod for x in row) for row in g.num)
 
 
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -140,7 +131,7 @@ class ZMat:
 
     def lift(self) -> Mat:
         """Canonical integral lift with entries in [0, p^e)."""
-        return Mat([[Fraction(x) for x in row] for row in self.entries], self.p)
+        return Mat(self.entries, self.p)
 
     def reduce(self, e: int) -> "ZMat":
         if e > self.e:

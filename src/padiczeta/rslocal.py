@@ -37,6 +37,7 @@ the outer sum is windowed with an empty-shell widening certificate.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -150,7 +151,15 @@ def certify_E_class(elem: EClassElement) -> dict:
 
 def standard_E_element(ctx: DepthContext, n: int,
                        dual: bool = False) -> EClassElement:
-    """The unit-norm concentrated element (or its dual), certified."""
+    """The unit-norm concentrated element (or its dual), certified once
+    per (ctx, n, dual) in a process; a failed certification raises and
+    is not remembered."""
+    return _certified_element(ctx, n, dual)
+
+
+@functools.cache
+def _certified_element(ctx: DepthContext, n: int,
+                       dual: bool) -> EClassElement:
     elem = EClassElement(translate_for_H(ctx, n), Fraction(1), dual)
     certify_E_class(elem)
     return elem
@@ -464,7 +473,8 @@ def _any_nonzero_over_K(f: EClassElement, cells, kreps) -> bool:
 
 def _outer_diagonals(f: EClassElement, c: Mat, nprime: int,
                      cfg: RSIntegralConfig, B: int):
-    """Diagonal a's feeding the Iwasawa outer sum, with |a_n| = 1.
+    """(a, cells) for the diagonal a's feeding the Iwasawa outer sum, with
+    |a_n| = 1 and cells = _w_cell_data(f, c, a, B, nprime) nonempty.
 
     For nprime = 0 the support pins a uniquely.  For nprime > 0 the block
     valuations are windowed, with the simple-root support law inside the
@@ -474,7 +484,10 @@ def _outer_diagonals(f: EClassElement, c: Mat, nprime: int,
     m = ctx.m
     if nprime == 0:
         a, e = pinned_outer_diagonal(f, c)
-        return [a] if e[-1] == 0 else []
+        if e[-1] != 0:
+            return []
+        cells = _w_cell_data(f, c, a, B)
+        return [(a, cells)] if cells else []
     det_v = sum(valuation(x, ctx.p) for x in c.diagonal())
     pinned = _pinned_partial(f, c, nprime)
 
@@ -500,8 +513,9 @@ def _outer_diagonals(f: EClassElement, c: Mat, nprime: int,
         hits = 0
         for e in shell:
             a = Mat.diag([Fraction(ctx.p) ** x for x in e], ctx.p)
-            if _w_cell_data(f, c, a, B, nprime):
-                live.append(a)
+            cells = _w_cell_data(f, c, a, B, nprime)
+            if cells:
+                live.append((a, cells))
                 hits += 1
         empty_streak = empty_streak + 1 if hits == 0 else 0
         if empty_streak >= 2:
@@ -515,10 +529,7 @@ def _q_single_box(f: EClassElement, c: Mat, nprime: int,
     kreps = _k_transversal(ctx, n)
     vol_kq = haar_volume(SubgroupSpec("Kq", n, ctx.p, ctx.m))
     total = CycSum()
-    for a in _outer_diagonals(f, c, nprime, cfg, B):
-        cells = _w_cell_data(f, c, a, B, nprime)
-        if not cells:
-            continue
+    for a, cells in _outer_diagonals(f, c, nprime, cfg, B):
         inner = _k_square_sum(f, cells, kreps)
         total.add(inner * (vol_kq / modular_delta(a, "N")))
     e2 = 2 * modular_delta_half_exponent(c, "N")

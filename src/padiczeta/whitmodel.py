@@ -95,9 +95,10 @@ class WhittakerOnH:
                 sub = Mat([[g[i + 1 + c][i + 1 + r] for c in range(size)]
                            for r in range(size)], p)
                 rhs = [-g[i][i + 1 + c] for c in range(size)]
-                if sub.det() == 0:
+                try:
+                    inv = sub.inv()
+                except ZeroDivisionError:
                     return None
-                inv = sub.inv()
                 w = [sum(inv.rows[r][c] * rhs[c] for c in range(size))
                      for r in range(size)]
                 for r in range(size):
@@ -113,7 +114,8 @@ class WhittakerOnH:
         v = Mat(vmat, p)
         y = Mat(g, p)
         nwit = v.inv()
-        assert nwit.is_upper_unipotent()
+        if not nwit.is_upper_unipotent():
+            raise ArithmeticError("support witness must be upper unipotent")
         return nwit, y
 
     def value_parts(self, h: Mat):

@@ -96,9 +96,11 @@ def _central_exponents(tf: TestFunction, aT: Mat):
     this is the only diagonal coset meeting the support of f."""
     ctx = tf.ctx
     d = (tf.shift_mat() @ aT).diagonal()
-    assert all(x == d[0] for x in d), "translated a_T must be central"
+    if any(x != d[0] for x in d):
+        raise ArithmeticError("translated a_T must be central")
     vals = [-valuation(x, ctx.p) for x in d]
-    assert all(v % ctx.m == 0 for v in vals)
+    if any(v % ctx.m for v in vals):
+        raise ArithmeticError("central exponent off the depth lattice")
     return tuple(v // ctx.m for v in vals)
 
 
@@ -115,16 +117,18 @@ def _transform_poly(tf: TestFunction, y: Mat) -> MellinPoly:
     aT = a_T_element(ctx, n)
     dim_n = n * (n - 1) // 2
     cell = modular_delta(aT, "N") * Fraction(1, ctx.p ** (2 * ctx.m * dim_n))
+    aT_inv = aT.inv()
     exps = _central_exponents(tf, aT)
     poly = MellinPoly()
     for u in enumerate_cosets(SubgroupSpec("KN", n, ctx.p, ctx.m),
                               2 * ctx.m):
-        n_el = aT @ u @ aT.inv()
+        n_el = aT @ u @ aT_inv
         psi_val = psi(sum(n_el.rows[i][i + 1] for i in range(n - 1)), ctx.p)
         mono = mellin_component(tf, aT @ u @ y)
         if mono is None:
             continue
-        assert mono.exponents == exps
+        if mono.exponents != exps:
+            raise ArithmeticError("cell monomial off the central exponents")
         poly.add_monomial(mono, psi_val * cell)
     return poly
 
@@ -138,11 +142,14 @@ def whittaker_transform_at_aT(ctx: DepthContext, n: int):
     tf = translate_for_H(ctx, n)
     poly = _transform_poly(tf, Mat.identity(n, ctx.p))
     terms = poly.nonzero_terms()
-    assert len(terms) == 1, "transform must be a single monomial"
+    if len(terms) != 1:
+        raise ArithmeticError("transform must be a single monomial")
     (exps, off), coeff = next(iter(terms.items()))
     scalar = coeff.as_rational()
-    assert scalar is not None and scalar == fiber_volume(ctx, n)
-    assert exps == tuple(n + 1 for _ in range(n)) and off == 0
+    if scalar is None or scalar != fiber_volume(ctx, n):
+        raise ArithmeticError("transform scalar must be the fiber volume")
+    if exps != tuple(n + 1 for _ in range(n)) or off != 0:
+        raise ArithmeticError("transform exponents must be n + 1, offset 0")
     return MellinMonomial(scalar, exps, off), tf.c1
 
 
@@ -172,16 +179,19 @@ def zeta_direct(ctx: DepthContext, n: int) -> ZetaResult:
     for y in enumerate_cosets(SubgroupSpec("Kq", n, ctx.p, ctx.m),
                               2 * ctx.m):
         _, wphase = W.value_parts(aT @ y)
-        assert not wphase.is_zero(), "K(q) points lie on the support"
+        if wphase.is_zero():
+            raise ArithmeticError("K(q) points lie on the support")
         fpoly = _transform_poly(tf, y)
         for key, coeff in fpoly.nonzero_terms().items():
             total.add_monomial(MellinMonomial(coeff, key[0], key[1]),
                                wphase * weight)
     terms = total.nonzero_terms()
-    assert len(terms) == 1, "zeta must be a single monomial"
+    if len(terms) != 1:
+        raise ArithmeticError("zeta must be a single monomial")
     (exps, off), coeff = next(iter(terms.items()))
     scalar = coeff.as_rational()
-    assert scalar is not None, "zeta constant must be rational before roots"
+    if scalar is None:
+        raise ArithmeticError("zeta constant must be rational before roots")
     c = W.peak * tf.c1 * scalar
     return ZetaResult(exps, off, c, "direct")
 
@@ -199,7 +209,9 @@ def zeta_for_parameter(ctx: DepthContext, tau: TauParam) -> ZetaResult:
     if not is_uniform(tau):
         raise ValueError("parameter must be uniform (cyclic, unit)")
     g, std = conjugate_to_standard_cyclic(tau)
-    assert g @ tau.mat @ g.inv() == std.mat
+    if g @ tau.mat @ g.inv() != std.mat:
+        raise ArithmeticError("conjugation does not transport tau to "
+                              "companion form")
     zr = zeta_explicit(ctx, tau.n)
     return ZetaResult(zr.exponents, zr.offset, zr.c, "transported")
 

@@ -162,6 +162,54 @@ GOLDEN_RUNS = {
                                  "--p", "2", "--m", "2"],
     "eval-chi-p2.json": ["eval", "chi", "--g", "3,2;4,5", "--p", "2",
                          "--m", "1"],
+    # Iwasawa u is unique only modulo a U(Z_p) a^-1, so these pin the
+    # elimination order as well as the values
+    "eval-iwasawa-p3-rank2.json": ["eval", "iwasawa", "--g",
+                                   "2/9,5/3;1/6,7/4", "--p", "3"],
+    "eval-iwasawa-p2-rank3.json": ["eval", "iwasawa", "--g",
+                                   "1/2,3/4,5;2/3,1/6,7/2;9,1/8,3/5",
+                                   "--p", "2"],
+    "eval-iwasawa-p3-rank4.json": ["eval", "iwasawa", "--g",
+                                   "1/3,2/9,5,1/2;2/3,1/6,7/2,4;"
+                                   "9,1/8,3/5,1;1/27,2,0,5/4", "--p", "3"],
+    # valuation ties in the pivot rows pin the leftmost tie-break
+    "eval-iwasawa-p2-rank3-ties.json": ["eval", "iwasawa", "--g",
+                                        "1/2,3/2,5;2/3,1/6,7/2;9,1/8,3/5",
+                                        "--p", "2"],
+    "eval-iwasawa-p3-rank3-ties.json": ["eval", "iwasawa", "--g",
+                                        "2/9,5/9,1;1/6,7/4,2;1,1,1/3",
+                                        "--p", "3"],
+    "eval-bruhat-p3-open.json": ["eval", "bruhat", "--g",
+                                 "1/2,3/4;2/3,5/6", "--p", "3"],
+    "eval-bruhat-p2-rank4-open.json": ["eval", "bruhat", "--g",
+                                       "1/2,3/4,5,1/3;2/3,1/6,7/2,2;"
+                                       "9,1/8,3/5,1;1/4,2,0,5/4",
+                                       "--p", "2"],
+    # second leading minor vanishes
+    "eval-bruhat-p2-rank3-closed.json": ["eval", "bruhat", "--g",
+                                         "1/2,3/4,5;2/3,1,7/2;9,1/8,3/5",
+                                         "--p", "2"],
+    "eval-f-p2-rank2.json": ["eval", "f", "--g", "1/3,2;4/5,7/3",
+                             "--p", "2", "--m", "1"],
+    "eval-f-p2-rank3.json": ["eval", "f", "--g",
+                             "1/3,2,2/7;4/5,7/3,0;2,4/9,1/5",
+                             "--p", "2", "--m", "1"],
+    "eval-f-p3-zero.json": ["eval", "f", "--g", "1/2,2;4/5,7/3",
+                            "--p", "3", "--m", "1"],
+    # a_T n y with n = (1,3/4;0,1), y = (3,2;4,5) in K(2)
+    "eval-W-p2-support.json": ["eval", "W", "--g", "3/8,23/64;1,5/4",
+                               "--p", "2", "--m", "1"],
+    # a_T n y with n = (1,1/3,2/9;0,1,5/3;0,0,1), y in K(3)
+    "eval-W-p3-rank3-support.json": ["eval", "W", "--g",
+                                     "11/2187,10/2187,95/6561;"
+                                     "2/81,1/81,62/243;1/3,0,7/9",
+                                     "--p", "3", "--m", "1"],
+    "eval-W-p3-off.json": ["eval", "W", "--g", "1/9,1/2;0,1/3",
+                           "--p", "3", "--m", "1"],
+    "eval-classify-p2-rank3.json": ["eval", "classify", "--u",
+                                    "1,1/4,3/8;0,1,1/2;0,0,1", "--p", "2"],
+    "eval-classify-p3-rank2.json": ["eval", "classify", "--u",
+                                    "1,2/9;0,1", "--p", "3"],
 }
 
 

@@ -225,3 +225,58 @@ def test_denominator_scan_rank3():
     rep = denominator_scan(F3, window=3)
     assert rep["max_e"] == 2
     assert rep["empirical_d"] == 1
+
+
+def test_parabolic_Q_builds_each_cell_set_once(monkeypatch):
+    """The outer-diagonal search hands its cells to the box sum instead of
+    letting it rebuild them."""
+    from padiczeta import rslocal
+
+    built = []
+    real = rslocal._w_cell_data
+
+    def counting(f, c, a, B, nprime=0):
+        built.append((a.to_text(), B, nprime))
+        return real(f, c, a, B, nprime)
+
+    monkeypatch.setattr(rslocal, "_w_cell_data", counting)
+    assert Q_P(F3, Mat.identity(3, 2), 1) == Fraction(1, 2)
+    assert len(built) == len(set(built)) == 2
+
+
+def test_standard_element_is_certified_once(monkeypatch):
+    from padiczeta import rslocal
+
+    ctx = DepthContext(3, 1)
+    certified = []
+    real = rslocal.certify_E_class
+
+    def counting(elem):
+        certified.append(elem)
+        return real(elem)
+
+    rslocal._certified_element.cache_clear()
+    monkeypatch.setattr(rslocal, "certify_E_class", counting)
+    first = standard_E_element(ctx, 2)
+    assert standard_E_element(ctx, 2) is first
+    assert standard_E_element(ctx, 2, dual=False) is first
+    assert len(certified) == 1
+    assert standard_E_element(ctx, 2, dual=True) is not first
+    assert len(certified) == 2
+
+
+def test_failed_certification_is_not_remembered(monkeypatch):
+    from padiczeta import rslocal
+
+    ctx = DepthContext(3, 1)
+    real = rslocal.certify_E_class
+
+    def failing(elem):
+        raise ValueError("injected certification failure")
+
+    rslocal._certified_element.cache_clear()
+    monkeypatch.setattr(rslocal, "certify_E_class", failing)
+    with pytest.raises(ValueError, match="injected"):
+        standard_E_element(ctx, 2)
+    monkeypatch.setattr(rslocal, "certify_E_class", real)
+    assert standard_E_element(ctx, 2).norm_sq == 1

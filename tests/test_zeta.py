@@ -123,3 +123,21 @@ def test_result_value_semantics():
     a = zeta_explicit(CTX21, 2)
     b = ZetaResult(a.exponents, a.offset, a.c, "other")
     assert a.agrees_with(b)
+
+
+def test_zeta_invariant_raises_when_transform_splits(monkeypatch):
+    """A transform with two monomials breaks the single-monomial invariant
+    of the direct route, which must raise even under python -O."""
+    from padiczeta import zeta
+    from padiczeta.arith import MellinMonomial, MellinPoly
+
+    def split_transform(tf, y):
+        poly = MellinPoly()
+        n = tf.N
+        poly.add_monomial(MellinMonomial(Fraction(1), (n + 1,) * n, 0))
+        poly.add_monomial(MellinMonomial(Fraction(1), (n,) * n, 0))
+        return poly
+
+    monkeypatch.setattr(zeta, "_transform_poly", split_transform)
+    with pytest.raises(ArithmeticError, match="single monomial"):
+        zeta_direct(CTX21, 2)
