@@ -337,7 +337,8 @@ def q1_q2_construct(domain: NiceDomain, u: Mat, x) -> tuple:
     q2 = wp @ m.inv()
     if not SubgroupSpec("KQ", n, p, rho - l - 1).contains(q2):
         raise RuntimeError("row reduction escaped its congruence level")
-    assert q2 @ up @ q1 == wp
+    if q2 @ up @ q1 != wp:
+        raise ArithmeticError("q2 u q1 does not equal w'")
     return q1, q2, wp, conj_by_A(wp, -rho)
 
 

@@ -166,7 +166,8 @@ def conjugate_to_standard_cyclic(tau: TauParam):
         cur = tau.mat.apply(cur)
     g = ZMat.from_columns(cols, p, m).inv()
     tau2 = TauParam(tau.ctx, g @ tau.mat @ g.inv())
-    assert is_cyclic_wrt(tau2, ZMat.identity(n, p, m))
+    if not is_cyclic_wrt(tau2, ZMat.identity(n, p, m)):
+        raise ArithmeticError("conjugate parameter is not cyclic")
     return g, tau2
 
 
@@ -186,7 +187,8 @@ def unique_NF_conjugate_cyclic(tau: TauParam, basis: ZMat) -> ZMat:
         cur = tau.mat.apply(cur)
     bprime = ZMat.from_columns(cols, tau.ctx.p, tau.ctx.m)
     v = basis @ bprime.inv()
-    assert is_cyclic_wrt(tau, v.inv() @ basis)
+    if not is_cyclic_wrt(tau, v.inv() @ basis):
+        raise ArithmeticError("rebuilt basis is not cyclic for tau")
     return v
 
 
@@ -205,7 +207,8 @@ def factor_subcyclic(tau: TauParam, g: ZMat, basis: ZMat):
     if not (c @ tau.mat == tau.mat @ c):
         raise ValueError("factorization failed: preconditions violated?")
     v = v2.inv() @ v1
-    assert v @ c == g
+    if v @ c != g:
+        raise ArithmeticError("factorization does not multiply back to g")
     return v, c
 
 

@@ -22,7 +22,9 @@ rational and never folded into the cyclotomic phases.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,7 +39,7 @@ from .arith import (
 )
 from .group import Mat, SubgroupSpec, bruhat_open_cell, enumerate_cosets, iwasawa_UAK
 from .params import chi_tau_eval, theta_matrix
-from .residue import int_det, residue_rows
+from .residue import residue_rows
 
 
 def J_open_cell(g: Mat, ctx: DepthContext) -> CycValue:
@@ -54,8 +56,10 @@ def J_open_cell(g: Mat, ctx: DepthContext) -> CycValue:
     return psi_T(s, ctx)
 
 
-def _leading_minor(entries, size: int) -> int:
-    return int_det([[entries[i][j] for j in range(size)] for i in range(size)])
+@functools.cache
+def _unit_inverses(p: int, T: int) -> tuple:
+    """Inverse of each residue mod T, with 0 in place of the non-units."""
+    return tuple(pow(u, -1, T) if u % p else 0 for u in range(T))
 
 
 def _J_exponent_mod(z, ctx: DepthContext):
@@ -63,49 +67,74 @@ def _J_exponent_mod(z, ctx: DepthContext):
     when J vanishes, for an integral argument given by its integer rows
     modulo q^2 = T.
 
-    The superdiagonal entries of the upper factor are ratios of minors:
-    n_{i,i+1} = det(rows 1..i, cols 1..i-1,i+1) / Delta_i, and all the
-    Delta_i must be units for the cell's diagonal to be one.
+    One unit-pivot elimination mod T: with z = L D N (N upper unipotent)
+    it leaves the rows R = D N, so n_{i,i+1} = R[i][i+1] / R[i][i].  Each
+    step reads the pivot row and replaces the rows below it by their Schur
+    complement.  A pivot is a non-unit exactly when the matching leading
+    minor is, which is where J vanishes.
     """
-    n, mod, p = len(z), ctx.T, ctx.p
+    p, T = ctx.p, ctx.T
+    inverse = _unit_inverses(p, T)
     total = 0
-    for i in range(1, n):
-        delta = _leading_minor(z, i) % mod
-        if delta % p == 0:
+    head, *rest = z
+    while True:
+        pinv = inverse[head[0] % T]
+        if not pinv:
             return None
-        sub = [[z[r][c] for c in list(range(i - 1)) + [i]]
-               for r in range(i)]
-        total += int_det(sub) * pow(delta, -1, mod)
-    if _leading_minor(z, n) % p == 0:
-        return None
-    return total % mod
+        if not rest:
+            return total % T
+        total += head[1] * pinv
+        tail = head[1:]
+        head, *rest = [[(x - f * y) % T for x, y in zip(row[1:], tail)]
+                       for row in rest for f in (row[0] * pinv,)]
+
+
+def _column_table(z, j: int, ctx: DepthContext, tau) -> tuple:
+    """The q^n candidates for column j of z (1 + q off) mod T, one per
+    column j of off, as (columns, shifts): the shift is the column's share
+    q tr of the projecting character's exponent, taken mod T.
+
+    tau=None reads only off[j-1][j] (the superdiagonal); a parameter tau
+    reads sum_i off[i][j] tau[j][i].
+    """
+    q, T, n = ctx.q, ctx.T, len(z)
+    weights = ([int(i == j - 1) for i in range(n)] if tau is None
+               else tau.mat.entries[j])
+    columns, shifts = [], []
+    for o in itertools.product(range(q), repeat=n):
+        columns.append(tuple(
+            (row[j] + q * sum(x * y for x, y in zip(row, o))) % T
+            for row in z))
+        shifts.append(q * sum(w * y for w, y in zip(weights, o)) % T)
+    return tuple(columns), tuple(shifts)
 
 
 def _convolution_integral(g: Mat, ctx: DepthContext, tau=None) -> CycValue:
     """Exact convolution at level 2m via residue arithmetic (g integral).
 
     tau selects the projecting character; None means the subdiagonal
-    nilpotent, whose character only reads the superdiagonal.  Each term
-    is the product z (1 + q off) = z + q (z off) mod q^2, formed on ints.
+    nilpotent, whose character only reads the superdiagonal.  Column j of
+    the term z (1 + q off) mod q^2 depends only on column j of off, so the
+    q^n candidates of each column are built once (`_column_table`) and the
+    q^{n^2} terms are walked as their product.  Every term is evaluated on
+    its own by one elimination mod T (`_J_exponent_mod`), and its exponent
+    is counted in a histogram of T ints.  The value is built once at the
+    end, at the order T / gcd(T, every exponent that occurred): the lcm of
+    the orders of the roots of unity summed, and 1 when no term survives.
     """
-    m, n = ctx.m, g.n
-    q, T = ctx.q, ctx.T
-    z = residue_rows(g, 2 * m)
-    total = CycSum()
-    for off in itertools.product(range(q), repeat=n * n):
-        zr = [[(z[i][j] + q * sum(z[i][t] * off[t * n + j]
-                                  for t in range(n))) % T
-               for j in range(n)] for i in range(n)]
-        jexp = _J_exponent_mod(zr, ctx)
-        if jexp is None:
-            continue
-        if tau is None:
-            tr = sum(off[i * n + i + 1] for i in range(n - 1))
-        else:
-            tr = sum(off[i * n + j] * tau.mat.entries[j][i]
-                     for i in range(n) for j in range(n))
-        total.add(CycValue.root_of_unity(T, jexp - q * tr))
-    return total.value() * Fraction(1, q ** (n * n))
+    n, q, T = g.n, ctx.q, ctx.T
+    z = residue_rows(g, 2 * ctx.m)
+    columns, shifts = zip(*(_column_table(z, j, ctx, tau) for j in range(n)))
+    counts = [0] * T
+    for cols, shift in zip(itertools.product(*columns),
+                           map(sum, itertools.product(*shifts))):
+        e = _J_exponent_mod(zip(*cols), ctx)
+        if e is not None:
+            counts[(e - shift) % T] += 1
+    occurred = [e for e in range(T) if counts[e]]
+    d = math.gcd(T, *occurred)
+    return CycValue(T // d, {e // d: Fraction(counts[e], q ** (n * n))
+                             for e in occurred})
 
 
 def f_convolution(g: Mat, ctx: DepthContext, L: int | None = None,
@@ -176,7 +205,8 @@ def l2_norm_report(ctx: DepthContext, N: int):
     val = l2_norm_sq(ctx, N)
     expo = -ctx.m * (N * (N - 1) // 2)
     const = val / Fraction(ctx.p) ** expo
-    assert const == open_cell_density(N, ctx.p)
+    if const != open_cell_density(N, ctx.p):
+        raise ArithmeticError("L2 constant is not the open-cell density")
     return val, expo, const
 
 
@@ -197,9 +227,13 @@ class TestFunction:
     conjugate: bool = False
 
     def shift_mat(self) -> Mat:
+        return self._shift_mat
+
+    @functools.cached_property
+    def _shift_mat(self) -> Mat:
+        # built once per function; Mat is immutable, so callers share it
         p, m = self.ctx.p, self.ctx.m
-        return Mat.diag([Fraction(p) ** (-m * s) for s in self.shift],
-                        p)
+        return Mat.diag([Fraction(p) ** (-m * s) for s in self.shift], p)
 
     def phase(self, g: Mat) -> CycValue:
         """The cyclotomic part of the value; the full value is c1 * phase."""

@@ -44,18 +44,29 @@ def transform_cases(ctx):
         yield c, a, _w_cell_data(f, c, a, 3)
 
 
-@pytest.mark.parametrize("ctx", CTXS, ids=lambda c: f"p{c.p}m{c.m}")
-def test_convolution_integral_matches_definition(ctx):
-    rng = random.Random(ctx.p)
+# (ctx, rank, seed): the rank-2 contexts above and the benchmark's other
+# two instances, (2,2) at rank 2 and (2,1) at rank 3
+CONVOLUTION_CASES = [
+    pytest.param(ctx, n, seed,
+                 id=f"p{ctx.p}m{ctx.m}" + ("" if n == 2 else f"n{n}"))
+    for ctx, n, seed in [(CTXS[0], 2, 2), (CTXS[1], 2, 3),
+                         (DepthContext(2, 2), 2, 22),
+                         (DepthContext(2, 1), 3, 13)]]
+
+
+@pytest.mark.parametrize("ctx,n,seed", CONVOLUTION_CASES)
+def test_convolution_integral_matches_definition(ctx, n, seed):
+    rng = random.Random(seed)
     p = ctx.p
     for trial in range(10):
-        rows = [[rng.randrange(p ** 3) for _ in range(2)] for _ in range(2)]
+        rows = [[rng.randrange(p ** 3) for _ in range(n)] for _ in range(n)]
         if trial % 2:
             # steer half the points onto the support: unit diagonal and
-            # upper entry divisible by q
-            rows[0][0] = rows[0][0] * p + 1
-            rows[1][1] = rows[1][1] * p + 1
-            rows[0][1] *= ctx.q
+            # upper entries divisible by q
+            for i in range(n):
+                rows[i][i] = rows[i][i] * p + 1
+                for j in range(i + 1, n):
+                    rows[i][j] *= ctx.q
         g = Mat([[Fraction(x) for x in row] for row in rows], p)
         fast = _convolution_integral(g, ctx)
         assert fast == f_convolution(g, ctx, L=2 * ctx.m), g.to_text()

@@ -1,0 +1,17 @@
+"""Static guards on the package source."""
+
+import ast
+from pathlib import Path
+
+SOURCES = sorted((Path(__file__).parent.parent / "src" / "padiczeta")
+                 .glob("*.py"))
+
+
+def test_no_assert_statements():
+    # `python -O` strips asserts, so a check that carries correctness must
+    # raise an exception instead
+    assert SOURCES
+    found = [f"{path.name}:{node.lineno}" for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert not found, f"assert statements in src: {found}"

@@ -163,6 +163,15 @@ def test_l2_norm_values():
         assert expo == -ctx.m * n * (n - 1) // 2
 
 
+def test_l2_norm_report_raises_when_constant_disagrees(monkeypatch):
+    from padiczeta import group
+
+    monkeypatch.setattr(group, "open_cell_density",
+                        lambda N, p: Fraction(0))
+    with pytest.raises(ArithmeticError):
+        l2_norm_report(CTX21, 2)
+
+
 def test_l2_norm_matches_finite_sum():
     # honest finite check over K/K(q^2)
     for ctx in (CTX21, CTX31):
@@ -289,3 +298,17 @@ def test_convolution_stabilization_non_integral():
     # outside the support: both levels give zero, certifying stabilization
     assert f_convolution(g, CTX21, cap=3).is_zero()
     assert f_explicit(g, CTX21).is_zero()
+
+
+def test_shift_mat_is_built_once(monkeypatch):
+    tf = translate_for_H(CTX21, 3)
+    built = []
+    diag = Mat.diag
+    monkeypatch.setattr(Mat, "diag",
+                        staticmethod(lambda *a: built.append(a) or diag(*a)))
+    first = tf.shift_mat()
+    assert len(built) <= 1
+    for _ in range(3):
+        assert tf.shift_mat() is first
+    assert len(built) <= 1
+    assert first == diag([Fraction(2) ** (-s) for s in tf.shift], 2)
