@@ -105,11 +105,6 @@ class DepthContext:
     def Ttilde(self) -> Fraction:
         return Fraction(1, self.T)
 
-    @property
-    def sqrtT(self) -> int:
-        """T^(1/2) = p^m, an integer; the natural unit for Mellin exponents."""
-        return self.q
-
 
 # ---------------------------------------------------------------------------
 # cyclotomic values
@@ -482,9 +477,6 @@ class MellinMonomial:
     def extract_T_exponent(self) -> tuple[tuple[int, ...], int]:
         """(exponent vector in T^(1/2)-units per s_i, constant offset)."""
         return self.exponents, self.offset
-
-    def same_monomial(self, other: "MellinMonomial") -> bool:
-        return self.exponents == other.exponents and self.offset == other.offset
 
     def __repr__(self):
         return (f"MellinMonomial({self.scalar!r}, "

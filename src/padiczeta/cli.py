@@ -70,17 +70,6 @@ SUITES = ("testfn-agreement", "zeta", "concentration", "rs-support",
 EVAL_OBJECTS = ("f", "W", "chi", "iwasawa", "bruhat", "classify", "Wfcg")
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Validated parameters of one suite run."""
@@ -97,10 +86,7 @@ class RunConfig:
     def __post_init__(self):
         if self.suite not in SUITES:
             raise ValueError(f"unknown suite {self.suite!r}")
-        if not _is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
-        if self.m < 1:
-            raise ValueError("depth m must be >= 1")
+        DepthContext(self.p, self.m)  # raises on a non-prime p or m < 1
         if self.rank < 2:
             raise ValueError("rank must be >= 2 for group suites")
         if not 1 <= self.pair_rank < self.rank:
@@ -417,7 +403,11 @@ _SUITE_FNS = {
 
 
 def run_suite(cfg: RunConfig) -> dict:
-    checks = _SUITE_FNS[cfg.suite](cfg)
+    try:
+        checks = _SUITE_FNS[cfg.suite](cfg)
+    except RuntimeError as exc:
+        # a certificate cap (stabilization level, box, refinement) ran out
+        checks = [_check("certificate cap exceeded", False, str(exc))]
     return {
         "schema": SCHEMA,
         "suite": cfg.suite,
@@ -536,10 +526,6 @@ def main(argv=None) -> int:
               f"({time.monotonic() - t0:.2f}s)", file=sys.stderr)
         return 0 if report["ok"] else 1
     if args.command == "eval":
-        if not _is_prime(args.p):
-            print(f"configuration error: p = {args.p} is not prime",
-                  file=sys.stderr)
-            return 2
         try:
             value = _eval_object(args)
         except ValueError as exc:

@@ -40,6 +40,7 @@ from .arith import CycSum, DepthContext, SqrtRational, psi, valuation
 from .group import (
     Mat,
     SubgroupSpec,
+    bruhat_open_cell,
     enumerate_cosets,
     iwasawa_NAK,
     iwasawa_UAK,
@@ -303,8 +304,9 @@ def scan_box_domains(n: int, p: int, rho: int, cap: int | None = None) -> list:
 def q1_q2_construct(domain: NiceDomain, u: Mat, x) -> tuple:
     """(q1, q2, w', w): the right move q1 = I + p^{rho-l-1} x E_{j0, i0+1}
     on the conjugated coset, the exact row reduction q2 restoring the
-    unipotent shape, the reduced matrix w' = q2 u' q1, and its conjugate
-    w back in the cell.  Requires slope >= remainder + 1 + n so that both
+    unipotent shape, the reduced matrix w' = q2 u' q1 (the upper-unipotent
+    factor of the Bruhat open cell of u' q1), and its conjugate w back in
+    the cell.  Requires slope >= remainder + 1 + n so that both
     factors are congruent to I at level n."""
     n, p, rho, l = domain.n, domain.p, domain.slope, domain.remainder
     x = Fraction(x)
@@ -322,18 +324,10 @@ def q1_q2_construct(domain: NiceDomain, u: Mat, x) -> tuple:
     q1_rows[j0][i0 + 1] += Fraction(p) ** (rho - l - 1) * x
     q1 = Mat(q1_rows, p)
     m = up @ q1
-    work = [list(r) for r in m.rows]
-    for c in range(n):
-        piv = work[c][c]
-        if piv == 0:
-            raise RuntimeError("row reduction failure")
-        for r in range(c + 1, n):
-            f = work[r][c] / piv
-            if f:
-                for cc in range(n):
-                    work[r][cc] -= f * work[c][cc]
-    wp = Mat([[work[i][j] / work[i][i] for j in range(n)] for i in range(n)],
-             p)
+    dec = bruhat_open_cell(m)
+    if dec is None:
+        raise RuntimeError("row reduction failure")
+    wp = dec.n
     q2 = wp @ m.inv()
     if not SubgroupSpec("KQ", n, p, rho - l - 1).contains(q2):
         raise RuntimeError("row reduction escaped its congruence level")

@@ -116,6 +116,16 @@ def is_subcyclic_wrt(tau: TauParam, basis: ZMat) -> bool:
     return True
 
 
+def _krylov_basis(mat: ZMat, vec) -> ZMat:
+    """The matrix over the ring of mat with columns vec, mat vec, ...,
+    mat^{N-1} vec."""
+    cols, cur = [], vec
+    for _ in range(mat.n):
+        cols.append(cur)
+        cur = mat.apply(cur)
+    return ZMat.from_columns(cols, mat.p, mat.e)
+
+
 def find_cyclic_vector(tau: TauParam):
     """Lexicographically first residue-field vector e such that
     e, tau e, ..., tau^{N-1} e is a basis, or None.
@@ -126,13 +136,7 @@ def find_cyclic_vector(tau: TauParam):
     p, n = tau.ctx.p, tau.n
     red = tau.mat.reduce(1)
     for vec in itertools.product(range(p), repeat=n):
-        if not any(vec):
-            continue
-        cols, cur = [], vec
-        for _ in range(n):
-            cols.append(cur)
-            cur = red.apply(cur)
-        if ZMat.from_columns(cols, p, 1).is_unit():
+        if any(vec) and _krylov_basis(red, vec).is_unit():
             return vec
     return None
 
@@ -159,14 +163,9 @@ def conjugate_to_standard_cyclic(tau: TauParam):
     e = find_cyclic_vector(tau)
     if e is None:
         raise ValueError("parameter is not cyclic")
-    p, m, n = tau.ctx.p, tau.ctx.m, tau.n
-    cols, cur = [], e
-    for _ in range(n):
-        cols.append(cur)
-        cur = tau.mat.apply(cur)
-    g = ZMat.from_columns(cols, p, m).inv()
+    g = _krylov_basis(tau.mat, e).inv()
     tau2 = TauParam(tau.ctx, g @ tau.mat @ g.inv())
-    if not is_cyclic_wrt(tau2, ZMat.identity(n, p, m)):
+    if not is_cyclic_wrt(tau2, ZMat.identity(tau.n, tau.ctx.p, tau.ctx.m)):
         raise ArithmeticError("conjugate parameter is not cyclic")
     return g, tau2
 
@@ -180,13 +179,7 @@ def unique_NF_conjugate_cyclic(tau: TauParam, basis: ZMat) -> ZMat:
     """
     if not is_subcyclic_wrt(tau, basis):
         raise ValueError("parameter is not subcyclic for this flag")
-    n = tau.n
-    cols, cur = [], basis.column(0)
-    for _ in range(n):
-        cols.append(cur)
-        cur = tau.mat.apply(cur)
-    bprime = ZMat.from_columns(cols, tau.ctx.p, tau.ctx.m)
-    v = basis @ bprime.inv()
+    v = basis @ _krylov_basis(tau.mat, basis.column(0)).inv()
     if not is_cyclic_wrt(tau, v.inv() @ basis):
         raise ArithmeticError("rebuilt basis is not cyclic for tau")
     return v
@@ -227,19 +220,10 @@ def generation_criterion(tau: TauParam) -> bool:
     Over a local ring, generation is a unit-determinant condition."""
     p, m, n = tau.ctx.p, tau.ctx.m, tau.n
     e = tuple(0 for _ in range(n - 1)) + (1,)
-    cols, cur = [], e
-    for _ in range(n):
-        cols.append(cur)
-        cur = tau.mat.apply(cur)
-    col_gen = ZMat.from_columns(cols, p, m).is_unit()
     taut = ZMat.make([[tau.mat.entries[j][i] for j in range(n)]
                       for i in range(n)], p, m)
-    rows, cur = [], e
-    for _ in range(n):
-        rows.append(cur)
-        cur = taut.apply(cur)
-    row_gen = ZMat.from_columns(rows, p, m).is_unit()
-    return col_gen and row_gen
+    return (_krylov_basis(tau.mat, e).is_unit()
+            and _krylov_basis(taut, e).is_unit())
 
 
 # -- characters of congruence subgroups -------------------------------------

@@ -2,9 +2,10 @@
 
 Matrices here are integer tuples reduced mod p^e.  Determinants and
 characteristic polynomials are computed over Z on canonical lifts and then
-reduced, which keeps everything division-free; inverses use the adjugate and
-require a unit determinant.  Sizes are tiny (N <= 4), so cofactor expansion
-is perfectly adequate and has no failure modes.
+reduced, which keeps everything division-free.  Sizes are tiny (N <= 4), so
+cofactor expansion is perfectly adequate and has no failure modes.  An
+inverse requires a unit determinant; it is the fraction-free inverse
+`Mat.inv` of the lift, reduced mod p^e.
 """
 
 from __future__ import annotations
@@ -158,21 +159,11 @@ class ZMat:
         return self.det() % self.p != 0
 
     def inv(self) -> "ZMat":
-        n, mod = self.n, self.modulus
-        d = self.det()
-        if d % self.p == 0:
+        """The inverse of the lift over Q, reduced: its denominator is the
+        determinant, a unit mod p."""
+        if self.det() % self.p == 0:
             raise ZeroDivisionError("non-unit determinant")
-        dinv = pow(d, -1, mod)
-        rows = [list(r) for r in self.entries]
-        adj = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                minor = [[rows[r][c] for c in range(n) if c != j]
-                         for r in range(n) if r != i]
-                cof = int_det(minor) if n > 1 else 1
-                adj[j][i] = (-1) ** (i + j) * cof
-        return ZMat.make([[x * dinv for x in row] for row in adj],
-                         self.p, self.e)
+        return ZMat(residue_rows(self.lift().inv(), self.e), self.p, self.e)
 
     def charpoly(self) -> tuple[int, ...]:
         mod = self.modulus

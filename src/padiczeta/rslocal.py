@@ -55,7 +55,8 @@ from .group import (
 )
 from .params import theta_matrix
 from .residue import residue_rows
-from .testfn import TestFunction, _explicit_on_K, translate_for_H
+from .testfn import (TestFunction, _explicit_on_K, _J_exponent_mod,
+                     translate_for_H)
 
 
 # -- the class of concentrated functions ------------------------------------
@@ -419,22 +420,17 @@ def _explicit_exponent_mod(z, ctx: DepthContext):
     """Numerator of the explicit phase exponent (a T-th root of unity) for
     an integral K-element known mod q^2, or None off the support: upper
     entries must vanish mod q, and the phase reads the superdiagonal of
-    low(z)^{-1} z."""
-    n = len(z)
-    mod, pm = ctx.T, ctx.q
-    for i in range(n):
-        for j in range(i + 1, n):
-            if z[i][j] % pm:
-                return None
-    # forward-substitute r = low(z)^{-1} z, needing only its superdiagonal
-    total = 0
-    for j in range(1, n):
-        col = [0] * n
-        for i in range(j):
-            s = z[i][j] - sum(z[i][t] * col[t] for t in range(i))
-            col[i] = s * pow(z[i][i], -1, mod) % mod
-        total = (total + col[j - 1]) % mod
-    return total
+    r = low(z)^{-1} z.
+
+    On the support z = low r with r = 1 mod q, so the pivots of z are units
+    and, mod q^2, the superdiagonal of the upper-unipotent LDU factor of z
+    equals that of r (a product of two q-multiples vanishes): this is the
+    exponent of the open-cell kernel `_J_exponent_mod`.
+    """
+    n, q = len(z), ctx.q
+    if any(z[i][j] % q for i in range(n) for j in range(i + 1, n)):
+        return None
+    return _J_exponent_mod(z, ctx)
 
 
 def _transform_values_over_K(f: EClassElement, cells, kreps):

@@ -11,9 +11,10 @@ and W(a_T) is fixed positive by requiring unit L^2-norm over N_H\\H, i.e.
 W(a_T) = vol(X)^{-1/2} for X the image of the support in N_H\\H.
 
 Membership in the support is decided constructively: a_T^{-1} h lies in
-N(F) K(q) iff bottom-up row elimination by an upper-unipotent matrix lands
-in the congruence subgroup, and the eliminating matrix is exactly the
-witness n (up to inversion).
+N(F) K(q) iff its factorization as an upper-unipotent n times a
+lower-triangular y exists and y lies in the congruence subgroup.  That
+factorization is the Bruhat open cell of the Weyl-flipped matrix, and n
+is the witness.
 
 The module also verifies the concentration statement behind the support
 lemma: integrally, conjugation keeping the parameter subcyclic forces the
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import CycValue, DepthContext, SqrtRational, psi_T, valuation
-from .group import Mat, SubgroupSpec, haar_volume
+from .group import Mat, bruhat_open_cell
 from .params import TauParam, chi_tau_eval, is_subcyclic_wrt, theta_matrix
 from .residue import ZMat, enumerate_GL
 
@@ -74,46 +75,22 @@ class WhittakerOnH:
         """Decompose a_T^{-1} h = n y with n upper-unipotent and y in K(q),
         or return None.
 
-        Bottom-up elimination: the last row cannot be fixed, so it must
-        already be congruent to the last standard row; each higher row is
-        corrected by the rows below it (the correcting coefficients are
-        unique up to q-integral shifts that do not affect the decision).
+        With w the longest Weyl element, the open cell w x w = u a n' of
+        x = a_T^{-1} h gives x = (w u w)(w a n' w): an upper-unipotent
+        factor times a lower-triangular one.  That split is unique when it
+        exists, and x lies in N K(q) iff it exists with the lower-triangular
+        factor in K(q): an element of K(q) splits the same way with both
+        factors in K(q) (Iwahori factorization).
         """
-        ctx, n = self.ctx, self.n
-        p, m = ctx.p, ctx.m
-        g = [list(r) for r in (self.a_T.inv() @ h).rows]
-        vmat = [[Fraction(1 if i == j else 0) for j in range(n)]
-                for i in range(n)]
-
-        def congr(x, target):
-            d = x - target
-            return d == 0 or valuation(d, p) >= m
-
-        for i in range(n - 1, -1, -1):
-            if i < n - 1:
-                size = n - 1 - i
-                sub = Mat([[g[i + 1 + c][i + 1 + r] for c in range(size)]
-                           for r in range(size)], p)
-                rhs = [-g[i][i + 1 + c] for c in range(size)]
-                try:
-                    inv = sub.inv()
-                except ZeroDivisionError:
-                    return None
-                w = [sum(inv.rows[r][c] * rhs[c] for c in range(size))
-                     for r in range(size)]
-                for r in range(size):
-                    for c in range(n):
-                        g[i][c] += w[r] * g[i + 1 + r][c]
-                        vmat[i][c] = vmat[i][c] + w[r] * vmat[i + 1 + r][c]
-            for c in range(i + 1):
-                if not congr(g[i][c], 1 if c == i else 0):
-                    return None
-            for c in range(i + 1, n):
-                if g[i][c] != 0 and valuation(g[i][c], p) < m:
-                    return None
-        v = Mat(vmat, p)
-        y = Mat(g, p)
-        nwit = v.inv()
+        x = self.a_T.inv() @ h
+        w = Mat.longest_weyl(self.n, self.ctx.p)
+        dec = bruhat_open_cell(w @ x @ w)
+        if dec is None:
+            return None
+        y = w @ dec.a @ dec.n @ w
+        if not y.in_congruence(self.ctx.m):
+            return None
+        nwit = w @ dec.u @ w
         if not nwit.is_upper_unipotent():
             raise ArithmeticError("support witness must be upper unipotent")
         return nwit, y

@@ -13,6 +13,7 @@ from padiczeta.cli import (
     render_markdown,
     run_suite,
 )
+from padiczeta.testfn import f_convolution
 
 
 def test_runconfig_validation():
@@ -34,6 +35,35 @@ def test_exit_code_config_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "unknown", "--p", "2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--p", "4"], "p = 4 is not prime"),
+    (["--p", "1"], "p = 1 is not prime"),
+    (["--p", "2", "--m", "0"], "depth m must be >= 1"),
+])
+@pytest.mark.parametrize("command", [
+    ["verify", "--suite", "zeta"],
+    ["eval", "f", "--g", "1,0;0,1"],
+])
+def test_config_error_text(command, args, message, capsys):
+    assert main(command + args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"configuration error: {message}\n"
+
+
+def test_certificate_cap_is_a_failed_check(monkeypatch, capsys):
+    """A cap that runs out inside a suite is a named failed check in a
+    written report, not a traceback."""
+    monkeypatch.setattr(f_convolution, "__defaults__", (None, 1))
+    assert main(["verify", "--suite", "testfn-agreement",
+                 *VERIFY_ARGS]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False
+    assert report["checks"] == [{"name": "certificate cap exceeded",
+                                 "ok": False,
+                                 "detail": "convolution level cap exceeded"}]
 
 
 def test_exit_code_check_failure(monkeypatch, capsys):
