@@ -73,6 +73,21 @@ def frac_part(x: Rat, p: int) -> Fraction:
     return Fraction(r, pk)
 
 
+class CertificateCapExceeded(RuntimeError):
+    """A certificate (level stabilization, box, shell or refinement) ran
+    out of its cap before it closed.  Carries the cap's name, its value
+    and the last level reached; str() is the message alone."""
+
+    def __init__(self, message: str, cap: str, value: int, level: int):
+        # every field is an argument, so the exception pickles across
+        # worker processes
+        super().__init__(message, cap, value, level)
+        self.cap, self.value, self.level = cap, value, level
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
 @dataclass(frozen=True)
 class DepthContext:
     """The prime p and depth m, with the derived ideal q = (p^m) and the

@@ -25,7 +25,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import CycValue, DepthContext, SqrtRational, rat_to_text
+from .arith import (CertificateCapExceeded, CycValue, DepthContext,
+                    SqrtRational, rat_to_text)
 from .group import (
     Mat,
     SubgroupSpec,
@@ -405,7 +406,7 @@ _SUITE_FNS = {
 def run_suite(cfg: RunConfig) -> dict:
     try:
         checks = _SUITE_FNS[cfg.suite](cfg)
-    except RuntimeError as exc:
+    except CertificateCapExceeded as exc:
         # a certificate cap (stabilization level, box, refinement) ran out
         checks = [_check("certificate cap exceeded", False, str(exc))]
     return {

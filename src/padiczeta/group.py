@@ -142,6 +142,12 @@ class Mat:
     def transpose(self) -> "Mat":
         return Mat._from_ints(tuple(zip(*self.num)), self.den, self.p)
 
+    def flip(self) -> "Mat":
+        """w x w for the longest Weyl element w: rows and columns
+        reversed."""
+        return Mat._from_ints(tuple(r[::-1] for r in self.num[::-1]),
+                              self.den, self.p)
+
     def det(self) -> Fraction:
         out = _eliminate(self.num, _first_nonzero)
         if out is None:
@@ -377,9 +383,8 @@ def iwasawa_UAK(g: Mat) -> IwasawaUAK:
 
 def iwasawa_NAK(g: Mat) -> IwasawaNAK:
     """g = n a k via the UAK algorithm applied to the Weyl-flipped matrix."""
-    w = Mat.longest_weyl(g.n, g.p)
-    dec = iwasawa_UAK(w @ g @ w)
-    return IwasawaNAK(w @ dec.u @ w, w @ dec.a @ w, w @ dec.k @ w)
+    dec = iwasawa_UAK(g.flip())
+    return IwasawaNAK(dec.u.flip(), dec.a.flip(), dec.k.flip())
 
 
 def bruhat_open_cell(g: Mat) -> BruhatLDU | None:
@@ -410,7 +415,7 @@ def iwahori_factor(k: Mat, e: int) -> tuple[Mat, Mat, Mat]:
     u, a, nn = dec.u, dec.a, dec.n
     if not (u.is_lower_unipotent(e) and nn.is_upper_unipotent(e)
             and all(valuation(x - 1, k.p) >= e for x in a.diagonal() if x != 1)):
-        raise AssertionError("Iwahori components escaped their levels")
+        raise ArithmeticError("Iwahori components escaped their levels")
     return u, a, nn
 
 
@@ -526,7 +531,7 @@ class SubgroupSpec:
                     if i > j and self.e and x != 0 and valuation(x, self.p) < self.e:
                         return False
             return True
-        raise AssertionError
+        raise ValueError(f"unknown subgroup tag {self.tag}")
 
 
 def haar_volume(spec: SubgroupSpec) -> Fraction:
@@ -546,7 +551,7 @@ def haar_volume(spec: SubgroupSpec) -> Fraction:
     if spec.tag == "KQ":
         return (haar_volume(SubgroupSpec("KA", N, p, e))
                 * haar_volume(SubgroupSpec("KU", N, p, e)))
-    raise AssertionError
+    raise ValueError(f"unknown subgroup tag {spec.tag}")
 
 
 def open_cell_density(N: int, p: int) -> Fraction:
@@ -611,4 +616,4 @@ def enumerate_cosets(spec: SubgroupSpec, L: int) -> list[Mat]:
             if g.det() % p != 0:
                 reps.append(g)
         return reps
-    raise AssertionError
+    raise ValueError(f"unknown subgroup tag {spec.tag}")

@@ -36,7 +36,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import CycSum, DepthContext, SqrtRational, psi, valuation
+from .arith import (CertificateCapExceeded, CycSum, DepthContext,
+                    SqrtRational, psi, valuation)
 from .group import (
     Mat,
     SubgroupSpec,
@@ -326,11 +327,11 @@ def q1_q2_construct(domain: NiceDomain, u: Mat, x) -> tuple:
     m = up @ q1
     dec = bruhat_open_cell(m)
     if dec is None:
-        raise RuntimeError("row reduction failure")
+        raise ArithmeticError("row reduction failure")
     wp = dec.n
     q2 = wp @ m.inv()
     if not SubgroupSpec("KQ", n, p, rho - l - 1).contains(q2):
-        raise RuntimeError("row reduction escaped its congruence level")
+        raise ArithmeticError("row reduction escaped its congruence level")
     if q2 @ up @ q1 != wp:
         raise ArithmeticError("q2 u q1 does not equal w'")
     return q1, q2, wp, conj_by_A(wp, -rho)
@@ -649,7 +650,9 @@ def vanishing_check(a: Mat, k: Mat, s: tuple, domain: NiceDomain,
         if parts == parts2:
             return CharacterSumValue(parts, levels, cells + cells2, True)
         levels = finer
-    raise RuntimeError("cell refinement did not certify local constancy")
+    raise CertificateCapExceeded(
+        "cell refinement did not certify local constancy", "max_refine",
+        max_refine, max_refine)
 
 
 def vanishing_mechanism_report(a: Mat, k: Mat, s: tuple,

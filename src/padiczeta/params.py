@@ -358,10 +358,6 @@ class OmegaIdempotent:
     def ctx(self) -> DepthContext:
         return self.tau.ctx
 
-    def chi_value(self, g: Mat) -> CycValue:
-        r = self.table[ZMat.from_mat(g, 2 * self.ctx.m).entries]
-        return CycValue.root_of_unity(r.denominator, r.numerator)
-
     def value(self, g: Mat) -> CycValue:
         """omega(g), zero off J_tau."""
         if not j_tau_membership(self.tau, g):

@@ -42,8 +42,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import (CycSum, CycValue, DepthContext, SqrtRational, psi,
-                    valuation)
+from .arith import (CertificateCapExceeded, CycSum, CycValue, DepthContext,
+                    SqrtRational, psi, valuation)
 from .group import (
     Mat,
     SubgroupSpec,
@@ -336,7 +336,9 @@ def W_fcg(f: EClassElement, c: Mat, a: Mat, k: Mat,
         if prev is not None and cur.phase == prev.phase:
             return cur
         prev = cur
-    raise RuntimeError("transform box cap exceeded without stabilization")
+    raise CertificateCapExceeded(
+        "transform box cap exceeded without stabilization", "box_cap",
+        cfg.box_cap, cfg.box_cap)
 
 
 # -- support laws -----------------------------------------------------------
@@ -516,7 +518,9 @@ def _outer_diagonals(f: EClassElement, c: Mat, nprime: int,
         empty_streak = empty_streak + 1 if hits == 0 else 0
         if empty_streak >= 2:
             return live
-    raise RuntimeError("outer shell cap exceeded without certificate")
+    raise CertificateCapExceeded(
+        "outer shell cap exceeded without certificate", "shell_cap",
+        cfg.shell_cap, base + cfg.shell_cap)
 
 
 def _q_single_box(f: EClassElement, c: Mat, nprime: int,
@@ -556,7 +560,9 @@ def Q_P(f: EClassElement, c: Mat, nprime: int = 0,
                     "integral must be a nonnegative rational")
             return r
         prev = cur
-    raise RuntimeError("integral box cap exceeded without stabilization")
+    raise CertificateCapExceeded(
+        "integral box cap exceeded without stabilization", "box_cap",
+        cfg.box_cap, cfg.box_cap)
 
 
 def Q_phi_f_c(f: EClassElement, c: Mat,

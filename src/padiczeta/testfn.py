@@ -12,7 +12,12 @@ is right K(q^L)-invariant.  For integral g this happens already at L = 2m
 (leading minors and superdiagonal ratios only move by q^2-multiples), and
 the whole term can be evaluated in Z/q^2 integer arithmetic, which is the
 fast path.  For non-integral g no level is guaranteed a priori, so we
-certify stabilization empirically per point.
+certify stabilization empirically per point.  Each level is an integer
+walk over the columns of d g (1 + x) (d the denominator of g): one
+fraction-free elimination per term, no coset `Mat`.  Its value carries
+the order of the coset sum it replaces, the lcm over the surviving terms
+of the orders of J's root and of chi's root, taken separately; that
+coset sum stays as the tested twin `_coset_sum`.
 
 The H-side function is the conjugated translate f_H(g) = c1 conj(f0)(t g)
 with t the antidominant square-root-of-T diagonal, normalized so that the
@@ -22,6 +27,7 @@ rational and never folded into the cyclotomic phases.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -29,6 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import (
+    CertificateCapExceeded,
     CycSum,
     CycValue,
     DepthContext,
@@ -37,7 +44,15 @@ from .arith import (
     psi_T,
     valuation,
 )
-from .group import Mat, SubgroupSpec, bruhat_open_cell, enumerate_cosets, iwasawa_UAK
+from .group import (
+    Mat,
+    SubgroupSpec,
+    _diagonal_pivot,
+    _eliminate,
+    bruhat_open_cell,
+    enumerate_cosets,
+    iwasawa_UAK,
+)
 from .params import chi_tau_eval, theta_matrix
 from .residue import residue_rows
 
@@ -64,8 +79,8 @@ def _unit_inverses(p: int, T: int) -> tuple:
 
 def _J_exponent_mod(z, ctx: DepthContext):
     """Exponent numerator e with J(lift(z)) = exp(2 pi i e / T), or None
-    when J vanishes, for an integral argument given by its integer rows
-    modulo q^2 = T.
+    when J vanishes, for an integral argument given by integer rows, which
+    are read modulo q^2 = T (they need not be reduced).
 
     One unit-pivot elimination mod T: with z = L D N (N upper unipotent)
     it leaves the rows R = D N, so n_{i,i+1} = R[i][i+1] / R[i][i].  Each
@@ -89,9 +104,10 @@ def _J_exponent_mod(z, ctx: DepthContext):
                        for row in rest for f in (row[0] * pinv,)]
 
 
-def _column_table(z, j: int, ctx: DepthContext, tau) -> tuple:
-    """The q^n candidates for column j of z (1 + q off) mod T, one per
-    column j of off, as (columns, shifts): the shift is the column's share
+def _column_table(z, j: int, ctx: DepthContext, tau, digits: int) -> tuple:
+    """The digits^n candidates for column j of z (1 + q off), one per
+    column j of off with entries in range(digits), as (columns, shifts):
+    the columns are exact integers, and the shift is the column's share
     q tr of the projecting character's exponent, taken mod T.
 
     tau=None reads only off[j-1][j] (the superdiagonal); a parameter tau
@@ -101,10 +117,9 @@ def _column_table(z, j: int, ctx: DepthContext, tau) -> tuple:
     weights = ([int(i == j - 1) for i in range(n)] if tau is None
                else tau.mat.entries[j])
     columns, shifts = [], []
-    for o in itertools.product(range(q), repeat=n):
-        columns.append(tuple(
-            (row[j] + q * sum(x * y for x, y in zip(row, o))) % T
-            for row in z))
+    for o in itertools.product(range(digits), repeat=n):
+        columns.append(tuple(row[j] + q * sum(x * y for x, y in zip(row, o))
+                             for row in z))
         shifts.append(q * sum(w * y for w, y in zip(weights, o)) % T)
     return tuple(columns), tuple(shifts)
 
@@ -124,7 +139,8 @@ def _convolution_integral(g: Mat, ctx: DepthContext, tau=None) -> CycValue:
     """
     n, q, T = g.n, ctx.q, ctx.T
     z = residue_rows(g, 2 * ctx.m)
-    columns, shifts = zip(*(_column_table(z, j, ctx, tau) for j in range(n)))
+    columns, shifts = zip(*(_column_table(z, j, ctx, tau, q)
+                            for j in range(n)))
     counts = [0] * T
     for cols, shift in zip(itertools.product(*columns),
                            map(sum, itertools.product(*shifts))):
@@ -141,29 +157,85 @@ def f_convolution(g: Mat, ctx: DepthContext, L: int | None = None,
                   cap: int = 4) -> CycValue:
     """f(g) by definitional convolution against the chi_theta projector.
 
-    With L given, returns the normalized sum over K(q)/K(q^L).  With
-    L=None, integral arguments use the exact residue path at level 2m;
-    other arguments are certified by stabilization: levels 2m+1, 2m+2, ...
-    until two consecutive answers agree (RuntimeError past 2m+cap).
+    With L=None, integral arguments use the exact residue path at level
+    2m; other arguments are certified by stabilization: levels 2m+1,
+    2m+2, ... until two consecutive answers agree (`CertificateCapExceeded`
+    past 2m+cap).
+
+    With L given, returns the normalized sum over K(q)/K(q^L) for any g,
+    on the integers.  With d = g.den, v = v_p(d) and G = g.num, the
+    representatives are r = 1 + x with x running over q M_n mod p^L
+    (those of `enumerate_cosets`), and column j of G r = d g r depends
+    only on column j of x, so the p^{(L-m)n} exact candidates of each
+    column are built once (`_column_table`) and the terms are walked as
+    their product.  Every term gets one fraction-free elimination
+    (`_eliminate`), whose pivot work[i][i] is the leading minor
+    Delta_{i+1} of G r.  J vanishes at a zero pivot, and also unless
+    v(work[i][i]) = (i+1) v for each i, which is its test that
+    a_i = Delta_i / (d Delta_{i-1}) is a unit.  Otherwise its phase is
+    psi_T of sum_i work[i][i+1] / work[i][i], a root of unity of order
+    dividing P = T p^{(n-1)v}, whose exponent takes the inverse mod P of
+    each pivot's unit part.  The value is built once from a histogram of
+    (J exponent, chi_theta exponent) pairs, at the order the coset sum's
+    `CycSum` gives (`_coset_sum` is the tested twin): the lcm over the
+    surviving terms of the order of J's root and the order of chi's root,
+    taken separately, which is P / gcd(P, every exponent at order P).
     """
+    n, p, m, T = g.n, ctx.p, ctx.m, ctx.T
     if L is None:
         if g.is_integral():
             return _convolution_integral(g, ctx)
         prev = None
-        for lev in range(2 * ctx.m + 1, 2 * ctx.m + cap + 1):
+        for lev in range(2 * m + 1, 2 * m + cap + 1):
             cur = f_convolution(g, ctx, L=lev)
             if prev is not None and cur == prev:
                 return cur
             prev = cur
-        raise RuntimeError("convolution level cap exceeded")
-    if L < 2 * ctx.m:
+        raise CertificateCapExceeded("convolution level cap exceeded",
+                                     "cap", cap, 2 * m + cap)
+    if L < 2 * m:
         raise ValueError("level must be at least 2m")
+    v = valuation(g.den, p)
+    P = T * p ** ((n - 1) * v)
+    pivots = [p ** ((i + 1) * v) for i in range(n)]
+    lifts = [p ** ((n - 2 - i) * v) for i in range(n - 1)]
+    columns, shifts = zip(*(_column_table(g.num, j, ctx, None, p ** (L - m))
+                            for j in range(n)))
+    pairs = collections.Counter()
+    for cols, shift in zip(itertools.product(*columns),
+                           map(sum, itertools.product(*shifts))):
+        out = _eliminate(list(zip(*cols)), _diagonal_pivot)
+        if out is None:
+            continue
+        work, e = out[0], 0
+        for i, row in enumerate(work):
+            unit, rest = divmod(row[i], pivots[i])
+            if rest or not unit % p:
+                break
+            if i < n - 1:
+                e += row[i + 1] * pow(unit, -1, P) * lifts[i]
+        else:
+            pairs[e % P, shift % T] += 1
+    scale = P // T
+    d = math.gcd(P, *(x for e, c in pairs for x in (e, c * scale)))
+    coeffs = collections.Counter()
+    for (e, c), count in pairs.items():
+        coeffs[(e - c * scale) % P // d] += count
+    volume = p ** ((L - m) * n * n)
+    return CycValue(P // d, {e: Fraction(count, volume)
+                             for e, count in coeffs.items()})
+
+
+def _coset_sum(g: Mat, ctx: DepthContext, L: int) -> CycValue:
+    """The definitional twin of the level walk in `f_convolution`: the
+    normalized sum of J(g r) conj(chi_theta(r)) over the `Mat`
+    representatives r of K(q)/K(q^L)."""
     n = g.n
     theta = theta_matrix(n, ctx)
     total = CycSum()
     for r in enumerate_cosets(SubgroupSpec("Kq", n, ctx.p, ctx.m), L):
         term = J_open_cell(g @ r, ctx)
-        if term.is_zero():
+        if not term.coeffs:
             continue
         total.add(term * chi_tau_eval(theta, r).conj())
     return total.value() * Fraction(1, ctx.p ** ((L - ctx.m) * n * n))

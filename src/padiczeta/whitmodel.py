@@ -83,14 +83,13 @@ class WhittakerOnH:
         factors in K(q) (Iwahori factorization).
         """
         x = self.a_T.inv() @ h
-        w = Mat.longest_weyl(self.n, self.ctx.p)
-        dec = bruhat_open_cell(w @ x @ w)
+        dec = bruhat_open_cell(x.flip())
         if dec is None:
             return None
-        y = w @ dec.a @ dec.n @ w
+        y = (dec.a @ dec.n).flip()
         if not y.in_congruence(self.ctx.m):
             return None
-        nwit = w @ dec.u @ w
+        nwit = dec.u.flip()
         if not nwit.is_upper_unipotent():
             raise ArithmeticError("support witness must be upper unipotent")
         return nwit, y

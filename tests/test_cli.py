@@ -1,6 +1,7 @@
 """Exit codes, deterministic reports, and the single-object evaluators."""
 
 import json
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -64,6 +65,19 @@ def test_certificate_cap_is_a_failed_check(monkeypatch, capsys):
     assert report["checks"] == [{"name": "certificate cap exceeded",
                                  "ok": False,
                                  "detail": "convolution level cap exceeded"}]
+
+
+@pytest.mark.parametrize("error", [RecursionError, BrokenProcessPool,
+                                   RuntimeError])
+def test_other_errors_propagate_from_a_suite(monkeypatch, error):
+    """Only a certificate cap becomes a failed check; any other error,
+    RuntimeError subclasses included, propagates."""
+    def broken(cfg):
+        raise error("not a cap")
+
+    monkeypatch.setitem(cli._SUITE_FNS, "volumes", broken)
+    with pytest.raises(error, match="not a cap"):
+        run_suite(RunConfig(suite="volumes", p=2, m=1, rank=2))
 
 
 def test_exit_code_check_failure(monkeypatch, capsys):

@@ -1,0 +1,147 @@
+"""The convolution at its certified levels, off K and on it.
+
+`f_convolution(g, ctx, L)` walks the columns of d g (1 + x) on the
+integers; `_coset_sum(g, ctx, L)` is its definitional twin, the sum of
+J(g r) conj(chi_theta(r)) over the `Mat` representatives r of
+K(q)/K(q^L).  The differential test compares the two byte for byte
+(`to_json` prints the stored order, which equality ignores) at integral
+and non-integral points, with zero and nonzero level sums.
+
+The report bytes of `f_convolution(g, ctx).to_json()` at seeded
+non-integral rank-2 points are pinned by
+`tests/golden/convolution-offK.json`.  The points are certified by level
+stabilization; they are drawn at (p, m) = (2, 1), (2, 2) and (3, 1), with
+denominators p, p^2 and p times a unit, and they include the benchmark's
+diag(1/2, 2) k shape.  Regenerate the file (only on purpose) with
+
+    PYTHONPATH=src python tests/test_convolution_levels.py \
+        > tests/golden/convolution-offK.json
+"""
+
+import json
+import random
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from padiczeta.arith import DepthContext
+from padiczeta.group import Mat
+from padiczeta.testfn import _coset_sum, f_convolution
+
+GOLDEN_FILE = Path(__file__).parent / "golden" / "convolution-offK.json"
+# (p, m, kind, v, count): v is the p-adic valuation of the denominator
+GOLDEN_PLAN = (
+    (2, 1, "weyl", 1, 4), (2, 1, "weyl", 2, 2),
+    (2, 1, "lower", 1, 4), (2, 1, "lower", 2, 3),
+    (2, 1, "upper", 1, 2), (2, 1, "upper", 2, 2),
+    (2, 1, "random", 1, 3), (2, 1, "random", 2, 3),
+    (2, 1, "unitden", 1, 3),
+    (2, 2, "weyl", 1, 1), (2, 2, "lower", 1, 2), (2, 2, "upper", 1, 1),
+    (2, 2, "random", 1, 1),
+    (3, 1, "weyl", 1, 1), (3, 1, "lower", 1, 1),
+)
+
+
+def _unit(rng, p, mod):
+    return rng.choice([u for u in range(1, mod) if u % p])
+
+
+def _mul(a, b):
+    n = len(a)
+    return [[sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+def _draw_point(rng, kind, p, m, n, v):
+    """An n x n point with denominator of valuation v, as rows of
+    Fractions (singular draws are redrawn).
+
+    weyl: diag(p^-v, 1, ..., 1, p^v) times an element of K; lower: a
+    lower unipotent with entries over p^v times a support point (lower
+    triangular with unit diagonal, times K(q)), where f is a root of
+    unity; upper: the same with an upper unipotent, where f vanishes;
+    random: random numerators over p^v; unitden: a lower point whose
+    entries are divided by a unit as well."""
+    q, mod = p ** m, p ** (2 * m + 1)
+    pv = Fraction(1, p ** v)
+    below = kind != "upper"
+    while True:
+        if kind == "weyl":
+            k = [[rng.randrange(mod) for _ in range(n)] for _ in range(n)]
+            if Mat(k, p).det() % p == 0:
+                continue
+            a = [[pv if i == j == 0 else 1 / pv if i == j == n - 1 else
+                  int(i == j) for j in range(n)] for i in range(n)]
+            rows = _mul(a, k)
+        elif kind == "random":
+            rows = [[rng.randrange(mod) * pv for _ in range(n)]
+                    for _ in range(n)]
+        else:
+            low = [[_unit(rng, p, mod) if i == j else
+                    rng.randrange(mod) if j < i else 0 for j in range(n)]
+                   for i in range(n)]
+            kq = [[int(i == j) + q * rng.randrange(mod) for j in range(n)]
+                  for i in range(n)]
+            unip = [[1 if i == j else
+                     rng.randrange(mod) * pv if (j < i) == below else 0
+                     for j in range(n)] for i in range(n)]
+            i, j = (n - 1, 0) if below else (0, n - 1)
+            unip[i][j] = _unit(rng, p, mod) * pv
+            rows = _mul(unip, _mul(low, kq))
+        if kind == "unitden":
+            rows = [[Fraction(x, _unit(rng, p, p * p)) for x in r]
+                    for r in rows]
+        g = Mat(rows, p)
+        if g.det():
+            return g
+
+
+def golden_points():
+    """(p, m, g), in a fixed order."""
+    rng = random.Random(20261018)
+    for p, m, kind, v, count in GOLDEN_PLAN:
+        for _ in range(count):
+            yield p, m, _draw_point(rng, kind, p, m, 2, v)
+
+
+def golden_document() -> str:
+    out = [{"p": p, "m": m, "g": g.to_text(),
+            "value": f_convolution(g, DepthContext(p, m)).to_json()}
+           for p, m, g in golden_points()]
+    return json.dumps(out, indent=1, sort_keys=True) + "\n"
+
+
+def test_convolution_offK_report_bytes():
+    assert golden_document() == GOLDEN_FILE.read_text()
+
+
+# (p, m, n, L): n = 2 at L = 2m and 2m+1 for (p, m) = (2, 1) and (3, 1),
+# n = 2 at L = 2m for (2, 2), and n = 3 at L = 2m for (2, 1)
+LEVEL_CASES = ((2, 1, 2, 2), (2, 1, 2, 3), (3, 1, 2, 2), (3, 1, 2, 3),
+               (2, 2, 2, 4), (2, 1, 3, 2))
+
+
+@st.composite
+def level_sums(draw):
+    """(g, ctx, L) with g integral (v = 0) or not, of every kind."""
+    p, m, n, L = draw(st.sampled_from(LEVEL_CASES))
+    kind = draw(st.sampled_from(("weyl", "lower", "upper", "random",
+                                 "unitden")))
+    v = draw(st.integers(0, 2))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    return _draw_point(rng, kind, p, m, n, v), DepthContext(p, m), L
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(level_sums())
+def test_level_walk_matches_coset_sum(args):
+    g, ctx, L = args
+    assert (f_convolution(g, ctx, L=L).to_json()
+            == _coset_sum(g, ctx, L).to_json())
+
+
+if __name__ == "__main__":
+    sys.stdout.write(golden_document())

@@ -179,3 +179,14 @@ def test_bruhat_identities(a, p):
         assert is_unit_lower(lower)
         assert is_unit_lower([list(c) for c in zip(*upper)])
         assert is_diagonal(diag)
+
+
+@KERNEL_SETTINGS
+@given(matrices(), primes)
+def test_flip_is_weyl_conjugation(a, p):
+    x = Mat(a, p)
+    w = Mat.longest_weyl(x.n, p)
+    flipped = x.flip()
+    assert flipped == w @ x @ w
+    assert flipped.rows == (w @ x @ w).rows
+    assert flipped.flip() == x
