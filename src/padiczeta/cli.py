@@ -21,7 +21,6 @@ import functools
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,14 +33,7 @@ from .group import (
     enumerate_cosets,
     iwasawa_UAK,
 )
-from .nicedomain import (
-    NiceDomain,
-    classify,
-    hypothesis_diagonal,
-    scan_box_domains,
-    vanishing_check,
-    verify_partition,
-)
+from .nicedomain import classify, rho0_report, verify_partition
 from .params import (
     build_omega,
     chi_tau_eval,
@@ -271,20 +263,6 @@ def _suite_rs_support(cfg: RunConfig) -> list:
     return checks
 
 
-def _vanishing_row(task):
-    f, a, k, s, dom, d2, ki = task
-    cs = vanishing_check(a, k, s, dom, f, d2=d2)
-    return {**dom.to_json(), "k_index": ki, "cells": cs.cells,
-            "zero": cs.is_zero()}
-
-
-def _pmap(fn, tasks, jobs: int) -> list:
-    if jobs <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks, chunksize=1))
-
-
 def _suite_nicedomain(cfg: RunConfig) -> list:
     ctx, n = cfg.ctx, cfg.rank
     p, m = ctx.p, ctx.m
@@ -295,30 +273,15 @@ def _suite_nicedomain(cfg: RunConfig) -> list:
                          part["disjoint"] and part["covering"],
                          {"classes": part["classes"],
                           "domains": part["domain_count"]}))
-    f = standard_E_element(ctx, n)
-    s = tuple(0 for _ in range(n))
-    a = hypothesis_diagonal(ctx, n)
-    slope_max = cfg.slope_max if cfg.slope_max is not None else 4 * m + n
-    domain_cap = 2 if n == 2 else 1
-    k_count = 6 if n == 2 else 2
-    klist = enumerate_cosets(SubgroupSpec("K", n, p), max(m, 1))[:k_count]
-    tasks = []
-    for rho in range(slope_max + 1):
-        if rho == 0:
-            domains = [NiceDomain(n, p, 0, 0, None, None)]
-        else:
-            domains = scan_box_domains(n, p, rho, cap=domain_cap)
-        for dom in domains:
-            for ki, k in enumerate(klist):
-                tasks.append((f, a, k, s, dom, 1, ki))
-    rows = _pmap(_vanishing_row, tasks, cfg.jobs)
-    nonzero = [r["slope"] for r in rows if not r["zero"]]
-    rho0 = (max(nonzero) + 1) if nonzero else 0
+    rep = rho0_report(standard_E_element(ctx, n), slope_max=cfg.slope_max,
+                      domain_cap=2 if n == 2 else 1,
+                      k_count=6 if n == 2 else 2, jobs=cfg.jobs)
+    rho0, rows = rep["rho0"], rep["rows"]
     bound = 4 * m + n
     checks.append(_check("vanishing threshold within linear bound",
                          rho0 <= bound,
                          {"rho0": rho0, "bound": bound, "vT": 2 * m,
-                          "slope_max": slope_max, "cells": len(rows)}))
+                          "slope_max": rep["slope_max"], "cells": len(rows)}))
     checks.append(_check("exact zero at and above threshold",
                          all(r["zero"] for r in rows
                              if r["slope"] >= rho0),
@@ -431,7 +394,10 @@ def _eval_object(args) -> dict:
     def mat(text):
         if text is None:
             raise ValueError(f"object {obj!r} needs a matrix argument")
-        return Mat.from_text(text, args.p)
+        g = Mat.from_text(text, args.p)
+        if g.det() == 0:
+            raise ValueError("matrix is singular")
+        return g
 
     if obj == "f":
         g = mat(args.g)

@@ -230,6 +230,11 @@ class Mat:
         return all(x == 0 for i, r in enumerate(self.num)
                    for j, x in enumerate(r) if i != j)
 
+    def superdiagonal_sum(self) -> Fraction:
+        """The sum of the entries (i, i + 1)."""
+        return Fraction(sum(r[i + 1] for i, r in enumerate(self.num[:-1])),
+                        self.den)
+
     def diagonal(self) -> tuple[Fraction, ...]:
         den = self.den
         return tuple(Fraction(r[i], den) for i, r in enumerate(self.num))
@@ -245,8 +250,9 @@ def _rows_over(rows, dens, p: int) -> Mat:
                                 for r, d in zip(rows, dens)), den, p)
 
 
-def _p_power_diag(exps, p: int) -> Mat:
+def p_power_diag(exps, p: int) -> Mat:
     """diag(p^e for e in exps), built on the integers."""
+    exps = tuple(exps)
     shift = max(0, -min(exps))
     return Mat._from_ints(tuple(tuple(p ** (e + shift) if i == j else 0
                                       for j in range(len(exps)))
@@ -377,7 +383,7 @@ def iwasawa_UAK(g: Mat) -> IwasawaUAK:
             row[cols[c]] = work[i][c] * p ** max(-e, 0)
         krows.append(row)
         kdens.append(d * minors[i] * p ** max(e, 0))
-    return IwasawaUAK(_unit_lower(work, p), _p_power_diag(exps, p),
+    return IwasawaUAK(_unit_lower(work, p), p_power_diag(exps, p),
                       _rows_over(krows, kdens, p))
 
 
@@ -561,9 +567,16 @@ def open_cell_density(N: int, p: int) -> Fraction:
     return Fraction(cell, gl_order(N, p, 1))
 
 
-def _digit_range(p: int, e: int, L: int):
-    """Values c*p^e for c mod p^(L-e) (representatives of p^e Z / p^L Z)."""
-    return [c * p ** e for c in range(p ** (L - e))]
+def unipotent_box(n: int, p: int, coords, values, den: int = 1):
+    """The matrices 1 + x / den, x zero off coords and x[c] running over
+    the integers values[c], in itertools.product order; built on the
+    integers."""
+    one = [[den if i == j else 0 for j in range(n)] for i in range(n)]
+    for vals in itertools.product(*values):
+        rows = [r[:] for r in one]
+        for (i, j), v in zip(coords, vals):
+            rows[i][j] += v
+        yield Mat._from_ints(tuple(map(tuple, rows)), den, p)
 
 
 def enumerate_cosets(spec: SubgroupSpec, L: int) -> list[Mat]:
@@ -577,31 +590,16 @@ def enumerate_cosets(spec: SubgroupSpec, L: int) -> list[Mat]:
     N, p, e = spec.N, spec.p, spec.e
     if L < max(e, 1):
         raise ValueError("L below subgroup level")
-    if spec.tag == "Kq":
-        coords = [(i, j) for i in range(N) for j in range(N)]
-        reps = []
-        for vals in itertools.product(_digit_range(p, e, L), repeat=len(coords)):
-            rows = [[1 if i == j else 0 for j in range(N)] for i in range(N)]
-            for (i, j), v in zip(coords, vals):
-                rows[i][j] += v
-            reps.append(Mat(rows, p))
-        return reps
-    if spec.tag in ("KN", "KU"):
-        coords = ([(i, j) for i in range(N) for j in range(N) if i < j]
-                  if spec.tag == "KN" else
-                  [(i, j) for i in range(N) for j in range(N) if i > j])
-        reps = []
-        for vals in itertools.product(_digit_range(p, e, L), repeat=len(coords)):
-            rows = [[1 if i == j else 0 for j in range(N)] for i in range(N)]
-            for (i, j), v in zip(coords, vals):
-                rows[i][j] = v
-            reps.append(Mat(rows, p))
-        return reps
+    digits = range(0, p ** L, p ** e)
+    if spec.tag in ("Kq", "KN", "KU"):
+        coords = [(i, j) for i in range(N) for j in range(N)
+                  if {"Kq": True, "KN": i < j, "KU": i > j}[spec.tag]]
+        return list(unipotent_box(N, p, coords, [digits] * len(coords)))
     if spec.tag == "KA":
         if e == 0:
             units = [c for c in range(1, p ** L) if c % p != 0]
         else:
-            units = [1 + v for v in _digit_range(p, e, L)]
+            units = [1 + v for v in digits]
         return [Mat.diag(list(vals), p)
                 for vals in itertools.product(units, repeat=N)]
     if spec.tag == "KQ":
@@ -609,11 +607,11 @@ def enumerate_cosets(spec: SubgroupSpec, L: int) -> list[Mat]:
         u_reps = enumerate_cosets(SubgroupSpec("KU", N, p, e), L)
         return [a @ u for a in a_reps for u in u_reps]
     if spec.tag == "K":
-        reps = []
+        # every matrix mod p^L: the diagonal of x starts at -1, so that
+        # the diagonal of 1 + x runs over 0, ..., p^L - 1
         pl = p ** L
-        for vals in itertools.product(range(pl), repeat=N * N):
-            g = Mat([vals[i * N:(i + 1) * N] for i in range(N)], p)
-            if g.det() % p != 0:
-                reps.append(g)
-        return reps
+        coords = [(i, j) for i in range(N) for j in range(N)]
+        box = unipotent_box(N, p, coords, [range(-1, pl - 1) if i == j
+                                           else range(pl) for i, j in coords])
+        return [g for g in box if g.det() % p != 0]
     raise ValueError(f"unknown subgroup tag {spec.tag}")

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,6 +48,8 @@ from .group import (
     iwasawa_UAK,
     minor_norm_M,
     modular_delta_half_exponent,
+    p_power_diag,
+    unipotent_box,
 )
 from .params import theta_matrix
 from .residue import residue_rows
@@ -60,7 +63,7 @@ def A_rho(rho: int, n: int, p: int) -> Mat:
     """diag(p^{(n-1)rho}, ..., p^rho, 1)."""
     if rho < 0:
         raise ValueError("slope must be nonnegative")
-    return Mat.diag([Fraction(p) ** ((n - 1 - i) * rho) for i in range(n)], p)
+    return p_power_diag([(n - 1 - i) * rho for i in range(n)], p)
 
 
 def conj_by_A(g: Mat, rho: int) -> Mat:
@@ -70,11 +73,29 @@ def conj_by_A(g: Mat, rho: int) -> Mat:
                  for j in range(n)] for i in range(n)], p)
 
 
+def _upper_coords(n: int) -> list:
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
 def _entry_val(x: int, p: int, cap: int) -> int:
     """Valuation of an integer residue mod p^cap, capped at cap."""
     if x % p ** cap == 0:
         return cap
     return valuation(x, p)
+
+
+def _base_invariants(n: int, p: int, rows) -> tuple:
+    """(remainder, pivot, minimal) of a unipotent base point over Z/p^n:
+    the least entry valuation above the diagonal, the 0-based (i0, j0)
+    achieving it with j0 - i0 minimal and then i0 maximal, and whether
+    some entry has valuation below its distance j - i to the diagonal, so
+    that no smaller slope reaches the point."""
+    vals = {(i, j): _entry_val(rows[i][j], p, n)
+            for i, j in _upper_coords(n)}
+    l = min(vals.values())
+    pivot = min((j - i, -i, (i, j)) for (i, j), v in vals.items()
+                if v == l)[2]
+    return l, pivot, any(v < j - i for (i, j), v in vals.items())
 
 
 # -- the cell type ----------------------------------------------------------
@@ -120,16 +141,12 @@ class NiceDomain:
                     raise ValueError("base must be unipotent")
                 if i > j and x != 0:
                     raise ValueError("base must be upper triangular")
-        vals = {(i, j): _entry_val(rows[i][j], p, n)
-                for i in range(n) for j in range(i + 1, n)}
-        l = min(vals.values())
+        l, pivot, minimal = _base_invariants(n, p, rows)
         if l != self.remainder or l >= n:
             raise ValueError("remainder does not match the base point")
-        achievers = [(j - i, -i, (i, j)) for (i, j), v in vals.items()
-                     if v == l]
-        if min(achievers)[2] != self.pivot:
+        if pivot != self.pivot:
             raise ValueError("pivot does not match the base point")
-        if not any(v < j - i for (i, j), v in vals.items()):
+        if not minimal:
             raise ValueError("slope is not minimal for this base point")
 
     # -- geometry ----------------------------------------------------------
@@ -143,6 +160,20 @@ class NiceDomain:
     def representative(self) -> Mat:
         """A member of the cell: the base lift conjugated back down."""
         return conj_by_A(self.base_lift(), -self.slope)
+
+    def members(self, levels: dict):
+        """One member of the cell per residue class of its conjugated
+        entries at the per-entry levels: the base lift plus p^n t, t_ij
+        mod p^{levels[i, j]}, conjugated back by A(-rho).  Entry (i, j)
+        is (base_ij + p^n t_ij) / p^{(j-i) rho}, so every numerator is
+        built over p^{(n-1) rho}."""
+        n, p, rho = self.n, self.p, self.slope
+        coords = _upper_coords(n)
+        base = self.base_lift().num
+        top = (n - 1) * rho
+        values = [[(base[i][j] + p ** n * t) * p ** (top - (j - i) * rho)
+                   for t in range(p ** levels[(i, j)])] for i, j in coords]
+        return unipotent_box(n, p, coords, values, p ** top)
 
     def contains(self, u: Mat) -> bool:
         n, p = self.n, self.p
@@ -174,16 +205,6 @@ class NiceDomain:
         }
 
 
-def _cell_from_base(n: int, p: int, rho: int, rows) -> NiceDomain:
-    vals = {(i, j): _entry_val(rows[i][j], p, n)
-            for i in range(n) for j in range(i + 1, n)}
-    l = min(vals.values())
-    pivot = min((j - i, -i, (i, j)) for (i, j), v in vals.items()
-                if v == l)[2]
-    base = tuple(tuple(r) for r in rows)
-    return NiceDomain(n, p, rho, l, base, pivot)
-
-
 def classify(u: Mat) -> NiceDomain:
     """The unique slope cell containing the upper unipotent matrix u.
 
@@ -202,7 +223,9 @@ def classify(u: Mat) -> NiceDomain:
                 rho = max(rho, -(valuation(x, p) // (j - i)))
     if rho == 0:
         return NiceDomain(n, p, 0, 0, None, None)
-    return _cell_from_base(n, p, rho, residue_rows(conj_by_A(u, rho), n))
+    base = residue_rows(conj_by_A(u, rho), n)
+    l, pivot, _ = _base_invariants(n, p, base)
+    return NiceDomain(n, p, rho, l, base, pivot)
 
 
 # -- decomposition of truncated regions -------------------------------------
@@ -210,14 +233,9 @@ def classify(u: Mat) -> NiceDomain:
 def _region_classes(n: int, p: int, b: int):
     """Residue representatives of {u in N : v(u_ij) >= -b} at entry level
     p^n, on which classification and cell membership are constant."""
-    coords = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    reps = [Fraction(t, p ** b) for t in range(p ** (n + b))]
-    for choice in itertools.product(reps, repeat=len(coords)):
-        rows = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-                for i in range(n)]
-        for (i, j), x in zip(coords, choice):
-            rows[i][j] = x
-        yield Mat(rows, p)
+    coords = _upper_coords(n)
+    return unipotent_box(n, p, coords, [range(p ** (n + b))] * len(coords),
+                         p ** b)
 
 
 def decompose_region(n: int, p: int, b: int) -> list:
@@ -277,17 +295,12 @@ def scan_box_domains(n: int, p: int, rho: int, cap: int | None = None) -> list:
     (remainder, pivot) class."""
     if rho < 1:
         raise ValueError("positive slope required")
-    coords = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    mod = p ** n
+    coords = _upper_coords(n)
     out = []
-    for choice in itertools.product(range(mod), repeat=len(coords)):
-        rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        for (i, j), x in zip(coords, choice):
-            rows[i][j] = x
-        vals = {(i, j): _entry_val(rows[i][j], p, n) for (i, j) in coords}
-        if not any(v < j - i for (i, j), v in vals.items()):
-            continue  # slope would not be minimal
-        out.append(_cell_from_base(n, p, rho, rows))
+    for u in unipotent_box(n, p, coords, [range(p ** n)] * len(coords)):
+        l, pivot, minimal = _base_invariants(n, p, u.num)
+        if minimal:  # otherwise a smaller slope reaches the base point
+            out.append(NiceDomain(n, p, rho, l, u.num, pivot))
     out.sort(key=lambda d: (d.remainder, d.pivot, d.base))
     if cap is None:
         return out
@@ -385,14 +398,8 @@ def measure_preservation_check(domain: NiceDomain, x) -> dict:
     the move fixes every residue class (w' = u' mod p^{n+1} entrywise),
     so it is a counting-measure-preserving bijection of the quotient."""
     n, p, rho = domain.n, domain.p, domain.slope
-    coords = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    base = domain.base_lift()
     total = 0
-    for digits in itertools.product(range(p), repeat=len(coords)):
-        rows = [list(r) for r in base.rows]
-        for (i, j), t in zip(coords, digits):
-            rows[i][j] += p ** n * t
-        u = conj_by_A(Mat(rows, p), -rho)
+    for u in domain.members(dict.fromkeys(_upper_coords(n), 1)):
         _, _, wp, _ = q1_q2_construct(domain, u, x)
         up = conj_by_A(u, rho)
         for i in range(n):
@@ -450,19 +457,15 @@ def section_value(f: EClassElement, s: tuple, g: Mat,
     ctx, tf = f.ctx, f.tf
     w = Mat.longest_weyl(f.n, ctx.p)
     dec = iwasawa_UAK(tf.shift_mat() @ w @ g)
-    if cache is not None:
-        key = residue_rows(dec.k, 2 * ctx.m)
-        if key in cache:
-            phase = cache[key]
-        else:
-            phase = _explicit_on_K(dec.k, ctx, theta_matrix(f.n, ctx))
-            if phase is not None and tf.conjugate:
-                phase = phase.conj()
-            cache[key] = phase
+    cache = {} if cache is None else cache
+    key = residue_rows(dec.k, 2 * ctx.m)
+    if key in cache:
+        phase = cache[key]
     else:
         phase = _explicit_on_K(dec.k, ctx, theta_matrix(f.n, ctx))
         if phase is not None and tf.conjugate:
             phase = phase.conj()
+        cache[key] = phase
     if phase is None or phase.is_zero():
         return {}
     e2 = 2 * modular_delta_half_exponent(dec.a, "U") - 2 * sum(
@@ -573,27 +576,18 @@ def _cell_sum(f: EClassElement, s: tuple, a: Mat, k: Mat,
     per-entry levels."""
     ctx = f.ctx
     n, p, rho = domain.n, domain.p, domain.slope
-    coords = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    base = domain.base_lift()
     wg = Mat.longest_weyl(n, p)
     ak = a @ k
     vol = Fraction(p) ** sum((j - i) * rho - n - levels[(i, j)]
-                             for (i, j) in coords)
+                             for (i, j) in _upper_coords(n))
     acc: dict = {}
     cells = 0
-    for digits in itertools.product(
-            *(range(p ** levels[c]) for c in coords)):
-        rows = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-                for i in range(n)]
-        for (i, j), t in zip(coords, digits):
-            num = int(base.rows[i][j]) + p ** n * t
-            rows[i][j] = Fraction(num, p ** ((j - i) * rho))
-        u = Mat(rows, p)
+    for u in domain.members(levels):
         cells += 1
         parts = section_value(f, s, wg @ u @ ak, cache)
         if not parts:
             continue
-        weight = psi(-sum(u.rows[i][i + 1] for i in range(n - 1)), p) * vol
+        weight = psi(-u.superdiagonal_sum(), p) * vol
         for rad, val in parts.items():
             acc.setdefault(rad, CycSum()).add(val * weight)
     return _parts_clean({rad: t.value() for rad, t in acc.items()}), cells
@@ -681,25 +675,18 @@ def vanishing_mechanism_report(a: Mat, k: Mat, s: tuple,
 
     piv = Fraction(domain.base[i0][j0])
     xs = list(range(p ** (l + 1)))
-    coords = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    base = domain.base_lift()
     sampled = 0
-    for digits in itertools.product(range(p), repeat=len(coords)):
-        if sampled >= cell_cap:
-            break
-        rows = [list(r) for r in base.rows]
-        for (i, j), t in zip(coords, digits):
-            rows[i][j] += p ** n * t
-        u = conj_by_A(Mat(rows, p), -rho)
+    members = domain.members(dict.fromkeys(_upper_coords(n), 1))
+    for u in itertools.islice(members, cell_cap):
         hu = h(u)
         for x in xs:
             _, _, _, w = q1_q2_construct(domain, u, x)
             if h(w) != hu:
                 raise ValueError("h is not invariant along the move")
             nprime = w.inv() @ u
-            sd_w = sum(w.rows[i][i + 1] for i in range(n - 1))
-            sd_np = sum(nprime.rows[i][i + 1] for i in range(n - 1))
-            sd_u = sum(u.rows[i][i + 1] for i in range(n - 1))
+            sd_w = w.superdiagonal_sum()
+            sd_np = nprime.superdiagonal_sum()
+            sd_u = u.superdiagonal_sum()
             if psi(sd_u, p) != psi(sd_w, p) * psi(sd_np, p):
                 raise ValueError("character not multiplicative on the move")
             if psi(-sd_np, p) != psi(Fraction(p) ** (-l - 1) * piv * x, p):
@@ -726,19 +713,36 @@ def vanishing_mechanism_report(a: Mat, k: Mat, s: tuple,
 def hypothesis_diagonal(ctx: DepthContext, n: int, d2: int = 1) -> Mat:
     """The canonical diagonal satisfying the character-sum hypotheses with
     every simple-root coordinate exactly T^{d2}: a_i = p^{-2m d2 (n-i)}."""
-    p, m = ctx.p, ctx.m
-    return Mat.diag([Fraction(p) ** (-2 * m * d2 * (n - i - 1))
-                     for i in range(n)], p)
+    return p_power_diag([-2 * ctx.m * d2 * (n - i - 1) for i in range(n)],
+                        ctx.p)
+
+
+def _vanishing_row(task) -> dict:
+    f, a, k, s, dom, d2, ki = task
+    cs = vanishing_check(a, k, s, dom, f, d2=d2)
+    return {**dom.to_json(), "k_index": ki, "cells": cs.cells,
+            "zero": cs.is_zero()}
+
+
+def _pmap(fn, tasks, jobs: int) -> list:
+    """[fn(t) for t in tasks], over jobs worker processes when jobs > 1."""
+    if jobs <= 1 or len(tasks) <= 1:
+        return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, tasks, chunksize=1))
 
 
 def rho0_report(f: EClassElement, s: tuple | None = None,
                 slope_max: int | None = None, d2: int = 1,
-                domain_cap: int = 2, k_count: int = 2) -> dict:
+                domain_cap: int = 2, k_count: int = 2,
+                jobs: int = 1) -> dict:
     """Empirical vanishing threshold: evaluate the cell character sum for
     every scan-box cell of each slope up to slope_max (and the slope-0
     cell), at the canonical hypothesis diagonal and a few K-coset
     representatives.  rho0 is one past the largest slope with a nonzero
-    value; every tested cell of slope >= rho0 summed to exactly zero."""
+    value; every tested cell of slope >= rho0 summed to exactly zero.
+    The rows are computed over `jobs` worker processes and come back in
+    the same order for every job count."""
     ctx, n = f.ctx, f.n
     p, m = ctx.p, ctx.m
     if s is None:
@@ -746,22 +750,18 @@ def rho0_report(f: EClassElement, s: tuple | None = None,
     if slope_max is None:
         slope_max = 4 * m + n
     a = hypothesis_diagonal(ctx, n, d2)
-    kreps = enumerate_cosets(SubgroupSpec("K", n, p), max(m, 1))
-    klist = kreps[:k_count]
-    rows = []
-    max_nonzero = None
+    klist = enumerate_cosets(SubgroupSpec("K", n, p), max(m, 1))[:k_count]
+    tasks = []
     for rho in range(slope_max + 1):
         if rho == 0:
             domains = [NiceDomain(n, p, 0, 0, None, None)]
         else:
             domains = scan_box_domains(n, p, rho, cap=domain_cap)
-        for d in domains:
-            for ki, k in enumerate(klist):
-                cs = vanishing_check(a, k, s, d, f, d2=d2)
-                rows.append({**d.to_json(), "k_index": ki,
-                             "cells": cs.cells, "zero": cs.is_zero()})
-                if not cs.is_zero():
-                    max_nonzero = rho
+        tasks += [(f, a, k, s, d, d2, ki)
+                  for d in domains for ki, k in enumerate(klist)]
+    rows = _pmap(_vanishing_row, tasks, jobs)
+    max_nonzero = max((r["slope"] for r in rows if not r["zero"]),
+                      default=None)
     rho0 = 0 if max_nonzero is None else max_nonzero + 1
     return {
         "rank": n, "p": p, "m": m, "vT": 2 * m,
@@ -846,7 +846,7 @@ def minor_bound_sample_suite(ctx: DepthContext, n: int, count: int = 1000,
         for _ in range(n - 1):
             exps.append(exps[-1] + rng.randint(-2 * m * d2, 2 * m * d2))
         exps = exps[::-1]  # exps[-1] = 0 so |a_n| = 1
-        a = Mat.diag([Fraction(p) ** e for e in exps], p)
+        a = p_power_diag(exps, p)
         rep = iwasawa_minor_bound_check(u, a, ctx, d1, d2)
         worst = max(worst, max(rep["aprime_T_exponents"]))
     return {"count": count, "failures": 0, "max_aprime_T_exponent": worst}

@@ -52,6 +52,8 @@ from .group import (
     iwasawa_UAK,
     modular_delta,
     modular_delta_half_exponent,
+    p_power_diag,
+    unipotent_box,
 )
 from .params import theta_matrix
 from .residue import residue_rows
@@ -99,9 +101,7 @@ class EClassElement:
 
 
 def _profile_mat(elem: EClassElement) -> Mat:
-    ctx = elem.ctx
-    return Mat.diag([Fraction(ctx.p) ** v for v in elem.support_profile()],
-                    ctx.p)
+    return p_power_diag(elem.support_profile(), elem.ctx.p)
 
 
 def certify_E_class(elem: EClassElement) -> dict:
@@ -138,7 +138,7 @@ def certify_E_class(elem: EClassElement) -> dict:
     for vals in itertools.product(range(lo, hi + 1), repeat=n):
         if vals == prof:
             continue
-        a = Mat.diag([Fraction(p) ** v for v in vals], p)
+        a = p_power_diag(vals, p)
         for k in kreps[:4]:
             checked["support"] += 1
             if not elem.phase(a @ k).is_zero():
@@ -203,24 +203,15 @@ def _cell_levels(ctx: DepthContext, a: Mat, B: int, coords):
     return L
 
 
-def _u_cells(ctx: DepthContext, n: int, a: Mat, B: int, coords=None):
+def _u_cells(ctx: DepthContext, n: int, a: Mat, B: int, coords):
     """(representative, volume) pairs covering the unipotent box of entry
     depth p^{-B} by cells of the computed congruence pattern."""
     p = ctx.p
-    if coords is None:
-        coords = [(k, l) for k in range(n) for l in range(k + 1, n)]
     L = _cell_levels(ctx, a, B, coords)
-    per_coord = [[Fraction(t, p ** B) for t in range(p ** (B + L[c]))]
-                 for c in coords]
     vol = Fraction(p) ** (-sum(L.values()))
-    cells = []
-    for vals in itertools.product(*per_coord):
-        rows = [[Fraction(1 if i == j else 0) for j in range(n)]
-                for i in range(n)]
-        for (k, l), x in zip(coords, vals):
-            rows[k][l] = x
-        cells.append((Mat(rows, p), vol))
-    return cells
+    box = unipotent_box(n, p, coords,
+                        [range(p ** (B + L[c])) for c in coords], p ** B)
+    return ((u, vol) for u in box)
 
 
 def _block_weyl(n: int, nprime: int, p: int) -> Mat:
@@ -257,8 +248,7 @@ def _w_cell_data(f: EClassElement, c: Mat, a: Mat, B: int,
         dec = iwasawa_UAK(head @ u @ a)
         if dec.a != Mat.identity(n, ctx.p):
             continue
-        s = sum(u.rows[i][i + 1] for i in range(n - 1))
-        w = psi(-s, ctx.p) * vol
+        w = psi(-u.superdiagonal_sum(), ctx.p) * vol
         # the evaluated phase only sees the K-part mod q^2, so cells may
         # be merged along that reduction
         key = residue_rows(dec.k, 2 * ctx.m)
@@ -312,11 +302,10 @@ def _w_direct(f: EClassElement, c: Mat, a: Mat, k: Mat, B: int,
     wM = _block_weyl(n, nprime, ctx.p)
     total = CycSum()
     for u, vol in _u_cells(ctx, n, a, B, coords):
-        s = sum(u.rows[i][i + 1] for i in range(n - 1))
         val = f.phase(c.inv() @ wM @ u @ a @ k)
         if val.is_zero():
             continue
-        total.add(psi(-s, ctx.p) * vol * val)
+        total.add(psi(-u.superdiagonal_sum(), ctx.p) * vol * val)
     return WValue(_coeff(f, c), total.value())
 
 
@@ -361,7 +350,7 @@ def pinned_outer_diagonal(f: EClassElement, c: Mat):
     ctx, n = f.ctx, f.n
     head = _head(f, c, Mat.longest_weyl(n, ctx.p))
     e = [-valuation(head.rows[i][i], ctx.p) for i in range(n)]
-    return Mat.diag([Fraction(ctx.p) ** x for x in e], ctx.p), tuple(e)
+    return p_power_diag(e, ctx.p), tuple(e)
 
 
 def _pinned_partial(f: EClassElement, c: Mat, nprime: int) -> dict:
@@ -510,7 +499,7 @@ def _outer_diagonals(f: EClassElement, c: Mat, nprime: int,
         seen.update(shell)
         hits = 0
         for e in shell:
-            a = Mat.diag([Fraction(ctx.p) ** x for x in e], ctx.p)
+            a = p_power_diag(e, ctx.p)
             cells = _w_cell_data(f, c, a, B, nprime)
             if cells:
                 live.append((a, cells))
@@ -583,7 +572,7 @@ def support_scan_table(f: EClassElement, window, d_rs: Fraction = Fraction(1),
     rhs = Fraction(ctx.T) ** (n * (n - 1) // 2)
     rows, violations, ratios = [], [], []
     for es in itertools.product(window, repeat=n):
-        c = Mat.diag([Fraction(ctx.p) ** (-e) for e in es], ctx.p)
+        c = p_power_diag([-e for e in es], ctx.p)
         val = Q_P(f, c, 0, cfg)
         det_c = abs_det(ctx, c)
         ratio = val * d_rs * det_c / f.norm_sq
@@ -615,9 +604,7 @@ def QP_nonvanishing_check(f: EClassElement, nprime: int, det_window,
         if key in seen:
             continue
         seen.add(key)
-        c = Mat.diag([Fraction(1)] * nprime
-                     + [Fraction(ctx.p) ** (-j * ctx.m) for j in js],
-                     ctx.p)
+        c = p_power_diag([0] * nprime + [-j * ctx.m for j in js], ctx.p)
         val = Q_P(f, c, nprime, cfg)
         det_c = abs_det(ctx, c)
         inside = dp * det_c <= rhs
@@ -654,7 +641,7 @@ def denominator_scan(f: EClassElement, window: int | None = None,
     best = None
     table, skipped = [], []
     for es in itertools.product(range(lo, window + 1), repeat=n):
-        c = Mat.diag([Fraction(p) ** (-e) for e in es], p)
+        c = p_power_diag([-e for e in es], p)
         a, ev = pinned_outer_diagonal(f, c)
         if ev[-1] != 0:
             continue

@@ -52,6 +52,7 @@ from .group import (
     bruhat_open_cell,
     enumerate_cosets,
     iwasawa_UAK,
+    p_power_diag,
 )
 from .params import chi_tau_eval, theta_matrix
 from .residue import residue_rows
@@ -67,8 +68,7 @@ def J_open_cell(g: Mat, ctx: DepthContext) -> CycValue:
     for d in dec.a.diagonal():
         if valuation(d, ctx.p) != 0:
             return CycValue.zero
-    s = sum(dec.n.rows[i][i + 1] for i in range(g.n - 1))
-    return psi_T(s, ctx)
+    return psi_T(dec.n.superdiagonal_sum(), ctx)
 
 
 @functools.cache
@@ -305,7 +305,7 @@ class TestFunction:
     def _shift_mat(self) -> Mat:
         # built once per function; Mat is immutable, so callers share it
         p, m = self.ctx.p, self.ctx.m
-        return Mat.diag([Fraction(p) ** (-m * s) for s in self.shift], p)
+        return p_power_diag([-m * s for s in self.shift], p)
 
     def phase(self, g: Mat) -> CycValue:
         """The cyclotomic part of the value; the full value is c1 * phase."""

@@ -30,14 +30,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import CycValue, DepthContext, SqrtRational, psi_T, valuation
-from .group import Mat, bruhat_open_cell
+from .group import Mat, bruhat_open_cell, p_power_diag
 from .params import TauParam, chi_tau_eval, is_subcyclic_wrt, theta_matrix
 from .residue import ZMat, enumerate_GL
 
 
 def a_T_element(ctx: DepthContext, n: int) -> Mat:
-    """diag(Ttilde^n, ..., Ttilde) in GL_n."""
-    return Mat.diag([ctx.Ttilde ** (n - i) for i in range(n)], ctx.p)
+    """diag(Ttilde^n, ..., Ttilde) in GL_n, with Ttilde = p^(-2m)."""
+    return p_power_diag([-2 * ctx.m * (n - i) for i in range(n)], ctx.p)
 
 
 def vol_support_quotient(ctx: DepthContext, n: int) -> Fraction:
@@ -101,8 +101,7 @@ class WhittakerOnH:
         if wit is None:
             return SqrtRational.of_rational(Fraction(0)), CycValue.zero
         nwit, y = wit
-        s = sum(nwit.rows[i][i + 1] for i in range(self.n - 1))
-        phase = psi_T(s, self.ctx) * chi_tau_eval(
+        phase = psi_T(nwit.superdiagonal_sum(), self.ctx) * chi_tau_eval(
             theta_matrix(self.n, self.ctx), y)
         return self.peak, phase
 
@@ -199,8 +198,7 @@ def concentration_check(tau: TauParam, box: int = 2):
                 if any(prof)]
     kreps = [_embed_in_G(k, N).lift() for k in enumerate_GL(n, ctx.p, 1)]
     for prof in profiles:
-        a = Mat.diag([Fraction(ctx.p) ** e for e in prof] + [Fraction(1)],
-                     ctx.p)
+        a = p_power_diag((*prof, 0), ctx.p)
         for k in kreps:
             report["nonintegral_checked"] += 1
             h = a @ k

@@ -39,12 +39,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import (
-    CycValue,
     DepthContext,
     MellinMonomial,
     MellinPoly,
     SqrtRational,
-    psi,
+    psi_T,
     valuation,
 )
 from .group import (
@@ -111,19 +110,19 @@ def _transform_poly(tf: TestFunction, y: Mat) -> MellinPoly:
     Substituting n = a_T u a_T^{-1} confines u to the congruence
     unipotents, and each level-q^2 cell carries the constant value
     f[s](a_T u y) psi(a_T u a_T^{-1}) times the stretched cell volume.
+    Conjugation by a_T scales every superdiagonal entry by Ttilde, so
+    psi(a_T u a_T^{-1}) = psi_T(u).
     """
     ctx = tf.ctx
     n = tf.N
     aT = a_T_element(ctx, n)
     dim_n = n * (n - 1) // 2
     cell = modular_delta(aT, "N") * Fraction(1, ctx.p ** (2 * ctx.m * dim_n))
-    aT_inv = aT.inv()
     exps = _central_exponents(tf, aT)
     poly = MellinPoly()
     for u in enumerate_cosets(SubgroupSpec("KN", n, ctx.p, ctx.m),
                               2 * ctx.m):
-        n_el = aT @ u @ aT_inv
-        psi_val = psi(sum(n_el.rows[i][i + 1] for i in range(n - 1)), ctx.p)
+        psi_val = psi_T(u.superdiagonal_sum(), ctx)
         mono = mellin_component(tf, aT @ u @ y)
         if mono is None:
             continue

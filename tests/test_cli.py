@@ -167,6 +167,14 @@ def test_eval_bruhat(capsys):
     assert json.loads(capsys.readouterr().out)["open_cell"] is False
 
 
+@pytest.mark.parametrize("obj", ["f", "iwasawa", "W", "bruhat"])
+def test_eval_singular_matrix_is_a_config_error(obj, capsys):
+    assert main(["eval", obj, "--p", "2", "--m", "1", "--g", "1,1;1,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "configuration error: matrix is singular\n"
+
+
 def test_eval_missing_matrix(capsys):
     assert main(["eval", "f", "--p", "2"]) == 2
 

@@ -1,0 +1,189 @@
+"""The matrix builders of `group` and the enumerations built on them,
+against references written here on lists of Fractions.
+
+Each enumeration is compared as a list: same matrices, same order, same
+hashes.  The order matters beyond the values, because suites slice
+prefixes of these lists and the prefixes reach the report bytes.
+"""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from padiczeta.arith import DepthContext
+from padiczeta.group import (Mat, SubgroupSpec, enumerate_cosets,
+                             p_power_diag, unipotent_box)
+from padiczeta import nicedomain
+from padiczeta.nicedomain import (NiceDomain, _cell_sum, _region_classes,
+                                  conj_by_A, scan_box_domains)
+from padiczeta.rslocal import _cell_levels, _u_cells, standard_E_element
+
+CTX21 = DepthContext(2, 1)
+
+
+def ref_box(n, p, coords, values, den=1):
+    """1 + x / den with x[c] running over values[c], in product order, each
+    matrix built from Fraction rows."""
+    out = []
+    for vals in itertools.product(*values):
+        rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        for (i, j), v in zip(coords, vals):
+            rows[i][j] += Fraction(v, den)
+        out.append(Mat(rows, p))
+    return out
+
+
+def assert_same_list(got, want):
+    assert len(got) == len(want)
+    assert got == want
+    assert [hash(g) for g in got] == [hash(w) for w in want]
+
+
+BUILDER_SETTINGS = settings(derandomize=True, max_examples=150,
+                            deadline=None)
+
+entries = st.builds(Fraction, st.integers(-30, 30),
+                    st.sampled_from([1, 2, 3, 4, 8, 9, 25]))
+
+
+@BUILDER_SETTINGS
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(entries, min_size=n, max_size=n),
+                       min_size=n, max_size=n)),
+    st.sampled_from([2, 3, 5]))
+def test_superdiagonal_sum_matches_fraction_sum(rows, p):
+    want = sum((rows[i][i + 1] for i in range(len(rows) - 1)), Fraction(0))
+    got = Mat(rows, p).superdiagonal_sum()
+    assert type(got) is Fraction and got == want
+
+
+@BUILDER_SETTINGS
+@given(st.lists(st.integers(-6, 6), min_size=1, max_size=5),
+       st.sampled_from([2, 3, 5]))
+def test_p_power_diag_matches_fraction_diag(exps, p):
+    want = Mat.diag([Fraction(p) ** e for e in exps], p)
+    for got in (p_power_diag(exps, p), p_power_diag(iter(exps), p)):
+        assert got == want and hash(got) == hash(want)
+
+
+@st.composite
+def boxes(draw):
+    n = draw(st.integers(1, 4))
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    coords = draw(st.lists(st.sampled_from(cells), unique=True,
+                           max_size=min(len(cells), 4)))
+    values = [draw(st.lists(st.integers(-9, 9), min_size=1, max_size=3))
+              for _ in coords]
+    return n, coords, values, draw(st.sampled_from([1, 2, 3, 4, 9]))
+
+
+@BUILDER_SETTINGS
+@given(boxes(), st.sampled_from([2, 3]))
+def test_unipotent_box_matches_reference(box, p):
+    n, coords, values, den = box
+    assert_same_list(list(unipotent_box(n, p, coords, values, den)),
+                     ref_box(n, p, coords, values, den))
+
+
+# -- coset transversals -------------------------------------------------------
+
+COSET_COORDS = {
+    "Kq": lambda n: [(i, j) for i in range(n) for j in range(n)],
+    "KN": lambda n: [(i, j) for i in range(n) for j in range(n) if i < j],
+    "KU": lambda n: [(i, j) for i in range(n) for j in range(n) if i > j],
+}
+
+
+@pytest.mark.parametrize("tag", sorted(COSET_COORDS))
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("e,L", [(1, 2), (2, 3)])
+def test_unipotent_cosets_match_reference(tag, n, p, e, L):
+    got = enumerate_cosets(SubgroupSpec(tag, n, p, e), L)
+    coords = COSET_COORDS[tag](n)
+    digits = [c * p ** e for c in range(p ** (L - e))]
+    assert type(got) is list
+    assert_same_list(got, ref_box(n, p, coords, [digits] * len(coords)))
+
+
+# -- the transform cells of rslocal ------------------------------------------
+
+@pytest.mark.parametrize("n,nprime,B,exps", [
+    (2, 0, 2, (0, 0)),
+    (2, 0, 3, (-2, 0)),
+    (3, 0, 1, (0, 0, 0)),
+    (3, 1, 2, (0, -2, 0)),
+    (3, 1, 1, (2, 1, 0)),
+])
+def test_u_cells_match_reference(n, nprime, B, exps):
+    p = CTX21.p
+    a = Mat.diag([Fraction(p) ** x for x in exps], p)
+    coords = [(k, l) for k in range(nprime, n) for l in range(k + 1, n)]
+    L = _cell_levels(CTX21, a, B, coords)
+    got = list(_u_cells(CTX21, n, a, B, coords))
+    want = ref_box(n, p, coords, [range(p ** (B + L[c])) for c in coords],
+                   p ** B)
+    assert_same_list([u for u, _ in got], want)
+    assert {vol for _, vol in got} == {Fraction(p) ** (-sum(L.values()))}
+
+
+# -- the truncated regions of nicedomain -------------------------------------
+
+@pytest.mark.parametrize("n,p,b", [(2, 2, 0), (2, 3, 1), (3, 2, 0),
+                                   (3, 2, 1), (3, 3, 0)])
+def test_region_classes_match_reference(n, p, b):
+    coords = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    want = ref_box(n, p, coords, [range(p ** (n + b))] * len(coords), p ** b)
+    assert_same_list(list(_region_classes(n, p, b)), want)
+
+
+# -- the members a cell sum visits -------------------------------------------
+
+def visited_members(domain, levels, monkeypatch):
+    """The u of every term of `_cell_sum` over the cell, in order (with
+    a = k = 1, the section is evaluated at w_G u)."""
+    n, p = domain.n, domain.p
+    wg = Mat.longest_weyl(n, p)
+    seen = []
+    monkeypatch.setattr(nicedomain, "section_value",
+                        lambda f, s, g, cache: seen.append(wg @ g) or {})
+    one = Mat.identity(n, p)
+    f = standard_E_element(CTX21, n)
+    _, cells = _cell_sum(f, (0,) * n, one, one, domain, levels, {})
+    assert cells == len(seen)
+    return seen
+
+
+def ref_members(domain, levels):
+    n, p, rho = domain.n, domain.p, domain.slope
+    coords = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    base = domain.base or tuple(tuple(int(i == j) for j in range(n))
+                                for i in range(n))
+    out = []
+    for digits in itertools.product(*(range(p ** levels[c])
+                                      for c in coords)):
+        rows = [[Fraction(x) for x in r] for r in base]
+        for (i, j), t in zip(coords, digits):
+            rows[i][j] += p ** n * t
+        out.append(conj_by_A(Mat(rows, p), -rho))
+    return out
+
+
+def member_cases():
+    for n, p in [(2, 2), (3, 2)]:
+        coords = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        flat = {c: 1 for c in coords}
+        mixed = {(i, j): (j - i) % 2 for i, j in coords}
+        yield NiceDomain(n, p, 0, 0, None, None), flat
+        yield NiceDomain(n, p, 0, 0, None, None), mixed
+        for rho in (1, 3):
+            for dom in scan_box_domains(n, p, rho, cap=1):
+                yield dom, flat if dom.remainder % 2 else mixed
+
+
+@pytest.mark.parametrize("domain,levels", list(member_cases()))
+def test_cell_sum_members_match_reference(domain, levels, monkeypatch):
+    assert_same_list(visited_members(domain, levels, monkeypatch),
+                     ref_members(domain, levels))
