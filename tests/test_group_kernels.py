@@ -10,7 +10,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padiczeta.group import Mat, bruhat_open_cell, iwasawa_UAK
+from padiczeta.group import (Mat, bruhat_open_cell, iwahori_factor,
+                             iwasawa_UAK)
 
 KERNEL_SETTINGS = settings(derandomize=True, max_examples=150, deadline=None)
 
@@ -190,3 +191,32 @@ def test_flip_is_weyl_conjugation(a, p):
     assert flipped == w @ x @ w
     assert flipped.rows == (w @ x @ w).rows
     assert flipped.flip() == x
+
+
+@st.composite
+def congruence_elements(draw):
+    """(k, p, e) with k = 1 + p^e x / d in K(p^e): d a unit, x integral."""
+    n = draw(st.integers(1, 4))
+    p = draw(primes)
+    e = draw(st.integers(1, 2))
+    d = draw(st.integers(1, 30).filter(lambda d: d % p))
+    rows = [[Fraction(d * (i == j) + p ** e * draw(st.integers(-9, 9)), d)
+             for j in range(n)] for i in range(n)]
+    return rows, p, e
+
+
+@KERNEL_SETTINGS
+@given(congruence_elements(), st.data())
+def test_iwahori_identities(point, data):
+    rows, p, e = point
+    k = Mat(rows, p)
+    u, a, nn = iwahori_factor(k, e)
+    assert u @ a @ nn == k
+    assert u.is_lower_unipotent(e) and nn.is_upper_unipotent(e)
+    assert a.is_diagonal() and a.in_congruence(e)
+    # moving one entry by p^(e-1) leaves K(p^e)
+    n = len(rows)
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    rows[i][j] += p ** (e - 1)
+    with pytest.raises(ValueError):
+        iwahori_factor(Mat(rows, p), e)
