@@ -466,14 +466,6 @@ class MellinMonomial:
     def one(r: int = 0) -> "MellinMonomial":
         return MellinMonomial(Fraction(1), (0,) * r, 0)
 
-    def is_zero(self) -> bool:
-        s = self.scalar
-        if isinstance(s, CycValue):
-            return s.is_zero()
-        if isinstance(s, SqrtRational):
-            return s.sign == 0
-        return s == 0
-
     def __mul__(self, other) -> "MellinMonomial":
         if isinstance(other, (int, Fraction, CycValue, SqrtRational)):
             other = MellinMonomial(other, (0,) * len(self.exponents), 0)
@@ -536,17 +528,6 @@ class MellinPoly:
     def nonzero_terms(self) -> dict:
         return {k: c for k, c in self._coefficients().items()
                 if not c.is_zero()}
-
-    def __eq__(self, other):
-        if not isinstance(other, MellinPoly):
-            return NotImplemented
-        mine, theirs = self._coefficients(), other._coefficients()
-        z = CycValue.zero
-        return all((mine.get(k, z) - theirs.get(k, z)).is_zero()
-                   for k in set(mine) | set(theirs))
-
-    def __hash__(self):
-        raise TypeError("unhashable")
 
 
 # ---------------------------------------------------------------------------

@@ -488,7 +488,8 @@ class SubgroupSpec:
     tag in {"K", "Kq", "KN", "KU", "KA", "KQ"}; e is the congruence level as
     a p-exponent (so the level-q^j subgroup at depth m has e = j*m).  "K" has
     e = 0; for the unipotent/diagonal families e = 0 means the full integral
-    points.
+    points.  It names the transversals of `enumerate_cosets` and the
+    volumes of `haar_volume`.
     """
 
     tag: str
@@ -501,43 +502,6 @@ class SubgroupSpec:
             raise ValueError(f"unknown subgroup tag {self.tag}")
         if self.tag == "Kq" and self.e < 1:
             raise ValueError("principal congruence subgroup needs e >= 1")
-
-    def contains(self, g: Mat) -> bool:
-        if g.n != self.N or g.p != self.p:
-            return False
-        if self.tag == "K":
-            return g.in_K()
-        if self.tag == "Kq":
-            return g.in_congruence(self.e)
-        if self.tag == "KN":
-            return g.is_upper_unipotent(self.e if self.e else 0)
-        if self.tag == "KU":
-            return g.is_lower_unipotent(self.e if self.e else 0)
-        if self.tag == "KA":
-            return (g.is_diagonal()
-                    and all(x != 0 and valuation(x, self.p) == 0
-                            and (self.e == 0 or x == 1
-                                 or valuation(x - 1, self.p) >= self.e)
-                            for x in g.diagonal()))
-        if self.tag == "KQ":
-            # lower-triangular integral, unit diagonal, with congruence level
-            n = g.n
-            if not g.is_integral():
-                return False
-            for i in range(n):
-                for j in range(n):
-                    x = g.rows[i][j]
-                    if i < j and x != 0:
-                        return False
-                    if i == j:
-                        if valuation(x, self.p) != 0:
-                            return False
-                        if self.e and x != 1 and valuation(x - 1, self.p) < self.e:
-                            return False
-                    if i > j and self.e and x != 0 and valuation(x, self.p) < self.e:
-                        return False
-            return True
-        raise ValueError(f"unknown subgroup tag {self.tag}")
 
 
 def haar_volume(spec: SubgroupSpec) -> Fraction:

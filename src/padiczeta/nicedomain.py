@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import (CertificateCapExceeded, CycSum, DepthContext,
-                    SqrtRational, psi, valuation)
+                    SqrtRational, norm, psi, valuation)
 from .group import (
     Mat,
     SubgroupSpec,
@@ -68,9 +68,9 @@ def A_rho(rho: int, n: int, p: int) -> Mat:
 
 def conj_by_A(g: Mat, rho: int) -> Mat:
     """A(rho) g A(rho)^{-1}: entry (i, j) is scaled by p^{(j-i) rho}."""
-    p, n = g.p, g.n
-    return Mat([[g.rows[i][j] * Fraction(p) ** ((j - i) * rho)
-                 for j in range(n)] for i in range(n)], p)
+    exps = [(g.n - 1 - i) * rho for i in range(g.n)]
+    return (p_power_diag(exps, g.p) @ g
+            @ p_power_diag([-e for e in exps], g.p))
 
 
 def _upper_coords(n: int) -> list:
@@ -155,7 +155,7 @@ class NiceDomain:
         """Integral lift of the base point (identity for slope 0)."""
         if self.slope == 0:
             return Mat.identity(self.n, self.p)
-        return Mat([[Fraction(x) for x in row] for row in self.base], self.p)
+        return Mat(self.base, self.p)
 
     def representative(self) -> Mat:
         """A member of the cell: the base lift conjugated back down."""
@@ -177,11 +177,8 @@ class NiceDomain:
 
     def contains(self, u: Mat) -> bool:
         n, p = self.n, self.p
-        if u.n != n or u.p != p:
+        if u.n != n or u.p != p or not u.is_upper_unipotent():
             return False
-        for i in range(n):
-            if u.rows[i][i] != 1 or any(u.rows[i][j] != 0 for j in range(i)):
-                return False
         up = conj_by_A(u, self.slope)
         if not up.is_integral():
             return False
@@ -212,13 +209,12 @@ def classify(u: Mat) -> NiceDomain:
     the base point is the conjugate reduced mod p^n.
     """
     n, p = u.n, u.p
-    for i in range(n):
-        if u.rows[i][i] != 1 or any(u.rows[i][j] != 0 for j in range(i)):
-            raise ValueError("input must be upper unipotent")
+    if not u.is_upper_unipotent():
+        raise ValueError("input must be upper unipotent")
     rho = 0
     for i in range(n):
         for j in range(i + 1, n):
-            x = u.rows[i][j]
+            x = u[i, j]
             if x != 0:
                 rho = max(rho, -(valuation(x, p) // (j - i)))
     if rho == 0:
@@ -343,7 +339,10 @@ def q1_q2_construct(domain: NiceDomain, u: Mat, x) -> tuple:
         raise ArithmeticError("row reduction failure")
     wp = dec.n
     q2 = wp @ m.inv()
-    if not SubgroupSpec("KQ", n, p, rho - l - 1).contains(q2):
+    # at level rho - l - 1 >= n >= 1, K_Q is the lower-triangular part of
+    # the principal congruence subgroup
+    if (any(x for i, r in enumerate(q2.num) for x in r[i + 1:])
+            or not q2.in_congruence(rho - l - 1)):
         raise ArithmeticError("row reduction escaped its congruence level")
     if q2 @ up @ q1 != wp:
         raise ArithmeticError("q2 u q1 does not equal w'")
@@ -366,20 +365,19 @@ def q1_q2_properties(domain: NiceDomain, u: Mat, x) -> dict:
     def vge(y, e):
         return y == 0 or valuation(y, p) >= e
 
-    mod_n = all(vge(wp.rows[i][j] - up.rows[i][j], n)
+    mod_n = all(vge(wp[i, j] - up[i, j], n)
                 for i in range(n) for j in range(n))
     superdiag = all(
-        vge(wp.rows[i][i + 1] - up.rows[i][i + 1]
-            - (inc if i == i0 else 0), rho)
+        vge(wp[i, i + 1] - up[i, i + 1] - (inc if i == i0 else 0), rho)
         for i in range(n - 1))
     in_cell = domain.contains(w)
     move = conj_by_A(u.inv() @ w, rho)
     move_in_range = all(
-        vge(move.rows[i][j] - (1 if i == j else 0), n)
+        vge(move[i, j] - (1 if i == j else 0), n)
         for i in range(n) for j in range(n))
     nprime = w.inv() @ u
     profile = all(
-        vge(nprime.rows[i][i + 1]
+        vge(nprime[i, i + 1]
             + (Fraction(p) ** (-l - 1) * piv_lift * Fraction(x)
                if i == i0 else 0), 0)
         for i in range(n - 1))
@@ -404,7 +402,7 @@ def measure_preservation_check(domain: NiceDomain, x) -> dict:
         up = conj_by_A(u, rho)
         for i in range(n):
             for j in range(n):
-                d = wp.rows[i][j] - up.rows[i][j]
+                d = wp[i, j] - up[i, j]
                 if d != 0 and valuation(d, p) < n + 1:
                     raise ValueError("move does not fix the residue class")
         total += 1
@@ -786,7 +784,7 @@ def iwasawa_minor_bound_check(u: Mat, a: Mat, ctx: DepthContext,
     T = Fraction(ctx.T)
     for i in range(n):
         for j in range(i + 1, n):
-            x = u.rows[i][j]
+            x = u[i, j]
             if x != 0 and valuation(x, p) < -2 * m * d1:
                 raise ValueError("u exceeds the entry bound T^d1")
     av = [valuation(x, p) for x in a.diagonal()]
@@ -799,9 +797,7 @@ def iwasawa_minor_bound_check(u: Mat, a: Mat, ctx: DepthContext,
     if dec.n @ dec.a @ dec.k != g:
         raise ValueError("decomposition does not re-multiply")
     other = dec.n @ dec.a  # = a' n' with n' = a'^{-1} n'' a'
-    emax = max((abs_val for row in g.rows for x in row
-                if x != 0 for abs_val in [Fraction(p) ** (-valuation(x, p))]),
-               default=Fraction(0))
+    emax = max(norm(g[i, j], p) for i in range(n) for j in range(n))
     minors = [minor_norm_M(g, l) for l in range(1, n + 1)]
     for l in range(1, n + 1):
         if minors[l - 1] != minor_norm_M(other, l):

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .arith import CycSum, CycValue, DepthContext, frac_part
 from .group import Mat, SubgroupSpec, haar_volume
-from .residue import ZMat, centralizer_in_GL, charpoly, enumerate_matrices, resultant
+from .residue import ZMat, centralizer_in_GL, charpoly, enumerate_GL, resultant
 
 
 @dataclass(frozen=True)
@@ -44,9 +44,6 @@ class TauParam:
     @property
     def n(self) -> int:
         return self.mat.n
-
-    def charpoly(self) -> tuple:
-        return self.mat.charpoly()
 
     def upper_left_block(self) -> ZMat:
         n = self.n
@@ -233,13 +230,11 @@ def chi_tau_exponent(tau: TauParam, k: Mat) -> Fraction:
     ctx = tau.ctx
     if not k.in_congruence(ctx.m):
         raise ValueError("argument not in the level-q congruence subgroup")
-    t = Fraction(0)
-    n = tau.n
-    for i in range(n):
-        for j in range(n):
-            x = k.rows[i][j] - (1 if i == j else 0)
-            t += x * tau.mat.entries[j][i]
-    return frac_part(ctx.Ttilde * t, ctx.p)
+    # the trace of (k - 1) tau, over the denominator of k
+    den, tm = k.den, tau.mat.entries
+    t = sum((x - den * (i == j)) * tm[j][i]
+            for i, r in enumerate(k.num) for j, x in enumerate(r))
+    return frac_part(Fraction(t, den * ctx.T), ctx.p)
 
 
 def chi_tau_eval(tau: TauParam, k: Mat) -> CycValue:
@@ -377,58 +372,32 @@ class OmegaIdempotent:
                 (r.inv() @ ZMat.from_mat(g, 2 * ctx.m)).lift()))
         return total.value() * vol_cell
 
-    def central_exponent_sum(self, trivial_central: bool) -> Fraction:
-        """Average of (central twist) * conj(chitilde) over scalar units
-        mod q^2.  With the matched twist the average is 1; with the
-        trivial twist it is 1 or 0 by character orthogonality."""
-        ctx = self.ctx
-        if not trivial_central:
-            return Fraction(1)
-        p, m, n = ctx.p, ctx.m, self.tau.n
-        mod = p ** (2 * m)
-        units = [u for u in range(1, mod) if u % p != 0]
-        total = CycSum()
-        for u in units:
-            key = ZMat.make([[u if i == j else 0 for j in range(n)]
-                             for i in range(n)], p, 2 * m).entries
-            r = self.table[key]
-            total.add(CycValue.root_of_unity(r.denominator, -r.numerator))
-        val = total.value().as_rational()
-        if val is None:
-            raise ArithmeticError("central character sum must be rational")
-        return Fraction(val, len(units))
-
-    def omega_sharp_L1(self, trivial_central: bool = False) -> Fraction:
+    def omega_sharp_L1(self) -> Fraction:
         """Exact value of the L^1-mass over H of the center-averaged
-        idempotent.  Support on H meets K only inside J_tau, where the
-        absolute value is vol(J_tau)^{-1} |central sum|; the h-integral
-        becomes a finite sum over GL_{N-1}(Z/q^2) embedded in the upper
-        left block."""
+        idempotent, with the matched central twist, whose average against
+        conj(chitilde) over the scalar units is 1.  Support on H meets K
+        only inside J_tau, where the absolute value is vol(J_tau)^{-1};
+        the h-integral becomes a finite sum over GL_{N-1}(Z/q^2) embedded
+        in the upper left block."""
         ctx = self.ctx
         p, m, N = ctx.p, ctx.m, self.tau.n
         n = N - 1
-        s = abs(self.central_exponent_sum(trivial_central))
-        if s == 0:
-            return Fraction(0)
-        hits = 0
-        count = 0
-        for h in enumerate_matrices(n, p, 2 * m):
-            if not h.is_unit():
-                continue
+        hits = count = 0
+        for h in enumerate_GL(n, p, 2 * m):
             count += 1
             emb = [[h.entries[i][j] if i < n and j < n
                     else (1 if i == j else 0) for j in range(N)]
                    for i in range(N)]
             if j_tau_membership(self.tau, ZMat.make(emb, p, 2 * m).lift()):
                 hits += 1
-        return s * Fraction(hits, count) / self.vol_J
+        return Fraction(hits, count) / self.vol_J
 
-    def omega_sharp_ratio(self, trivial_central: bool = False) -> Fraction:
+    def omega_sharp_ratio(self) -> Fraction:
         """omega_sharp L^1-mass divided by T^{(N-1)/2}; the interesting
         scale for the mass.  Only meaningful when N-1 is even or T is a
         perfect square times a power with half-integral exponent, so we
         return the square of the ratio to stay rational."""
-        val = self.omega_sharp_L1(trivial_central)
+        val = self.omega_sharp_L1()
         n = self.tau.n - 1
         return val * val / Fraction(self.ctx.T) ** n
 

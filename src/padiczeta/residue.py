@@ -165,10 +165,6 @@ class ZMat:
             raise ZeroDivisionError("non-unit determinant")
         return ZMat(residue_rows(self.lift().inv(), self.e), self.p, self.e)
 
-    def charpoly(self) -> tuple[int, ...]:
-        mod = self.modulus
-        return tuple(c % mod for c in charpoly([list(r) for r in self.entries]))
-
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(self.entries[i][j] for i in range(self.n))
 

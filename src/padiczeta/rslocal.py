@@ -349,7 +349,7 @@ def pinned_outer_diagonal(f: EClassElement, c: Mat):
     Returns (a, valuations)."""
     ctx, n = f.ctx, f.n
     head = _head(f, c, Mat.longest_weyl(n, ctx.p))
-    e = [-valuation(head.rows[i][i], ctx.p) for i in range(n)]
+    e = [-valuation(head[i, i], ctx.p) for i in range(n)]
     return p_power_diag(e, ctx.p), tuple(e)
 
 
@@ -366,9 +366,9 @@ def _pinned_partial(f: EClassElement, c: Mat, nprime: int) -> dict:
     head = _head(f, c, _block_weyl(n, nprime, ctx.p))
     sigma, dvals = [], []
     for i in range(n):
-        j = next(j for j in range(n) if head.rows[i][j] != 0)
+        j = next(j for j in range(n) if head.num[i][j])
         sigma.append(j)
-        dvals.append(valuation(head.rows[i][j], ctx.p))
+        dvals.append(valuation(head[i, j], ctx.p))
     pinned = {}
     suffix_min = n
     for i in range(n - 1, -1, -1):
@@ -537,7 +537,7 @@ def Q_P(f: EClassElement, c: Mat, nprime: int = 0,
     cfg = cfg or RSIntegralConfig()
     if f.dual:
         raise ValueError("integrals are computed for the forward element")
-    if any(c.rows[i][i] != 1 for i in range(nprime)):
+    if any(c[i, i] != 1 for i in range(nprime)):
         raise ValueError(f"the first {nprime} entries of c must be 1")
     prev = None
     for B in range(cfg.box_start, cfg.box_cap + 1):

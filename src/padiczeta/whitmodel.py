@@ -154,8 +154,9 @@ def find_contradicting_unipotent(tau: TauParam, h: Mat):
     N = tau.n
     p, m = ctx.p, ctx.m
     hinv = h.inv()
-    lo = min((valuation(x, p) for row in h.rows for x in row if x != 0),
-             default=0)
+    # the least entry valuation of h
+    lo = (min((valuation(x, p) for r in h.num for x in r if x), default=0)
+          - valuation(h.den, p))
     for i in range(N):
         for j in range(i + 1, N):
             for r in range(lo - 1, 2 * m + 1 - lo):
@@ -165,8 +166,7 @@ def find_contradicting_unipotent(tau: TauParam, h: Mat):
                     conj = hinv @ u @ h
                     if not conj.in_congruence(m):
                         continue
-                    lhs = psi_T(u.rows[i][j] if j == i + 1 else Fraction(0),
-                                ctx)
+                    lhs = psi_T(u.superdiagonal_sum(), ctx)
                     rhs = chi_tau_eval(tau, conj)
                     if lhs != rhs:
                         return {"i": i, "j": j, "r": r, "t": t,

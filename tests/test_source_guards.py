@@ -29,3 +29,17 @@ def test_no_assertion_errors_raised():
              if isinstance(node, ast.Raise) and node.exc is not None
              and raises_assertion(node)]
     assert not found, f"raise AssertionError in src: {found}"
+
+
+def test_rows_view_readers():
+    # `Mat.rows` is the Fraction view of the integer storage: outside `Mat`
+    # only the closed-formula twin `_explicit_on_K`, the Fraction reference
+    # for the integer kernels, reads it
+    allowed = {("group.py", "Mat"), ("testfn.py", "_explicit_on_K")}
+    found = [f"{path.name}:{node.lineno}" for path in SOURCES
+             for top in ast.parse(path.read_text()).body
+             if (path.name, getattr(top, "name", None)) not in allowed
+             for node in ast.walk(top)
+             if isinstance(node, ast.Attribute) and node.attr == "rows"
+             and isinstance(node.ctx, ast.Load)]
+    assert not found, f".rows read in src: {found}"
