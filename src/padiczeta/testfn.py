@@ -157,7 +157,8 @@ def f_convolution(g: Mat, ctx: DepthContext, L: int | None = None,
                   cap: int = 4) -> CycValue:
     """f(g) by definitional convolution against the chi_theta projector.
 
-    With L=None, integral arguments use the exact residue path at level
+    With L=None, a singular g raises ZeroDivisionError, as in
+    `f_explicit`; integral arguments use the exact residue path at level
     2m; other arguments are certified by stabilization: levels 2m+1,
     2m+2, ... until two consecutive answers agree (`CertificateCapExceeded`
     past 2m+cap).
@@ -183,6 +184,8 @@ def f_convolution(g: Mat, ctx: DepthContext, L: int | None = None,
     """
     n, p, m, T = g.n, ctx.p, ctx.m, ctx.T
     if L is None:
+        if g.det() == 0:
+            raise ZeroDivisionError("singular matrix")
         if g.is_integral():
             return _convolution_integral(g, ctx)
         prev = None

@@ -300,6 +300,14 @@ def test_convolution_stabilization_non_integral():
     assert f_explicit(g, CTX21).is_zero()
 
 
+@pytest.mark.parametrize("text", ["1,1;1,1", "1/2,1;1/2,1"])
+def test_singular_argument_raises_on_both_routes(text):
+    g = Mat.from_text(text, 2)
+    for route in (f_convolution, f_explicit):
+        with pytest.raises(ZeroDivisionError, match="singular matrix"):
+            route(g, CTX21)
+
+
 def test_shift_mat_is_built_once(monkeypatch):
     tf = translate_for_H(CTX21, 3)
     built = []
