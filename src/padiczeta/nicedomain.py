@@ -163,12 +163,17 @@ class NiceDomain:
 
     def members(self, levels: dict):
         """One member of the cell per residue class of its conjugated
-        entries at the per-entry levels: the base lift plus p^n t, t_ij
-        mod p^{levels[i, j]}, conjugated back by A(-rho).  Entry (i, j)
-        is (base_ij + p^n t_ij) / p^{(j-i) rho}, so every numerator is
-        built over p^{(n-1) rho}."""
+        entries at the per-entry levels.  At slope 0 the cell is N(Z_p)
+        and entry (i, j) runs over its residues mod p^{n + levels[i, j]}.
+        Otherwise a member is the base lift plus p^n t, t_ij mod
+        p^{levels[i, j]}, conjugated back by A(-rho).  Entry (i, j) is
+        (base_ij + p^n t_ij) / p^{(j-i) rho}, so every numerator is built
+        over p^{(n-1) rho}."""
         n, p, rho = self.n, self.p, self.slope
         coords = _upper_coords(n)
+        if rho == 0:
+            return unipotent_box(n, p, coords, [range(p ** (n + levels[c]))
+                                                for c in coords])
         base = self.base_lift().num
         top = (n - 1) * rho
         values = [[(base[i][j] + p ** n * t) * p ** (top - (j - i) * rho)

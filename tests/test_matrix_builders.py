@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padiczeta.arith import DepthContext
+from padiczeta.arith import CycValue, DepthContext
 from padiczeta.group import (Mat, SubgroupSpec, enumerate_cosets,
                              p_power_diag, unipotent_box)
 from padiczeta import nicedomain
@@ -157,16 +157,22 @@ def visited_members(domain, levels, monkeypatch):
 
 
 def ref_members(domain, levels):
+    """One matrix per residue class of the cell: at slope 0, N(Z_p) with
+    entry (i, j) mod p^(n + levels[i, j]); otherwise the base point plus
+    p^n t with t_ij mod p^levels[i, j], conjugated back."""
     n, p, rho = domain.n, domain.p, domain.slope
     coords = [(i, j) for i in range(n) for j in range(i + 1, n)]
     base = domain.base or tuple(tuple(int(i == j) for j in range(n))
                                 for i in range(n))
+    if rho:
+        step, ranges = p ** n, [range(p ** levels[c]) for c in coords]
+    else:
+        step, ranges = 1, [range(p ** (n + levels[c])) for c in coords]
     out = []
-    for digits in itertools.product(*(range(p ** levels[c])
-                                      for c in coords)):
+    for digits in itertools.product(*ranges):
         rows = [[Fraction(x) for x in r] for r in base]
         for (i, j), t in zip(coords, digits):
-            rows[i][j] += p ** n * t
+            rows[i][j] += step * t
         out.append(conj_by_A(Mat(rows, p), -rho))
     return out
 
@@ -187,3 +193,18 @@ def member_cases():
 def test_cell_sum_members_match_reference(domain, levels, monkeypatch):
     assert_same_list(visited_members(domain, levels, monkeypatch),
                      ref_members(domain, levels))
+
+
+@pytest.mark.parametrize("domain,levels", list(member_cases()))
+def test_cell_sum_mass_is_cell_volume(domain, levels, monkeypatch):
+    # with a constant integrand, the sum is (number of members) x (volume
+    # per member): each member stands for one class of the cell, so this
+    # is the volume of the cell
+    n = domain.n
+    monkeypatch.setattr(nicedomain, "section_value",
+                        lambda f, s, g, cache: {1: CycValue.one})
+    monkeypatch.setattr(nicedomain, "psi", lambda x, p: CycValue.one)
+    one = Mat.identity(n, domain.p)
+    f = standard_E_element(CTX21, n)
+    parts, _ = _cell_sum(f, (0,) * n, one, one, domain, levels, {})
+    assert parts == {1: CycValue.rational(domain.volume())}
