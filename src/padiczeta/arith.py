@@ -192,6 +192,15 @@ class CycValue:
         return CycValue(order // g if order > 1 else 1,
                         {(exponent % order) // g if order > 1 else 0: Fraction(1)})
 
+    @staticmethod
+    def from_histogram(counts, weight: Rat) -> "CycValue":
+        """weight * sum_e counts[e] z^e for z = exp(2 pi i / len(counts)),
+        at the lcm of the orders of the roots summed (1 if none occurred)."""
+        T = len(counts)
+        occurred = [e for e in range(T) if counts[e]]
+        d = math.gcd(T, *occurred)
+        return CycValue(T // d, {e // d: counts[e] * weight for e in occurred})
+
     one = None  # set below
     zero = None
 

@@ -148,6 +148,10 @@ class Mat:
         return Mat._from_ints(tuple(r[::-1] for r in self.num[::-1]),
                               self.den, self.p)
 
+    def reverse_rows(self) -> "Mat":
+        """w x for the longest Weyl element w: rows reversed."""
+        return Mat._from_ints(self.num[::-1], self.den, self.p)
+
     def det(self) -> Fraction:
         out = _eliminate(self.num, _first_nonzero)
         if out is None:

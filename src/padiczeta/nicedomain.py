@@ -458,8 +458,7 @@ def section_value(f: EClassElement, s: tuple, g: Mat,
     right-invariant under K(q^2), which is what the character-sum
     arguments need."""
     ctx, tf = f.ctx, f.tf
-    w = Mat.longest_weyl(f.n, ctx.p)
-    dec = iwasawa_UAK(tf.shift_mat() @ w @ g)
+    dec = iwasawa_UAK(tf.shift_weyl @ g)
     cache = {} if cache is None else cache
     key = residue_rows(dec.k, 2 * ctx.m)
     if key in cache:
@@ -505,7 +504,6 @@ def h_invariance_check(f: EClassElement, s: tuple, a: Mat, k: Mat,
     ctx, n = f.ctx, f.n
     p = ctx.p
     rng = random.Random(seed)
-    wg = Mat.longest_weyl(n, p)
     d = h_right_invariance_level(ctx, a)
     ak = a @ k
 
@@ -519,7 +517,7 @@ def h_invariance_check(f: EClassElement, s: tuple, a: Mat, k: Mat,
         return Mat(rows, p)
 
     def h(u):
-        return _parts_clean(section_value(f, s, wg @ u @ ak))
+        return _parts_clean(section_value(f, s, (u @ ak).reverse_rows()))
 
     left_ok = right_ok = 0
     for _ in range(trials):
@@ -579,7 +577,6 @@ def _cell_sum(f: EClassElement, s: tuple, a: Mat, k: Mat,
     per-entry levels."""
     ctx = f.ctx
     n, p, rho = domain.n, domain.p, domain.slope
-    wg = Mat.longest_weyl(n, p)
     ak = a @ k
     vol = Fraction(p) ** sum((j - i) * rho - n - levels[(i, j)]
                              for (i, j) in _upper_coords(n))
@@ -587,7 +584,7 @@ def _cell_sum(f: EClassElement, s: tuple, a: Mat, k: Mat,
     cells = 0
     for u in domain.members(levels):
         cells += 1
-        parts = section_value(f, s, wg @ u @ ak, cache)
+        parts = section_value(f, s, (u @ ak).reverse_rows(), cache)
         if not parts:
             continue
         weight = psi(-u.superdiagonal_sum(), p) * vol
@@ -669,12 +666,12 @@ def vanishing_mechanism_report(a: Mat, k: Mat, s: tuple,
     threshold_ok = (rho - l - 1 >= d
                     and (j0 - i0) * rho - l - 1 >= d
                     and rho >= l + 1 + n)
-    wg = Mat.longest_weyl(n, p)
     ak = a @ k
     cache: dict = {}
 
     def h(u):
-        return _parts_clean(section_value(f, s, wg @ u @ ak, cache))
+        return _parts_clean(section_value(f, s, (u @ ak).reverse_rows(),
+                                          cache))
 
     piv = Fraction(domain.base[i0][j0])
     xs = list(range(p ** (l + 1)))

@@ -133,9 +133,8 @@ def _convolution_integral(g: Mat, ctx: DepthContext, tau=None) -> CycValue:
     q^n candidates of each column are built once (`_column_table`) and the
     q^{n^2} terms are walked as their product.  Every term is evaluated on
     its own by one elimination mod T (`_J_exponent_mod`), and its exponent
-    is counted in a histogram of T ints.  The value is built once at the
-    end, at the order T / gcd(T, every exponent that occurred): the lcm of
-    the orders of the roots of unity summed, and 1 when no term survives.
+    is counted in a histogram of T ints, which becomes the value once at
+    the end (`CycValue.from_histogram`).
     """
     n, q, T = g.n, ctx.q, ctx.T
     z = residue_rows(g, 2 * ctx.m)
@@ -147,10 +146,7 @@ def _convolution_integral(g: Mat, ctx: DepthContext, tau=None) -> CycValue:
         e = _J_exponent_mod(zip(*cols), ctx)
         if e is not None:
             counts[(e - shift) % T] += 1
-    occurred = [e for e in range(T) if counts[e]]
-    d = math.gcd(T, *occurred)
-    return CycValue(T // d, {e // d: Fraction(counts[e], q ** (n * n))
-                             for e in occurred})
+    return CycValue.from_histogram(counts, Fraction(1, q ** (n * n)))
 
 
 def f_convolution(g: Mat, ctx: DepthContext, L: int | None = None,
@@ -309,6 +305,11 @@ class TestFunction:
         # built once per function; Mat is immutable, so callers share it
         p, m = self.ctx.p, self.ctx.m
         return p_power_diag([-m * s for s in self.shift], p)
+
+    @functools.cached_property
+    def shift_weyl(self) -> Mat:
+        """shift_mat() @ w_G, built once per function like shift_mat()."""
+        return self._shift_mat @ Mat.longest_weyl(self.N, self.ctx.p)
 
     def phase(self, g: Mat) -> CycValue:
         """The cyclotomic part of the value; the full value is c1 * phase."""

@@ -33,6 +33,7 @@ from .arith import CycValue, DepthContext, SqrtRational, psi_T, valuation
 from .group import Mat, bruhat_open_cell, p_power_diag
 from .params import TauParam, chi_tau_eval, is_subcyclic_wrt, theta_matrix
 from .residue import ZMat, enumerate_GL
+from .testfn import _J_exponent_mod
 
 
 def a_T_element(ctx: DepthContext, n: int) -> Mat:
@@ -93,6 +94,14 @@ class WhittakerOnH:
         if not nwit.is_upper_unipotent():
             raise ArithmeticError("support witness must be upper unipotent")
         return nwit, y
+
+    def kq_exponent_mod(self, y):
+        """The exponent e with W(a_T y) = W(a_T) exp(2 pi i e / T), for y in
+        K(q) as integer rows read mod T; None off the split y = n y' of
+        `support_witness`.  chi_theta(y') = 1 for the lower-triangular y',
+        so the phase is psi_T of n's superdiagonal: `_J_exponent_mod` of the
+        anti-transpose (entry (i, j) = y[n-1-j][n-1-i]), split L D N."""
+        return _J_exponent_mod([c[::-1] for c in zip(*y)][::-1], self.ctx)
 
     def value_parts(self, h: Mat):
         """(coefficient, phase) with W(h) = coefficient * phase; the

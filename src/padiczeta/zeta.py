@@ -15,9 +15,12 @@ normalization c1.  The zeta value is then
 a positive constant times T^{(n+1) tr(s)/2 - n^2/4}.
 
 The direct route recomputes Z as the honest double sum over K_H(q)/K_H(q^2)
-and the unipotent cells, pairing the Whittaker vector against the transform
-pointwise; the product is N_H-invariant and right K(q^2)-invariant, so
-level q^2 is exact.
+and the unipotent cells u in K_N(q)/K_N(q^2), pairing the Whittaker vector
+against the transform pointwise; the product is N_H-invariant and right
+K(q^2)-invariant, so level q^2 is exact.  As y and u y lie in K(q) and the
+translated a_T is central, both phases of a term are mod-q^2 elimination
+kernels on integer rows (`whitmodel` for W, `rslocal` for f): no Iwasawa,
+no Fractions, no per-term code shared with the explicit route.
 
 The parameter enters through conjugation transport: every uniform tau is
 conjugate over the integers to the companion matrix of its characteristic
@@ -37,8 +40,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .arith import (
+    CycValue,
     DepthContext,
     MellinMonomial,
     MellinPoly,
@@ -56,6 +61,7 @@ from .group import (
     open_cell_density,
 )
 from .params import TauParam
+from .rslocal import _explicit_exponent_mod
 from .testfn import TestFunction, mellin_component, translate_for_H
 from .whitmodel import WhittakerOnH, a_T_element, vol_support_quotient
 
@@ -103,18 +109,17 @@ def _central_exponents(tf: TestFunction, aT: Mat):
     return tuple(v // ctx.m for v in vals)
 
 
-def _transform_poly(tf: TestFunction, y: Mat) -> MellinPoly:
-    """Wf[s](a_T y) = integral over N_H of f[s](n a_T y) psi(n) dn as an
-    exact finite sum; y should lie in K_H(q).
+def _transform_poly(tf: TestFunction) -> MellinPoly:
+    """Wf[s](a_T) = integral over N_H of f[s](n a_T) psi(n) dn as an exact
+    finite sum.
 
     Substituting n = a_T u a_T^{-1} confines u to the congruence
     unipotents, and each level-q^2 cell carries the constant value
-    f[s](a_T u y) psi(a_T u a_T^{-1}) times the stretched cell volume.
+    f[s](a_T u) psi(a_T u a_T^{-1}) times the stretched cell volume.
     Conjugation by a_T scales every superdiagonal entry by Ttilde, so
     psi(a_T u a_T^{-1}) = psi_T(u).
     """
-    ctx = tf.ctx
-    n = tf.N
+    ctx, n = tf.ctx, tf.N
     aT = a_T_element(ctx, n)
     dim_n = n * (n - 1) // 2
     cell = modular_delta(aT, "N") * Fraction(1, ctx.p ** (2 * ctx.m * dim_n))
@@ -123,7 +128,7 @@ def _transform_poly(tf: TestFunction, y: Mat) -> MellinPoly:
     for u in enumerate_cosets(SubgroupSpec("KN", n, ctx.p, ctx.m),
                               2 * ctx.m):
         psi_val = psi_T(u.superdiagonal_sum(), ctx)
-        mono = mellin_component(tf, aT @ u @ y)
+        mono = mellin_component(tf, aT @ u)
         if mono is None:
             continue
         if mono.exponents != exps:
@@ -139,7 +144,7 @@ def whittaker_transform_at_aT(ctx: DepthContext, n: int):
     scalar = vol(a_T K_N(q) a_T^{-1}), exponent n+1 per Mellin coordinate.
     """
     tf = translate_for_H(ctx, n)
-    poly = _transform_poly(tf, Mat.identity(n, ctx.p))
+    poly = _transform_poly(tf)
     terms = poly.nonzero_terms()
     if len(terms) != 1:
         raise ArithmeticError("transform must be a single monomial")
@@ -167,32 +172,47 @@ def zeta_direct(ctx: DepthContext, n: int) -> ZetaResult:
     The integrand W(h) Wf[s](h) is N_H-invariant, supported on the image of
     a_T K_H(q), and constant on right K_H(q^2)-cosets, so
 
-        Z = vol(fiber)^{-1} vol(K_H(q^2)) sum_{y in K_H(q)/K_H(q^2)} G(a_T y).
+        Z = vol(fiber)^{-1} vol(K_H(q^2)) sum_{y in K_H(q)/K_H(q^2)} G(a_T y),
+
+    and the transform at a_T y sums psi_T(u) f[s](a_T u y) over the cells
+    u in K_N(q)/K_N(q^2), each of volume vol(fiber) / q^{dim N}.  As y and
+    u y lie in K(q) and the translated a_T is central (`_central_exponents`:
+    it is the Iwasawa a-part of every term, with trivial modular character,
+    so offset 0), each term is a root of unity with exponent mod T = q^2
+    w(y) + s(u) -/+ f(u y): w = `WhittakerOnH.kq_exponent_mod`, s the
+    superdiagonal sum of u (psi_T(u)), and f = `_explicit_exponent_mod`,
+    negated when tf.conjugate (None skips the term).  Every term is
+    evaluated on its own and counted in a histogram of exponents, which
+    becomes one value at the end.
     """
     tf = translate_for_H(ctx, n)
     W = WhittakerOnH(ctx, n)
-    aT = W.a_T
-    weight = (haar_volume(SubgroupSpec("Kq", n, ctx.p, 2 * ctx.m))
-              / fiber_volume(ctx, n))
-    total = MellinPoly()
-    for y in enumerate_cosets(SubgroupSpec("Kq", n, ctx.p, ctx.m),
-                              2 * ctx.m):
-        _, wphase = W.value_parts(aT @ y)
-        if wphase.is_zero():
+    T, m = ctx.T, ctx.m
+    exps = _central_exponents(tf, W.a_T)
+    sign = -1 if tf.conjugate else 1
+    cells = [(u.num, int(u.superdiagonal_sum())) for u in enumerate_cosets(
+        SubgroupSpec("KN", n, ctx.p, m), 2 * m)]
+    counts = [0] * T
+    for y in enumerate_cosets(SubgroupSpec("Kq", n, ctx.p, m), 2 * m):
+        w = W.kq_exponent_mod(y.num)
+        if w is None:
             raise ArithmeticError("K(q) points lie on the support")
-        fpoly = _transform_poly(tf, y)
-        for key, coeff in fpoly.nonzero_terms().items():
-            total.add_monomial(MellinMonomial(coeff, key[0], key[1]),
-                               wphase * weight)
-    terms = total.nonzero_terms()
-    if len(terms) != 1:
+        cols = tuple(zip(*y.num))
+        for u, s in cells:
+            e = _explicit_exponent_mod(
+                [[sum(map(mul, r, c)) % T for c in cols] for r in u], ctx)
+            if e is not None:
+                counts[(w + s + sign * e) % T] += 1
+    # vol(K_H(q^2)) / vol(fiber) times the cell volume vol(fiber) / q^{dim N}
+    total = CycValue.from_histogram(
+        counts, haar_volume(SubgroupSpec("Kq", n, ctx.p, 2 * m)) / len(cells))
+    if total.is_zero():
         raise ArithmeticError("zeta must be a single monomial")
-    (exps, off), coeff = next(iter(terms.items()))
-    scalar = coeff.as_rational()
+    scalar = total.as_rational()
     if scalar is None:
         raise ArithmeticError("zeta constant must be rational before roots")
     c = W.peak * tf.c1 * scalar
-    return ZetaResult(exps, off, c, "direct")
+    return ZetaResult(exps, 0, c, "direct")
 
 
 def zeta_for_parameter(ctx: DepthContext, tau: TauParam) -> ZetaResult:

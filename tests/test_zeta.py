@@ -126,18 +126,22 @@ def test_result_value_semantics():
 
 
 def test_zeta_invariant_raises_when_transform_splits(monkeypatch):
-    """A transform with two monomials breaks the single-monomial invariant
-    of the direct route, which must raise even under python -O."""
+    """An f-side kernel that skips every term leaves a zero sum, which
+    breaks the single-monomial invariant of the direct route; it raises
+    ArithmeticError, so it holds even under python -O."""
     from padiczeta import zeta
-    from padiczeta.arith import MellinMonomial, MellinPoly
 
-    def split_transform(tf, y):
-        poly = MellinPoly()
-        n = tf.N
-        poly.add_monomial(MellinMonomial(Fraction(1), (n + 1,) * n, 0))
-        poly.add_monomial(MellinMonomial(Fraction(1), (n,) * n, 0))
-        return poly
-
-    monkeypatch.setattr(zeta, "_transform_poly", split_transform)
+    monkeypatch.setattr(zeta, "_explicit_exponent_mod", lambda z, ctx: None)
     with pytest.raises(ArithmeticError, match="single monomial"):
         zeta_direct(CTX21, 2)
+
+
+def test_zeta_invariant_raises_when_constant_is_irrational(monkeypatch):
+    """A constant f exponent 1 at rank 1, where every W phase is 1, makes
+    the sum q zeta_T^{-1}: not rational, so the direct route raises
+    ArithmeticError, even under python -O."""
+    from padiczeta import zeta
+
+    monkeypatch.setattr(zeta, "_explicit_exponent_mod", lambda z, ctx: 1)
+    with pytest.raises(ArithmeticError, match="rational before roots"):
+        zeta_direct(CTX21, 1)
