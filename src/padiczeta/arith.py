@@ -197,9 +197,25 @@ class CycValue:
         """weight * sum_e counts[e] z^e for z = exp(2 pi i / len(counts)),
         at the lcm of the orders of the roots summed (1 if none occurred)."""
         T = len(counts)
-        occurred = [e for e in range(T) if counts[e]]
+        occurred = [e for e, c in enumerate(counts) if c]
         d = math.gcd(T, *occurred)
-        return CycValue(T // d, {e // d: counts[e] * weight for e in occurred})
+        # the exponents are distinct and reduced, so there is nothing for
+        # __init__ to clean but a zero weight
+        out = CycValue.__new__(CycValue)
+        out.order, weight = T // d, Fraction(weight)
+        out.coeffs = ({e // d: counts[e] * weight for e in occurred}
+                      if weight else {})
+        return out
+
+    @staticmethod
+    def histogram_is_zero(counts, p: int) -> bool:
+        """Whether sum_e counts[e] z^e is zero, z = exp(2 pi i / len(counts))
+        for a power len(counts) of the prime p, without reduction: exactly
+        when counts is constant on every coset of the subgroup of order p,
+        because the integer relations among the p^k-th roots of unity are
+        the multiples of Phi_{p^k}(z) = sum_{j < p} z^{j p^(k-1)}."""
+        step = len(counts) // p
+        return counts == counts[:step] * p if step else not any(counts)
 
     one = None  # set below
     zero = None

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .arith import norm, rat_from_text, rat_to_text, valuation
+from .arith import norm, valuation
 
 
 class Mat:
@@ -96,13 +96,25 @@ class Mat:
 
     @staticmethod
     def from_text(text: str, p: int) -> "Mat":
-        rows = [[rat_from_text(e) for e in row.split(",")]
+        """Rows separated by ';' of entries 'num' or 'num/den' separated by
+        ',', parsed straight into numerators over one common
+        denominator."""
+        ents = [[_text_entry(e) for e in row.split(",")]
                 for row in text.split(";")]
-        return Mat(rows, p)
+        n = len(ents)
+        if any(len(r) != n for r in ents):
+            raise ValueError("matrix must be square")
+        den = math.lcm(*(d for r in ents for _, d in r))
+        return Mat._from_ints(tuple(tuple(x * (den // d) for x, d in r)
+                                    for r in ents), den, p)
 
     def to_text(self) -> str:
-        return ";".join(",".join(rat_to_text(x) for x in row)
-                        for row in self.rows)
+        """Each entry as 'num/den' in lowest terms (the form `from_text`
+        reads back)."""
+        den = self.den
+        return ";".join(",".join(f"{x // g}/{den // g}"
+                                 for x in r for g in (math.gcd(x, den),))
+                        for r in self.num)
 
     @staticmethod
     def longest_weyl(n: int, p: int) -> "Mat":
@@ -133,7 +145,7 @@ class Mat:
                 and self.den == other.den and self.num == other.num)
 
     def __hash__(self):
-        return hash((self.p, self.rows))
+        return hash((self.p, self.den, self.num))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -247,6 +259,15 @@ class Mat:
         return f"Mat[{self.to_text()}; p={self.p}]"
 
 
+def _text_entry(s: str) -> tuple[int, int]:
+    """(numerator, denominator) of an entry 'num' or 'num/den'."""
+    num, den = s.split("/") if "/" in s else (s, "1")
+    num, den = int(num), int(den)
+    if den == 0:
+        raise ZeroDivisionError(f"zero denominator in entry {s.strip()!r}")
+    return num, den
+
+
 def _rows_over(rows, dens, p: int) -> Mat:
     """The Mat whose row i is the integer row rows[i] divided by dens[i]."""
     den = math.lcm(*dens)
@@ -281,6 +302,29 @@ def _least_valuation(p: int):
     def pick(row, i):
         cand = [(valuation(x, p), j) for j, x in enumerate(row[i:], i) if x]
         return min(cand)[1] if cand else None
+    return pick
+
+
+def _unit_a_pivot(p: int, vd: int):
+    """The Iwasawa pivot rule `_least_valuation` for the integer rows
+    d * g of a matrix g over a denominator d with v(d) = vd, with an early
+    exit: None (so `_eliminate` gives up) at the first step i whose least
+    valuation is not (i + 1) * vd.
+
+    Why the exit is sound: the pivot of step i is the leading minor
+    Delta_{i+1} of d * g with its columns permuted, and `iwasawa_UAK` reads
+    a_i = p^(v(Delta_{i+1}) - v(Delta_i) - vd).  So a = 1 exactly when
+    v(Delta_{i+1}) = (i + 1) * vd at every step, and up to the exit both
+    rules pick the same column (the leftmost of least valuation).  The
+    elimination runs to the end exactly when the a-part of g is 1, and
+    then its work and column order are those of `iwasawa_UAK`.
+    """
+    def pick(row, i):
+        s = p ** ((i + 1) * vd)
+        if any(x % s for x in row[i:]):
+            return None  # a valuation below (i + 1) * vd
+        return next((j for j in range(i, len(row)) if row[j] // s % p),
+                    None)
     return pick
 
 
@@ -389,6 +433,43 @@ def iwasawa_UAK(g: Mat) -> IwasawaUAK:
         kdens.append(d * minors[i] * p ** max(e, 0))
     return IwasawaUAK(_unit_lower(work, p), p_power_diag(exps, p),
                       _rows_over(krows, kdens, p))
+
+
+def _unit_a_k_residue(d: int, p: int, e: int):
+    """The Iwasawa K-part mod p^e of the matrices g = num / d over one
+    positive denominator d (not necessarily in lowest terms), as a
+    function of the integer rows num: the rows of k mod p^e in [0, p^e),
+    or None when the a-part of g is not 1.
+
+    `_eliminate` runs under `_unit_a_pivot`.  As in `iwasawa_UAK` with
+    a = 1, row i of k is work[i] / (d * Delta_i) (Delta_0 = 1) with the
+    columns put back in order; numerator and denominator both have
+    valuation (i + 1) * v(d), which is stripped before the unit part of
+    the denominator is inverted mod p^e.  On a multiple c * num over c * d
+    the pivot rows and d * Delta_i all scale by c^(i+1), so the pivots
+    and k are those of g in lowest terms: the rows equal
+    `residue_rows(iwasawa_UAK(g).k, e)`.
+    """
+    vd = valuation(d, p)
+    pick = _unit_a_pivot(p, vd)
+    mod = p ** e
+
+    def k_part(num):
+        out = _eliminate(num, pick)
+        if out is None:
+            return None
+        work, cols = out
+        n, below, rows = len(work), d, []
+        for i, r in enumerate(work):
+            s = p ** ((i + 1) * vd)
+            inv = pow(below // s, -1, mod)
+            row = [0] * n
+            for c in range(i, n):
+                row[cols[c]] = r[c] // s * inv % mod
+            rows.append(tuple(row))
+            below = d * r[i]
+        return tuple(rows)
+    return k_part
 
 
 def iwasawa_NAK(g: Mat) -> IwasawaNAK:

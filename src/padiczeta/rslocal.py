@@ -47,18 +47,16 @@ from .arith import (CertificateCapExceeded, CycSum, CycValue, DepthContext,
 from .group import (
     Mat,
     SubgroupSpec,
+    _unit_a_k_residue,
     enumerate_cosets,
     haar_volume,
-    iwasawa_UAK,
     modular_delta,
     modular_delta_half_exponent,
     p_power_diag,
     unipotent_box,
 )
-from .params import theta_matrix
 from .residue import residue_rows
-from .testfn import (TestFunction, _explicit_on_K, _J_exponent_mod,
-                     translate_for_H)
+from .testfn import TestFunction, _J_exponent_mod, translate_for_H
 
 
 # -- the class of concentrated functions ------------------------------------
@@ -203,60 +201,98 @@ def _cell_levels(ctx: DepthContext, a: Mat, B: int, coords):
     return L
 
 
+def _box(ctx: DepthContext, a: Mat, B: int, coords):
+    """The unipotent box of entry depth p^{-B} in cells of the computed
+    congruence pattern: the range of each coordinate's numerator over p^B,
+    and the volume every cell has."""
+    p = ctx.p
+    L = _cell_levels(ctx, a, B, coords)
+    return ([range(p ** (B + L[c])) for c in coords],
+            Fraction(p) ** (-sum(L.values())))
+
+
 def _u_cells(ctx: DepthContext, n: int, a: Mat, B: int, coords):
     """(representative, volume) pairs covering the unipotent box of entry
     depth p^{-B} by cells of the computed congruence pattern."""
-    p = ctx.p
-    L = _cell_levels(ctx, a, B, coords)
-    vol = Fraction(p) ** (-sum(L.values()))
-    box = unipotent_box(n, p, coords,
-                        [range(p ** (B + L[c])) for c in coords], p ** B)
-    return ((u, vol) for u in box)
+    ranges, vol = _box(ctx, a, B, coords)
+    return ((u, vol) for u in unipotent_box(n, ctx.p, coords, ranges,
+                                            ctx.p ** B))
 
 
 def _block_weyl(n: int, nprime: int, p: int) -> Mat:
     """Longest Weyl element of the lower (n - nprime)-block Levi factor."""
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(nprime):
-        rows[i][i] = Fraction(1)
-    for i in range(nprime, n):
-        rows[i][nprime + n - 1 - i] = Fraction(1)
-    return Mat(rows, p)
+    perm = [*range(nprime), *range(n - 1, nprime - 1, -1)]
+    return Mat._from_ints(tuple(tuple(int(j == perm[i]) for j in range(n))
+                                for i in range(n)), 1, p)
 
 
 def _head(f: EClassElement, c: Mat, wM: Mat) -> Mat:
     """shift * w_G * c^{-1} * w_M: the constant left factor so that the
     transform integrand is the explicit value at head * u * a * k."""
-    ctx = f.ctx
-    w = Mat.longest_weyl(f.n, ctx.p)
-    return f.tf.shift_mat() @ w @ c.inv() @ wM
+    return f.tf.shift_weyl @ c.inv() @ wM
 
 
 def _w_cell_data(f: EClassElement, c: Mat, a: Mat, B: int,
                  nprime: int = 0):
-    """Surviving transform cells at box depth B: pairs (weight, kmat) with
-    weight = psi^{-1}(u) * vol and the K-part of the pinned Iwasawa
-    factorization; the value at k in K is sum of weight * phase(kmat k).
-    Only for forward elements (the dual takes the slow path)."""
+    """Surviving transform cells at box depth B, as pairs (weight, krows):
+    the value at k in K is the sum of weight * phase(krows k).  Only for
+    forward elements (the dual takes the slow path `_w_direct`).
+
+    Each cell u of the box is evaluated on its own, on integers.  With
+    head = H / h, u = (p^B + X) / p^B and a = A / a0, the cell's argument
+    head u a is the integer matrix H (p^B + X) A over d = h p^B a0, and
+    column j of it depends only on column j of X, so the candidates of
+    each column are built once.  The integrand f(head u a k) vanishes
+    unless the Iwasawa a-part of head u a is 1 (the support of f), and
+    then depends on its K-part k' only through k' k mod q^2.  One
+    elimination per cell (`_unit_a_k_residue`, which gives up at the
+    first pivot that shows a != 1) yields krows = k' mod q^2, and cells
+    with equal krows share one histogram of their psi^{-1}(u) exponents
+    mod p^B.  Every cell has the same volume, so a group's weight is
+    `CycValue.from_histogram(hist, vol)`, at the order of the sum of its
+    roots of unity, and a group whose roots cancel is dropped
+    (`CycValue.histogram_is_zero`).
+    """
     ctx, n = f.ctx, f.n
+    p, pB = ctx.p, ctx.p ** B
     if f.dual:
         raise ValueError("cell data is only built for forward elements")
+    if not a.is_diagonal():
+        raise ValueError("the outer factor a must be diagonal")
     coords = [(k, l) for k in range(nprime, n) for l in range(k + 1, n)]
-    head = _head(f, c, _block_weyl(n, nprime, ctx.p))
-    grouped = {}
-    for u, vol in _u_cells(ctx, n, a, B, coords):
-        dec = iwasawa_UAK(head @ u @ a)
-        if dec.a != Mat.identity(n, ctx.p):
+    head = _head(f, c, _block_weyl(n, nprime, p))
+    ranges, vol = _box(ctx, a, B, coords)
+    H = head.num
+    tables = []
+    for j in range(n):
+        # the candidates for column j of H (p^B + X) A, one per value of
+        # the entries X[t][j], each with its share X[j-1][j] of the
+        # superdiagonal sum of X
+        ts = [t for t, l in coords if l == j]
+        aj = a.num[j][j]
+        cols, shares = [], []
+        for xs in itertools.product(*(ranges[coords.index((t, j))]
+                                      for t in ts)):
+            x = dict(zip(ts, xs))
+            cols.append(tuple(aj * (pB * h[j] + sum(v * h[t]
+                                                    for t, v in x.items()))
+                              for h in H))
+            shares.append(x.get(j - 1, 0))
+        tables.append((cols, shares))
+    columns, shares = zip(*tables)
+    k_part = _unit_a_k_residue(head.den * pB * a.den, p, 2 * ctx.m)
+    hists = {}
+    for cols, s in zip(itertools.product(*columns),
+                       map(sum, itertools.product(*shares))):
+        krows = k_part(list(zip(*cols)))
+        if krows is None:
             continue
-        w = psi(-u.superdiagonal_sum(), ctx.p) * vol
-        # the evaluated phase only sees the K-part mod q^2, so cells may
-        # be merged along that reduction
-        key = residue_rows(dec.k, 2 * ctx.m)
-        if key not in grouped:
-            grouped[key] = (dec.k, CycSum())
-        grouped[key][1].add(w)
-    cells = [(acc.value(), kmat) for kmat, acc in grouped.values()]
-    return [(w, kmat) for w, kmat in cells if not w.is_zero()]
+        if krows not in hists:
+            hists[krows] = [0] * pB
+        hists[krows][-s % pB] += 1
+    return [(CycValue.from_histogram(h, vol), krows)
+            for krows, h in hists.items()
+            if not CycValue.histogram_is_zero(h, p)]
 
 
 def _coeff(f: EClassElement, c: Mat) -> SqrtRational:
@@ -281,17 +317,10 @@ class WValue:
 
 
 def _assemble(f: EClassElement, c: Mat, cells, k: Mat) -> WValue:
-    ctx = f.ctx
-    theta = theta_matrix(f.n, ctx)
-    total = CycSum()
-    for weight, kmat in cells:
-        val = _explicit_on_K(kmat @ k, ctx, theta)
-        if val is None:
-            continue
-        if f.tf.conjugate:
-            val = val.conj()
-        total.add(weight * val)
-    return WValue(_coeff(f, c), total.value())
+    """The transform at a k from the cells of `_w_cell_data`: the sweep
+    `_transform_values_over_K` at the one point k."""
+    [phase] = _transform_values_over_K(f, cells, [k])
+    return WValue(_coeff(f, c), phase)
 
 
 def _w_direct(f: EClassElement, c: Mat, a: Mat, k: Mat, B: int,
@@ -425,17 +454,17 @@ def _explicit_exponent_mod(z, ctx: DepthContext):
 
 
 def _transform_values_over_K(f: EClassElement, cells, kreps):
-    """The transform phase at each point of the K-transversal, in order,
-    via the integer mod-q^2 evaluation path."""
+    """The transform phase at each point k of kreps, in order, from cells
+    (weight, krows) with krows integer rows mod q^2: the sum of weight
+    times the explicit phase of krows k, on the support a root of unity
+    read mod q^2 by `_explicit_exponent_mod`."""
     ctx, n = f.ctx, f.n
     mod = ctx.T
     sign = -1 if f.tf.conjugate else 1
-    zcells = [(weight, residue_rows(kmat, 2 * ctx.m))
-              for weight, kmat in cells]
     for k in kreps:
         zk = residue_rows(k, 2 * ctx.m)
         val = CycSum()
-        for weight, zkm in zcells:
+        for weight, zkm in cells:
             prod = [[sum(zkm[i][t] * zk[t][j] for t in range(n)) % mod
                      for j in range(n)] for i in range(n)]
             e = _explicit_exponent_mod(prod, ctx)

@@ -25,6 +25,7 @@ is searched for and reported.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,16 +59,25 @@ def vol_support_quotient(ctx: DepthContext, n: int) -> Fraction:
 
 @dataclass(frozen=True)
 class WhittakerOnH:
-    """The restriction data: context, rank of H, and the peak value."""
+    """The restriction data: context, rank of H, and the peak value.
+
+    a_T, its inverse and the peak are built once per object, like
+    `TestFunction.shift_mat()`; `Mat` and `SqrtRational` are immutable,
+    so callers share them."""
 
     ctx: DepthContext
     n: int
 
-    @property
+    @functools.cached_property
     def a_T(self) -> Mat:
         return a_T_element(self.ctx, self.n)
 
-    @property
+    @functools.cached_property
+    def _a_T_inv(self) -> Mat:
+        return p_power_diag([2 * self.ctx.m * (self.n - i)
+                             for i in range(self.n)], self.ctx.p)
+
+    @functools.cached_property
     def peak(self) -> SqrtRational:
         """W(a_T) = vol(X)^{-1/2}, positive."""
         return SqrtRational.sqrt(1 / vol_support_quotient(self.ctx, self.n))
@@ -83,7 +93,7 @@ class WhittakerOnH:
         factor in K(q): an element of K(q) splits the same way with both
         factors in K(q) (Iwahori factorization).
         """
-        x = self.a_T.inv() @ h
+        x = self._a_T_inv @ h
         dec = bruhat_open_cell(x.flip())
         if dec is None:
             return None

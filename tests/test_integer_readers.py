@@ -1,6 +1,6 @@
 """Functions that read `Mat` entries, against references written here on
-Fraction rows: the conjugation by the slope dilation and the trace
-exponent of the congruence character chi_tau."""
+Fraction rows: the conjugation by the slope dilation, the trace exponent
+of the congruence character chi_tau, and the text form of a matrix."""
 
 from fractions import Fraction
 
@@ -60,3 +60,36 @@ def test_chi_tau_exponent_matches_fraction_trace(point):
     want = frac_part(trace / ctx.T, ctx.p)
     param = TauParam(ctx, ZMat.make(tau, ctx.p, ctx.m))
     assert chi_tau_exponent(param, Mat(k, ctx.p)) == want
+
+
+@st.composite
+def matrix_texts(draw):
+    """(text, rows): a matrix text with each entry written as an integer
+    or as num/den, not in lowest terms and with either sign on den, with
+    optional spaces, and the Fraction rows it means."""
+    rows = draw(fraction_rows())
+    texts = []
+    for row in rows:
+        words = []
+        for x in row:
+            scale = draw(st.sampled_from([1, 1, 2, 3, 10])) * draw(
+                st.sampled_from([1, -1]))
+            word = f"{x.numerator * scale}/{x.denominator * scale}"
+            if x.denominator == 1 and draw(st.booleans()):
+                word = str(x.numerator)
+            words.append(draw(st.sampled_from(["", " "])) + word)
+        texts.append(",".join(words))
+    return ";".join(texts), rows
+
+
+@READER_SETTINGS
+@given(matrix_texts(), st.sampled_from([2, 3, 5]))
+def test_text_round_trip_matches_fraction_reference(point, p):
+    text, rows = point
+    want = Mat(rows, p)
+    got = Mat.from_text(text, p)
+    assert got == want
+    ref_text = ";".join(",".join(f"{x.numerator}/{x.denominator}"
+                                 for x in row) for row in rows)
+    assert got.to_text() == ref_text
+    assert Mat.from_text(ref_text, p) == got

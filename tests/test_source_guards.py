@@ -32,10 +32,10 @@ def test_no_assertion_errors_raised():
 
 
 def test_rows_view_readers():
-    # `Mat.rows` is the Fraction view of the integer storage: outside `Mat`
-    # only the closed-formula twin `_explicit_on_K`, the Fraction reference
-    # for the integer kernels, reads it
-    allowed = {("group.py", "Mat"), ("testfn.py", "_explicit_on_K")}
+    # `Mat.rows` is the Fraction view of the integer storage: only the
+    # closed-formula twin `_explicit_on_K`, the Fraction reference for the
+    # integer kernels, reads it
+    allowed = {("testfn.py", "_explicit_on_K")}
     found = [f"{path.name}:{node.lineno}" for path in SOURCES
              for top in ast.parse(path.read_text()).body
              if (path.name, getattr(top, "name", None)) not in allowed
