@@ -164,14 +164,9 @@ def _suite_testfn(cfg: RunConfig) -> list:
     # agreement grid modulo level q^2: full K transversal at rank 2, the
     # congruence transversal (the K(q)-part of the support) above that;
     # capped deterministically by enumeration-order prefix
-    if n == 2:
-        grid = enumerate_cosets(SubgroupSpec("K", n, ctx.p), 2 * ctx.m)
-        cap = 512
-    else:
-        grid = enumerate_cosets(SubgroupSpec("Kq", n, ctx.p, ctx.m),
-                                2 * ctx.m)
-        cap = 512
-    grid = grid[:cap]
+    spec = (SubgroupSpec("K", n, ctx.p) if n == 2
+            else SubgroupSpec("Kq", n, ctx.p, ctx.m))
+    grid = enumerate_cosets(spec, 2 * ctx.m)[:512]
     mismatches = [g.to_text() for g in grid
                   if f_explicit(g, ctx) != f_convolution(g, ctx)]
     checks.append(_check("explicit = convolution on grid",

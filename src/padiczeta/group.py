@@ -165,15 +165,7 @@ class Mat:
         return Mat._from_ints(self.num[::-1], self.den, self.p)
 
     def det(self) -> Fraction:
-        out = _eliminate(self.num, _first_nonzero)
-        if out is None:
-            return Fraction(0)
-        work, cols = out
-        n = self.n
-        inversions = sum(cols[a] > cols[b]
-                         for a in range(n) for b in range(a + 1, n))
-        return Fraction((-1) ** inversions * work[-1][-1],
-                        self.den ** n)
+        return Fraction(_bareiss_det(self.num), self.den ** self.n)
 
     def inv(self) -> "Mat":
         """Fraction-free Gauss-Jordan on [num | I]: after step i the left
@@ -364,6 +356,19 @@ def _eliminate(num, pick):
                 row[c] = (piv * row[c] - f * top[c]) // prev
         prev = piv
     return work, cols
+
+
+def _bareiss_det(num) -> int:
+    """The determinant of the square integer rows num: the last pivot of
+    `_eliminate` under `_first_nonzero`, signed by the column order."""
+    out = _eliminate(num, _first_nonzero)
+    if out is None:
+        return 0
+    work, cols = out
+    n = len(num)
+    inversions = sum(cols[a] > cols[b]
+                     for a in range(n) for b in range(a + 1, n))
+    return (-1) ** inversions * work[-1][-1]
 
 
 # ---------------------------------------------------------------------------

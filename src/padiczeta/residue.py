@@ -2,10 +2,12 @@
 
 Matrices here are integer tuples reduced mod p^e.  Determinants and
 characteristic polynomials are computed over Z on canonical lifts and then
-reduced, which keeps everything division-free.  Sizes are tiny (N <= 4), so
-cofactor expansion is perfectly adequate and has no failure modes.  An
-inverse requires a unit determinant; it is the fraction-free inverse
-`Mat.inv` of the lift, reduced mod p^e.
+reduced.  Every determinant is the fraction-free (Bareiss) elimination that
+`Mat.det` uses; the characteristic polynomial is the Faddeev-LeVerrier
+trace recurrence, whose divisions are exact.  An inverse requires a unit
+determinant; it is the fraction-free inverse `Mat.inv` of the lift, reduced
+mod p^e.  Centralizers in GL are lifted digit by digit from the residue
+field, so no enumeration runs over all of M_n(Z/p^e).
 """
 
 from __future__ import annotations
@@ -13,21 +15,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .group import Mat
+from .group import Mat, _bareiss_det
 
 
 def int_det(rows: list[list[int]]) -> int:
-    """Exact integer determinant by cofactor expansion (small sizes)."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [[rows[i][c] for c in range(n) if c != j] for i in range(1, n)]
-        total += (-1) ** j * rows[0][j] * int_det(minor)
-    return total
+    """Exact integer determinant, by the elimination `Mat.det` shares."""
+    return _bareiss_det(rows)
 
 
 def residue_rows(g: Mat, e: int) -> tuple:
@@ -40,43 +33,22 @@ def residue_rows(g: Mat, e: int) -> tuple:
     return tuple(tuple(x * inv % mod for x in row) for row in g.num)
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_det(rows) -> list[int]:
-    """Determinant of a matrix of integer polynomials (coeff lists)."""
-    n = len(rows)
-    if n == 1:
-        return list(rows[0][0])
-    total = [0]
-    for j in range(n):
-        entry = rows[0][j]
-        if not any(entry):
-            continue
-        minor = [[rows[i][c] for c in range(n) if c != j] for i in range(1, n)]
-        term = _poly_mul(entry, _poly_det(minor))
-        sign = (-1) ** j
-        total = [x + sign * y for x, y in
-                 itertools.zip_longest(total, term, fillvalue=0)]
-    return total
-
-
 def charpoly(rows: list[list[int]]) -> tuple[int, ...]:
-    """Coefficients (low to high, monic) of det(x*I - A) over Z."""
+    """Coefficients (low to high, monic) of det(x*I - A) over Z, by the
+    Faddeev-LeVerrier recurrence: M_k = A M_(k-1) + c_(n-k+1) I from
+    M_0 = 0, and c_(n-k) = -tr(A M_k) / k, an exact division."""
     n = len(rows)
-    pm = [[([-rows[i][j], 1] if i == j else [-rows[i][j]])
-           for j in range(n)] for i in range(n)]
-    out = _poly_det(pm)
-    out += [0] * (n + 1 - len(out))
-    if out[n] != 1:
-        raise ArithmeticError("characteristic polynomial is not monic")
-    return tuple(out)
+    coeffs = [0] * n + [1]
+    m = [[0] * n for _ in range(n)]  # A M_(k-1)
+    for k in range(1, n + 1):
+        for i in range(n):
+            m[i][i] += coeffs[n - k + 1]  # now M_k
+        m = [[sum(a * m[t][j] for t, a in enumerate(row))
+              for j in range(n)] for row in rows]  # A M_k
+        coeffs[n - k], rem = divmod(-sum(m[i][i] for i in range(n)), k)
+        if rem:
+            raise ArithmeticError("trace recurrence division is not exact")
+    return tuple(coeffs)
 
 
 def resultant(f: tuple[int, ...], g: tuple[int, ...]) -> int:
@@ -153,7 +125,7 @@ class ZMat:
                     self.p, self.e)
 
     def det(self) -> int:
-        return int_det([list(r) for r in self.entries]) % self.modulus
+        return int_det(self.entries) % self.modulus
 
     def is_unit(self) -> bool:
         return self.det() % self.p != 0
@@ -161,7 +133,7 @@ class ZMat:
     def inv(self) -> "ZMat":
         """The inverse of the lift over Q, reduced: its denominator is the
         determinant, a unit mod p."""
-        if self.det() % self.p == 0:
+        if not self.is_unit():
             raise ZeroDivisionError("non-unit determinant")
         return ZMat(residue_rows(self.lift().inv(), self.e), self.p, self.e)
 
@@ -200,6 +172,19 @@ def enumerate_GL(n: int, p: int, e: int):
 
 
 def centralizer_in_GL(tau: ZMat):
-    """Elements of GL commuting with tau over Z/p^e (exhaustive)."""
-    return [g for g in enumerate_GL(tau.n, tau.p, tau.e)
-            if g @ tau == tau @ g]
+    """Elements of GL commuting with tau over Z/p^e, in lexicographic
+    order, lifted digit by digit: the solutions mod p^(k+1) are the
+    x + p^k d, with x a solution mod p^k and d over M_n(Z/p), that commute
+    mod p^(k+1).  A matrix commuting mod p^(k+1) commutes mod p^k, and it
+    is a unit exactly when it is a unit mod p."""
+    n, p = tau.n, tau.p
+    digits = [d.entries for d in enumerate_matrices(n, p, 1)]
+    t = tau.reduce(1)
+    sols = [g for g in enumerate_GL(n, p, 1) if g @ t == t @ g]
+    for k in range(1, tau.e):
+        t, pk = tau.reduce(k + 1), p ** k
+        lifts = [ZMat.make([[x + pk * y for x, y in zip(row, drow)]
+                            for row, drow in zip(g.entries, d)], p, k + 1)
+                 for g in sols for d in digits]
+        sols = [g for g in lifts if g @ t == t @ g]
+    return sorted(sols, key=lambda z: z.entries)

@@ -1,13 +1,17 @@
 """Each fast evaluation path against its definitional twin, on seeded
 inputs: the residue convolution, the grouped transform cells, the merged
 mod-q^2 sweep over the K-transversal, the section cache, and the in-place
-cyclotomic accumulator."""
+cyclotomic accumulator.  The grouped cells and the section cache also have
+hypothesis twins."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padiczeta.arith import CycSum, CycValue, DepthContext, psi
 from padiczeta.group import Mat
@@ -85,6 +89,32 @@ def test_grouped_cells_match_direct_transform(ctx):
             assert fast.phase == slow.phase, (c.to_text(), k.to_text())
 
 
+@functools.cache
+def outer_cells(ctx, e1, e2):
+    c = diag_c(ctx, e1, e2)
+    a, _ = pinned_outer_diagonal(ELEMS[ctx], c)
+    return c, a, _w_cell_data(ELEMS[ctx], c, a, 3)
+
+
+@functools.cache
+def k_transversal(ctx):
+    return _k_transversal(ctx, 2)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.sampled_from(CTXS), st.integers(0, 3), st.integers(0, 3),
+       st.integers(0, 10 ** 6))
+def test_grouped_cells_match_direct_transform_hypothesis(ctx, e1, e2, ki):
+    f = ELEMS[ctx]
+    c, a, cells = outer_cells(ctx, e1, e2)
+    kreps = k_transversal(ctx)
+    k = kreps[ki % len(kreps)]
+    fast = _assemble(f, c, cells, k)
+    slow = _w_direct(f, c, a, k, 3)
+    assert fast.coeff == slow.coeff
+    assert fast.phase == slow.phase, (c.to_text(), k.to_text())
+
+
 @pytest.mark.parametrize("ctx", CTXS, ids=lambda c: f"p{c.p}m{c.m}")
 def test_k_sweep_matches_assembled_values(ctx):
     f = ELEMS[ctx]
@@ -120,6 +150,28 @@ def test_section_cache_is_transparent():
         hits += len(cache) == size
         assert cached == section_value(f, s, g, None), g.to_text()
     assert hits > 0
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.sampled_from(CTXS),
+       st.lists(st.tuples(st.lists(st.integers(-8, 8), min_size=4,
+                                   max_size=4),
+                          st.lists(st.integers(0, 2), min_size=4,
+                                   max_size=4),
+                          st.tuples(st.integers(-2, 2), st.integers(-2, 2))),
+                min_size=1, max_size=8))
+def test_section_cache_is_transparent_hypothesis(ctx, calls):
+    f, p = ELEMS[ctx], ctx.p
+    points = []
+    for nums, exps, s in calls:
+        g = Mat([[Fraction(nums[2 * i + j], p ** exps[2 * i + j])
+                  for j in range(2)] for i in range(2)], p)
+        if g.det() != 0:
+            points.append((g, s))
+    cache = {}
+    # the second pass, in reverse, reads every phase from the cache
+    for g, s in points + points[::-1]:
+        assert section_value(f, s, g, cache) == section_value(f, s, g, None)
 
 
 def chained(values):

@@ -43,3 +43,28 @@ def test_rows_view_readers():
              if isinstance(node, ast.Attribute) and node.attr == "rows"
              and isinstance(node.ctx, ast.Load)]
     assert not found, f".rows read in src: {found}"
+
+
+def test_residue_kernels_are_not_recursive():
+    # the residue kernels are loops over the shared elimination, the trace
+    # recurrence and the digit lifting: no function in `residue` calls
+    # itself, so no cofactor expansion comes back
+    tree = ast.parse((SOURCES[0].parent / "residue.py").read_text())
+    classes = {node.name for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+
+    def callee(call):
+        func = call.func
+        if isinstance(func, ast.Name):
+            return func.id
+        if isinstance(func, ast.Attribute) and isinstance(func.value,
+                                                          ast.Name) \
+                and func.value.id in classes | {"self", "cls"}:
+            return func.attr
+        return None
+
+    found = [f"{fn.name}:{node.lineno}" for fn in ast.walk(tree)
+             if isinstance(fn, ast.FunctionDef)
+             for node in ast.walk(fn)
+             if isinstance(node, ast.Call) and callee(node) == fn.name]
+    assert not found, f"recursive calls in residue.py: {found}"
