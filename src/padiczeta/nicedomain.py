@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -728,6 +727,10 @@ def _pmap(fn, tasks, jobs: int) -> list:
     """[fn(t) for t in tasks], over jobs worker processes when jobs > 1."""
     if jobs <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
+    # imported here, so that runs without --jobs do not load the process
+    # pool machinery and pay its resident memory
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, tasks, chunksize=1))
 

@@ -4,9 +4,10 @@ Matrices here are integer tuples reduced mod p^e.  Determinants and
 characteristic polynomials are computed over Z on canonical lifts and then
 reduced.  Every determinant is the fraction-free (Bareiss) elimination that
 `Mat.det` uses; the characteristic polynomial is the Faddeev-LeVerrier
-trace recurrence, whose divisions are exact.  An inverse requires a unit
-determinant; it is the fraction-free inverse `Mat.inv` of the lift, reduced
-mod p^e.  Centralizers in GL are lifted digit by digit from the residue
+trace recurrence, whose divisions are exact.  An inverse is the
+fraction-free inverse `Mat.inv` of the lift, reduced mod p^e; it exists
+exactly when that inverse is p-integral, that is when the determinant is a
+unit.  Centralizers in GL are lifted digit by digit from the residue
 field, so no enumeration runs over all of M_n(Z/p^e).
 """
 
@@ -131,11 +132,16 @@ class ZMat:
         return self.det() % self.p != 0
 
     def inv(self) -> "ZMat":
-        """The inverse of the lift over Q, reduced: its denominator is the
-        determinant, a unit mod p."""
-        if not self.is_unit():
+        """The inverse of the lift over Q, reduced, from one elimination:
+        a nonsingular lift has a p-integral inverse exactly when its
+        determinant is a unit, so p must not divide the inverse's den."""
+        try:
+            inv = self.lift().inv()
+        except ZeroDivisionError:
+            inv = None
+        if inv is None or not inv.is_integral():
             raise ZeroDivisionError("non-unit determinant")
-        return ZMat(residue_rows(self.lift().inv(), self.e), self.p, self.e)
+        return ZMat(residue_rows(inv, self.e), self.p, self.e)
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(self.entries[i][j] for i in range(self.n))

@@ -11,13 +11,15 @@ Convolution levels.  The sum over K(q)/K(q^L) is exact as soon as J(g .)
 is right K(q^L)-invariant.  For integral g this happens already at L = 2m
 (leading minors and superdiagonal ratios only move by q^2-multiples), and
 the whole term can be evaluated in Z/q^2 integer arithmetic, which is the
-fast path.  For non-integral g no level is guaranteed a priori, so we
-certify stabilization empirically per point.  Each level is an integer
-walk over the columns of d g (1 + x) (d the denominator of g): one
-fraction-free elimination per term, no coset `Mat`.  Its value carries
-the order of the coset sum it replaces, the lcm over the surviving terms
-of the orders of J's root and of chi's root, taken separately; that
-coset sum stays as the tested twin `_coset_sum`.
+fast path: a depth-first walk over the columns of the terms, one
+left-looking LU step per column, so terms that share their first columns
+share that part of the elimination.  For non-integral g no level is
+guaranteed a priori, so we certify stabilization empirically per point.
+Each level is an integer walk over the columns of d g (1 + x) (d the
+denominator of g): one fraction-free elimination per term, no coset
+`Mat`.  Its value carries the order of the coset sum it replaces, the lcm
+over the surviving terms of the orders of J's root and of chi's root,
+taken separately; that coset sum stays as the tested twin `_coset_sum`.
 
 The H-side function is the conjugated translate f_H(g) = c1 conj(f0)(t g)
 with t the antidominant square-root-of-T diagonal, normalized so that the
@@ -31,6 +33,7 @@ import collections
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -124,28 +127,84 @@ def _column_table(z, j: int, ctx: DepthContext, tau, digits: int) -> tuple:
     return tuple(columns), tuple(shifts)
 
 
+def _crout_column(col, low, j: int, inverse, T: int):
+    """One step of the left-looking (Crout) LU mod T: given low[i], row i
+    of the unit lower factor L up to column min(i, j), and column j of the
+    argument, returns (y, d, low').  Forward substitution gives y, whose
+    entries 0..j are column j of U and whose entries below are U[j][j]
+    times column j of L; d is the inverse of U[j][j] mod T (0 for a
+    non-unit) and low' is low extended by column j of L."""
+    y = []
+    for c, row in zip(col, low):
+        y.append((c - sum(map(operator.mul, row, y))) % T)
+    d = inverse[y[j]]
+    return y, d, [row + (x * d % T,) if i > j else row
+                  for i, (row, x) in enumerate(zip(low, y))]
+
+
+def _leaf_weights(low, d: int, T: int) -> list:
+    """d times row n-2 of the inverse of the unit lower L given by the rows
+    low, on rows and columns 0..n-2: the linear form that takes entries
+    0..n-2 of the last column to d U[n-2][n-1] mod T."""
+    m = len(low) - 1
+    w = [0] * m
+    if m:
+        w[-1] = d
+    for k in range(m - 2, -1, -1):
+        w[k] = -sum(w[i] * low[i][k] for i in range(k + 1, m)) % T
+    return w
+
+
 def _convolution_integral(g: Mat, ctx: DepthContext, tau=None) -> CycValue:
     """Exact convolution at level 2m via residue arithmetic (g integral).
 
     tau selects the projecting character; None means the subdiagonal
     nilpotent, whose character only reads the superdiagonal.  Column j of
     the term z (1 + q off) mod q^2 depends only on column j of off, so the
-    q^n candidates of each column are built once (`_column_table`) and the
-    q^{n^2} terms are walked as their product.  Every term is evaluated on
-    its own by one elimination mod T (`_J_exponent_mod`), and its exponent
-    is counted in a histogram of T ints, which becomes the value once at
-    the end (`CycValue.from_histogram`).
+    q^n candidates of each column are built once (`_column_table`).
+
+    A term is L U mod T with L unit lower triangular, J vanishes on it
+    unless every pivot U[i][i] is a unit, and otherwise its exponent is
+    sum_i U[i][i+1] / U[i][i].  Columns 0..j of the term fix columns 0..j
+    of L and U (left-looking, or Crout, LU), so the q^{n^2} terms are
+    walked depth first over the product of the column tables: at depth j,
+    forward substitution with the prefix's L gives column j of U and, past
+    the pivot, column j of L (`_crout_column`), and the exponent gains
+    U[j-1][j] / U[j-1][j-1].  Terms that share a column prefix share only
+    its arithmetic; each leaf is one term with its own exponent, less its
+    columns' shifts, counted in a histogram of T ints that becomes the
+    value once at the end (`CycValue.from_histogram`).  Every term is z
+    mod q, so a pivot is a unit at every node of a depth or at none: the
+    test is made once, on z itself.  The leaves read only U[n-2][n-1],
+    a linear form in the last column taken once per parent
+    (`_leaf_weights`).
     """
     n, q, T = g.n, ctx.q, ctx.T
+    inverse = _unit_inverses(ctx.p, T)
     z = residue_rows(g, 2 * ctx.m)
-    columns, shifts = zip(*(_column_table(z, j, ctx, tau, q)
-                            for j in range(n)))
     counts = [0] * T
-    for cols, shift in zip(itertools.product(*columns),
-                           map(sum, itertools.product(*shifts))):
-        e = _J_exponent_mod(zip(*cols), ctx)
-        if e is not None:
-            counts[(e - shift) % T] += 1
+    prefix = [()] * n
+    for j, col in enumerate(zip(*z)):
+        _, d, prefix = _crout_column(col, prefix, j, inverse, T)
+        if not d:
+            return CycValue.from_histogram(counts, Fraction(1, q ** (n * n)))
+    tables = [list(zip(*_column_table(z, j, ctx, tau, q)))
+              for j in range(n - 1)]
+    # the leaves keep rows 0..n-2 of the column and the shift
+    leaves = [(*col[:n - 1], s)
+              for col, s in zip(*_column_table(z, n - 1, ctx, tau, q))]
+
+    def walk(j, low, d, e):
+        if j == n - 1:
+            w = (*_leaf_weights(low, d, T), -1)
+            for leaf in leaves:
+                counts[(e + sum(map(operator.mul, w, leaf))) % T] += 1
+            return
+        for col, s in tables[j]:
+            y, dj, sub = _crout_column(col, low, j, inverse, T)
+            walk(j + 1, sub, dj, e + (y[j - 1] * d if j else 0) - s)
+
+    walk(0, [()] * n, 0, 0)
     return CycValue.from_histogram(counts, Fraction(1, q ** (n * n)))
 
 

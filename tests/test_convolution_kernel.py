@@ -13,23 +13,41 @@ equality ignores, so only a byte comparison pins it.  Regenerate the file
 
 The kernel `_J_exponent_mod` is checked against the open-cell kernel
 `J_open_cell` on the lifted matrix, including arguments with a non-unit
-leading minor, where both vanish.
+leading minor, where both vanish.  The column walk of
+`_convolution_integral` is checked against a per-term loop over the
+product of the column tables, one `_J_exponent_mod` per term, and the
+golden points are evaluated once more with the explicit route's code and
+the per-term kernel made to raise.
 """
 
+import itertools
 import json
 import random
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import padiczeta.arith
+import padiczeta.cli
+import padiczeta.group
+import padiczeta.nicedomain
+import padiczeta.params
+import padiczeta.residue
+import padiczeta.rslocal
+import padiczeta.testfn
+import padiczeta.whitmodel
+import padiczeta.zeta
 from padiczeta.arith import CycValue, DepthContext
 from padiczeta.group import Mat
 from padiczeta.params import companion_matrix
+from padiczeta.residue import residue_rows
 from padiczeta.testfn import (
     J_open_cell,
+    _column_table,
     _convolution_integral,
     _J_exponent_mod,
 )
@@ -140,6 +158,124 @@ def test_J_exponent_kernel_matches_open_cell(args):
         assert e is None
     fast = CycValue.zero if e is None else CycValue.root_of_unity(ctx.T, e)
     assert fast == J_open_cell(Mat(z, ctx.p), ctx)
+
+
+# -- the column walk against a per-term loop ---------------------------------
+
+# (p, m, n) with at most 2^16 terms q^(n^2), so that the per-term loop
+# below stays fast; rank 4, where only (2, 1) fits, gets its own test
+WALK_INSTANCES = [(p, m, n) for n in range(1, 4) for p in (2, 3, 5)
+                  for m in (1, 2) if (p ** m) ** (n * n) <= 2 ** 16]
+
+
+def per_term_convolution(g, ctx, tau):
+    """The integral convolution term by term: every term z (1 + q off) of
+    the product of the column tables gets its own `_J_exponent_mod`."""
+    n, q, T = g.n, ctx.q, ctx.T
+    z = residue_rows(g, 2 * ctx.m)
+    tables = [_column_table(z, j, ctx, tau, q) for j in range(n)]
+    counts = [0] * T
+    for terms in itertools.product(*(zip(*t) for t in tables)):
+        cols, shifts = zip(*terms)
+        e = _J_exponent_mod(zip(*cols), ctx)
+        if e is not None:
+            counts[(e - sum(shifts)) % T] += 1
+    return CycValue.from_histogram(counts, Fraction(1, q ** (n * n)))
+
+
+@st.composite
+def walk_arguments(draw, instances, shapes=("open", "support", "random",
+                                             "minor", "swap")):
+    """(g, ctx, tau) at one of the (p, m, n) instances.  g is integral,
+    with entries drawn past q^2 and over a unit denominator or none, of
+    one of the shapes: open, a lower times an upper triangular matrix
+    with unit diagonals (every leading minor a unit, so every term
+    survives); support, the same with the upper factor in K(q), where f
+    is a root of unity under the default projector; random rows; minor,
+    an open point with row k congruent mod p to a combination of the rows
+    above it (every leading minor from k+1 on a non-unit, the determinant
+    among them); swap, an open point with two rows swapped (most often a
+    non-unit leading minor with a unit determinant).  tau is None or a
+    companion parameter."""
+    p, m, n = draw(st.sampled_from(instances))
+    shape = draw(st.sampled_from(shapes))
+    ctx = DepthContext(p, m)
+    q, mod = ctx.q, p ** (2 * m + 1)
+    entry = st.integers(0, mod - 1)
+    if shape == "random":
+        rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    else:
+        unit = entry.filter(lambda x: x % p)
+        low = [[draw(unit) if i == j else draw(entry) if j < i else 0
+                for j in range(n)] for i in range(n)]
+        if shape == "support":
+            up = [[int(i == j) + q * draw(entry) for j in range(n)]
+                  for i in range(n)]
+        else:
+            up = [[draw(unit) if i == j else draw(entry) if j > i else 0
+                   for j in range(n)] for i in range(n)]
+        rows = [[sum(a * b for a, b in zip(r, c)) for c in zip(*up)]
+                for r in low]
+    if shape == "minor":
+        k = draw(st.integers(0, n - 1))
+        c = [draw(st.integers(0, p - 1)) for _ in range(k)]
+        rows[k] = [sum(c[r] * rows[r][j] for r in range(k)) + p * rows[k][j]
+                   for j in range(n)]
+    if shape == "swap" and n > 1:
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        rows[i], rows[j] = rows[j], rows[i]
+    den = draw(st.sampled_from([1, 1, p + 1]))
+    g = Mat([[Fraction(x, den) for x in row] for row in rows], p)
+    tau = None
+    if draw(st.booleans()):
+        tau = companion_matrix([draw(st.integers(0, ctx.q - 1))
+                                for _ in range(n)], ctx)
+    return g, ctx, tau
+
+
+def check_walk(g, ctx, tau):
+    want = per_term_convolution(g, ctx, tau)
+    assert _convolution_integral(g, ctx, tau).to_json() == want.to_json()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(walk_arguments(WALK_INSTANCES))
+def test_column_walk_matches_per_term_loop(args):
+    check_walk(*args)
+
+
+@pytest.mark.parametrize("shape", ["support", "minor", "swap"])
+@settings(derandomize=True, max_examples=2, deadline=None)
+@given(data=st.data())
+def test_column_walk_matches_per_term_loop_rank4(shape, data):
+    check_walk(*data.draw(walk_arguments([(2, 1, 4)], [shape])))
+
+
+# -- the walk runs no explicit-route code and no per-term elimination -------
+
+MODULES = (padiczeta.arith, padiczeta.cli, padiczeta.group,
+           padiczeta.nicedomain, padiczeta.params, padiczeta.residue,
+           padiczeta.rslocal, padiczeta.testfn, padiczeta.whitmodel,
+           padiczeta.zeta)
+
+
+def _refuse(*args, **kwargs):
+    raise RuntimeError("a forbidden kernel ran")
+
+
+def _forbid(monkeypatch, name):
+    """Make every module-level binding of `name` in the package raise."""
+    for mod in MODULES:
+        if hasattr(mod, name):
+            monkeypatch.setattr(mod, name, _refuse)
+
+
+def test_column_walk_runs_no_explicit_route_or_per_term_kernel(monkeypatch):
+    for name in ("iwasawa_UAK", "bruhat_open_cell", "_explicit_on_K",
+                 "chi_tau_eval", "_J_exponent_mod"):
+        _forbid(monkeypatch, name)
+    assert golden_document() == GOLDEN_FILE.read_text()
 
 
 if __name__ == "__main__":

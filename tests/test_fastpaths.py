@@ -1,8 +1,8 @@
 """Each fast evaluation path against its definitional twin, on seeded
 inputs: the residue convolution, the grouped transform cells, the merged
 mod-q^2 sweep over the K-transversal, the section cache, and the in-place
-cyclotomic accumulator.  The grouped cells and the section cache also have
-hypothesis twins."""
+cyclotomic accumulator.  The grouped cells, the K sweep and the section
+cache also have hypothesis twins."""
 
 import functools
 import itertools
@@ -132,6 +132,24 @@ def test_k_sweep_matches_assembled_values(ctx):
         outcomes.add(nonzero)
     assert outcomes == {True, False}
 
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.sampled_from(CTXS), st.integers(0, 3), st.integers(0, 3),
+       st.lists(st.integers(0, 47), min_size=1, max_size=8, unique=True))
+def test_k_sweep_matches_assembled_values_hypothesis(ctx, e1, e2, kis):
+    f = ELEMS[ctx]
+    c, _, cells = outer_cells(ctx, e1, e2)
+    allk = k_transversal(ctx)
+    kreps = [allk[i % len(allk)] for i in kis]
+    values = [_assemble(f, c, cells, k).phase for k in kreps]
+    assert list(_transform_values_over_K(f, cells, kreps)) == values
+    total = CycValue.zero
+    for v in values:
+        total = total + v.abs_sq()
+    assert _k_square_sum(f, cells, kreps) == total
+    assert _any_nonzero_over_K(f, cells, kreps) == \
+        any(not v.is_zero() for v in values)
 
 def test_section_cache_is_transparent():
     ctx = CTXS[0]

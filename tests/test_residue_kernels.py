@@ -1,8 +1,8 @@
 """The residue kernels against references written here: the integer
 determinant and the characteristic polynomial against Fraction Gaussian
-elimination, and the lifted centralizer against an exhaustive filter of
-all matrices over Z/p^e and against the lists pinned in
-`tests/golden/centralizers.json`."""
+elimination, the inverse over Z/p^e against the unit-determinant rule,
+and the lifted centralizer against an exhaustive filter of all matrices
+over Z/p^e and against the lists pinned in `tests/golden/centralizers.json`."""
 
 import itertools
 import json
@@ -76,6 +76,18 @@ def test_charpoly_matches_det_of_xI_minus_A(case):
         assert sum(c * x ** k for k, c in enumerate(coeffs)) == \
             fraction_det(shifted)
 
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(int_matrices(), st.sampled_from([2, 3, 5]), st.integers(1, 3))
+def test_inverse_exists_exactly_at_a_unit_determinant(case, p, e):
+    rows, _ = case
+    z = ZMat.make(rows, p, e)
+    if fraction_det(z.entries) % p:
+        assert z @ z.inv() == z.inv() @ z == ZMat.identity(z.n, p, e)
+    else:
+        with pytest.raises(ZeroDivisionError, match="non-unit determinant"):
+            z.inv()
 
 def unit_mod_p(rows, p: int) -> bool:
     """Full rank over F_p, by Gaussian elimination mod p."""
