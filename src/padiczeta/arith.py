@@ -279,6 +279,8 @@ class CycValue:
         """Canonical form: remainder modulo Phi_order, degree < phi(order)."""
         phi = cyclotomic_poly(self.order)
         deg = len(phi) - 1
+        # Phi of a prime power p^k has only p nonzero terms
+        terms = [(j - deg, pj) for j, pj in enumerate(phi) if pj]
         poly = [Fraction(0)] * self.order
         for e, c in self.coeffs.items():
             poly[e] += c
@@ -286,8 +288,8 @@ class CycValue:
         for i in range(len(poly) - 1, deg - 1, -1):
             c = poly[i]
             if c:
-                for j, pj in enumerate(phi):
-                    poly[i - deg + j] -= c * pj
+                for j, pj in terms:
+                    poly[i + j] -= c * pj
         return tuple(poly[:deg])
 
     def is_zero(self) -> bool:

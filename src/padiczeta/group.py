@@ -290,10 +290,15 @@ def _diagonal_pivot(row, i):
 
 def _least_valuation(p: int):
     """The Iwasawa pivot rule: the entry of least p-adic valuation,
-    leftmost on ties."""
+    leftmost on ties.  That least valuation v is the valuation of the gcd
+    of the entries, and an entry has it exactly when p^(v+1) does not
+    divide it."""
     def pick(row, i):
-        cand = [(valuation(x, p), j) for j, x in enumerate(row[i:], i) if x]
-        return min(cand)[1] if cand else None
+        g = math.gcd(*row[i:])
+        if not g:
+            return None
+        s = p ** (valuation(g, p) + 1)
+        return next(j for j in range(i, len(row)) if row[j] % s)
     return pick
 
 
@@ -440,40 +445,72 @@ def iwasawa_UAK(g: Mat) -> IwasawaUAK:
                       _rows_over(krows, kdens, p))
 
 
-def _unit_a_k_residue(d: int, p: int, e: int):
-    """The Iwasawa K-part mod p^e of the matrices g = num / d over one
-    positive denominator d (not necessarily in lowest terms), as a
-    function of the integer rows num: the rows of k mod p^e in [0, p^e),
-    or None when the a-part of g is not 1.
+def _a_k_residue(d: int, p: int, e: int, pick=None, pivot_val=None):
+    """The Iwasawa a-part and K-part mod p^e of the matrices g = num / d
+    over one positive denominator d (not necessarily in lowest terms), as
+    a function of the integer rows num: (exps, rows) with a =
+    diag(p^exps) and the rows of k mod p^e in [0, p^e), or None when
+    `_eliminate` finds no pivot.
 
-    `_eliminate` runs under `_unit_a_pivot`.  As in `iwasawa_UAK` with
-    a = 1, row i of k is work[i] / (d * Delta_i) (Delta_0 = 1) with the
-    columns put back in order; numerator and denominator both have
-    valuation (i + 1) * v(d), which is stripped before the unit part of
-    the denominator is inverted mod p^e.  On a multiple c * num over c * d
-    the pivot rows and d * Delta_i all scale by c^(i+1), so the pivots
-    and k are those of g in lowest terms: the rows equal
-    `residue_rows(iwasawa_UAK(g).k, e)`.
+    `_eliminate` runs under pick, by default the Iwasawa rule
+    `_least_valuation`, and pivot_val(i, x) is the valuation of the pivot
+    x of step i (by default `valuation`; a rule that knows it saves the
+    count).  As in `iwasawa_UAK`, the pivot work[i][i] is the leading
+    minor Delta_{i+1} of num with its columns permuted, so exps[i] =
+    v(Delta_{i+1}) - v(Delta_i) - v(d), and row i of k is work[i] /
+    (d * Delta_i * p^exps[i]) (Delta_0 = 1) with the columns put back in
+    order.  That denominator has valuation v(Delta_{i+1}), the least
+    valuation in the row, which is stripped from both sides before the
+    unit part of d * Delta_i is inverted mod p^e.  On a multiple c * num
+    over c * d the pivot rows and d * Delta_i all scale by c^(i+1), so
+    exps and the rows are those of g in lowest terms: they equal the
+    exponents of `iwasawa_UAK(g).a` and `residue_rows(iwasawa_UAK(g).k,
+    e)`.
     """
     vd = valuation(d, p)
-    pick = _unit_a_pivot(p, vd)
-    mod = p ** e
+    pick = _least_valuation(p) if pick is None else pick
+    if pivot_val is None:
+        def pivot_val(i, x):
+            return valuation(x, p)
+    mod, unit_d = p ** e, d // p ** vd
 
-    def k_part(num):
+    def read(num):
         out = _eliminate(num, pick)
         if out is None:
             return None
         work, cols = out
-        n, below, rows = len(work), d, []
+        # the valuation and the unit part of d * Delta_i
+        n, vbelow, unit = len(work), vd, unit_d
+        exps, rows = [], []
         for i, r in enumerate(work):
-            s = p ** ((i + 1) * vd)
-            inv = pow(below // s, -1, mod)
+            vpiv = pivot_val(i, r[i])
+            exps.append(vpiv - vbelow)
+            s = p ** vpiv
+            inv = pow(unit, -1, mod)
             row = [0] * n
             for c in range(i, n):
                 row[cols[c]] = r[c] // s * inv % mod
             rows.append(tuple(row))
-            below = d * r[i]
-        return tuple(rows)
+            vbelow, unit = vd + vpiv, unit_d * (r[i] // s)
+        return tuple(exps), tuple(rows)
+    return read
+
+
+def _unit_a_k_residue(d: int, p: int, e: int):
+    """The Iwasawa K-part mod p^e of g = num / d as a function of num, or
+    None when the a-part of g is not 1: the reader `_a_k_residue` under
+    the early-exit rule `_unit_a_pivot`, which gives up at the first
+    pivot that shows a != 1 and otherwise eliminates as the Iwasawa rule
+    does, with the pivot of step i at valuation (i + 1) * v(d).  So the
+    rows equal `residue_rows(iwasawa_UAK(g).k, e)`.
+    """
+    vd = valuation(d, p)
+    read = _a_k_residue(d, p, e, _unit_a_pivot(p, vd),
+                        lambda i, x: (i + 1) * vd)
+
+    def k_part(num):
+        out = read(num)
+        return None if out is None else out[1]
     return k_part
 
 

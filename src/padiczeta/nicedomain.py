@@ -36,11 +36,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import (CertificateCapExceeded, CycSum, DepthContext,
+from .arith import (CertificateCapExceeded, CycSum, CycValue, DepthContext,
                     SqrtRational, norm, psi, valuation)
 from .group import (
     Mat,
     SubgroupSpec,
+    _a_k_residue,
     bruhat_open_cell,
     enumerate_cosets,
     iwasawa_NAK,
@@ -52,7 +53,7 @@ from .group import (
 )
 from .params import theta_matrix
 from .residue import residue_rows
-from .rslocal import EClassElement
+from .rslocal import EClassElement, _explicit_exponent_mod
 from .testfn import _explicit_on_K
 
 
@@ -154,30 +155,40 @@ class NiceDomain:
         """Integral lift of the base point (identity for slope 0)."""
         if self.slope == 0:
             return Mat.identity(self.n, self.p)
-        return Mat(self.base, self.p)
+        return Mat._from_ints(self.base, 1, self.p)
 
     def representative(self) -> Mat:
         """A member of the cell: the base lift conjugated back down."""
         return conj_by_A(self.base_lift(), -self.slope)
 
-    def members(self, levels: dict):
-        """One member of the cell per residue class of its conjugated
-        entries at the per-entry levels.  At slope 0 the cell is N(Z_p)
-        and entry (i, j) runs over its residues mod p^{n + levels[i, j]}.
-        Otherwise a member is the base lift plus p^n t, t_ij mod
-        p^{levels[i, j]}, conjugated back by A(-rho).  Entry (i, j) is
-        (base_ij + p^n t_ij) / p^{(j-i) rho}, so every numerator is built
-        over p^{(n-1) rho}."""
+    def member_grid(self, levels: dict) -> tuple:
+        """(ranges, den): the members of the cell at the per-entry levels
+        are the matrices 1 + x / den, with x[c] running over ranges[c] for
+        the coordinates c of `_upper_coords`, in itertools.product order.
+        At slope 0 the cell is N(Z_p), den = 1 and entry (i, j) runs over
+        its residues mod p^{n + levels[i, j]}.  Otherwise a member is the
+        base lift plus p^n t, t_ij mod p^{levels[i, j]}, conjugated back
+        by A(-rho).  Entry (i, j) is (base_ij + p^n t_ij) / p^{(j-i) rho},
+        so every numerator is built over den = p^{(n-1) rho}."""
         n, p, rho = self.n, self.p, self.slope
         coords = _upper_coords(n)
         if rho == 0:
-            return unipotent_box(n, p, coords, [range(p ** (n + levels[c]))
-                                                for c in coords])
-        base = self.base_lift().num
+            return [range(p ** (n + levels[c])) for c in coords], 1
         top = (n - 1) * rho
-        values = [[(base[i][j] + p ** n * t) * p ** (top - (j - i) * rho)
-                   for t in range(p ** levels[(i, j)])] for i, j in coords]
-        return unipotent_box(n, p, coords, values, p ** top)
+        ranges = []
+        for i, j in coords:
+            step = p ** (n + top - (j - i) * rho)
+            start = self.base[i][j] * p ** (top - (j - i) * rho)
+            ranges.append(range(start, start + p ** levels[(i, j)] * step,
+                                step))
+        return ranges, p ** top
+
+    def members(self, levels: dict):
+        """One member of the cell per residue class of its conjugated
+        entries at the per-entry levels (see `member_grid`)."""
+        ranges, den = self.member_grid(levels)
+        return unipotent_box(self.n, self.p, _upper_coords(self.n), ranges,
+                             den)
 
     def contains(self, u: Mat) -> bool:
         n, p = self.n, self.p
@@ -569,26 +580,105 @@ def _base_levels(domain: NiceDomain, ctx: DepthContext, a: Mat) -> dict:
     return lv
 
 
+def _member_rows(grid: tuple, left, right):
+    """For each member u = 1 + X / den of a cell's grid (ranges, den)
+    (`NiceDomain.member_grid`), in the order of `NiceDomain.members`: the
+    integer rows of diag(left) (den I + X) right, and the superdiagonal
+    sum of X.  Row i depends only on row i of X, whose coordinates are
+    consecutive in the grid, so the candidates of each row are built once
+    and the members are walked as their product."""
+    ranges, den = grid
+    n = len(right)
+    coords = iter(ranges)
+    tables = []
+    for i in range(n):
+        cands = []
+        for xs in itertools.product(*(next(coords)
+                                      for _ in range(i + 1, n))):
+            row = [den * y for y in right[i]]
+            for x, other in zip(xs, right[i + 1:]):
+                row = [y + x * z for y, z in zip(row, other)]
+            cands.append((tuple(left[i] * y for y in row),
+                          xs[0] if xs else 0))
+        tables.append(cands)
+    for member in itertools.product(*tables):
+        rows, shares = zip(*member)
+        yield rows, sum(shares)
+
+
+def _key_section(f: EClassElement, s: tuple, exps: tuple, krows: tuple,
+                 cache: dict) -> dict:
+    """`section_value` at a g whose shift * w_G * g has the Iwasawa a-part
+    diag(p^exps) and the K-part krows mod q^2, in the same form: {radical
+    -> coefficient}, empty for zero.  The phase is cached by krows."""
+    ctx, tf = f.ctx, f.tf
+    if krows in cache:
+        phase = cache[krows]
+    else:
+        e = _explicit_exponent_mod(krows, ctx)
+        phase = (None if e is None else
+                 CycValue.root_of_unity(ctx.T, -e if tf.conjugate else e))
+        cache[krows] = phase
+    if phase is None:
+        return {}
+    n = len(exps)
+    e2 = sum(exps[i] - exps[j] for i in range(n) for j in range(i + 1, n)) \
+        - 2 * sum(si * ai for si, ai in zip(s, exps))
+    coeff = tf.c1 * SqrtRational.sqrt(Fraction(ctx.p) ** e2)
+    c, rad = _sqrt_split(coeff.squared())
+    return {rad: phase * (c * coeff.sign)}
+
+
 def _cell_sum(f: EClassElement, s: tuple, a: Mat, k: Mat,
               domain: NiceDomain, levels: dict, cache: dict) -> tuple:
     """(parts, cells): the exact sum of f[s](w_G u a k) psi^{-1}(u) du
     over the cell, enumerating the conjugated coordinates to the given
-    per-entry levels."""
-    ctx = f.ctx
+    per-entry levels.
+
+    This is the sum of `section_value(w_G u a k)` psi^{-1}(u) vol over
+    the members u, walked on integers; it is sound for three reasons.
+    (1) The section decomposes shift_weyl * w_G u a k = shift * u * a k,
+    because shift_weyl = shift * w_G and w_G^2 = 1.  With shift = H / h,
+    u = (den I + X) / den and a k = AK / t, that is the integer matrix
+    H (den I + X) AK over h * den * t.  (2) One elimination per member
+    (`group._a_k_residue`) reads from its pivots the Iwasawa a-part,
+    which fixes the coefficient, and the K-part k mod q^2.  (3) That
+    residue fixes the phase: `_explicit_on_K(k)` is
+    root_of_unity(T, `_explicit_exponent_mod`(k mod q^2)).  Upper
+    entries = 0 mod q is the same support test, and the explicit phase
+    depends only on k mod q^2.
+
+    Members with the same (a-part, K-part) key have the same section
+    value, so psi^{-1}(u) enters through one histogram per key.  The
+    superdiagonal entries of a member have denominators dividing p^rho,
+    so these are p^rho-th roots of unity.  Every member has the same
+    volume, so a key adds `CycValue.from_histogram(hist, vol)` times its
+    section value.  The order of each radical's sum is then the lcm over
+    its members of the orders of phase and psi, as in the member-by-
+    member sum, so the values print the same."""
+    ctx, tf = f.ctx, f.tf
     n, p, rho = domain.n, domain.p, domain.slope
-    ak = a @ k
+    grid = domain.member_grid(levels)
+    den, psi_den = grid[1], p ** rho
+    shift, ak = tf.shift_mat(), a @ k
     vol = Fraction(p) ** sum((j - i) * rho - n - levels[(i, j)]
                              for (i, j) in _upper_coords(n))
-    acc: dict = {}
+    read = _a_k_residue(shift.den * den * ak.den, p, 2 * ctx.m)
+    hists: dict = {}
     cells = 0
-    for u in domain.members(levels):
+    for rows, sd in _member_rows(grid, [shift.num[i][i] for i in range(n)],
+                                 ak.num):
         cells += 1
-        parts = section_value(f, s, (u @ ak).reverse_rows(), cache)
-        if not parts:
-            continue
-        weight = psi(-u.superdiagonal_sum(), p) * vol
-        for rad, val in parts.items():
-            acc.setdefault(rad, CycSum()).add(val * weight)
+        key = read(rows)
+        if key not in hists:
+            hists[key] = [0] * psi_den
+        # psi^{-1}(u) = exp(2 pi i e / psi_den), e = -sd / (den / psi_den)
+        hists[key][-(sd // (den // psi_den)) % psi_den] += 1
+    acc: dict = {}
+    for (exps, krows), hist in hists.items():
+        for rad, val in _key_section(f, s, exps, krows, cache).items():
+            acc.setdefault(rad, CycSum()).add(
+                CycValue.from_histogram(hist, vol) * val)
     return _parts_clean({rad: t.value() for rad, t in acc.items()}), cells
 
 

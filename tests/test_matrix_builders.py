@@ -142,13 +142,21 @@ def test_region_classes_match_reference(n, p, b):
 # -- the members a cell sum visits -------------------------------------------
 
 def visited_members(domain, levels, monkeypatch):
-    """The u of every term of `_cell_sum` over the cell, in order (with
-    a = k = 1, the section is evaluated at w_G u)."""
+    """The u of every term of `_cell_sum` over the cell, in order, read
+    from the rows its member walk yields.  With a = k = 1 those rows are
+    diag(shift) (den + X) for u = (den + X) / den, so row i divided by its
+    diagonal entry is row i of u."""
     n, p = domain.n, domain.p
-    wg = Mat.longest_weyl(n, p)
+    walk = nicedomain._member_rows
     seen = []
-    monkeypatch.setattr(nicedomain, "section_value",
-                        lambda f, s, g, cache: seen.append(wg @ g) or {})
+
+    def record(*args):
+        for rows, sd in walk(*args):
+            seen.append(Mat([[Fraction(x, r[i]) for x in r]
+                             for i, r in enumerate(rows)], p))
+            yield rows, sd
+
+    monkeypatch.setattr(nicedomain, "_member_rows", record)
     one = Mat.identity(n, p)
     f = standard_E_element(CTX21, n)
     _, cells = _cell_sum(f, (0,) * n, one, one, domain, levels, {})
@@ -199,11 +207,15 @@ def test_cell_sum_members_match_reference(domain, levels, monkeypatch):
 def test_cell_sum_mass_is_cell_volume(domain, levels, monkeypatch):
     # with a constant integrand, the sum is (number of members) x (volume
     # per member): each member stands for one class of the cell, so this
-    # is the volume of the cell
+    # is the volume of the cell.  The integrand is made constant at the
+    # walk's seams: its member rows carry a trivial character, and its
+    # section is 1 on every (a-part, K-part) key.
     n = domain.n
-    monkeypatch.setattr(nicedomain, "section_value",
-                        lambda f, s, g, cache: {1: CycValue.one})
-    monkeypatch.setattr(nicedomain, "psi", lambda x, p: CycValue.one)
+    walk = nicedomain._member_rows
+    monkeypatch.setattr(nicedomain, "_member_rows",
+                        lambda *args: ((rows, 0) for rows, _ in walk(*args)))
+    monkeypatch.setattr(nicedomain, "_key_section",
+                        lambda f, s, exps, krows, cache: {1: CycValue.one})
     one = Mat.identity(n, domain.p)
     f = standard_E_element(CTX21, n)
     parts, _ = _cell_sum(f, (0,) * n, one, one, domain, levels, {})

@@ -17,7 +17,8 @@ Regenerate the file (only on purpose) with
 The two integer kernels of the cell sweep are checked against their
 references: the early exit of the elimination and its K-part residue
 against `iwasawa_UAK`, and the zero test on a histogram of roots of unity
-against `CycValue.is_zero`.
+against `CycValue.is_zero`.  So is the reader both share, which gives the
+a-part and the K-part residue of any argument.
 """
 
 import json
@@ -30,8 +31,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from padiczeta.arith import CycValue, DepthContext, rat_to_text, valuation
 from padiczeta.cli import main
-from padiczeta.group import (Mat, _eliminate, _unit_a_k_residue,
-                             _unit_a_pivot, iwasawa_UAK, p_power_diag)
+from padiczeta.group import (Mat, _a_k_residue, _eliminate,
+                             _unit_a_k_residue, _unit_a_pivot, iwasawa_UAK,
+                             p_power_diag)
 from padiczeta.residue import residue_rows
 from padiczeta.rslocal import (W_fcg, _w_cell_data, pinned_outer_diagonal,
                                standard_E_element)
@@ -165,6 +167,18 @@ def test_early_exit_and_k_residue_match_iwasawa(arg):
     for m in (1, 2):
         got = _unit_a_k_residue(d, p, 2 * m)(num)
         assert got == (residue_rows(dec.k, 2 * m) if trivial else None)
+
+
+@KERNEL_SETTINGS
+@given(iwasawa_arguments())
+def test_a_k_reader_matches_iwasawa(arg):
+    # the reader under the plain Iwasawa rule, for any a-part
+    p, num, d = arg
+    g = Mat._from_ints(tuple(map(tuple, num)), d, p)
+    dec = iwasawa_UAK(g)
+    exps = tuple(valuation(x, p) for x in dec.a.diagonal())
+    for e in (1, 2, 4):
+        assert _a_k_residue(d, p, e)(num) == (exps, residue_rows(dec.k, e))
 
 
 @st.composite

@@ -1,0 +1,173 @@
+"""The cell character sums of `nicedomain.vanishing_check`.
+
+The report bytes of `vanishing_check(a, k, s, domain, f).to_json()` are
+pinned by `tests/golden/vanishing-check.json` at seeded points: rank 2 at
+(p, m) = (2, 1), (3, 1), (2, 2) and rank 3 at (2, 1), (3, 1), with slope
+0 and positive slopes, the hypothesis diagonal and the identity for a,
+k drawn at random mod q, and s = 0 or a nonzero integral s.  The points
+include sums that vanish and sums that do not.  Regenerate the file (only
+on purpose) with
+
+    PYTHONPATH=src python tests/test_vanishing_walk.py \
+        > tests/golden/vanishing-check.json
+
+`_cell_sum` is compared with a reference sum over `section_value`,
+written here, and the same golden points must come out without any
+Iwasawa decomposition or per-member section in `nicedomain`.
+"""
+
+import functools
+import json
+import random
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from padiczeta import nicedomain
+from padiczeta.arith import CycSum, DepthContext, psi
+from padiczeta.group import Mat, p_power_diag
+from padiczeta.nicedomain import (NiceDomain, _cell_sum, _upper_coords,
+                                  hypothesis_diagonal, scan_box_domains,
+                                  section_value, vanishing_check)
+from padiczeta.rslocal import standard_E_element
+
+GOLDEN_FILE = Path(__file__).parent / "golden" / "vanishing-check.json"
+# (p, m, n, slopes, cap on the cells drawn from per slope)
+INSTANCES = ((2, 1, 2, (0, 1, 2, 3, 5), None),
+             (3, 1, 2, (0, 1, 2, 3), None),
+             (2, 2, 2, (0, 1, 3, 5), None),
+             (2, 1, 3, (0, 1, 2, 4), 1),
+             (3, 1, 3, (1, 2), 1))
+
+
+def _draw_k(rng, p, mod, n):
+    """A random k in K with entries in [0, mod)."""
+    while True:
+        k = Mat([[rng.randrange(mod) for _ in range(n)] for _ in range(n)], p)
+        if k.det() % p:
+            return k
+
+
+@functools.cache
+def _scan_box(n, p, rho, cap):
+    return scan_box_domains(n, p, rho, cap=cap)
+
+
+def _domain(rng, n, p, rho, cap):
+    if rho == 0:
+        return NiceDomain(n, p, 0, 0, None, None)
+    return rng.choice(_scan_box(n, p, rho, cap))
+
+
+def golden_points():
+    """(f, a, k, s, domain) at the seeded golden points, in file order."""
+    rng = random.Random(20261019)
+    for p, m, n, slopes, cap in INSTANCES:
+        ctx = DepthContext(p, m)
+        f = standard_E_element(ctx, n)
+        diagonals = (hypothesis_diagonal(ctx, n), Mat.identity(n, p))
+        for rho in slopes:
+            for a in diagonals:
+                s1 = tuple(rng.randrange(-2, 3) for _ in range(n - 1)) + (0,)
+                for s in ((0,) * n, s1):
+                    k = _draw_k(rng, p, p ** m, n)
+                    yield f, a, k, s, _domain(rng, n, p, rho, cap)
+
+
+def golden_document() -> str:
+    out = []
+    for f, a, k, s, dom in golden_points():
+        val = vanishing_check(a, k, s, dom, f)
+        out.append({"p": f.ctx.p, "m": f.ctx.m, "n": f.n, "a": a.to_text(),
+                    "k": k.to_text(), "s": list(s), "domain": dom.to_json(),
+                    "value": val.to_json()})
+    return json.dumps(out, indent=1, sort_keys=True) + "\n"
+
+
+def test_vanishing_report_bytes():
+    assert golden_document() == GOLDEN_FILE.read_text()
+
+
+def test_golden_points_cover_both_outcomes():
+    doc = json.loads(GOLDEN_FILE.read_text())
+    assert len(doc) >= 32
+    zero = [row["value"]["zero"] for row in doc]
+    assert any(zero) and not all(zero)
+    assert {row["n"] for row in doc} == {2, 3}
+    assert any(any(row["s"]) for row in doc)
+
+
+# -- the walk runs no Iwasawa decomposition and no per-member section -------
+
+def _refuse(*args, **kwargs):
+    raise RuntimeError("a per-member kernel ran")
+
+
+def test_cell_walk_runs_no_iwasawa_or_section(monkeypatch):
+    for name in ("iwasawa_UAK", "section_value", "_explicit_on_K"):
+        monkeypatch.setattr(nicedomain, name, _refuse)
+    assert golden_document() == GOLDEN_FILE.read_text()
+
+
+# -- the cell sum against a reference over section_value --------------------
+
+def ref_cell_sum(f, s, a, k, domain, levels):
+    """(parts, cells) as the sum over the members u of the cell of
+    section_value(w_G u a k) psi^{-1}(u) vol, one member at a time."""
+    n, p, rho = domain.n, domain.p, domain.slope
+    ak = a @ k
+    vol = Fraction(p) ** sum((j - i) * rho - n - levels[(i, j)]
+                             for (i, j) in _upper_coords(n))
+    acc, cells = {}, 0
+    for u in domain.members(levels):
+        cells += 1
+        parts = section_value(f, s, (u @ ak).reverse_rows(), {})
+        weight = psi(-u.superdiagonal_sum(), p) * vol
+        for rad, val in parts.items():
+            acc.setdefault(rad, CycSum()).add(val * weight)
+    values = {rad: t.value() for rad, t in acc.items()}
+    return {rad: v for rad, v in values.items() if not v.is_zero()}, cells
+
+
+def _parts_json(parts):
+    return {str(rad): v.to_json() for rad, v in sorted(parts.items())}
+
+
+@st.composite
+def cell_sum_arguments(draw):
+    """(f, s, a, k, domain, levels): rank 2 at (p, m) = (2, 1), (3, 1),
+    (2, 2), or rank 3 at (2, 1); slope 0..5 (0..3 at rank 3), a cell
+    drawn from the scan box, per-entry levels 0..2 (0..1 at rank 3, and
+    0 at slope 0 there), a diagonal a with a unit last entry, k mod q and
+    a small integral s."""
+    p, m, n = draw(st.sampled_from([(2, 1, 2), (3, 1, 2), (2, 2, 2),
+                                    (2, 1, 3)]))
+    rho = draw(st.integers(0, 5 if n == 2 else 3))
+    if rho == 0:
+        domain = NiceDomain(n, p, 0, 0, None, None)
+    else:
+        cells = _scan_box(n, p, rho, 2)
+        domain = cells[draw(st.integers(0, len(cells) - 1))]
+    top = 2 if n == 2 else (1 if rho else 0)
+    levels = {c: draw(st.integers(0, top)) for c in _upper_coords(n)}
+    aexps = [draw(st.integers(-2 * m, 2 * m)) for _ in range(n - 1)] + [0]
+    k = _draw_k(random.Random(draw(st.integers(0, 1 << 16))), p, p ** m, n)
+    s = tuple(draw(st.integers(-2, 2)) for _ in range(n))
+    f = standard_E_element(DepthContext(p, m), n)
+    return f, s, p_power_diag(aexps, p), k, domain, levels
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(cell_sum_arguments())
+def test_cell_sum_matches_section_reference(args):
+    f, s, a, k, domain, levels = args
+    want, want_cells = ref_cell_sum(f, s, a, k, domain, levels)
+    got, cells = _cell_sum(f, s, a, k, domain, levels, {})
+    assert cells == want_cells
+    assert _parts_json(got) == _parts_json(want)
+
+
+if __name__ == "__main__":
+    sys.stdout.write(golden_document())
