@@ -300,28 +300,37 @@ def verify_partition(n: int, p: int, b: int) -> dict:
     }
 
 
+def _base_points(n: int, p: int, cap: int | None) -> list:
+    """The admissible base points over Z/p^n as (remainder, pivot, base),
+    sorted; with cap, a deterministic subsample keeping at most cap base
+    points per (remainder, pivot) class.  Nothing here depends on the
+    slope."""
+    coords = _upper_coords(n)
+    out = []
+    for u in unipotent_box(n, p, coords, [range(p ** n)] * len(coords)):
+        l, pivot, minimal = _base_invariants(n, p, u.num)
+        if minimal:  # otherwise a smaller slope reaches the base point
+            out.append((l, pivot, u.num))
+    out.sort()
+    if cap is None:
+        return out
+    kept, seen = [], {}
+    for point in out:
+        key = point[:2]
+        if seen.get(key, 0) < cap:
+            kept.append(point)
+            seen[key] = seen.get(key, 0) + 1
+    return kept
+
+
 def scan_box_domains(n: int, p: int, rho: int, cap: int | None = None) -> list:
     """All slope-rho cells (every admissible base point over Z/p^n); with
     cap, a deterministic subsample keeping at most cap base points per
     (remainder, pivot) class."""
     if rho < 1:
         raise ValueError("positive slope required")
-    coords = _upper_coords(n)
-    out = []
-    for u in unipotent_box(n, p, coords, [range(p ** n)] * len(coords)):
-        l, pivot, minimal = _base_invariants(n, p, u.num)
-        if minimal:  # otherwise a smaller slope reaches the base point
-            out.append(NiceDomain(n, p, rho, l, u.num, pivot))
-    out.sort(key=lambda d: (d.remainder, d.pivot, d.base))
-    if cap is None:
-        return out
-    kept, seen = [], {}
-    for d in out:
-        key = (d.remainder, d.pivot)
-        if seen.get(key, 0) < cap:
-            kept.append(d)
-            seen[key] = seen.get(key, 0) + 1
-    return kept
+    return [NiceDomain(n, p, rho, l, base, pivot)
+            for l, pivot, base in _base_points(n, p, cap)]
 
 
 # -- the two-parameter family of moves --------------------------------------
@@ -844,12 +853,14 @@ def rho0_report(f: EClassElement, s: tuple | None = None,
         slope_max = 4 * m + n
     a = hypothesis_diagonal(ctx, n, d2)
     klist = enumerate_cosets(SubgroupSpec("K", n, p), max(m, 1))[:k_count]
+    bases = _base_points(n, p, domain_cap) if slope_max > 0 else []
     tasks = []
     for rho in range(slope_max + 1):
         if rho == 0:
             domains = [NiceDomain(n, p, 0, 0, None, None)]
         else:
-            domains = scan_box_domains(n, p, rho, cap=domain_cap)
+            domains = [NiceDomain(n, p, rho, l, base, pivot)
+                       for l, pivot, base in bases]
         tasks += [(f, a, k, s, d, d2, ki)
                   for d in domains for ki, k in enumerate(klist)]
     rows = _pmap(_vanishing_row, tasks, jobs)

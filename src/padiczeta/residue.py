@@ -182,11 +182,13 @@ def centralizer_in_GL(tau: ZMat):
     order, lifted digit by digit: the solutions mod p^(k+1) are the
     x + p^k d, with x a solution mod p^k and d over M_n(Z/p), that commute
     mod p^(k+1).  A matrix commuting mod p^(k+1) commutes mod p^k, and it
-    is a unit exactly when it is a unit mod p."""
+    is a unit exactly when it is a unit mod p.  Mod p, commutation is
+    tested first, so only the commuting matrices pay for a determinant."""
     n, p = tau.n, tau.p
-    digits = [d.entries for d in enumerate_matrices(n, p, 1)]
+    mats = list(enumerate_matrices(n, p, 1))
+    digits = [d.entries for d in mats]
     t = tau.reduce(1)
-    sols = [g for g in enumerate_GL(n, p, 1) if g @ t == t @ g]
+    sols = [g for g in mats if g @ t == t @ g and g.is_unit()]
     for k in range(1, tau.e):
         t, pk = tau.reduce(k + 1), p ** k
         lifts = [ZMat.make([[x + pk * y for x, y in zip(row, drow)]

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -232,11 +233,43 @@ def _head(f: EClassElement, c: Mat, wM: Mat) -> Mat:
     return f.tf.shift_weyl @ c.inv() @ wM
 
 
+@dataclass(frozen=True)
+class TransformCells:
+    """The surviving cells of a transform box, grouped by K-part.
+
+    Every cell of the box has the volume `vol`.  Each group is a pair
+    (krows, psi): krows are the integer rows mod q^2 of the K-part shared
+    by the group's cells, and psi is the group's histogram of psi^{-1}(u)
+    exponents mod pB = p^B, as (exponent, count) pairs with positive
+    counts.  A box with no group is false."""
+
+    vol: Fraction
+    pB: int
+    groups: tuple
+
+    def __bool__(self) -> bool:
+        return bool(self.groups)
+
+
 def _w_cell_data(f: EClassElement, c: Mat, a: Mat, B: int,
-                 nprime: int = 0):
-    """Surviving transform cells at box depth B, as pairs (weight, krows):
-    the value at k in K is the sum of weight * phase(krows k).  Only for
-    forward elements (the dual takes the slow path `_w_direct`).
+                 nprime: int = 0) -> TransformCells:
+    """Surviving transform cells at box depth B: `_box_cells` under the
+    head shift * w_G * c^{-1} * w_M.  The cells carry integers only, one
+    psi histogram per K-part and the common cell volume; the transform
+    values are read from them by `_transform_values_over_K`, which counts
+    each value in one integer histogram at the order of `_phase_at`.
+    Only for forward elements: the dual takes the slow path `_w_direct`.
+    """
+    return _box_cells(f, _head(f, c, _block_weyl(f.n, nprime, f.ctx.p)),
+                      a, B, nprime)
+
+
+def _box_cells(f: EClassElement, head: Mat, a: Mat, B: int,
+               nprime: int) -> TransformCells:
+    """The cells of the box of depth B for the constant left factor head:
+    the value at k in K is vol times the sum, over the groups (krows, psi)
+    and the cells counted in psi, of psi^{-1}(u) times the phase of
+    krows k.
 
     Each cell u of the box is evaluated on its own, on integers.  With
     head = H / h, u = (p^B + X) / p^B and a = A / a0, the cell's argument
@@ -247,10 +280,8 @@ def _w_cell_data(f: EClassElement, c: Mat, a: Mat, B: int,
     then depends on its K-part k' only through k' k mod q^2.  One
     elimination per cell (`_unit_a_k_residue`, which gives up at the
     first pivot that shows a != 1) yields krows = k' mod q^2, and cells
-    with equal krows share one histogram of their psi^{-1}(u) exponents
-    mod p^B.  Every cell has the same volume, so a group's weight is
-    `CycValue.from_histogram(hist, vol)`, at the order of the sum of its
-    roots of unity, and a group whose roots cancel is dropped
+    with equal krows share one integer histogram of their psi^{-1}(u)
+    exponents mod p^B.  A group whose roots of unity cancel is dropped
     (`CycValue.histogram_is_zero`).
     """
     ctx, n = f.ctx, f.n
@@ -260,7 +291,6 @@ def _w_cell_data(f: EClassElement, c: Mat, a: Mat, B: int,
     if not a.is_diagonal():
         raise ValueError("the outer factor a must be diagonal")
     coords = [(k, l) for k in range(nprime, n) for l in range(k + 1, n)]
-    head = _head(f, c, _block_weyl(n, nprime, p))
     ranges, vol = _box(ctx, a, B, coords)
     H = head.num
     tables = []
@@ -287,12 +317,14 @@ def _w_cell_data(f: EClassElement, c: Mat, a: Mat, B: int,
         krows = k_part(list(zip(*cols)))
         if krows is None:
             continue
-        if krows not in hists:
-            hists[krows] = [0] * pB
-        hists[krows][-s % pB] += 1
-    return [(CycValue.from_histogram(h, vol), krows)
-            for krows, h in hists.items()
-            if not CycValue.histogram_is_zero(h, p)]
+        h = hists.setdefault(krows, {})
+        h[-s % pB] = h.get(-s % pB, 0) + 1
+    # a cancelling histogram is constant on the cosets of the subgroup of
+    # order p, so it occupies a multiple of p exponents
+    return TransformCells(vol, pB, tuple(
+        (krows, tuple(h.items())) for krows, h in hists.items()
+        if len(h) % p or not CycValue.histogram_is_zero(
+            [h.get(x, 0) for x in range(pB)], p)))
 
 
 def _coeff(f: EClassElement, c: Mat) -> SqrtRational:
@@ -316,7 +348,8 @@ class WValue:
         return self.phase.abs_sq() * self.coeff.squared()
 
 
-def _assemble(f: EClassElement, c: Mat, cells, k: Mat) -> WValue:
+def _assemble(f: EClassElement, c: Mat, cells: TransformCells,
+              k: Mat) -> WValue:
     """The transform at a k from the cells of `_w_cell_data`: the sweep
     `_transform_values_over_K` at the one point k."""
     [phase] = _transform_values_over_K(f, cells, [k])
@@ -343,16 +376,30 @@ def W_fcg(f: EClassElement, c: Mat, a: Mat, k: Mat,
           cfg: RSIntegralConfig | None = None) -> WValue:
     """The transform at g = a k (a diagonal, k in K), with a stabilization
     certificate over the unipotent box; nprime > 0 gives the parabolic
-    variant W_P for the Levi blocks (nprime, n - nprime)."""
+    variant W_P for the Levi blocks (nprime, n - nprime).
+
+    The value is returned at the first box depth B in box_start..box_cap
+    whose phase equals that of depth B - 1.  The coefficient, the head
+    shift * w_G * c^{-1} * w_M and k mod q^2 do not depend on B, so they
+    are built once per call.  For a forward element each box is
+    `_box_cells` read at k by `_phase_at`: one integer histogram of
+    (psi exponent, phase exponent) pairs, at the order the per-group
+    `CycSum` gives (the largest order of a contributing group's psi
+    histogram or phase root).  The dual element takes `_w_direct`.
+    """
     cfg = cfg or RSIntegralConfig()
+    coeff = _coeff(f, c)
+    if not f.dual:
+        head = _head(f, c, _block_weyl(f.n, nprime, f.ctx.p))
+        zk = residue_rows(k, 2 * f.ctx.m)
     prev = None
     for B in range(cfg.box_start, cfg.box_cap + 1):
         if f.dual:
-            cur = _w_direct(f, c, a, k, B, nprime)
+            cur = _w_direct(f, c, a, k, B, nprime).phase
         else:
-            cur = _assemble(f, c, _w_cell_data(f, c, a, B, nprime), k)
-        if prev is not None and cur.phase == prev.phase:
-            return cur
+            cur = _phase_at(f, _box_cells(f, head, a, B, nprime), zk)
+        if prev is not None and cur == prev:
+            return WValue(coeff, cur)
         prev = cur
     raise CertificateCapExceeded(
         "transform box cap exceeded without stabilization", "box_cap",
@@ -453,25 +500,62 @@ def _explicit_exponent_mod(z, ctx: DepthContext):
     return _J_exponent_mod(z, ctx)
 
 
-def _transform_values_over_K(f: EClassElement, cells, kreps):
-    """The transform phase at each point k of kreps, in order, from cells
-    (weight, krows) with krows integer rows mod q^2: the sum of weight
-    times the explicit phase of krows k, on the support a root of unity
-    read mod q^2 by `_explicit_exponent_mod`."""
-    ctx, n = f.ctx, f.n
-    mod = ctx.T
-    sign = -1 if f.tf.conjugate else 1
+def _transform_values_over_K(f: EClassElement, cells: TransformCells,
+                             kreps):
+    """The transform phase at each point k of kreps, in order: `_phase_at`
+    at k mod q^2.  Each value is one integer histogram of (psi exponent,
+    phase exponent) pairs scaled by the cell volume, at the order the
+    per-group `CycSum` would give: the largest over the contributing
+    groups of the orders of their psi histogram and of their phase root,
+    and 1 when no group contributes."""
     for k in kreps:
-        zk = residue_rows(k, 2 * ctx.m)
-        val = CycSum()
-        for weight, zkm in cells:
-            prod = [[sum(zkm[i][t] * zk[t][j] for t in range(n)) % mod
-                     for j in range(n)] for i in range(n)]
-            e = _explicit_exponent_mod(prod, ctx)
-            if e is None:
-                continue
-            val.add(weight * CycValue.root_of_unity(mod, sign * e))
-        yield val.value()
+        yield _phase_at(f, cells, residue_rows(k, 2 * f.ctx.m))
+
+
+def _phase_at(f: EClassElement, cells: TransformCells, zk) -> CycValue:
+    """The transform phase at the K-point with integer rows zk mod q^2.
+
+    A group (krows, psi) contributes where krows zk lies on the support:
+    its upper entries vanish mod q (tested before the rest of the product
+    is formed), and then its phase is a T-th root of unity of exponent e,
+    read mod q^2 by `_J_exponent_mod` and negated for a conjugate test
+    function.  The contributions are counted in one integer histogram at
+    N = max(p^B, T): a psi exponent x with count c puts c at
+    x N/p^B + e N/T mod N, and the volume multiplies the counts once.
+
+    The order of the value is that of the sum of the per-group products
+    (psi histogram) * (root of unity) chained by `CycSum`, the lcm of the
+    addends' orders, which are powers of p: the maximum over contributing
+    groups of max(p^B / gcd(p^B, its psi exponents), T / gcd(e, T)), and
+    1 when no group contributes.  Terms that cancel keep their share of
+    it, so the value's `to_json()` is that of the per-group sum.
+    """
+    ctx, n = f.ctx, f.n
+    q, T, pB = ctx.q, ctx.T, cells.pB
+    N = max(pB, T)
+    step = -(N // T) if f.tf.conjugate else N // T
+    scale = N // pB
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    cols = list(zip(*zk))
+    hist, order = {}, 1
+    for krows, psi_hist in cells.groups:
+        if any(sum(x * y for x, y in zip(krows[i], cols[j])) % q
+               for i, j in upper):
+            continue
+        prod = [[sum(x * y for x, y in zip(row, col)) % T for col in cols]
+                for row in krows]
+        e = _J_exponent_mod(prod, ctx)
+        if e is None:
+            continue
+        order = max(order, T // math.gcd(e, T),
+                    pB // math.gcd(pB, *(x for x, _ in psi_hist)))
+        shift = e * step
+        for x, count in psi_hist:
+            y = (x * scale + shift) % N
+            hist[y] = hist.get(y, 0) + count
+    shrink = N // order
+    return CycValue(order, {y // shrink: count * cells.vol
+                            for y, count in hist.items()})
 
 
 def _k_square_sum(f: EClassElement, cells, kreps) -> CycValue:

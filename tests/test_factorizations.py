@@ -22,7 +22,8 @@ from padiczeta.arith import CycValue, DepthContext
 from padiczeta.group import Mat
 from padiczeta.params import theta_matrix
 from padiczeta.residue import ZMat, residue_rows
-from padiczeta.rslocal import EClassElement, _transform_values_over_K
+from padiczeta.rslocal import (EClassElement, TransformCells,
+                               _transform_values_over_K)
 from padiczeta.testfn import _explicit_on_K, base_test_function
 from padiczeta.whitmodel import WhittakerOnH
 
@@ -214,8 +215,10 @@ def test_sweep_phase_matches_explicit_on_K(point):
     tf = replace(base_test_function(ctx, n), conjugate=conjugate)
     f = EClassElement(tf, Fraction(1))
     cell_mat, k_mat = Mat(cell, p), Mat(k, p)
-    [got] = _transform_values_over_K(
-        f, [(weight, residue_rows(cell_mat, 2 * m))], [k_mat])
+    # one cell of volume weight at psi exponent 0 (box depth 0)
+    cells = TransformCells(weight, 1,
+                           ((residue_rows(cell_mat, 2 * m), ((0, 1),)),))
+    [got] = _transform_values_over_K(f, cells, [k_mat])
     ref = _explicit_on_K(cell_mat @ k_mat, ctx, theta_matrix(n, ctx))
     if ref is None:
         assert got == CycValue.zero

@@ -68,3 +68,20 @@ def test_residue_kernels_are_not_recursive():
              for node in ast.walk(fn)
              if isinstance(node, ast.Call) and callee(node) == fn.name]
     assert not found, f"recursive calls in residue.py: {found}"
+
+
+def test_transform_value_path_builds_no_per_group_cyc_value():
+    # the W_fcg cells carry integer histograms and each value is counted
+    # in one integer histogram, so the cell walk and the K-sweep never
+    # form a root of unity or a running CycSum per group
+    tree = ast.parse((SOURCES[0].parent / "rslocal.py").read_text())
+    names = {"_w_cell_data", "_box_cells", "_transform_values_over_K",
+             "_phase_at"}
+    bodies = {node.name: node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name in names}
+    assert set(bodies) == names
+    found = [f"{name}:{node.lineno}" for name, fn in bodies.items()
+             for node in ast.walk(fn)
+             if (getattr(node, "id", None) or getattr(node, "attr", None))
+             in ("CycSum", "root_of_unity")]
+    assert not found, f"per-group CycValue route in rslocal: {found}"

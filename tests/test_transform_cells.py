@@ -6,13 +6,22 @@ are pinned by `tests/golden/w-fcg.json` at seeded points: rank 2 at
 c = p^(-m e), e < 3, the pinned outer diagonal a, and k drawn mod q, both
 at random and lower triangular (where the transform can be nonzero).
 The same file pins the cells of `_w_cell_data(f, c, a, B, nprime)`, each
-as one JSON line of its weight and its K-part residue mod q^2, sorted:
+group as one JSON line of its weight (its psi histogram as a sum of roots
+of unity, times the cell volume) and its K-part residue mod q^2, sorted:
 pinned and unpinned diagonals (the latter leave no cell), box depths
-B = 2 and 3, and the parabolic variants nprime = 1 and 2 at rank 3.
+B = 2 and 3, and the parabolic variants nprime = 1 and 2 at rank 3.  The
+transform values of the file must also come out with the per-group
+`CycValue` route (`from_histogram`, `root_of_unity`, `CycSum`) made to
+raise inside `rslocal`: each value is counted in one integer histogram.
 Regenerate the file (only on purpose) with
 
     PYTHONPATH=src python tests/test_transform_cells.py \
         > tests/golden/w-fcg.json
+
+The K-sweep `_transform_values_over_K` is checked against the per-group
+loop it replaces, written here: each group's weight from its histogram,
+times the root of unity of its phase, summed by `CycSum`.  The two are
+compared by `to_json()` bytes, so the order of each value is pinned too.
 
 The two integer kernels of the cell sweep are checked against their
 references: the early exit of the elimination and its K-part residue
@@ -21,22 +30,30 @@ against `CycValue.is_zero`.  So is the reader both share, which gives the
 a-part and the K-part residue of any argument.
 """
 
+import functools
 import json
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 from hypothesis import assume, given, settings, strategies as st
 
-from padiczeta.arith import CycValue, DepthContext, rat_to_text, valuation
+from padiczeta import rslocal
+from padiczeta.arith import (CycSum, CycValue, DepthContext, rat_to_text,
+                             valuation)
 from padiczeta.cli import main
 from padiczeta.group import (Mat, _a_k_residue, _eliminate,
                              _unit_a_k_residue, _unit_a_pivot, iwasawa_UAK,
                              p_power_diag)
 from padiczeta.residue import residue_rows
-from padiczeta.rslocal import (W_fcg, _w_cell_data, pinned_outer_diagonal,
+from padiczeta.rslocal import (EClassElement, RSIntegralConfig,
+                               TransformCells, W_fcg, _explicit_exponent_mod,
+                               _outer_diagonals, _transform_values_over_K,
+                               _w_cell_data, pinned_outer_diagonal,
                                standard_E_element)
+from padiczeta.testfn import translate_for_H
 
 GOLDEN_FILE = Path(__file__).parent / "golden" / "w-fcg.json"
 W_INSTANCES = ((2, 1, 2), (3, 1, 2), (2, 2, 2), (3, 2, 2), (2, 1, 3))
@@ -71,6 +88,15 @@ def _draw_k(rng, p, m, n, lower):
             return k
 
 
+def cell_weight(cells, psi) -> CycValue:
+    """The weight of one group of `_w_cell_data`: its psi histogram as a
+    sum of roots of unity, times the cell volume."""
+    counts = [0] * cells.pB
+    for x, count in psi:
+        counts[x] = count
+    return CycValue.from_histogram(counts, cells.vol)
+
+
 def golden_document() -> str:
     rng = random.Random(20261018)
     out = []
@@ -94,8 +120,10 @@ def golden_document() -> str:
         a = (pinned_outer_diagonal(f, c)[0] if aexps is None
              else p_power_diag(aexps, p))
         for B in (2, 3):
-            cells = sorted(json.dumps([w.to_json(), krows], sort_keys=True)
-                           for w, krows in _w_cell_data(f, c, a, B, nprime))
+            data = _w_cell_data(f, c, a, B, nprime)
+            cells = sorted(json.dumps([cell_weight(data, psi).to_json(),
+                                       krows], sort_keys=True)
+                           for krows, psi in data.groups)
             out.append({"p": p, "m": m, "n": n, "nprime": nprime, "B": B,
                         "c": c.to_text(), "a": a.to_text(), "cells": cells})
     return json.dumps(out, indent=1, sort_keys=True) + "\n"
@@ -103,6 +131,156 @@ def golden_document() -> str:
 
 def test_transform_report_bytes():
     assert golden_document() == GOLDEN_FILE.read_text()
+
+
+class _NoPerGroupCyc(CycValue):
+    """`CycValue` for `rslocal` with the per-group constructors removed."""
+
+    @staticmethod
+    def root_of_unity(order, exponent):
+        raise RuntimeError("root_of_unity in the W_fcg value path")
+
+    @staticmethod
+    def from_histogram(counts, weight):
+        raise RuntimeError("from_histogram in the W_fcg value path")
+
+
+class _NoCycSum:
+    def __init__(self):
+        raise RuntimeError("CycSum in the W_fcg value path")
+
+
+def test_transform_values_need_no_per_group_cyc_values(monkeypatch):
+    # certify the elements first: certification reads f's own phases
+    for p, m, n in W_INSTANCES:
+        standard_E_element(DepthContext(p, m), n)
+    monkeypatch.setattr(rslocal, "CycValue", _NoPerGroupCyc)
+    monkeypatch.setattr(rslocal, "CycSum", _NoCycSum)
+    assert golden_document() == GOLDEN_FILE.read_text()
+
+
+def test_cancelling_group_is_dropped(monkeypatch):
+    # with every cell given one K-part, the single group counts psi^{-1}
+    # over the whole box, a full character sum, so it cancels and is
+    # dropped; the standard K-parts at the same point leave live groups
+    f = standard_E_element(DepthContext(3, 1), 2)
+    c = p_power_diag([-1, -1], 3)
+    a, _ = pinned_outer_diagonal(f, c)
+    assert _w_cell_data(f, c, a, 2)
+    one = ((1, 0), (0, 1))
+    monkeypatch.setattr(rslocal, "_unit_a_k_residue",
+                        lambda d, p, e: lambda rows: one)
+    assert not _w_cell_data(f, c, a, 2)
+
+
+def _reference_values(f, cells, kreps):
+    """The K-sweep as a sum of one CycValue per group: the group's psi
+    histogram times the cell volume, times the root of unity of the
+    explicit phase of krows k, summed by `CycSum`."""
+    ctx, n = f.ctx, f.n
+    sign = -1 if f.tf.conjugate else 1
+    for k in kreps:
+        zk = residue_rows(k, 2 * ctx.m)
+        total = CycSum()
+        for krows, psi in cells.groups:
+            prod = [[sum(krows[i][t] * zk[t][j] for t in range(n)) % ctx.T
+                     for j in range(n)] for i in range(n)]
+            e = _explicit_exponent_mod(prod, ctx)
+            if e is not None:
+                total.add(cell_weight(cells, psi)
+                          * CycValue.root_of_unity(ctx.T, sign * e))
+        yield total.value()
+
+
+def _element(p, m, n, conjugate):
+    tf = translate_for_H(DepthContext(p, m), n)
+    return EClassElement(replace(tf, conjugate=conjugate), Fraction(1))
+
+
+@functools.cache
+def _real_cells(p, m, n, nprime, e, B):
+    """Cells of the transform boxes of the standard element (built here
+    without its certification, which the cells do not read): at the
+    pinned diagonal of c = p^(-m e) for nprime = 0, and at the live
+    diagonals of the parabolic outer sum of c = diag(1, p^(-m e), ...)
+    for nprime = 1."""
+    f = _element(p, m, n, False)
+    if nprime == 0:
+        c = p_power_diag([-m * e] * n, p)
+        return [_w_cell_data(f, c, pinned_outer_diagonal(f, c)[0], B)]
+    c = p_power_diag([0] + [-m * e] * (n - 1), p)
+    return [cells for _, cells in
+            _outer_diagonals(f, c, nprime, RSIntegralConfig(), B)]
+
+
+@st.composite
+def k_rows(draw, p, m, n, lower):
+    """Rows mod q^2 of an element of K, as the product of a unit lower
+    triangular and a unit upper triangular matrix; lower: the upper
+    factor is 1 mod q, so the element is lower triangular mod q, where a
+    transform value can be nonzero."""
+    q, T = p ** m, p ** (2 * m)
+    unit = st.integers(1, T - 1).filter(lambda u: u % p)
+    low = [[draw(unit) if i == j else draw(st.integers(0, T - 1)) if j < i
+            else 0 for j in range(n)] for i in range(n)]
+    up = [[int(i == j) if j <= i else
+           q * draw(st.integers(0, q - 1)) if lower
+           else draw(st.integers(0, T - 1)) for j in range(n)]
+          for i in range(n)]
+    return tuple(tuple(sum(low[i][t] * up[t][j] for t in range(n)) % T
+                       for j in range(n)) for i in range(n))
+
+
+@st.composite
+def psi_histograms(draw, p, pB):
+    """A sparse psi histogram mod pB with several cells: kind "multi" has
+    two to four exponents with counts 1..3, "zero" is constant on the
+    cosets of the subgroup of order p (its roots of unity cancel)."""
+    if draw(st.sampled_from(["multi", "zero"])) == "multi":
+        xs = draw(st.lists(st.integers(0, pB - 1), min_size=2, max_size=4,
+                           unique=True))
+        return tuple((x, draw(st.integers(1, 3))) for x in sorted(xs))
+    step = pB // p
+    base = [0] * step
+    for x in draw(st.lists(st.integers(0, step - 1), min_size=1,
+                           max_size=3)):
+        base[x] += 1
+    return tuple((x, base[x % step]) for x in range(pB) if base[x % step])
+
+
+@st.composite
+def sweep_cases(draw):
+    """(f, cells, kreps): the cells of a real transform box (rank 2 at
+    (p, m) = (2,1), (3,1), (2,2), (3,2) and B = 2..4; rank 3 at (2,1) and
+    (2,2) up to B = 4 and at (3,1) up to B = 3, with nprime 0 or 1), plus
+    drawn groups holding several cells or a cancelling histogram, under a
+    test function conjugated or not, at K-points on and off the support."""
+    n = draw(st.sampled_from([2, 3]))
+    p, m = draw(st.sampled_from([(2, 1), (3, 1), (2, 2)] if n == 3 else
+                                [(2, 1), (3, 1), (2, 2), (3, 2)]))
+    B = draw(st.integers(2, 3 if (p, n) == (3, 3) else 4))
+    nprime = draw(st.integers(0, 1)) if n == 3 else 0
+    boxes = _real_cells(p, m, n, nprime, draw(st.integers(0, 1)), B)
+    real = draw(st.sampled_from(boxes)) if boxes else TransformCells(
+        Fraction(1, p ** B), p ** B, ())
+    extra = tuple(
+        (draw(k_rows(p, m, n, draw(st.booleans()))),
+         draw(psi_histograms(p, p ** B)))
+        for _ in range(draw(st.integers(0, 3))))
+    groups = list(real.groups + extra)
+    draw(st.randoms(use_true_random=False)).shuffle(groups)
+    f = _element(p, m, n, draw(st.booleans()))
+    kreps = [Mat(draw(k_rows(p, m, n, draw(st.booleans()))), p)
+             for _ in range(draw(st.integers(1, 3)))]
+    return f, TransformCells(real.vol, p ** B, tuple(groups)), kreps
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(sweep_cases())
+def test_sweep_matches_per_group_cycsum(case):
+    f, cells, kreps = case
+    got = [v.to_json() for v in _transform_values_over_K(f, cells, kreps)]
+    assert got == [v.to_json() for v in _reference_values(f, cells, kreps)]
 
 
 def test_non_diagonal_outer_factor_is_a_config_error(capsys):
