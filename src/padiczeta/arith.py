@@ -13,7 +13,9 @@ matrix over F_p can have order p^N - 1).
 
 Equality of cyclotomic values is decided by reduction modulo the cyclotomic
 polynomial Phi_n, so `CycValue.__eq__` is exact -- never a numeric
-comparison.  Sums of many values are collected in place by `CycSum`.
+comparison.  Roots of unity counted in a histogram become a value through
+`CycValue.from_histogram` alone; sums of arbitrary values are collected in
+place by `CycSum`.
 """
 
 from __future__ import annotations
@@ -193,29 +195,41 @@ class CycValue:
                         {(exponent % order) // g if order > 1 else 0: Fraction(1)})
 
     @staticmethod
-    def from_histogram(counts, weight: Rat) -> "CycValue":
-        """weight * sum_e counts[e] z^e for z = exp(2 pi i / len(counts)),
-        at the lcm of the orders of the roots summed (1 if none occurred)."""
-        T = len(counts)
-        occurred = [e for e, c in enumerate(counts) if c]
-        d = math.gcd(T, *occurred)
+    def from_histogram(counts, weight: Rat, order: int | None = None,
+                       witness: int = 0) -> "CycValue":
+        """weight * sum_e counts[e] z^e, z = exp(2 pi i / N), for a list of
+        N rational counts or a dict {exponent in 0..N-1: count} with
+        N = order: the one constructor for counted roots of unity.  Its
+        order is N / gcd(N, witness, the exponents with nonzero counts),
+        by default the lcm of the orders of the roots that occurred (1 if
+        none did).  A caller counting products of roots passes as witness
+        the gcd of every factor's exponent, each read at order N, so the
+        value has the order of the chained sum of the products (`CycSum`),
+        cancelled terms included."""
+        if not isinstance(counts, dict):
+            order, counts = len(counts), dict(enumerate(counts))
+        occurred = {e: c for e, c in counts.items() if c}
+        d = math.gcd(order, witness, *occurred)
         # the exponents are distinct and reduced, so there is nothing for
         # __init__ to clean but a zero weight
         out = CycValue.__new__(CycValue)
-        out.order, weight = T // d, Fraction(weight)
-        out.coeffs = ({e // d: counts[e] * weight for e in occurred}
+        out.order, weight = order // d, Fraction(weight)
+        out.coeffs = ({e // d: c * weight for e, c in occurred.items()}
                       if weight else {})
         return out
 
     @staticmethod
-    def histogram_is_zero(counts, p: int) -> bool:
-        """Whether sum_e counts[e] z^e is zero, z = exp(2 pi i / len(counts))
-        for a power len(counts) of the prime p, without reduction: exactly
-        when counts is constant on every coset of the subgroup of order p,
-        because the integer relations among the p^k-th roots of unity are
-        the multiples of Phi_{p^k}(z) = sum_{j < p} z^{j p^(k-1)}."""
-        step = len(counts) // p
-        return counts == counts[:step] * p if step else not any(counts)
+    def histogram_is_zero(counts: dict, p: int, order: int) -> bool:
+        """Whether sum_e counts[e] z^e is zero, z = exp(2 pi i / order), for
+        a dict counts and a power order of the prime p, without reduction:
+        exactly when counts is constant on every coset of the subgroup of
+        order p, because the integer relations among the p^k-th roots of
+        unity are the multiples of Phi_{p^k}(z) = sum_{j < p} z^{j p^(k-1)}."""
+        step = order // p
+        # walking a coset from a nonzero count comes back around it; with
+        # no subgroup of order p (step 0) the sum is zero only when empty
+        return all(step and counts.get((e + step) % order, 0) == c
+                   for e, c in counts.items() if c)
 
     one = None  # set below
     zero = None

@@ -616,26 +616,23 @@ def _member_rows(grid: tuple, left, right):
 
 
 def _key_section(f: EClassElement, s: tuple, exps: tuple, krows: tuple,
-                 cache: dict) -> dict:
+                 cache: dict) -> tuple | None:
     """`section_value` at a g whose shift * w_G * g has the Iwasawa a-part
-    diag(p^exps) and the K-part krows mod q^2, in the same form: {radical
-    -> coefficient}, empty for zero.  The phase is cached by krows."""
+    diag(p^exps) and the K-part krows mod q^2, as (radical, coefficient,
+    e) for coefficient * sqrt(radical) * exp(2 pi i e / T), None for zero.
+    e is cached by krows."""
     ctx, tf = f.ctx, f.tf
-    if krows in cache:
-        phase = cache[krows]
-    else:
-        e = _explicit_exponent_mod(krows, ctx)
-        phase = (None if e is None else
-                 CycValue.root_of_unity(ctx.T, -e if tf.conjugate else e))
-        cache[krows] = phase
-    if phase is None:
-        return {}
+    if krows not in cache:
+        cache[krows] = _explicit_exponent_mod(krows, ctx)
+    e = cache[krows]
+    if e is None:
+        return None
     n = len(exps)
     e2 = sum(exps[i] - exps[j] for i in range(n) for j in range(i + 1, n)) \
         - 2 * sum(si * ai for si, ai in zip(s, exps))
     coeff = tf.c1 * SqrtRational.sqrt(Fraction(ctx.p) ** e2)
     c, rad = _sqrt_split(coeff.squared())
-    return {rad: phase * (c * coeff.sign)}
+    return rad, c * coeff.sign, -e if tf.conjugate else e
 
 
 def _cell_sum(f: EClassElement, s: tuple, a: Mat, k: Mat,
@@ -660,11 +657,10 @@ def _cell_sum(f: EClassElement, s: tuple, a: Mat, k: Mat,
     Members with the same (a-part, K-part) key have the same section
     value, so psi^{-1}(u) enters through one histogram per key.  The
     superdiagonal entries of a member have denominators dividing p^rho,
-    so these are p^rho-th roots of unity.  Every member has the same
-    volume, so a key adds `CycValue.from_histogram(hist, vol)` times its
-    section value.  The order of each radical's sum is then the lcm over
-    its members of the orders of phase and psi, as in the member-by-
-    member sum, so the values print the same."""
+    so these are p^rho-th roots of unity.  As in `rslocal._phase_at`,
+    each radical counts its keys' products (psi root) * (phase root),
+    times the key's coefficient, in one histogram at N = max(p^rho, T),
+    made a value by `CycValue.from_histogram` times the member volume."""
     ctx, tf = f.ctx, f.tf
     n, p, rho = domain.n, domain.p, domain.slope
     grid = domain.member_grid(levels)
@@ -673,22 +669,29 @@ def _cell_sum(f: EClassElement, s: tuple, a: Mat, k: Mat,
     vol = Fraction(p) ** sum((j - i) * rho - n - levels[(i, j)]
                              for (i, j) in _upper_coords(n))
     read = _a_k_residue(shift.den * den * ak.den, p, 2 * ctx.m)
+    N = max(psi_den, ctx.T)
     hists: dict = {}
     cells = 0
     for rows, sd in _member_rows(grid, [shift.num[i][i] for i in range(n)],
                                  ak.num):
         cells += 1
-        key = read(rows)
-        if key not in hists:
-            hists[key] = [0] * psi_den
-        # psi^{-1}(u) = exp(2 pi i e / psi_den), e = -sd / (den / psi_den)
-        hists[key][-(sd // (den // psi_den)) % psi_den] += 1
+        hist = hists.setdefault(read(rows), {})
+        # psi^{-1}(u) = exp(2 pi i x / N), x = -sd N / den mod N
+        x = -(sd // (den // psi_den)) % psi_den * (N // psi_den)
+        hist[x] = hist.get(x, 0) + 1
     acc: dict = {}
     for (exps, krows), hist in hists.items():
-        for rad, val in _key_section(f, s, exps, krows, cache).items():
-            acc.setdefault(rad, CycSum()).add(
-                CycValue.from_histogram(hist, vol) * val)
-    return _parts_clean({rad: t.value() for rad, t in acc.items()}), cells
+        section = _key_section(f, s, exps, krows, cache)
+        if section is None:
+            continue
+        rad, coeff, e = section
+        counts, witness = acc.get(rad, ({}, 0))
+        e *= N // ctx.T
+        for x, count in hist.items():
+            counts[(x + e) % N] = counts.get((x + e) % N, 0) + count * coeff
+        acc[rad] = counts, math.gcd(witness, e, *hist)
+    return _parts_clean({rad: CycValue.from_histogram(counts, vol, N, w)
+                         for rad, (counts, w) in acc.items()}), cells
 
 
 @dataclass

@@ -257,7 +257,7 @@ def _w_cell_data(f: EClassElement, c: Mat, a: Mat, B: int,
     head shift * w_G * c^{-1} * w_M.  The cells carry integers only, one
     psi histogram per K-part and the common cell volume; the transform
     values are read from them by `_transform_values_over_K`, which counts
-    each value in one integer histogram at the order of `_phase_at`.
+    each value in one integer histogram (`_phase_at`).
     Only for forward elements: the dual takes the slow path `_w_direct`.
     """
     return _box_cells(f, _head(f, c, _block_weyl(f.n, nprime, f.ctx.p)),
@@ -323,8 +323,7 @@ def _box_cells(f: EClassElement, head: Mat, a: Mat, B: int,
     # order p, so it occupies a multiple of p exponents
     return TransformCells(vol, pB, tuple(
         (krows, tuple(h.items())) for krows, h in hists.items()
-        if len(h) % p or not CycValue.histogram_is_zero(
-            [h.get(x, 0) for x in range(pB)], p)))
+        if len(h) % p or not CycValue.histogram_is_zero(h, p, pB)))
 
 
 def _coeff(f: EClassElement, c: Mat) -> SqrtRational:
@@ -383,9 +382,8 @@ def W_fcg(f: EClassElement, c: Mat, a: Mat, k: Mat,
     shift * w_G * c^{-1} * w_M and k mod q^2 do not depend on B, so they
     are built once per call.  For a forward element each box is
     `_box_cells` read at k by `_phase_at`: one integer histogram of
-    (psi exponent, phase exponent) pairs, at the order the per-group
-    `CycSum` gives (the largest order of a contributing group's psi
-    histogram or phase root).  The dual element takes `_w_direct`.
+    (psi exponent, phase exponent) pairs, made a value by
+    `CycValue.from_histogram`.  The dual element takes `_w_direct`.
     """
     cfg = cfg or RSIntegralConfig()
     coeff = _coeff(f, c)
@@ -503,11 +501,7 @@ def _explicit_exponent_mod(z, ctx: DepthContext):
 def _transform_values_over_K(f: EClassElement, cells: TransformCells,
                              kreps):
     """The transform phase at each point k of kreps, in order: `_phase_at`
-    at k mod q^2.  Each value is one integer histogram of (psi exponent,
-    phase exponent) pairs scaled by the cell volume, at the order the
-    per-group `CycSum` would give: the largest over the contributing
-    groups of the orders of their psi histogram and of their phase root,
-    and 1 when no group contributes."""
+    at k mod q^2, one `CycValue.from_histogram` per value."""
     for k in kreps:
         yield _phase_at(f, cells, residue_rows(k, 2 * f.ctx.m))
 
@@ -521,14 +515,8 @@ def _phase_at(f: EClassElement, cells: TransformCells, zk) -> CycValue:
     read mod q^2 by `_J_exponent_mod` and negated for a conjugate test
     function.  The contributions are counted in one integer histogram at
     N = max(p^B, T): a psi exponent x with count c puts c at
-    x N/p^B + e N/T mod N, and the volume multiplies the counts once.
-
-    The order of the value is that of the sum of the per-group products
-    (psi histogram) * (root of unity) chained by `CycSum`, the lcm of the
-    addends' orders, which are powers of p: the maximum over contributing
-    groups of max(p^B / gcd(p^B, its psi exponents), T / gcd(e, T)), and
-    1 when no group contributes.  Terms that cancel keep their share of
-    it, so the value's `to_json()` is that of the per-group sum.
+    x N/p^B + e N/T mod N, and `CycValue.from_histogram`, witnessed by
+    both factors' exponents, makes it the value times the cell volume.
     """
     ctx, n = f.ctx, f.n
     q, T, pB = ctx.q, ctx.T, cells.pB
@@ -537,8 +525,8 @@ def _phase_at(f: EClassElement, cells: TransformCells, zk) -> CycValue:
     scale = N // pB
     upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
     cols = list(zip(*zk))
-    hist, order = {}, 1
-    for krows, psi_hist in cells.groups:
+    hist, witness = {}, 0
+    for krows, counts in cells.groups:
         if any(sum(x * y for x, y in zip(krows[i], cols[j])) % q
                for i, j in upper):
             continue
@@ -547,15 +535,11 @@ def _phase_at(f: EClassElement, cells: TransformCells, zk) -> CycValue:
         e = _J_exponent_mod(prod, ctx)
         if e is None:
             continue
-        order = max(order, T // math.gcd(e, T),
-                    pB // math.gcd(pB, *(x for x, _ in psi_hist)))
-        shift = e * step
-        for x, count in psi_hist:
-            y = (x * scale + shift) % N
+        witness = math.gcd(witness, e * step, *(x * scale for x, _ in counts))
+        for x, count in counts:
+            y = (x * scale + e * step) % N
             hist[y] = hist.get(y, 0) + count
-    shrink = N // order
-    return CycValue(order, {y // shrink: count * cells.vol
-                            for y, count in hist.items()})
+    return CycValue.from_histogram(hist, cells.vol, N, witness)
 
 
 def _k_square_sum(f: EClassElement, cells, kreps) -> CycValue:

@@ -17,9 +17,9 @@ share that part of the elimination.  For non-integral g no level is
 guaranteed a priori, so we certify stabilization empirically per point.
 Each level is an integer walk over the columns of d g (1 + x) (d the
 denominator of g): one fraction-free elimination per term, no coset
-`Mat`.  Its value carries the order of the coset sum it replaces, the lcm
-over the surviving terms of the orders of J's root and of chi's root,
-taken separately; that coset sum stays as the tested twin `_coset_sum`.
+`Mat`.  Its value is counted roots of unity (`CycValue.from_histogram`)
+and prints as the coset sum it replaces, which stays as the tested twin
+`_coset_sum`.
 
 The H-side function is the conjugated translate f_H(g) = c1 conj(f0)(t g)
 with t the antidominant square-root-of-T diagonal, normalized so that the
@@ -231,11 +231,10 @@ def f_convolution(g: Mat, ctx: DepthContext, L: int | None = None,
     a_i = Delta_i / (d Delta_{i-1}) is a unit.  Otherwise its phase is
     psi_T of sum_i work[i][i+1] / work[i][i], a root of unity of order
     dividing P = T p^{(n-1)v}, whose exponent takes the inverse mod P of
-    each pivot's unit part.  The value is built once from a histogram of
-    (J exponent, chi_theta exponent) pairs, at the order the coset sum's
-    `CycSum` gives (`_coset_sum` is the tested twin): the lcm over the
-    surviving terms of the order of J's root and the order of chi's root,
-    taken separately, which is P / gcd(P, every exponent at order P).
+    each pivot's unit part.  The value is built once from the histogram
+    of the products J root * conj(chi_theta root) at order P
+    (`CycValue.from_histogram`, witnessed by both factors' exponents), so
+    it prints as the coset sum `_coset_sum`, the tested twin.
     """
     n, p, m, T = g.n, ctx.p, ctx.m, ctx.T
     if L is None:
@@ -275,13 +274,12 @@ def f_convolution(g: Mat, ctx: DepthContext, L: int | None = None,
         else:
             pairs[e % P, shift % T] += 1
     scale = P // T
-    d = math.gcd(P, *(x for e, c in pairs for x in (e, c * scale)))
-    coeffs = collections.Counter()
+    hist = collections.Counter()
     for (e, c), count in pairs.items():
-        coeffs[(e - c * scale) % P // d] += count
-    volume = p ** ((L - m) * n * n)
-    return CycValue(P // d, {e: Fraction(count, volume)
-                             for e, count in coeffs.items()})
+        hist[(e - c * scale) % P] += count
+    witness = math.gcd(*(x for e, c in pairs for x in (e, c * scale)))
+    return CycValue.from_histogram(hist, Fraction(1, p ** ((L - m) * n * n)),
+                                   P, witness)
 
 
 def _coset_sum(g: Mat, ctx: DepthContext, L: int) -> CycValue:

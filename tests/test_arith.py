@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from padiczeta.arith import (
+    CycSum,
     CycValue,
     DepthContext,
     MellinMonomial,
@@ -158,6 +159,39 @@ def test_cyc_ring_laws(a, b, c):
     assert x * (y + z) == x * y + x * z
     assert x + y == y + x
     assert (x * y) * z == x * (y * z)
+
+
+# an addend: a count times one root of unity, or a product of two, at
+# orders p^k with k <= 3, each given as (k, exponent)
+_roots = st.tuples(st.integers(0, 3), st.integers(0, 26))
+_counts = st.one_of(st.integers(-3, 3),
+                    st.fractions(-3, 3, max_denominator=4))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.sampled_from([2, 3]),
+       st.lists(st.tuples(_roots, st.none() | _roots, _counts), max_size=8),
+       st.integers(0, 8), _counts, st.booleans())
+def test_from_histogram_prints_as_cyc_sum_of_products(p, addends, cancel,
+                                                      weight, as_dict):
+    # the order rule of `from_histogram`: counted at N = p^3 with the gcd
+    # of every factor's exponent as witness, the value prints as the
+    # chained sum of the products, cancelled addends included
+    addends += [(r1, r2, -count) for r1, r2, count in addends[:cancel]]
+    N = p ** 3
+    counts, witness, total = {}, 0, CycSum()
+    for r1, r2, count in addends:
+        term, y = CycValue.one, 0
+        for k, e in (r1,) if r2 is None else (r1, r2):
+            term = term * CycValue.root_of_unity(p ** k, e)
+            witness = math.gcd(witness, e * N // p ** k)
+            y += e * N // p ** k
+        counts[y % N] = counts.get(y % N, 0) + count
+        total.add(term * (count * weight))
+    if not as_dict:
+        counts = [counts.get(y, 0) for y in range(N)]
+    got = CycValue.from_histogram(counts, weight, N, witness)
+    assert got.to_json() == total.value().to_json()
 
 
 def test_cyc_numeric_sanity():

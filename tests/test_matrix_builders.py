@@ -215,7 +215,7 @@ def test_cell_sum_mass_is_cell_volume(domain, levels, monkeypatch):
     monkeypatch.setattr(nicedomain, "_member_rows",
                         lambda *args: ((rows, 0) for rows, _ in walk(*args)))
     monkeypatch.setattr(nicedomain, "_key_section",
-                        lambda f, s, exps, krows, cache: {1: CycValue.one})
+                        lambda f, s, exps, krows, cache: (1, 1, 0))
     one = Mat.identity(n, domain.p)
     f = standard_E_element(CTX21, n)
     parts, _ = _cell_sum(f, (0,) * n, one, one, domain, levels, {})

@@ -71,17 +71,35 @@ def test_residue_kernels_are_not_recursive():
 
 
 def test_transform_value_path_builds_no_per_group_cyc_value():
-    # the W_fcg cells carry integer histograms and each value is counted
-    # in one integer histogram, so the cell walk and the K-sweep never
-    # form a root of unity or a running CycSum per group
-    tree = ast.parse((SOURCES[0].parent / "rslocal.py").read_text())
-    names = {"_w_cell_data", "_box_cells", "_transform_values_over_K",
-             "_phase_at"}
-    bodies = {node.name: node for node in tree.body
-              if isinstance(node, ast.FunctionDef) and node.name in names}
-    assert set(bodies) == names
-    found = [f"{name}:{node.lineno}" for name, fn in bodies.items()
-             for node in ast.walk(fn)
-             if (getattr(node, "id", None) or getattr(node, "attr", None))
-             in ("CycSum", "root_of_unity")]
-    assert not found, f"per-group CycValue route in rslocal: {found}"
+    # the counted values (the W_fcg cell walk and K-sweep, the convolution
+    # level walk, the vanishing cell sums) are counted in integer
+    # histograms and made values only by `CycValue.from_histogram`, so
+    # these functions never form a root of unity, a running CycSum or a
+    # CycValue at an order they work out themselves
+    names = {"rslocal.py": {"_w_cell_data", "_box_cells",
+                            "_transform_values_over_K", "_phase_at"},
+             "testfn.py": {"f_convolution"},
+             "nicedomain.py": {"_cell_sum", "_key_section"}}
+
+    def computed_order(node):
+        # a direct `CycValue(order, ...)` call whose order is not a literal
+        if not (isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "CycValue"):
+            return False
+        args = node.args[:1] + [kw.value for kw in node.keywords
+                                if kw.arg == "order"]
+        return any(not isinstance(a, ast.Constant) for a in args)
+
+    found = []
+    for module, wanted in names.items():
+        tree = ast.parse((SOURCES[0].parent / module).read_text())
+        bodies = {node.name: node for node in tree.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name in wanted}
+        assert set(bodies) == wanted
+        found += [f"{module}:{name}:{node.lineno}"
+                  for name, fn in bodies.items() for node in ast.walk(fn)
+                  if (getattr(node, "id", None)
+                      or getattr(node, "attr", None))
+                  in ("CycSum", "root_of_unity") or computed_order(node)]
+    assert not found, f"per-group CycValue route: {found}"

@@ -10,9 +10,9 @@ group as one JSON line of its weight (its psi histogram as a sum of roots
 of unity, times the cell volume) and its K-part residue mod q^2, sorted:
 pinned and unpinned diagonals (the latter leave no cell), box depths
 B = 2 and 3, and the parabolic variants nprime = 1 and 2 at rank 3.  The
-transform values of the file must also come out with the per-group
-`CycValue` route (`from_histogram`, `root_of_unity`, `CycSum`) made to
-raise inside `rslocal`: each value is counted in one integer histogram.
+transform values of the file must also come out with `root_of_unity` and
+`CycSum` made to raise inside `rslocal` and with one `from_histogram`
+call per value: each value is counted in one integer histogram.
 Regenerate the file (only on purpose) with
 
     PYTHONPATH=src python tests/test_transform_cells.py \
@@ -133,16 +133,20 @@ def test_transform_report_bytes():
     assert golden_document() == GOLDEN_FILE.read_text()
 
 
-class _NoPerGroupCyc(CycValue):
-    """`CycValue` for `rslocal` with the per-group constructors removed."""
+class _OneHistogramCyc(CycValue):
+    """`CycValue` for `rslocal` with `root_of_unity` removed and the calls
+    of `from_histogram` counted."""
+
+    histograms = 0
 
     @staticmethod
     def root_of_unity(order, exponent):
         raise RuntimeError("root_of_unity in the W_fcg value path")
 
     @staticmethod
-    def from_histogram(counts, weight):
-        raise RuntimeError("from_histogram in the W_fcg value path")
+    def from_histogram(*args):
+        _OneHistogramCyc.histograms += 1
+        return CycValue.from_histogram(*args)
 
 
 class _NoCycSum:
@@ -154,9 +158,25 @@ def test_transform_values_need_no_per_group_cyc_values(monkeypatch):
     # certify the elements first: certification reads f's own phases
     for p, m, n in W_INSTANCES:
         standard_E_element(DepthContext(p, m), n)
-    monkeypatch.setattr(rslocal, "CycValue", _NoPerGroupCyc)
+    phase_at = rslocal._phase_at
+    monkeypatch.setattr(_OneHistogramCyc, "histograms", 0)
+    values = []
+
+    def one_histogram(*args):
+        before = _OneHistogramCyc.histograms
+        values.append(phase_at(*args))
+        if _OneHistogramCyc.histograms != before + 1:
+            raise RuntimeError("a transform value built from "
+                               f"{_OneHistogramCyc.histograms - before} "
+                               "histograms")
+        return values[-1]
+
+    monkeypatch.setattr(rslocal, "CycValue", _OneHistogramCyc)
     monkeypatch.setattr(rslocal, "CycSum", _NoCycSum)
+    monkeypatch.setattr(rslocal, "_phase_at", one_histogram)
     assert golden_document() == GOLDEN_FILE.read_text()
+    # and none outside the values, e.g. in the cell walk's zero test
+    assert values and _OneHistogramCyc.histograms == len(values)
 
 
 def test_cancelling_group_is_dropped(monkeypatch):
@@ -382,7 +402,8 @@ def histograms(draw):
 @given(histograms())
 def test_histogram_zero_test_matches_reduction(hist):
     counts, p = hist
-    assert (CycValue.histogram_is_zero(counts, p)
+    sparse = {e: c for e, c in enumerate(counts) if c}
+    assert (CycValue.histogram_is_zero(sparse, p, len(counts))
             == CycValue.from_histogram(counts, 1).is_zero())
 
 
