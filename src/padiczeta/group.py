@@ -1,10 +1,12 @@
 """GL_N over the p-adic rationals with exact arithmetic.
 
 A matrix is stored as integer numerator rows over one common positive
-denominator, in lowest terms, with a prime context; `Mat.rows` is a
-read-only view of the entries as Fractions.  Products, determinants,
-inverses and the decompositions below run on the integers and reduce each
-result once, by a single gcd.  Elimination is fraction-free (Bareiss,
+denominator, in lowest terms, with a prime context; `g[i, j]` reads one
+entry as a Fraction.  Products, determinants, inverses and the
+decompositions below run on the integers and reduce each result once, by
+a single gcd; the boxes of matrices that the integrals sum over are built
+on the integers too (`unipotent_box`, and `box_columns` column by
+column).  Elimination is fraction-free (Bareiss,
 "Sylvester's identity and multistep integer-preserving Gaussian
 elimination", Math. Comp. 22, 1968): every intermediate entry is an
 integer minor.  The module provides the three decompositions every
@@ -31,7 +33,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 
 from .arith import norm, valuation
 
@@ -43,7 +45,7 @@ class Mat:
     denominator, with no factor shared by `den` and every numerator.
     """
 
-    __slots__ = ("p", "n", "num", "den", "_rows")
+    __slots__ = ("p", "n", "num", "den")
 
     def __init__(self, rows, p: int):
         ents = [[x if type(x) is int else Fraction(x) for x in row]
@@ -55,7 +57,7 @@ class Mat:
         den = math.lcm(*(x.denominator for r in ents for x in r))
         self.num = tuple(tuple(x.numerator * (den // x.denominator)
                                for x in r) for r in ents)
-        self.den, self.n, self.p, self._rows = den, n, p, None
+        self.den, self.n, self.p = den, n, p
 
     @classmethod
     def _from_ints(cls, num, den: int, p: int) -> "Mat":
@@ -68,17 +70,8 @@ class Mat:
             num = tuple(tuple(x // g for x in r) for r in num)
             den //= g
         m = cls.__new__(cls)
-        m.num, m.den, m.n, m.p, m._rows = num, den, len(num), p, None
+        m.num, m.den, m.n, m.p = num, den, len(num), p
         return m
-
-    @property
-    def rows(self) -> tuple:
-        """The entries as Fraction rows (built on first use)."""
-        if self._rows is None:
-            den = self.den
-            self._rows = tuple(tuple(Fraction(x, den) for x in r)
-                               for r in self.num)
-        return self._rows
 
     # -- constructors -----------------------------------------------------
 
@@ -668,6 +661,34 @@ def unipotent_box(n: int, p: int, coords, values, den: int = 1):
         for (i, j), v in zip(coords, vals):
             rows[i][j] += v
         yield Mat._from_ints(tuple(map(tuple, rows)), den, p)
+
+
+def box_columns(H, den: int, scale, coords, ranges, weights) -> list:
+    """The column candidates of the box of integer matrices
+    H (den I + X) diag(scale), X zero off coords and X[c] running over
+    the integers ranges[c].
+
+    Column j of a box member depends only on column j of X, so the box is
+    the itertools.product of the returned lists: list j holds one
+    (column, share) pair per value of the entries X[t][j], (t, j) in
+    coords, in itertools.product order, with the exact integer column and
+    the share sum weights[c] X[c] over those entries (a coordinate missing
+    from the dict weights has weight 0).  The list is built one
+    coordinate at a time: each coordinate adds its multiples of the
+    scaled column t of H to the candidates of the coordinates before
+    it."""
+    tables = []
+    for j, s in enumerate(scale):
+        cands = [(tuple(den * s * r[j] for r in H), 0)]
+        for c, values in zip(coords, ranges):
+            if c[1] != j:
+                continue
+            h, w = [s * r[c[0]] for r in H], weights.get(c, 0)
+            steps = [(tuple(x * y for y in h), w * x) for x in values]
+            cands = [(tuple(map(add, col, dcol)), share + dw)
+                     for col, share in cands for dcol, dw in steps]
+        tables.append(cands)
+    return tables
 
 
 def enumerate_cosets(spec: SubgroupSpec, L: int) -> list[Mat]:

@@ -42,6 +42,7 @@ from .group import (
     Mat,
     SubgroupSpec,
     _a_k_residue,
+    box_columns,
     bruhat_open_cell,
     enumerate_cosets,
     iwasawa_NAK,
@@ -593,23 +594,16 @@ def _member_rows(grid: tuple, left, right):
     """For each member u = 1 + X / den of a cell's grid (ranges, den)
     (`NiceDomain.member_grid`), in the order of `NiceDomain.members`: the
     integer rows of diag(left) (den I + X) right, and the superdiagonal
-    sum of X.  Row i depends only on row i of X, whose coordinates are
-    consecutive in the grid, so the candidates of each row are built once
-    and the members are walked as their product."""
+    sum of X.  Row i of that product is column i of
+    right^T (den I + X^T) diag(left), which depends only on row i of X,
+    whose coordinates are consecutive in the grid; so the candidates of
+    each row are built once (`group.box_columns` on the transposed
+    coordinates) and the members are walked as their product."""
     ranges, den = grid
     n = len(right)
-    coords = iter(ranges)
-    tables = []
-    for i in range(n):
-        cands = []
-        for xs in itertools.product(*(next(coords)
-                                      for _ in range(i + 1, n))):
-            row = [den * y for y in right[i]]
-            for x, other in zip(xs, right[i + 1:]):
-                row = [y + x * z for y, z in zip(row, other)]
-            cands.append((tuple(left[i] * y for y in row),
-                          xs[0] if xs else 0))
-        tables.append(cands)
+    tables = box_columns(tuple(zip(*right)), den, left,
+                         [(j, i) for i, j in _upper_coords(n)], ranges,
+                         {(i + 1, i): 1 for i in range(n - 1)})
     for member in itertools.product(*tables):
         rows, shares = zip(*member)
         yield rows, sum(shares)

@@ -49,6 +49,7 @@ from .group import (
     Mat,
     SubgroupSpec,
     _unit_a_k_residue,
+    box_columns,
     enumerate_cosets,
     haar_volume,
     modular_delta,
@@ -275,9 +276,10 @@ def _box_cells(f: EClassElement, head: Mat, a: Mat, B: int,
     head = H / h, u = (p^B + X) / p^B and a = A / a0, the cell's argument
     head u a is the integer matrix H (p^B + X) A over d = h p^B a0, and
     column j of it depends only on column j of X, so the candidates of
-    each column are built once.  The integrand f(head u a k) vanishes
-    unless the Iwasawa a-part of head u a is 1 (the support of f), and
-    then depends on its K-part k' only through k' k mod q^2.  One
+    each column are built once (`group.box_columns`).  The integrand
+    f(head u a k) vanishes unless the Iwasawa a-part of head u a is 1
+    (the support of f), and then depends on its K-part k' only through
+    k' k mod q^2.  One
     elimination per cell (`_unit_a_k_residue`, which gives up at the
     first pivot that shows a != 1) yields krows = k' mod q^2, and cells
     with equal krows share one integer histogram of their psi^{-1}(u)
@@ -292,33 +294,20 @@ def _box_cells(f: EClassElement, head: Mat, a: Mat, B: int,
         raise ValueError("the outer factor a must be diagonal")
     coords = [(k, l) for k in range(nprime, n) for l in range(k + 1, n)]
     ranges, vol = _box(ctx, a, B, coords)
-    H = head.num
-    tables = []
-    for j in range(n):
-        # the candidates for column j of H (p^B + X) A, one per value of
-        # the entries X[t][j], each with its share X[j-1][j] of the
-        # superdiagonal sum of X
-        ts = [t for t, l in coords if l == j]
-        aj = a.num[j][j]
-        cols, shares = [], []
-        for xs in itertools.product(*(ranges[coords.index((t, j))]
-                                      for t in ts)):
-            x = dict(zip(ts, xs))
-            cols.append(tuple(aj * (pB * h[j] + sum(v * h[t]
-                                                    for t, v in x.items()))
-                              for h in H))
-            shares.append(x.get(j - 1, 0))
-        tables.append((cols, shares))
-    columns, shares = zip(*tables)
+    # each cell's columns with their shares X[j-1][j] of the superdiagonal
+    # sum of X
+    tables = box_columns(head.num, pB, [a.num[j][j] for j in range(n)],
+                         coords, ranges, {(j - 1, j): 1 for j in range(1, n)})
     k_part = _unit_a_k_residue(head.den * pB * a.den, p, 2 * ctx.m)
     hists = {}
-    for cols, s in zip(itertools.product(*columns),
-                       map(sum, itertools.product(*shares))):
+    for cell in itertools.product(*tables):
+        cols, shares = zip(*cell)
         krows = k_part(list(zip(*cols)))
         if krows is None:
             continue
         h = hists.setdefault(krows, {})
-        h[-s % pB] = h.get(-s % pB, 0) + 1
+        s = -sum(shares) % pB
+        h[s] = h.get(s, 0) + 1
     # a cancelling histogram is constant on the cosets of the subgroup of
     # order p, so it occupies a multiple of p exponents
     return TransformCells(vol, pB, tuple(
@@ -345,14 +334,6 @@ class WValue:
 
     def abs_sq(self) -> CycValue:
         return self.phase.abs_sq() * self.coeff.squared()
-
-
-def _assemble(f: EClassElement, c: Mat, cells: TransformCells,
-              k: Mat) -> WValue:
-    """The transform at a k from the cells of `_w_cell_data`: the sweep
-    `_transform_values_over_K` at the one point k."""
-    [phase] = _transform_values_over_K(f, cells, [k])
-    return WValue(_coeff(f, c), phase)
 
 
 def _w_direct(f: EClassElement, c: Mat, a: Mat, k: Mat, B: int,

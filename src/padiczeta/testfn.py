@@ -52,6 +52,7 @@ from .group import (
     SubgroupSpec,
     _diagonal_pivot,
     _eliminate,
+    box_columns,
     bruhat_open_cell,
     enumerate_cosets,
     iwasawa_UAK,
@@ -107,24 +108,21 @@ def _J_exponent_mod(z, ctx: DepthContext):
                        for row in rest for f in (row[0] * pinv,)]
 
 
-def _column_table(z, j: int, ctx: DepthContext, tau, digits: int) -> tuple:
-    """The digits^n candidates for column j of z (1 + q off), one per
-    column j of off with entries in range(digits), as (columns, shifts):
-    the columns are exact integers, and the shift is the column's share
-    q tr of the projecting character's exponent, taken mod T.
+def _congruence_columns(z, ctx: DepthContext, tau, digits: int) -> list:
+    """The candidates for each column j of z (1 + q off), one per column
+    j of off with entries in range(digits), from `box_columns`: pairs of
+    an exact integer column and its shift, the column's share q tr of the
+    projecting character's exponent.
 
     tau=None reads only off[j-1][j] (the superdiagonal); a parameter tau
     reads sum_i off[i][j] tau[j][i].
     """
-    q, T, n = ctx.q, ctx.T, len(z)
-    weights = ([int(i == j - 1) for i in range(n)] if tau is None
-               else tau.mat.entries[j])
-    columns, shifts = [], []
-    for o in itertools.product(range(digits), repeat=n):
-        columns.append(tuple(row[j] + q * sum(x * y for x, y in zip(row, o))
-                             for row in z))
-        shifts.append(q * sum(w * y for w, y in zip(weights, o)) % T)
-    return tuple(columns), tuple(shifts)
+    n, q = len(z), ctx.q
+    coords = [(i, j) for i in range(n) for j in range(n)]
+    weights = ({(j - 1, j): 1 for j in range(1, n)} if tau is None
+               else {(i, j): tau.mat.entries[j][i] for i, j in coords})
+    return box_columns(z, 1, [1] * n, coords,
+                       [range(0, q * digits, q)] * len(coords), weights)
 
 
 def _crout_column(col, low, j: int, inverse, T: int):
@@ -161,7 +159,8 @@ def _convolution_integral(g: Mat, ctx: DepthContext, tau=None) -> CycValue:
     tau selects the projecting character; None means the subdiagonal
     nilpotent, whose character only reads the superdiagonal.  Column j of
     the term z (1 + q off) mod q^2 depends only on column j of off, so the
-    q^n candidates of each column are built once (`_column_table`).
+    q^n candidates of each column are built once, incrementally, by
+    `group.box_columns` (`_congruence_columns`).
 
     A term is L U mod T with L unit lower triangular, J vanishes on it
     unless every pivot U[i][i] is a unit, and otherwise its exponent is
@@ -188,11 +187,9 @@ def _convolution_integral(g: Mat, ctx: DepthContext, tau=None) -> CycValue:
         _, d, prefix = _crout_column(col, prefix, j, inverse, T)
         if not d:
             return CycValue.from_histogram(counts, Fraction(1, q ** (n * n)))
-    tables = [list(zip(*_column_table(z, j, ctx, tau, q)))
-              for j in range(n - 1)]
+    *tables, last = _congruence_columns(z, ctx, tau, q)
     # the leaves keep rows 0..n-2 of the column and the shift
-    leaves = [(*col[:n - 1], s)
-              for col, s in zip(*_column_table(z, n - 1, ctx, tau, q))]
+    leaves = [(*col[:n - 1], s) for col, s in last]
 
     def walk(j, low, d, e):
         if j == n - 1:
@@ -223,12 +220,12 @@ def f_convolution(g: Mat, ctx: DepthContext, L: int | None = None,
     representatives are r = 1 + x with x running over q M_n mod p^L
     (those of `enumerate_cosets`), and column j of G r = d g r depends
     only on column j of x, so the p^{(L-m)n} exact candidates of each
-    column are built once (`_column_table`) and the terms are walked as
-    their product.  Every term gets one fraction-free elimination
-    (`_eliminate`), whose pivot work[i][i] is the leading minor
-    Delta_{i+1} of G r.  J vanishes at a zero pivot, and also unless
-    v(work[i][i]) = (i+1) v for each i, which is its test that
-    a_i = Delta_i / (d Delta_{i-1}) is a unit.  Otherwise its phase is
+    column are built once by `group.box_columns` (`_congruence_columns`)
+    and the terms are walked as their product.  Every term gets one
+    fraction-free elimination (`_eliminate`), whose pivot work[i][i] is
+    the leading minor Delta_{i+1} of G r.  J vanishes at a zero pivot,
+    and also unless v(work[i][i]) = (i+1) v for each i, which is its test
+    that a_i = Delta_i / (d Delta_{i-1}) is a unit.  Otherwise its phase is
     psi_T of sum_i work[i][i+1] / work[i][i], a root of unity of order
     dividing P = T p^{(n-1)v}, whose exponent takes the inverse mod P of
     each pivot's unit part.  The value is built once from the histogram
@@ -256,11 +253,10 @@ def f_convolution(g: Mat, ctx: DepthContext, L: int | None = None,
     P = T * p ** ((n - 1) * v)
     pivots = [p ** ((i + 1) * v) for i in range(n)]
     lifts = [p ** ((n - 2 - i) * v) for i in range(n - 1)]
-    columns, shifts = zip(*(_column_table(g.num, j, ctx, None, p ** (L - m))
-                            for j in range(n)))
     pairs = collections.Counter()
-    for cols, shift in zip(itertools.product(*columns),
-                           map(sum, itertools.product(*shifts))):
+    for term in itertools.product(*_congruence_columns(g.num, ctx, None,
+                                                       p ** (L - m))):
+        cols, shifts = zip(*term)
         out = _eliminate(list(zip(*cols)), _diagonal_pivot)
         if out is None:
             continue
@@ -272,7 +268,7 @@ def f_convolution(g: Mat, ctx: DepthContext, L: int | None = None,
             if i < n - 1:
                 e += row[i + 1] * pow(unit, -1, P) * lifts[i]
         else:
-            pairs[e % P, shift % T] += 1
+            pairs[e % P, sum(shifts) % T] += 1
     scale = P // T
     hist = collections.Counter()
     for (e, c), count in pairs.items():
@@ -427,10 +423,10 @@ def _explicit_on_K(k: Mat, ctx: DepthContext, theta) -> CycValue | None:
     n, p, m = k.n, ctx.p, ctx.m
     for i in range(n):
         for j in range(i + 1, n):
-            x = k.rows[i][j]
+            x = k[i, j]
             if x != 0 and valuation(x, p) < m:
                 return None
-    low = Mat([[k.rows[i][j] if i >= j else Fraction(0) for j in range(n)]
+    low = Mat([[k[i, j] if i >= j else Fraction(0) for j in range(n)]
                for i in range(n)], p)
     return chi_tau_eval(theta, low.inv() @ k)
 

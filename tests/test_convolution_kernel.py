@@ -42,12 +42,11 @@ import padiczeta.testfn
 import padiczeta.whitmodel
 import padiczeta.zeta
 from padiczeta.arith import CycValue, DepthContext
-from padiczeta.group import Mat
-from padiczeta.params import companion_matrix
+from padiczeta.group import Mat, box_columns
+from padiczeta.params import companion_matrix, theta_matrix
 from padiczeta.residue import residue_rows
 from padiczeta.testfn import (
     J_open_cell,
-    _column_table,
     _convolution_integral,
     _J_exponent_mod,
 )
@@ -170,12 +169,17 @@ WALK_INSTANCES = [(p, m, n) for n in range(1, 4) for p in (2, 3, 5)
 
 def per_term_convolution(g, ctx, tau):
     """The integral convolution term by term: every term z (1 + q off) of
-    the product of the column tables gets its own `_J_exponent_mod`."""
+    the product of the column tables of `box_columns` gets its own
+    `_J_exponent_mod`, less its shift q tr(off tau), with tau = theta (the
+    superdiagonal) for the default projector."""
     n, q, T = g.n, ctx.q, ctx.T
     z = residue_rows(g, 2 * ctx.m)
-    tables = [_column_table(z, j, ctx, tau, q) for j in range(n)]
+    t = (tau or theta_matrix(n, ctx)).mat.entries
+    coords = [(i, j) for i in range(n) for j in range(n)]
+    tables = box_columns(z, 1, [1] * n, coords, [range(0, T, q)] * n * n,
+                         {(i, j): t[j][i] for i, j in coords})
     counts = [0] * T
-    for terms in itertools.product(*(zip(*t) for t in tables)):
+    for terms in itertools.product(*tables):
         cols, shifts = zip(*terms)
         e = _J_exponent_mod(zip(*cols), ctx)
         if e is not None:

@@ -55,7 +55,7 @@ def vp(x, p):
 
 
 def as_lists(m):
-    return [list(r) for r in m.rows]
+    return [[m[i, j] for j in range(m.n)] for i in range(m.n)]
 
 
 # -- the support witness ------------------------------------------------------

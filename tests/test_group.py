@@ -57,7 +57,7 @@ def test_inverse_roundtrip_random():
 def test_longest_weyl():
     w = Mat.longest_weyl(3, 2)
     assert w @ w == Mat.identity(3, 2)
-    assert w.rows[0][2] == 1 and w.rows[1][1] == 1 and w.rows[2][0] == 1
+    assert w[0, 2] == 1 and w[1, 1] == 1 and w[2, 0] == 1
 
 
 # -- Iwasawa ----------------------------------------------------------------
@@ -116,10 +116,10 @@ def test_bruhat_2x2_a_part():
     for _ in range(50):
         g = random_invertible(2, 2, rng)
         dec = bruhat_open_cell(g)
-        if g.rows[0][0] == 0:
+        if g[0, 0] == 0:
             assert dec is None
             continue
-        assert dec.a.diagonal() == (g.rows[0][0], g.det() / g.rows[0][0])
+        assert dec.a.diagonal() == (g[0, 0], g.det() / g[0, 0])
         assert dec.u @ dec.a @ dec.n == g
 
 
@@ -128,7 +128,7 @@ def test_bruhat_presence_iff_minors_exhaustive():
     p = 2
     for spec_rep in enumerate_cosets(SubgroupSpec("K", 2, p), 2):
         dec = bruhat_open_cell(spec_rep)
-        d1 = spec_rep.rows[0][0]
+        d1 = spec_rep[0, 0]
         assert (dec is not None) == (d1 != 0)
         if dec is not None:
             assert dec.u @ dec.a @ dec.n == spec_rep

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from padiczeta.arith import CycValue, DepthContext
-from padiczeta.group import (Mat, SubgroupSpec, enumerate_cosets,
-                             p_power_diag, unipotent_box)
+from padiczeta.group import (Mat, SubgroupSpec, box_columns,
+                             enumerate_cosets, p_power_diag, unipotent_box)
 from padiczeta import nicedomain
 from padiczeta.nicedomain import (NiceDomain, _cell_sum, _region_classes,
                                   conj_by_A, scan_box_domains)
@@ -85,6 +85,64 @@ def test_unipotent_box_matches_reference(box, p):
     n, coords, values, den = box
     assert_same_list(list(unipotent_box(n, p, coords, values, den)),
                      ref_box(n, p, coords, values, den))
+
+
+@st.composite
+def column_boxes(draw):
+    """(H, den, scale, coords, ranges, weights): an integer H of rank
+    n = 1..4 (zeros and negatives allowed), integers den and scale, a
+    random subset of the entries in random order, diagonal and lower ones
+    included, at least two of them in the column after `empty` and none
+    in `empty`, short ranges, some stepped or negative, and weights on a
+    random subset of the entries."""
+    n = draw(st.integers(1, 4))
+    ints = st.integers(-5, 5)
+    H = tuple(tuple(draw(ints) for _ in range(n)) for _ in range(n))
+    empty = draw(st.integers(0, n - 1))
+    cells = [(i, j) for i in range(n) for j in range(n) if j != empty]
+    coords = draw(st.lists(st.sampled_from(cells), unique=True,
+                           max_size=min(len(cells), 4))) if cells else []
+    if n > 1:
+        full = (empty + 1) % n
+        coords += [(i, full) for i in draw(st.lists(
+            st.integers(0, n - 1), unique=True, min_size=2, max_size=2))
+            if (i, full) not in coords]
+        coords = draw(st.permutations(coords))
+    ranges = [range(start, start + size * step, step)
+              for start, step, size in (
+                  (draw(ints), draw(st.sampled_from([-3, -1, 1, 2, 5])),
+                   draw(st.integers(1, 3))) for _ in coords)]
+    weights = {c: draw(ints) for c in draw(st.lists(
+        st.sampled_from([(i, j) for i in range(n) for j in range(n)]),
+        unique=True))}
+    return H, draw(ints), [draw(ints) for _ in range(n)], coords, ranges, \
+        weights
+
+
+@BUILDER_SETTINGS
+@given(column_boxes())
+def test_box_columns_match_exact_product(box):
+    # the terms of the product of the column lists are the matrices
+    # H (den + X) diag(scale) for X enumerated column by column, and each
+    # term's shares sum to sum w X
+    H, den, scale, coords, ranges, weights = box
+    n = len(H)
+    order = sorted(range(len(coords)), key=lambda c: coords[c][1])
+    want = []
+    for vals in itertools.product(*(ranges[c] for c in order)):
+        x = [[den * int(i == j) for j in range(n)] for i in range(n)]
+        share = 0
+        for c, v in zip(order, vals):
+            i, j = coords[c]
+            x[i][j] += v
+            share += weights.get((i, j), 0) * v
+        prod = [[sum(H[i][t] * x[t][j] for t in range(n)) * scale[j]
+                 for j in range(n)] for i in range(n)]
+        want.append((tuple(zip(*prod)), share))
+    got = [(cols, sum(shares)) for cols, shares in
+           (zip(*term) for term in itertools.product(
+               *box_columns(H, den, scale, coords, ranges, weights)))]
+    assert got == want
 
 
 # -- coset transversals -------------------------------------------------------

@@ -46,7 +46,7 @@ def test_dilation_matrix():
     c = conj_by_A(g, 2)
     for i in range(3):
         for j in range(3):
-            assert c.rows[i][j] == g.rows[i][j] * Fraction(2) ** (2 * (j - i))
+            assert c[i, j] == g[i, j] * Fraction(2) ** (2 * (j - i))
     assert A_rho(2, 3, 2) @ g @ A_rho(2, 3, 2).inv() == c
 
 
@@ -76,7 +76,7 @@ def test_classify_constant_on_cell():
     base = d.base_lift()
     n, p = 3, 2
     for digits in [(0, 0, 0), (1, 0, 1), (3, 7, 5)]:
-        rows = [list(r) for r in base.rows]
+        rows = [[base[i, j] for j in range(n)] for i in range(n)]
         for (i, j), t in zip([(0, 1), (0, 2), (1, 2)], digits):
             rows[i][j] += p ** n * t
         u = conj_by_A(Mat(rows, p), -d.slope)
@@ -140,8 +140,8 @@ def test_move_row_scaling_case():
     u = d.representative()
     q1, q2, wp, w = q1_q2_construct(d, u, 1)
     up = conj_by_A(u, d.slope)
-    inc = Fraction(2) ** (d.slope - d.remainder - 1) * up.rows[i0][j0]
-    assert wp.rows[i0][i0 + 1] == up.rows[i0][i0 + 1] + inc
+    inc = Fraction(2) ** (d.slope - d.remainder - 1) * up[i0, j0]
+    assert wp[i0, i0 + 1] == up[i0, i0 + 1] + inc
 
 
 def test_measure_preservation_finite_quotient():

@@ -95,7 +95,7 @@ def test_theta_shape_and_trace_pairing():
     assert theta_matrix(1, CTX21).mat.entries == ((0,),)
     # trace(x theta) picks out the superdiagonal of x
     x = Mat.from_text("0,2,0;0,0,2;0,0,0", 2)
-    k = Mat([[x.rows[i][j] + (1 if i == j else 0) for j in range(3)]
+    k = Mat([[x[i, j] + (1 if i == j else 0) for j in range(3)]
              for i in range(3)], 2)
     assert chi_tau_exponent(th, k) == Fraction(0)  # 2+2 = 4 = q^2
 

@@ -24,7 +24,12 @@ from padiczeta.rslocal import (
     support_scan_table,
     w_support_violated,
 )
-from padiczeta.rslocal import _assemble, _w_cell_data
+from padiczeta.rslocal import (
+    WValue,
+    _coeff,
+    _transform_values_over_K,
+    _w_cell_data,
+)
 from padiczeta.testfn import translate_for_H
 
 CTX21 = DepthContext(2, 1)
@@ -117,10 +122,13 @@ def test_transform_right_character_equivariance():
     c = central_c(CTX21, 2)
     a, _ = pinned_outer_diagonal(F2, c)
     cells = _w_cell_data(F2, c, a, 3)
+    coeff = _coeff(F2, c)
     for k in k_transversal(CTX21, 2)[:3]:
-        base = _assemble(F2, c, cells, k)
+        [phase] = _transform_values_over_K(F2, cells, [k])
+        base = WValue(coeff, phase)
         for r in enumerate_cosets(SubgroupSpec("Kq", 2, 2, 1), 2)[:4]:
-            shifted = _assemble(F2, c, cells, k @ r)
+            [phase] = _transform_values_over_K(F2, cells, [k @ r])
+            shifted = WValue(coeff, phase)
             assert shifted.abs_sq() == base.abs_sq()
 
 

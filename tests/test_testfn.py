@@ -89,7 +89,7 @@ def test_rank2_closed_form_of_f():
                  for _ in range(2)], 2)
         if g.det() == 0:
             continue
-        a, b = g.rows[0][0], g.rows[0][1]
+        a, b = g[0, 0], g[0, 1]
         if valuation(g.det(), 2) == 0 and a != 0 and valuation(a, 2) == 0 \
                 and (b == 0 or valuation(b, 2) >= 1):
             assert f_explicit(g, CTX21) == psi_T(b / a, CTX21)
@@ -194,7 +194,7 @@ def test_mellin_base_function():
     hits = 0
     for k in enumerate_cosets(SubgroupSpec("K", 2, 2), 2):
         mono = mellin_component(tf, k)
-        upper = k.rows[0][1]
+        upper = k[0, 1]
         lower_res = upper == 0 or valuation(upper, 2) >= 1
         assert (mono is not None) == lower_res
         hits += mono is not None

@@ -28,7 +28,7 @@ def test_a_T_shape():
     # each simple-root coordinate
     n = Mat.from_text("1,3;0,1", 2)
     conj = a @ n @ a.inv()
-    assert conj.rows[0][1] == Fraction(3) * CTX21.Ttilde
+    assert conj[0, 1] == Fraction(3) * CTX21.Ttilde
 
 
 def test_vol_support_quotient():
@@ -64,7 +64,7 @@ def test_value_on_parametrized_support():
             # n-part with assorted denominators, y in K(q)
             u = Mat([[Fraction(1 if i == j else 0) for j in range(n)]
                      for i in range(n)], ctx.p)
-            rows = [list(r) for r in u.rows]
+            rows = [[u[i, j] for j in range(n)] for i in range(n)]
             for i in range(n):
                 for j in range(i + 1, n):
                     rows[i][j] = Fraction(rng.randint(-6, 6),
@@ -75,7 +75,7 @@ def test_value_on_parametrized_support():
             h = aT @ u @ y
             c, phase = W.value_parts(h)
             assert c == W.peak
-            s = sum(u.rows[i][i + 1] for i in range(n - 1))
+            s = sum(u[i, i + 1] for i in range(n - 1))
             assert phase == psi_T(s, ctx) * chi_tau_eval(theta, y)
 
 
