@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -195,36 +196,54 @@ class CycValue:
                         {(exponent % order) // g if order > 1 else 0: Fraction(1)})
 
     @staticmethod
-    def from_histogram(counts, weight: Rat, order: int | None = None,
-                       witness: int = 0) -> "CycValue":
-        """weight * sum_e counts[e] z^e, z = exp(2 pi i / N), for a list of
-        N rational counts or a dict {exponent in 0..N-1: count} with
-        N = order: the one constructor for counted roots of unity.  Its
-        order is N / gcd(N, witness, the exponents with nonzero counts),
-        by default the lcm of the orders of the roots that occurred (1 if
-        none did).  A caller counting products of roots passes as witness
-        the gcd of every factor's exponent, each read at order N, so the
-        value has the order of the chained sum of the products (`CycSum`),
-        cancelled terms included."""
+    def from_histogram(counts, weight: Rat,
+                       order: int | tuple | None = None) -> "CycValue":
+        """weight * sum of the counted roots of unity: the one constructor
+        for counted roots, and the one place that fixes their order.
+
+        counts is a list of N rational counts, count e for the root
+        exp(2 pi i e / N); or a dict {e in 0..N-1: count} with N = order;
+        or, for products of k roots, a dict {(e_1, ..., e_k): count} with
+        order = (N_1, ..., N_k), the key for the product of the roots
+        exp(2 pi i e_i / N_i).  A product is placed at N = lcm(N_i), and
+        the value's order is N over the gcd of N and every factor's
+        exponent read at N, over every key (zero counts of a list are not
+        keys): the order of the chained sum of the roots or products
+        (`CycSum`), cancelled ones included (1 if nothing was counted)."""
         if not isinstance(counts, dict):
-            order, counts = len(counts), dict(enumerate(counts))
-        occurred = {e: c for e, c in counts.items() if c}
-        d = math.gcd(order, witness, *occurred)
+            order = len(counts)
+            counts = {e: c for e, c in enumerate(counts) if c}
+        if isinstance(order, tuple):
+            N = math.lcm(*order)
+            scales = [N // n for n in order]
+            d = math.gcd(N, *(s * math.gcd(n, *col) for n, s, col
+                              in zip(order, scales, zip(*counts))))
+            placed: dict = {}
+            for key, c in counts.items():
+                e = sum(map(operator.mul, key, scales)) % N
+                placed[e] = placed.get(e, 0) + c
+            order, counts = N, placed
+        else:
+            d = math.gcd(order, *counts)
         # the exponents are distinct and reduced, so there is nothing for
-        # __init__ to clean but a zero weight
+        # __init__ to clean but zero counts and a zero weight
         out = CycValue.__new__(CycValue)
         out.order, weight = order // d, Fraction(weight)
-        out.coeffs = ({e // d: c * weight for e, c in occurred.items()}
+        out.coeffs = ({e // d: c * weight for e, c in counts.items() if c}
                       if weight else {})
         return out
 
     @staticmethod
     def histogram_is_zero(counts: dict, p: int, order: int) -> bool:
         """Whether sum_e counts[e] z^e is zero, z = exp(2 pi i / order), for
-        a dict counts and a power order of the prime p, without reduction:
-        exactly when counts is constant on every coset of the subgroup of
-        order p, because the integer relations among the p^k-th roots of
-        unity are the multiples of Phi_{p^k}(z) = sum_{j < p} z^{j p^(k-1)}."""
+        a dict counts of nonzero counts and a power order of the prime p,
+        without reduction: exactly when counts is constant on every coset
+        of the subgroup of order p, because the integer relations among the
+        p^k-th roots of unity are the multiples of
+        Phi_{p^k}(z) = sum_{j < p} z^{j p^(k-1)}."""
+        # a union of such cosets holds a multiple of p exponents
+        if len(counts) % p:
+            return False
         step = order // p
         # walking a coset from a nonzero count comes back around it; with
         # no subgroup of order p (step 0) the sum is zero only when empty
@@ -457,11 +476,6 @@ class SqrtRational:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "SqrtRational":
-        if self.sign == 0:
-            raise ZeroDivisionError
-        return SqrtRational(self.sign, 1 / self.radicand)
-
     def is_positive(self) -> bool:
         return self.sign > 0
 
@@ -491,7 +505,7 @@ class MellinMonomial:
     Exponents are integers in units of T^(1/2) per coordinate of the Mellin
     variable s = (s_1, ..., s_r); `offset` is the constant half-integer
     T-power, also in T^(1/2) units.  The scalar may be a Fraction, a CycValue
-    or a SqrtRational; multiplication requires compatible scalar types.
+    or a SqrtRational.
     """
 
     __slots__ = ("scalar", "exponents", "offset")
@@ -503,44 +517,9 @@ class MellinMonomial:
         self.exponents = tuple(int(e) for e in exponents)
         self.offset = int(offset)
 
-    @staticmethod
-    def one(r: int = 0) -> "MellinMonomial":
-        return MellinMonomial(Fraction(1), (0,) * r, 0)
-
-    def __mul__(self, other) -> "MellinMonomial":
-        if isinstance(other, (int, Fraction, CycValue, SqrtRational)):
-            other = MellinMonomial(other, (0,) * len(self.exponents), 0)
-        ea, eb = self.exponents, other.exponents
-        if len(ea) != len(eb):
-            # pad the shorter exponent vector (scalar monomials)
-            r = max(len(ea), len(eb))
-            ea += (0,) * (r - len(ea))
-            eb += (0,) * (r - len(eb))
-        return MellinMonomial(_scalar_mul(self.scalar, other.scalar),
-                              tuple(x + y for x, y in zip(ea, eb)),
-                              self.offset + other.offset)
-
-    __rmul__ = __mul__
-
-    def extract_T_exponent(self) -> tuple[tuple[int, ...], int]:
-        """(exponent vector in T^(1/2)-units per s_i, constant offset)."""
-        return self.exponents, self.offset
-
     def __repr__(self):
         return (f"MellinMonomial({self.scalar!r}, "
                 f"exps={self.exponents}, offset={self.offset})")
-
-
-def _scalar_mul(a, b):
-    if isinstance(a, SqrtRational) or isinstance(b, SqrtRational):
-        if isinstance(a, (int, Fraction)):
-            a = SqrtRational.of_rational(a)
-        if isinstance(b, (int, Fraction)):
-            b = SqrtRational.of_rational(b)
-        if isinstance(a, SqrtRational) and isinstance(b, SqrtRational):
-            return a * b
-        raise TypeError("cannot mix SqrtRational and CycValue scalars")
-    return a * b
 
 
 class MellinPoly:
@@ -560,15 +539,9 @@ class MellinPoly:
         key = (mono.exponents, mono.offset)
         self.terms.setdefault(key, CycSum()).add(_as_cyc(scalar) * coeff)
 
-    def _coefficients(self) -> dict:
-        return {k: acc.value() for k, acc in self.terms.items()}
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self._coefficients().values())
-
     def nonzero_terms(self) -> dict:
-        return {k: c for k, c in self._coefficients().items()
-                if not c.is_zero()}
+        return {k: c for k, acc in self.terms.items()
+                for c in (acc.value(),) if not c.is_zero()}
 
 
 # ---------------------------------------------------------------------------

@@ -54,8 +54,8 @@ from .group import (
 )
 from .params import theta_matrix
 from .residue import residue_rows
-from .rslocal import EClassElement, _explicit_exponent_mod
-from .testfn import _explicit_on_K
+from .rslocal import EClassElement
+from .testfn import _explicit_exponent_mod, _explicit_on_K
 
 
 # -- the dilation and entrywise conjugation ---------------------------------
@@ -653,8 +653,9 @@ def _cell_sum(f: EClassElement, s: tuple, a: Mat, k: Mat,
     superdiagonal entries of a member have denominators dividing p^rho,
     so these are p^rho-th roots of unity.  As in `rslocal._phase_at`,
     each radical counts its keys' products (psi root) * (phase root),
-    times the key's coefficient, in one histogram at N = max(p^rho, T),
-    made a value by `CycValue.from_histogram` times the member volume."""
+    times the key's coefficient, under their exponent pairs, made a value
+    by `CycValue.from_histogram` at the factor orders (p^rho, T) times the
+    member volume."""
     ctx, tf = f.ctx, f.tf
     n, p, rho = domain.n, domain.p, domain.slope
     grid = domain.member_grid(levels)
@@ -663,15 +664,14 @@ def _cell_sum(f: EClassElement, s: tuple, a: Mat, k: Mat,
     vol = Fraction(p) ** sum((j - i) * rho - n - levels[(i, j)]
                              for (i, j) in _upper_coords(n))
     read = _a_k_residue(shift.den * den * ak.den, p, 2 * ctx.m)
-    N = max(psi_den, ctx.T)
     hists: dict = {}
     cells = 0
     for rows, sd in _member_rows(grid, [shift.num[i][i] for i in range(n)],
                                  ak.num):
         cells += 1
         hist = hists.setdefault(read(rows), {})
-        # psi^{-1}(u) = exp(2 pi i x / N), x = -sd N / den mod N
-        x = -(sd // (den // psi_den)) % psi_den * (N // psi_den)
+        # psi^{-1}(u) = exp(2 pi i x / p^rho), x = -sd p^rho / den
+        x = -(sd // (den // psi_den)) % psi_den
         hist[x] = hist.get(x, 0) + 1
     acc: dict = {}
     for (exps, krows), hist in hists.items():
@@ -679,13 +679,12 @@ def _cell_sum(f: EClassElement, s: tuple, a: Mat, k: Mat,
         if section is None:
             continue
         rad, coeff, e = section
-        counts, witness = acc.get(rad, ({}, 0))
-        e *= N // ctx.T
+        counts = acc.setdefault(rad, {})
         for x, count in hist.items():
-            counts[(x + e) % N] = counts.get((x + e) % N, 0) + count * coeff
-        acc[rad] = counts, math.gcd(witness, e, *hist)
-    return _parts_clean({rad: CycValue.from_histogram(counts, vol, N, w)
-                         for rad, (counts, w) in acc.items()}), cells
+            counts[x, e] = counts.get((x, e), 0) + count * coeff
+    return _parts_clean({rad: CycValue.from_histogram(counts, vol,
+                                                      (psi_den, ctx.T))
+                         for rad, counts in acc.items()}), cells
 
 
 @dataclass
@@ -732,13 +731,14 @@ def vanishing_check(a: Mat, k: Mat, s: tuple, domain: NiceDomain,
         raise ValueError("simple-root coordinates of a exceed T^d2")
     levels = _base_levels(domain, ctx, a)
     cache: dict = {}
+    # a failed round's finer sum is the next round's coarse one
+    parts, cells = _cell_sum(f, s, a, k, domain, levels, cache)
     for _ in range(max_refine + 1):
-        parts, cells = _cell_sum(f, s, a, k, domain, levels, cache)
         finer = {c: l + 1 for c, l in levels.items()}
         parts2, cells2 = _cell_sum(f, s, a, k, domain, finer, cache)
         if parts == parts2:
             return CharacterSumValue(parts, levels, cells + cells2, True)
-        levels = finer
+        levels, parts, cells = finer, parts2, cells2
     raise CertificateCapExceeded(
         "cell refinement did not certify local constancy", "max_refine",
         max_refine, max_refine)

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -308,11 +307,9 @@ def _box_cells(f: EClassElement, head: Mat, a: Mat, B: int,
         h = hists.setdefault(krows, {})
         s = -sum(shares) % pB
         h[s] = h.get(s, 0) + 1
-    # a cancelling histogram is constant on the cosets of the subgroup of
-    # order p, so it occupies a multiple of p exponents
     return TransformCells(vol, pB, tuple(
         (krows, tuple(h.items())) for krows, h in hists.items()
-        if len(h) % p or not CycValue.histogram_is_zero(h, p, pB)))
+        if not CycValue.histogram_is_zero(h, p, pB)))
 
 
 def _coeff(f: EClassElement, c: Mat) -> SqrtRational:
@@ -364,7 +361,8 @@ def W_fcg(f: EClassElement, c: Mat, a: Mat, k: Mat,
     are built once per call.  For a forward element each box is
     `_box_cells` read at k by `_phase_at`: one integer histogram of
     (psi exponent, phase exponent) pairs, made a value by
-    `CycValue.from_histogram`.  The dual element takes `_w_direct`.
+    `CycValue.from_histogram` at the factor orders (p^B, T).  The dual
+    element takes `_w_direct`.
     """
     cfg = cfg or RSIntegralConfig()
     coeff = _coeff(f, c)
@@ -462,23 +460,6 @@ def _k_transversal(ctx: DepthContext, n: int):
     return enumerate_cosets(SubgroupSpec("K", n, ctx.p), ctx.m)
 
 
-def _explicit_exponent_mod(z, ctx: DepthContext):
-    """Numerator of the explicit phase exponent (a T-th root of unity) for
-    an integral K-element known mod q^2, or None off the support: upper
-    entries must vanish mod q, and the phase reads the superdiagonal of
-    r = low(z)^{-1} z.
-
-    On the support z = low r with r = 1 mod q, so the pivots of z are units
-    and, mod q^2, the superdiagonal of the upper-unipotent LDU factor of z
-    equals that of r (a product of two q-multiples vanishes): this is the
-    exponent of the open-cell kernel `_J_exponent_mod`.
-    """
-    n, q = len(z), ctx.q
-    if any(z[i][j] % q for i in range(n) for j in range(i + 1, n)):
-        return None
-    return _J_exponent_mod(z, ctx)
-
-
 def _transform_values_over_K(f: EClassElement, cells: TransformCells,
                              kreps):
     """The transform phase at each point k of kreps, in order: `_phase_at`
@@ -494,19 +475,17 @@ def _phase_at(f: EClassElement, cells: TransformCells, zk) -> CycValue:
     its upper entries vanish mod q (tested before the rest of the product
     is formed), and then its phase is a T-th root of unity of exponent e,
     read mod q^2 by `_J_exponent_mod` and negated for a conjugate test
-    function.  The contributions are counted in one integer histogram at
-    N = max(p^B, T): a psi exponent x with count c puts c at
-    x N/p^B + e N/T mod N, and `CycValue.from_histogram`, witnessed by
-    both factors' exponents, makes it the value times the cell volume.
+    function.  Each psi exponent x mod p^B with count c counts c products
+    (psi root, phase root) under the key (x, e), and
+    `CycValue.from_histogram` at the factor orders (p^B, T) makes the
+    histogram the value times the cell volume.
     """
     ctx, n = f.ctx, f.n
-    q, T, pB = ctx.q, ctx.T, cells.pB
-    N = max(pB, T)
-    step = -(N // T) if f.tf.conjugate else N // T
-    scale = N // pB
+    q, T = ctx.q, ctx.T
+    sign = -1 if f.tf.conjugate else 1
     upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
     cols = list(zip(*zk))
-    hist, witness = {}, 0
+    hist = {}
     for krows, counts in cells.groups:
         if any(sum(x * y for x, y in zip(krows[i], cols[j])) % q
                for i, j in upper):
@@ -516,11 +495,10 @@ def _phase_at(f: EClassElement, cells: TransformCells, zk) -> CycValue:
         e = _J_exponent_mod(prod, ctx)
         if e is None:
             continue
-        witness = math.gcd(witness, e * step, *(x * scale for x, _ in counts))
+        e *= sign
         for x, count in counts:
-            y = (x * scale + e * step) % N
-            hist[y] = hist.get(y, 0) + count
-    return CycValue.from_histogram(hist, cells.vol, N, witness)
+            hist[x, e] = hist.get((x, e), 0) + count
+    return CycValue.from_histogram(hist, cells.vol, (cells.pB, T))
 
 
 def _k_square_sum(f: EClassElement, cells, kreps) -> CycValue:

@@ -17,9 +17,9 @@ share that part of the elimination.  For non-integral g no level is
 guaranteed a priori, so we certify stabilization empirically per point.
 Each level is an integer walk over the columns of d g (1 + x) (d the
 denominator of g): one fraction-free elimination per term, no coset
-`Mat`.  Its value is counted roots of unity (`CycValue.from_histogram`)
-and prints as the coset sum it replaces, which stays as the tested twin
-`_coset_sum`.
+`Mat`.  Its value is counted (J, chi_theta) exponent pairs
+(`CycValue.from_histogram`) and prints as the coset sum it replaces,
+which stays as the tested twin `_coset_sum`.
 
 The H-side function is the conjugated translate f_H(g) = c1 conj(f0)(t g)
 with t the antidominant square-root-of-T diagonal, normalized so that the
@@ -32,7 +32,6 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -106,6 +105,23 @@ def _J_exponent_mod(z, ctx: DepthContext):
         tail = head[1:]
         head, *rest = [[(x - f * y) % T for x, y in zip(row[1:], tail)]
                        for row in rest for f in (row[0] * pinv,)]
+
+
+def _explicit_exponent_mod(z, ctx: DepthContext):
+    """Numerator of the explicit phase exponent (a T-th root of unity) for
+    an integral K-element known mod q^2, or None off the support: upper
+    entries must vanish mod q, and the phase reads the superdiagonal of
+    r = low(z)^{-1} z.
+
+    On the support z = low r with r = 1 mod q, so the pivots of z are units
+    and, mod q^2, the superdiagonal of the upper-unipotent LDU factor of z
+    equals that of r (a product of two q-multiples vanishes): this is the
+    exponent of the open-cell kernel `_J_exponent_mod`.
+    """
+    n, q = len(z), ctx.q
+    if any(z[i][j] % q for i in range(n) for j in range(i + 1, n)):
+        return None
+    return _J_exponent_mod(z, ctx)
 
 
 def _congruence_columns(z, ctx: DepthContext, tau, digits: int) -> list:
@@ -228,10 +244,10 @@ def f_convolution(g: Mat, ctx: DepthContext, L: int | None = None,
     that a_i = Delta_i / (d Delta_{i-1}) is a unit.  Otherwise its phase is
     psi_T of sum_i work[i][i+1] / work[i][i], a root of unity of order
     dividing P = T p^{(n-1)v}, whose exponent takes the inverse mod P of
-    each pivot's unit part.  The value is built once from the histogram
-    of the products J root * conj(chi_theta root) at order P
-    (`CycValue.from_histogram`, witnessed by both factors' exponents), so
-    it prints as the coset sum `_coset_sum`, the tested twin.
+    each pivot's unit part.  The products J root * conj(chi_theta root)
+    are counted under their exponent pairs mod (P, T) and made the value
+    once (`CycValue.from_histogram` at the factor orders (P, T)), so it
+    prints as the coset sum `_coset_sum`, the tested twin.
     """
     n, p, m, T = g.n, ctx.p, ctx.m, ctx.T
     if L is None:
@@ -268,14 +284,9 @@ def f_convolution(g: Mat, ctx: DepthContext, L: int | None = None,
             if i < n - 1:
                 e += row[i + 1] * pow(unit, -1, P) * lifts[i]
         else:
-            pairs[e % P, sum(shifts) % T] += 1
-    scale = P // T
-    hist = collections.Counter()
-    for (e, c), count in pairs.items():
-        hist[(e - c * scale) % P] += count
-    witness = math.gcd(*(x for e, c in pairs for x in (e, c * scale)))
-    return CycValue.from_histogram(hist, Fraction(1, p ** ((L - m) * n * n)),
-                                   P, witness)
+            pairs[e % P, -sum(shifts) % T] += 1
+    return CycValue.from_histogram(pairs, Fraction(1, p ** ((L - m) * n * n)),
+                                   (P, T))
 
 
 def _coset_sum(g: Mat, ctx: DepthContext, L: int) -> CycValue:

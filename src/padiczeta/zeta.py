@@ -19,7 +19,7 @@ and the unipotent cells u in K_N(q)/K_N(q^2), pairing the Whittaker vector
 against the transform pointwise; the product is N_H-invariant and right
 K(q^2)-invariant, so level q^2 is exact.  As y and u y lie in K(q) and the
 translated a_T is central, both phases of a term are mod-q^2 elimination
-kernels on integer rows (`whitmodel` for W, `rslocal` for f): no Iwasawa,
+kernels on integer rows (`whitmodel` for W, `testfn` for f): no Iwasawa,
 no Fractions, no per-term code shared with the explicit route.
 
 The parameter enters through conjugation transport: every uniform tau is
@@ -61,8 +61,8 @@ from .group import (
     open_cell_density,
 )
 from .params import TauParam
-from .rslocal import _explicit_exponent_mod
-from .testfn import TestFunction, mellin_component, translate_for_H
+from .testfn import (TestFunction, _explicit_exponent_mod, mellin_component,
+                     translate_for_H)
 from .whitmodel import WhittakerOnH, a_T_element, vol_support_quotient
 
 

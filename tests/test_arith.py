@@ -161,36 +161,51 @@ def test_cyc_ring_laws(a, b, c):
     assert (x * y) * z == x * (y * z)
 
 
-# an addend: a count times one root of unity, or a product of two, at
-# orders p^k with k <= 3, each given as (k, exponent)
-_roots = st.tuples(st.integers(0, 3), st.integers(0, 26))
+# an addend: a count times a product of roots of unity, one per factor,
+# with factor i at order p^k_i for k_i <= 3 and any integer exponent
 _counts = st.one_of(st.integers(-3, 3),
                     st.fractions(-3, 3, max_denominator=4))
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(st.sampled_from([2, 3]),
-       st.lists(st.tuples(_roots, st.none() | _roots, _counts), max_size=8),
-       st.integers(0, 8), _counts, st.booleans())
-def test_from_histogram_prints_as_cyc_sum_of_products(p, addends, cancel,
-                                                      weight, as_dict):
-    # the order rule of `from_histogram`: counted at N = p^3 with the gcd
-    # of every factor's exponent as witness, the value prints as the
-    # chained sum of the products, cancelled addends included
-    addends += [(r1, r2, -count) for r1, r2, count in addends[:cancel]]
-    N = p ** 3
-    counts, witness, total = {}, 0, CycSum()
-    for r1, r2, count in addends:
-        term, y = CycValue.one, 0
-        for k, e in (r1,) if r2 is None else (r1, r2):
-            term = term * CycValue.root_of_unity(p ** k, e)
-            witness = math.gcd(witness, e * N // p ** k)
-            y += e * N // p ** k
-        counts[y % N] = counts.get(y % N, 0) + count
+       st.lists(st.integers(0, 3), min_size=1, max_size=3),
+       st.lists(st.tuples(st.tuples(*[st.integers(-26, 26)] * 3), _counts),
+                max_size=8),
+       st.integers(0, 8), _counts, st.sampled_from(["keys", "dict", "list"]))
+def test_from_histogram_prints_as_cyc_sum_of_products(p, ks, addends, cancel,
+                                                      weight, form):
+    # the order rule of `from_histogram`: products counted under one
+    # exponent per factor, each at its own order, print as the chained sum
+    # of the products, cancelled addends included.  A single factor may
+    # also be counted by its exponent alone, as a dict, which keeps its
+    # cancelled keys, or as a list, whose zero counts are no roots
+    addends += [(es, -count) for es, count in addends[:cancel]]
+    orders = tuple(p ** k for k in ks)
+    counts, total = {}, CycSum()
+    for es, count in addends:
+        key = es[:len(orders)]
+        term = CycValue.one
+        for e, n in zip(key, orders):
+            term = term * CycValue.root_of_unity(n, e)
+        counts[key] = counts.get(key, 0) + count
         total.add(term * (count * weight))
-    if not as_dict:
-        counts = [counts.get(y, 0) for y in range(N)]
-    got = CycValue.from_histogram(counts, weight, N, witness)
+    if form == "keys" or len(orders) > 1:
+        got = CycValue.from_histogram(counts, weight, orders)
+    else:
+        (N,) = orders
+        hist = {}
+        for (e,), count in counts.items():
+            hist[e % N] = hist.get(e % N, 0) + count
+        if form == "dict":
+            got = CycValue.from_histogram(hist, weight, N)
+        else:
+            got = CycValue.from_histogram([hist.get(e, 0) for e in range(N)],
+                                          weight)
+            total = CycSum()
+            for e, count in hist.items():
+                if count:
+                    total.add(CycValue.root_of_unity(N, e) * (count * weight))
     assert got.to_json() == total.value().to_json()
 
 
@@ -222,20 +237,15 @@ def test_sqrt_rational():
     c = SqrtRational.of_rational(Fraction(-3, 4))
     assert c.sign == -1 and c.squared() == Fraction(9, 16)
     assert (a * a).squared() == Fraction(4, 9)
-    assert a.inverse().radicand == Fraction(3, 2)
     assert SqrtRational.sqrt(5).as_rational() is None
 
 
 # -- MellinMonomial / MellinPoly -------------------------------------------
 
 def test_monomial_examples():
-    one = MellinMonomial.one(1)
-    assert one.extract_T_exponent() == ((0,), 0)
-    # T^{s1} times T^{s1 + 1/2}: exponent 4 in T^(1/2)-units, offset 1
-    a = MellinMonomial(Fraction(1), (2,), 0)
-    b = MellinMonomial(Fraction(1), (2,), 1)
-    prod = a * b
-    assert prod.extract_T_exponent() == ((4,), 1)
+    # T^{s1 + 1/2}: exponent 2 in T^(1/2)-units, offset 1
+    a = MellinMonomial(1, (2,), 1)
+    assert (a.scalar, a.exponents, a.offset) == (Fraction(1), (2,), 1)
     # closed-form zeta exponent at n=2: offset -2 in T^(1/2) units
     zeta_shape = MellinMonomial(Fraction(1), (3, 3), -2)
     assert zeta_shape.offset == -2
@@ -246,15 +256,16 @@ def test_mellin_poly_zero_detection():
     z = CycValue.root_of_unity(4, 1)
     poly.add_monomial(MellinMonomial(z, (1,), 0))
     poly.add_monomial(MellinMonomial(z, (2,), 0))  # different exponent key
-    assert not poly.is_zero()
+    assert set(poly.nonzero_terms()) == {((1,), 0), ((2,), 0)}
     # z4 + z4^3 = 0 within a single exponent key
     poly.add_monomial(MellinMonomial(z * z * z, (1,), 0))
+    assert set(poly.nonzero_terms()) == {((2,), 0)}
     poly.add_monomial(MellinMonomial(z, (2,), 0), coeff=-1)
-    assert poly.is_zero()
+    assert poly.nonzero_terms() == {}
     poly2 = MellinPoly()
     poly2.add_monomial(MellinMonomial(z, (1,), 0))
     poly2.add_monomial(MellinMonomial(z, (1,), 0), coeff=-1)
-    assert poly2.is_zero()
+    assert poly2.nonzero_terms() == {}
 
 
 def test_text_roundtrip():

@@ -89,4 +89,30 @@ def test_refinement_cap(monkeypatch):
     assert (str(exc), exc.cap, exc.value, exc.level) == (
         "cell refinement did not certify local constancy", "max_refine",
         2, 2)
-    assert len(calls) == 6
+    # max_refine + 2 sums: each failed round's finer sum is reused as the
+    # next round's coarse one
+    assert len(calls) == 4
+
+
+def test_refinement_reuses_the_finer_sum(monkeypatch):
+    # a cell sum that settles after one refinement certifies in the second
+    # round, at the once-refined levels, with the cells of the two sums it
+    # compared there; the finer sum of the failed first round is reused,
+    # so each level is summed once
+    seen = []
+
+    def settling_sum(f, s, a, k, domain, levels, cache):
+        seen.append(levels)
+        r = (sum(levels.values()) - sum(seen[0].values())) // len(levels)
+        return {min(r, 1): None}, 10 ** r
+
+    monkeypatch.setattr(nicedomain, "_cell_sum", settling_sum)
+    a = hypothesis_diagonal(CTX21, 2)
+    k = enumerate_cosets(SubgroupSpec("K", 2, 2), 1)[0]
+    out = vanishing_check(a, k, (0, 0), NiceDomain(2, 2, 0, 0, None, None),
+                          F2)
+    assert len(seen) == 3
+    assert [sum(lv.values()) - sum(seen[0].values()) for lv in seen] == [
+        0, len(seen[0]), 2 * len(seen[0])]
+    assert (out.parts, out.levels, out.cells, out.certified) == (
+        {1: None}, seen[1], 110, True)

@@ -5,7 +5,9 @@ integers; `_coset_sum(g, ctx, L)` is its definitional twin, the sum of
 J(g r) conj(chi_theta(r)) over the `Mat` representatives r of
 K(q)/K(q^L).  The differential test compares the two byte for byte
 (`to_json` prints the stored order, which equality ignores) at integral
-and non-integral points, with zero and nonzero level sums.
+and non-integral points, with zero and nonzero level sums.  At integral
+points the level walk at L = 2m is also compared, by value, with the
+default route, the mod-q^2 Crout walk `_convolution_integral`.
 
 The report bytes of `f_convolution(g, ctx).to_json()` at seeded
 non-integral rank-2 points are pinned by
@@ -141,6 +143,27 @@ def test_level_walk_matches_coset_sum(args):
     g, ctx, L = args
     assert (f_convolution(g, ctx, L=L).to_json()
             == _coset_sum(g, ctx, L).to_json())
+
+
+# (p, m, n) for the integral points
+INTEGRAL_CASES = ((2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 3))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.sampled_from(INTEGRAL_CASES),
+       st.sampled_from(("weyl", "lower", "upper", "random", "unitden")),
+       st.integers(0, 2 ** 32))
+def test_level_walk_matches_integral_walk(case, kind, seed):
+    # at an integral g, f_convolution's default route is the mod-q^2 Crout
+    # walk `_convolution_integral`; the level walk at L = 2m sums the same
+    # terms on the integers.  They may store different orders (the Crout
+    # walk counts each term's combined exponent, the level walk the pair
+    # of factors), so they are compared by value
+    p, m, n = case
+    g = _draw_point(random.Random(seed), kind, p, m, n, 0)
+    assert g.is_integral()
+    ctx = DepthContext(p, m)
+    assert f_convolution(g, ctx, L=2 * m) == f_convolution(g, ctx)
 
 
 if __name__ == "__main__":

@@ -91,6 +91,16 @@ def test_residue_kernels_are_not_recursive():
     assert not found, f"recursive calls in residue.py: {found}"
 
 
+def _functions(module: str, wanted: set) -> dict:
+    """The module-level functions of a source module named in wanted,
+    each of which must exist."""
+    tree = ast.parse((SOURCES[0].parent / module).read_text())
+    bodies = {node.name: node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name in wanted}
+    assert set(bodies) == wanted
+    return bodies
+
+
 def test_transform_value_path_builds_no_per_group_cyc_value():
     # the counted values (the W_fcg cell walk and K-sweep, the convolution
     # level walk, the vanishing cell sums) are counted in integer
@@ -113,17 +123,49 @@ def test_transform_value_path_builds_no_per_group_cyc_value():
 
     found = []
     for module, wanted in names.items():
-        tree = ast.parse((SOURCES[0].parent / module).read_text())
-        bodies = {node.name: node for node in tree.body
-                  if isinstance(node, ast.FunctionDef)
-                  and node.name in wanted}
-        assert set(bodies) == wanted
         found += [f"{module}:{name}:{node.lineno}"
-                  for name, fn in bodies.items() for node in ast.walk(fn)
+                  for name, fn in _functions(module, wanted).items()
+                  for node in ast.walk(fn)
                   if (getattr(node, "id", None)
                       or getattr(node, "attr", None))
                   in ("CycSum", "root_of_unity") or computed_order(node)]
     assert not found, f"per-group CycValue route: {found}"
+
+
+def test_counted_products_leave_the_order_rule_to_arith():
+    # `CycValue.from_histogram` alone works out the common order of
+    # counted products and its gcd: the walks that count (psi, phase) or
+    # (J, chi) exponent pairs call no gcd, lcm or max and hand over the
+    # factors' own orders as a tuple, and the constructor takes no witness
+    names = {"rslocal.py": {"_phase_at"}, "testfn.py": {"f_convolution"},
+             "nicedomain.py": {"_cell_sum", "_key_section"}}
+
+    def callee(node):
+        return getattr(node.func, "id", None) or getattr(node.func, "attr",
+                                                         None)
+
+    def own_order(call):
+        # the order argument of a `from_histogram` call, if not a tuple
+        args = call.args[2:3] + [kw.value for kw in call.keywords
+                                 if kw.arg == "order"]
+        return any(not isinstance(a, ast.Tuple) for a in args)
+
+    found = []
+    for module, wanted in names.items():
+        found += [f"{module}:{name}:{node.lineno}"
+                  for name, fn in _functions(module, wanted).items()
+                  for node in ast.walk(fn)
+                  if isinstance(node, ast.Call)
+                  and (callee(node) in ("gcd", "lcm", "max")
+                       or callee(node) == "from_histogram"
+                       and own_order(node))]
+    assert not found, f"order worked out outside arith: {found}"
+    tree = ast.parse((SOURCES[0].parent / "arith.py").read_text())
+    (ctor,) = [node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)
+               and node.name == "from_histogram"]
+    params = [a.arg for a in ctor.args.args + ctor.args.kwonlyargs]
+    assert "witness" not in params, params
 
 
 def test_code_line_counter_on_synthetic_source():

@@ -188,7 +188,7 @@ def test_l2_norm_matches_finite_sum():
 def test_mellin_base_function():
     tf = base_test_function(CTX21, 2)
     mono = mellin_component(tf, Mat.identity(2, 2))
-    assert mono.extract_T_exponent() == ((0, 0), 0)
+    assert (mono.exponents, mono.offset) == ((0, 0), 0)
     assert mono.scalar == CycValue.one
     # support scan on K: nonzero exactly over the lower-triangular residues
     hits = 0
@@ -210,11 +210,11 @@ def test_mellin_translated_exponents():
     a_T = Mat.diag([Tt ** 2, Tt], 2)
     mono = mellin_component(tf, a_T)
     assert mono is not None
-    assert mono.extract_T_exponent() == ((3, 3), 0)
+    assert (mono.exponents, mono.offset) == ((3, 3), 0)
     assert mono.scalar == CycValue.one
     # at the concentration point the a-part collapses to zero exponents
     mono0 = mellin_component(tf, tf.shift_mat().inv())
-    assert mono0.extract_T_exponent() == ((0, 0), 0)
+    assert (mono0.exponents, mono0.offset) == ((0, 0), 0)
 
 
 # -- translated function ----------------------------------------------------

@@ -49,11 +49,10 @@ from padiczeta.group import (Mat, _a_k_residue, _eliminate,
                              p_power_diag)
 from padiczeta.residue import residue_rows
 from padiczeta.rslocal import (EClassElement, RSIntegralConfig,
-                               TransformCells, W_fcg, _explicit_exponent_mod,
-                               _outer_diagonals, _transform_values_over_K,
-                               _w_cell_data, pinned_outer_diagonal,
-                               standard_E_element)
-from padiczeta.testfn import translate_for_H
+                               TransformCells, W_fcg, _outer_diagonals,
+                               _transform_values_over_K, _w_cell_data,
+                               pinned_outer_diagonal, standard_E_element)
+from padiczeta.testfn import _explicit_exponent_mod, translate_for_H
 
 GOLDEN_FILE = Path(__file__).parent / "golden" / "w-fcg.json"
 W_INSTANCES = ((2, 1, 2), (3, 1, 2), (2, 2, 2), (3, 2, 2), (2, 1, 3))

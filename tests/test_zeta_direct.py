@@ -36,8 +36,8 @@ import padiczeta.whitmodel
 import padiczeta.zeta
 from padiczeta.arith import CycValue, DepthContext
 from padiczeta.group import Mat
-from padiczeta.rslocal import _explicit_exponent_mod
-from padiczeta.testfn import mellin_component, translate_for_H
+from padiczeta.testfn import (_explicit_exponent_mod, mellin_component,
+                             translate_for_H)
 from padiczeta.whitmodel import WhittakerOnH
 from padiczeta.zeta import _central_exponents, zeta_direct, zeta_explicit
 
