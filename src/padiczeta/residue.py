@@ -177,22 +177,39 @@ def enumerate_GL(n: int, p: int, e: int):
             yield z
 
 
+def _commutes(x, t, n: int, mod: int) -> bool:
+    """Whether x t = t x mod `mod`, for x given as its n * n entries in
+    row order and t as integer rows: entry by entry, up to the first entry
+    that differs."""
+    for i in range(n):
+        row, trow = x[i * n:(i + 1) * n], t[i]
+        for j in range(n):
+            if (sum(a * r[j] for a, r in zip(row, t))
+                    - sum(b * x[k * n + j] for k, b in enumerate(trow))) % mod:
+                return False
+    return True
+
+
 def centralizer_in_GL(tau: ZMat):
     """Elements of GL commuting with tau over Z/p^e, in lexicographic
     order, lifted digit by digit: the solutions mod p^(k+1) are the
     x + p^k d, with x a solution mod p^k and d over M_n(Z/p), that commute
     mod p^(k+1).  A matrix commuting mod p^(k+1) commutes mod p^k, and it
-    is a unit exactly when it is a unit mod p.  Mod p, commutation is
-    tested first, so only the commuting matrices pay for a determinant."""
-    n, p = tau.n, tau.p
-    mats = list(enumerate_matrices(n, p, 1))
-    digits = [d.entries for d in mats]
-    t = tau.reduce(1)
-    sols = [g for g in mats if g @ t == t @ g and g.is_unit()]
+    is a unit exactly when it is a unit mod p.  Candidates are flat entry
+    tuples tested by `_commutes`, which stops at the first entry of the
+    commutator that is nonzero, and only the matrices commuting mod p pay
+    for a determinant."""
+    n, p, t = tau.n, tau.p, tau.entries
+    digits = list(itertools.product(range(p), repeat=n * n))
+
+    def rows(x):
+        return tuple(x[i * n:(i + 1) * n] for i in range(n))
+
+    sols = [x for x in digits if _commutes(x, t, n, p)
+            and ZMat(rows(x), p, 1).is_unit()]
     for k in range(1, tau.e):
-        t, pk = tau.reduce(k + 1), p ** k
-        lifts = [ZMat.make([[x + pk * y for x, y in zip(row, drow)]
-                            for row, drow in zip(g.entries, d)], p, k + 1)
-                 for g in sols for d in digits]
-        sols = [g for g in lifts if g @ t == t @ g]
-    return sorted(sols, key=lambda z: z.entries)
+        pk = p ** k
+        sols = [y for x in sols for d in digits
+                for y in (tuple(a + pk * b for a, b in zip(x, d)),)
+                if _commutes(y, t, n, pk * p)]
+    return [ZMat(rows(x), p, tau.e) for x in sorted(sols)]

@@ -7,6 +7,14 @@ K-part is lower-triangular mod q, in which case f(g) = chi_theta(k') for
 the congruence-subgroup remainder k'.  Both routes are implemented and
 compared pointwise on exhaustive grids.
 
+The closed formula `f_explicit` runs on the integers: one early-exit
+Iwasawa elimination of d g (d the denominator of g) gives the K-part mod
+q^2 exactly when a = 1, and the phase is read from it mod q^2.  The
+Fraction form of the same formula (Iwasawa decomposition, the a = 1 test,
+chi_theta of the stripped K-part) stays as `TestFunction.phase`, the route
+that the W_fcg twins and the dual function read, so that no fast path is
+checked against code it shares.
+
 Convolution levels.  The sum over K(q)/K(q^L) is exact as soon as J(g .)
 is right K(q^L)-invariant.  For integral g this happens already at L = 2m
 (leading minors and superdiagonal ratios only move by q^2-multiples), and
@@ -15,9 +23,11 @@ fast path: a depth-first walk over the columns of the terms, one
 left-looking LU step per column, so terms that share their first columns
 share that part of the elimination.  For non-integral g no level is
 guaranteed a priori, so we certify stabilization empirically per point.
-Each level is an integer walk over the columns of d g (1 + x) (d the
-denominator of g): one fraction-free elimination per term, no coset
-`Mat`.  Its value is counted (J, chi_theta) exponent pairs
+Each level is the same kind of walk on the exact integers, over the
+columns of d g (1 + x): one left-looking fraction-free (Bareiss) step per
+column, so terms that share a column prefix share its pivots and the
+units' inverses, and a prefix whose pivot shows that J vanishes is pruned
+with all its terms.  Its value is counted (J, chi_theta) exponent pairs
 (`CycValue.from_histogram`) and prints as the coset sum it replaces,
 which stays as the tested twin `_coset_sum`.
 
@@ -31,7 +41,6 @@ from __future__ import annotations
 
 import collections
 import functools
-import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,8 +58,7 @@ from .arith import (
 from .group import (
     Mat,
     SubgroupSpec,
-    _diagonal_pivot,
-    _eliminate,
+    _unit_a_k_residue,
     box_columns,
     bruhat_open_cell,
     enumerate_cosets,
@@ -169,6 +177,25 @@ def _leaf_weights(low, d: int, T: int) -> list:
     return w
 
 
+def _bareiss_column(col, low, piv, j: int) -> list:
+    """Column j of the fraction-free (Bareiss) row elimination of an
+    integer matrix, left-looking: from the exact column col of the
+    argument, low[i], column i of the elimination for i < j (its entries
+    below row i are the multiplier numerators), and piv = (1, Delta_1,
+    ..., Delta_j), the leading minors that are its pivots.  Step i turns
+    entry r > i into (Delta_{i+1} y[r] - low[i][r] y[i]) / Delta_i, an
+    exact division, so every entry is a minor: y[i] for i <= j is row i
+    of the eliminated upper part, y[j] is Delta_{j+1}, and y[r] for r > j
+    is the multiplier numerator of column j.  The caller must not pass a
+    zero pivot."""
+    y = list(col)
+    for i in range(j):
+        a, prev, b, c = piv[i + 1], piv[i], low[i], y[i]
+        for r in range(i + 1, len(y)):
+            y[r] = (a * y[r] - b[r] * c) // prev
+    return y
+
+
 def _convolution_integral(g: Mat, ctx: DepthContext, tau=None) -> CycValue:
     """Exact convolution at level 2m via residue arithmetic (g integral).
 
@@ -236,18 +263,23 @@ def f_convolution(g: Mat, ctx: DepthContext, L: int | None = None,
     representatives are r = 1 + x with x running over q M_n mod p^L
     (those of `enumerate_cosets`), and column j of G r = d g r depends
     only on column j of x, so the p^{(L-m)n} exact candidates of each
-    column are built once by `group.box_columns` (`_congruence_columns`)
-    and the terms are walked as their product.  Every term gets one
-    fraction-free elimination (`_eliminate`), whose pivot work[i][i] is
-    the leading minor Delta_{i+1} of G r.  J vanishes at a zero pivot,
-    and also unless v(work[i][i]) = (i+1) v for each i, which is its test
-    that a_i = Delta_i / (d Delta_{i-1}) is a unit.  Otherwise its phase is
-    psi_T of sum_i work[i][i+1] / work[i][i], a root of unity of order
-    dividing P = T p^{(n-1)v}, whose exponent takes the inverse mod P of
-    each pivot's unit part.  The products J root * conj(chi_theta root)
-    are counted under their exponent pairs mod (P, T) and made the value
-    once (`CycValue.from_histogram` at the factor orders (P, T)), so it
-    prints as the coset sum `_coset_sum`, the tested twin.
+    column are built once by `group.box_columns` (`_congruence_columns`).
+    The terms are the product of those tables, walked depth first as in
+    `_convolution_integral`, with fraction-free (Bareiss) elimination in
+    place of LU mod q^2: at depth j, `_bareiss_column` turns the
+    candidate into column j of the elimination of G r from the prefix's
+    pivots and multiplier columns.  Its pivot is the leading minor
+    Delta_{j+1} of G r.  J vanishes when it is zero, and also unless
+    v(Delta_{j+1}) = (j+1) v, the test that a_j = Delta_{j+1} / (d
+    Delta_j) is a unit; a prefix that fails is pruned with every term
+    below it.  Otherwise the phase of J is psi_T of sum_i work[i][i+1] /
+    work[i][i], a root of unity of order dividing P = T p^{(n-1)v}: each
+    node takes the inverse mod P of its pivot's unit part once, and the
+    next depth adds its row-j entry times that inverse, lifted to P.  The
+    leaves count the products J root * conj(chi_theta root) under their
+    exponent pairs mod (P, T), made the value once
+    (`CycValue.from_histogram` at the factor orders (P, T)), so it prints
+    as the coset sum `_coset_sum`, the tested twin.
     """
     n, p, m, T = g.n, ctx.p, ctx.m, ctx.T
     if L is None:
@@ -269,22 +301,23 @@ def f_convolution(g: Mat, ctx: DepthContext, L: int | None = None,
     P = T * p ** ((n - 1) * v)
     pivots = [p ** ((i + 1) * v) for i in range(n)]
     lifts = [p ** ((n - 2 - i) * v) for i in range(n - 1)]
+    tables = _congruence_columns(g.num, ctx, None, p ** (L - m))
     pairs = collections.Counter()
-    for term in itertools.product(*_congruence_columns(g.num, ctx, None,
-                                                       p ** (L - m))):
-        cols, shifts = zip(*term)
-        out = _eliminate(list(zip(*cols)), _diagonal_pivot)
-        if out is None:
-            continue
-        work, e = out[0], 0
-        for i, row in enumerate(work):
-            unit, rest = divmod(row[i], pivots[i])
+
+    def walk(j, low, piv, inv, e, shift):
+        for col, s in tables[j]:
+            y = _bareiss_column(col, low, piv, j)
+            unit, rest = divmod(y[j], pivots[j])
             if rest or not unit % p:
-                break
-            if i < n - 1:
-                e += row[i + 1] * pow(unit, -1, P) * lifts[i]
-        else:
-            pairs[e % P, -sum(shifts) % T] += 1
+                continue
+            ej = e + y[j - 1] * inv * lifts[j - 1] if j else e
+            if j == n - 1:
+                pairs[ej % P, -(shift + s) % T] += 1
+            else:
+                walk(j + 1, low + [y], piv + (y[j],), pow(unit, -1, P), ej,
+                     shift + s)
+
+    walk(0, [], (1,), 0, 0, 0)
     return CycValue.from_histogram(pairs, Fraction(1, p ** ((L - m) * n * n)),
                                    (P, T))
 
@@ -309,13 +342,22 @@ def f_explicit(g: Mat, ctx: DepthContext) -> CycValue:
     k), f(g) = 0 unless a = 1 and k is lower-triangular mod q; then the
     value is chi_theta of k stripped of its exact lower part.  The strip
     is well defined because the character ignores lower-triangular
-    perturbations."""
-    n = g.n
-    dec = iwasawa_UAK(g)
-    if dec.a != Mat.identity(n, ctx.p):
+    perturbations.
+
+    On the integers: the early-exit Iwasawa elimination of g.num
+    (`group._unit_a_k_residue` over g.den) gives the rows of k mod q^2,
+    or None as soon as a pivot shows a != 1, and the phase exponent is
+    read from those rows (`_explicit_exponent_mod`).  A singular g has no
+    pivot, so it gives None too, and raises ZeroDivisionError as
+    `f_convolution` does.  `TestFunction.phase` keeps the same formula on
+    Fractions as the twin."""
+    rows = _unit_a_k_residue(g.den, ctx.p, 2 * ctx.m)(g.num)
+    if rows is None:
+        if g.det() == 0:
+            raise ZeroDivisionError("singular matrix")
         return CycValue.zero
-    val = _explicit_on_K(dec.k, ctx, theta_matrix(n, ctx))
-    return CycValue.zero if val is None else val
+    e = _explicit_exponent_mod(rows, ctx)
+    return CycValue.zero if e is None else CycValue.root_of_unity(ctx.T, e)
 
 
 def lower_borel_order(N: int, p: int, e: int) -> int:
@@ -376,8 +418,21 @@ class TestFunction:
         return self._shift_mat @ Mat.longest_weyl(self.N, self.ctx.p)
 
     def phase(self, g: Mat) -> CycValue:
-        """The cyclotomic part of the value; the full value is c1 * phase."""
-        v = f_explicit(self.shift_mat() @ g, self.ctx)
+        """The cyclotomic part of the value; the full value is c1 * phase.
+
+        The closed formula of `f_explicit` on Fractions, at the translate
+        h = shift_mat() g: the Iwasawa decomposition h = u a k, zero
+        unless a = 1, and otherwise chi_theta of k stripped of its exact
+        lower part (`_explicit_on_K`).  It shares no integer kernel with
+        `f_explicit` or with the W_fcg cell walk, whose twins read f
+        through it."""
+        ctx, n = self.ctx, self.N
+        dec = iwasawa_UAK(self.shift_mat() @ g)
+        if dec.a != Mat.identity(n, ctx.p):
+            return CycValue.zero
+        v = _explicit_on_K(dec.k, ctx, theta_matrix(n, ctx))
+        if v is None:
+            return CycValue.zero
         return v.conj() if self.conjugate else v
 
     def value_parts(self, g: Mat):

@@ -20,6 +20,8 @@ diag(1/2, 2) k shape.  Regenerate the file (only on purpose) with
         > tests/golden/convolution-offK.json
 """
 
+import collections
+import itertools
 import json
 import random
 import sys
@@ -29,8 +31,8 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padiczeta.arith import DepthContext
-from padiczeta.group import Mat
+from padiczeta.arith import CycValue, DepthContext, valuation
+from padiczeta.group import Mat, _diagonal_pivot, _eliminate, box_columns
 from padiczeta.testfn import _coset_sum, f_convolution
 
 GOLDEN_FILE = Path(__file__).parent / "golden" / "convolution-offK.json"
@@ -164,6 +166,88 @@ def test_level_walk_matches_integral_walk(case, kind, seed):
     assert g.is_integral()
     ctx = DepthContext(p, m)
     assert f_convolution(g, ctx, L=2 * m) == f_convolution(g, ctx)
+
+
+
+def per_term_level_sum(g, ctx, L):
+    """The level sum of `f_convolution(g, ctx, L=L)` one term at a time:
+    every term G (1 + x) (G = d g, x over q M_n mod p^L) gets its own
+    fraction-free elimination; J vanishes unless each pivot, the leading
+    minor Delta_{i+1}, has valuation exactly (i + 1) v(d), and otherwise
+    its exponent mod P = T p^{(n-1) v(d)} is the sum of the eliminated
+    superdiagonal over the pivots' units, each lifted to P.  The
+    (J, conj chi_theta) exponent pairs are counted as the walk counts
+    them."""
+    n, p, m, T, q = g.n, ctx.p, ctx.m, ctx.T, ctx.q
+    v = valuation(g.den, p)
+    P = T * p ** ((n - 1) * v)
+    pivots = [p ** ((i + 1) * v) for i in range(n)]
+    lifts = [p ** ((n - 2 - i) * v) for i in range(n - 1)]
+    coords = [(i, j) for i in range(n) for j in range(n)]
+    tables = box_columns(g.num, 1, [1] * n, coords,
+                         [range(0, p ** L, q)] * len(coords),
+                         {(j - 1, j): 1 for j in range(1, n)})
+    pairs = collections.Counter()
+    for term in itertools.product(*tables):
+        cols, shifts = zip(*term)
+        out = _eliminate(list(zip(*cols)), _diagonal_pivot)
+        if out is None:
+            continue
+        work, e = out[0], 0
+        for i, row in enumerate(work):
+            unit, rest = divmod(row[i], pivots[i])
+            if rest or not unit % p:
+                break
+            if i < n - 1:
+                e += row[i + 1] * pow(unit, -1, P) * lifts[i]
+        else:
+            pairs[e % P, -sum(shifts) % T] += 1
+    return CycValue.from_histogram(pairs, Fraction(1, p ** ((L - m) * n * n)),
+                                   (P, T))
+
+
+# (p, m, n, L) with n = 1..3 and L = 2m..2m+2, as far as the per-term
+# reference stays under 2^13 terms p^((L-m) n^2)
+REFERENCE_CASES = tuple(
+    (p, m, n, L) for n in (1, 2, 3) for p in (2, 3, 5) for m in (1, 2)
+    for L in range(2 * m, 2 * m + 3) if p ** ((L - m) * n * n) <= 2 ** 13)
+
+
+@st.composite
+def reference_sums(draw):
+    """(g, ctx, L) at one of the reference cases, rank 2 drawn twice as
+    often as rank 1 or 3: a point of every kind
+    of `_draw_point`, integral or not, optionally with two rows swapped
+    (a zero or non-unit leading minor in many terms) or with its last
+    row replaced by a multiple of the first (singular, every term
+    vanishes)."""
+    n = draw(st.sampled_from((1, 2, 2, 3)))
+    p, m, n, L = draw(st.sampled_from([c for c in REFERENCE_CASES
+                                       if c[2] == n]))
+    kind = draw(st.sampled_from(("weyl", "lower", "upper", "random",
+                                 "unitden")))
+    v = draw(st.integers(0, 2))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    g = _draw_point(rng, kind, p, m, n, v)
+    edit = draw(st.sampled_from(("none", "none", "swap", "singular")))
+    if n > 1 and edit != "none":
+        rows = [[g[i, j] for j in range(n)] for i in range(n)]
+        if edit == "swap":
+            i, j = rng.sample(range(n), 2)
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            rows[-1] = [x * rng.choice((1, p, Fraction(1, p)))
+                        for x in rows[0]]
+        g = Mat(rows, p)
+    return g, DepthContext(p, m), L
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(reference_sums())
+def test_level_walk_matches_per_term_elimination(args):
+    g, ctx, L = args
+    assert (f_convolution(g, ctx, L=L).to_json()
+            == per_term_level_sum(g, ctx, L).to_json())
 
 
 if __name__ == "__main__":

@@ -168,6 +168,59 @@ def test_counted_products_leave_the_order_rule_to_arith():
     assert "witness" not in params, params
 
 
+
+def _called_names(fn, local: dict) -> set:
+    """The names that fn calls, as a bare name or an attribute, and those
+    called in turn by the module-level functions of its own module that it
+    reaches (local maps their names to their definitions)."""
+    seen, todo, names = set(), [fn], set()
+    while todo:
+        node = todo.pop()
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            name = (getattr(call.func, "id", None)
+                    or getattr(call.func, "attr", None))
+            names.add(name)
+            if name in local and name not in seen:
+                seen.add(name)
+                todo.append(local[name])
+    return names
+
+
+def test_formula_and_convolution_routes_share_no_kernel():
+    # the two routes of `testfn-agreement` stay independent: the integer
+    # closed formula reaches no convolution column walk and none of the
+    # Fraction route (Iwasawa, chi_tau_eval); the convolution reaches no
+    # Iwasawa K-part reader, open-cell exponent kernel or per-term
+    # elimination; and the Fraction formula in `TestFunction.phase`, which
+    # the W_fcg twins read f through, shares no integer kernel with the
+    # cell walk they check
+    tree = ast.parse((SOURCES[0].parent / "testfn.py").read_text())
+    local = {node.name: node for node in tree.body
+             if isinstance(node, ast.FunctionDef)}
+    (cls,) = [node for node in tree.body
+              if isinstance(node, ast.ClassDef)
+              and node.name == "TestFunction"]
+    (phase,) = [node for node in cls.body
+                if isinstance(node, ast.FunctionDef) and node.name == "phase"]
+    rules = [
+        ("f_explicit", local["f_explicit"],
+         {"_crout_column", "_congruence_columns", "iwasawa_UAK",
+          "chi_tau_eval"}),
+        ("TestFunction.phase", phase, {"_unit_a_k_residue",
+                                       "_J_exponent_mod"}),
+    ]
+    rules += [(name, local[name],
+               {"_a_k_residue", "_unit_a_k_residue", "_J_exponent_mod",
+                "_explicit_exponent_mod", "_eliminate"})
+              for name in ("f_convolution", "_convolution_integral")]
+    found = [f"{name} -> {sorted(_called_names(fn, local) & banned)}"
+             for name, fn, banned in rules
+             if _called_names(fn, local) & banned]
+    assert not found, f"shared kernels: {found}"
+
+
 def test_code_line_counter_on_synthetic_source():
     # `tests/code_lines.py` counts a line as code when it holds a token
     # other than a comment, a newline or an indentation change, less the

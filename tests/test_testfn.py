@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padiczeta.arith import CycValue, DepthContext, SqrtRational, psi_T, valuation
 from padiczeta.group import Mat, SubgroupSpec, enumerate_cosets, haar_volume
@@ -148,6 +150,82 @@ def _random_k(n, p, rng):
                  for _ in range(n)], p)
         if g.det() != 0 and valuation(g.det(), p) == 0:
             return g
+
+
+# -- the two closed-formula routes -------------------------------------------
+
+def _lower_point(rng, n, p, m, v):
+    """u low kq: u lower unipotent over p^v times a unit, low lower
+    triangular with unit diagonal and kq in K(q), so that f is a root of
+    unity."""
+    q, mod = p ** m, p ** (2 * m + 1)
+    den = p ** v * rng.choice([u for u in range(1, p * p) if u % p])
+    unit = [u for u in range(1, mod) if u % p]
+    u = Mat([[Fraction(int(i == j)) if j >= i
+              else Fraction(rng.randrange(-mod, mod), den)
+              for j in range(n)] for i in range(n)], p)
+    low = Mat([[rng.choice(unit) if i == j else rng.randrange(mod) if j < i
+                else 0 for j in range(n)] for i in range(n)], p)
+    kq = Mat([[int(i == j) + q * rng.randrange(mod) for j in range(n)]
+              for i in range(n)], p)
+    return u @ low @ kq
+
+
+@st.composite
+def formula_points(draw):
+    """(g, ctx) with n = 1..4, p in {2, 3, 5} and m in {1, 2}, of one
+    kind: support, a point u low kq of the support; apart, a support
+    point under a non-unit diagonal a (p-power exponents in -2..2, not
+    all zero); upper, a support point with one upper entry of kq a unit
+    times p^(m-1), off the support; random, entries over p^v times a
+    unit; singular, a random point with its last row a rational
+    combination of the others."""
+    n = draw(st.integers(1, 4))
+    p = draw(st.sampled_from((2, 3, 5)))
+    m = draw(st.sampled_from((1, 2)))
+    kind = draw(st.sampled_from(("support", "support", "apart", "upper",
+                                 "random", "singular")))
+    v = draw(st.integers(0, 2))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    mod = p ** (2 * m + 1)
+    if kind in ("support", "apart", "upper"):
+        g = _lower_point(rng, n, p, m, v)
+        if kind == "apart":
+            exps = [rng.randint(-2, 2) for _ in range(n)]
+            exps[rng.randrange(n)] = rng.choice((-1, 1))
+            g = Mat.diag([Fraction(p) ** e for e in exps], p) @ g
+        if kind == "upper" and n > 1:
+            i = rng.randrange(n - 1)
+            j = rng.randrange(i + 1, n)
+            c = [[int(a == b) for b in range(n)] for a in range(n)]
+            c[i][j] = p ** (m - 1) * rng.choice(range(1, p))
+            g = g @ Mat(c, p)
+        return g, DepthContext(p, m)
+    den = p ** v * rng.choice([u for u in range(1, p * p) if u % p])
+    rows = [[Fraction(rng.randrange(-mod, mod), den) for _ in range(n)]
+            for _ in range(n)]
+    if kind == "singular":
+        c = [Fraction(rng.randrange(-3, 4), rng.choice((1, p)))
+             for _ in range(n - 1)]
+        rows[-1] = [sum((ci * r[j] for ci, r in zip(c, rows)), Fraction(0))
+                    for j in range(n)]
+    return Mat(rows, p), DepthContext(p, m)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(formula_points())
+def test_f_explicit_matches_fraction_phase(args):
+    # `f_explicit` against the Fraction closed formula that `phase` keeps
+    # (Iwasawa decomposition, a = 1, chi_theta of the stripped K-part), by
+    # report bytes; a singular point raises on both
+    g, ctx = args
+    phase = base_test_function(ctx, g.n).phase
+    if g.det() == 0:
+        for route in (lambda h: f_explicit(h, ctx), phase):
+            with pytest.raises(ZeroDivisionError):
+                route(g)
+        return
+    assert f_explicit(g, ctx).to_json() == phase(g).to_json()
 
 
 # -- L^2 norm ---------------------------------------------------------------
