@@ -251,13 +251,20 @@ class TransformCells:
         return bool(self.groups)
 
 
+@functools.lru_cache(maxsize=128)
 def _w_cell_data(f: EClassElement, c: Mat, a: Mat, B: int,
-                 nprime: int = 0) -> TransformCells:
+                 nprime: int) -> TransformCells:
     """Surviving transform cells at box depth B: `_box_cells` under the
     head shift * w_G * c^{-1} * w_M.  The cells carry integers only, one
     psi histogram per K-part and the common cell volume; the transform
-    values are read from them by `_transform_values_over_K`, which counts
-    each value in one integer histogram (`_phase_at`).
+    values are read from them at any k by `_phase_at`, which counts each
+    value in one integer histogram.
+
+    The cells depend on (f, c, a, B, nprime) alone, not on the K-point,
+    so they are kept in one bounded cache, shared by `W_fcg` (which reads
+    them at its own k on every call) and by the integrals Q, Q_P.  Every
+    caller passes the five arguments positionally, so each box has one
+    key.  `_w_cell_data.cache_info()` gives the hits and misses.
     Only for forward elements: the dual takes the slow path `_w_direct`.
     """
     return _box_cells(f, _head(f, c, _block_weyl(f.n, nprime, f.ctx.p)),
@@ -356,25 +363,26 @@ def W_fcg(f: EClassElement, c: Mat, a: Mat, k: Mat,
     variant W_P for the Levi blocks (nprime, n - nprime).
 
     The value is returned at the first box depth B in box_start..box_cap
-    whose phase equals that of depth B - 1.  The coefficient, the head
-    shift * w_G * c^{-1} * w_M and k mod q^2 do not depend on B, so they
-    are built once per call.  For a forward element each box is
-    `_box_cells` read at k by `_phase_at`: one integer histogram of
-    (psi exponent, phase exponent) pairs, made a value by
+    whose phase equals that of depth B - 1, compared on every call at
+    this k.  For a forward element each box is the cells of
+    `_w_cell_data(f, c, a, B, nprime)`, which do not depend on k: its
+    bounded cache shares them with every call at the same (f, c, a,
+    nprime) and with Q, Q_P.  Only k mod q^2 is built per call, and
+    `_phase_at` reads each box at it: one integer histogram of (psi
+    exponent, phase exponent) pairs, made a value by
     `CycValue.from_histogram` at the factor orders (p^B, T).  The dual
     element takes `_w_direct`.
     """
     cfg = cfg or RSIntegralConfig()
     coeff = _coeff(f, c)
     if not f.dual:
-        head = _head(f, c, _block_weyl(f.n, nprime, f.ctx.p))
         zk = residue_rows(k, 2 * f.ctx.m)
     prev = None
     for B in range(cfg.box_start, cfg.box_cap + 1):
         if f.dual:
             cur = _w_direct(f, c, a, k, B, nprime).phase
         else:
-            cur = _phase_at(f, _box_cells(f, head, a, B, nprime), zk)
+            cur = _phase_at(f, _w_cell_data(f, c, a, B, nprime), zk)
         if prev is not None and cur == prev:
             return WValue(coeff, cur)
         prev = cur
@@ -529,7 +537,7 @@ def _outer_diagonals(f: EClassElement, c: Mat, nprime: int,
         a, e = pinned_outer_diagonal(f, c)
         if e[-1] != 0:
             return []
-        cells = _w_cell_data(f, c, a, B)
+        cells = _w_cell_data(f, c, a, B, 0)
         return [(a, cells)] if cells else []
     det_v = sum(valuation(x, ctx.p) for x in c.diagonal())
     pinned = _pinned_partial(f, c, nprime)
@@ -707,7 +715,7 @@ def denominator_scan(f: EClassElement, window: int | None = None,
         if p ** sum(max(B + lv, 0) for lv in L.values()) > 20000:
             skipped.append(es)
             continue
-        cells = _w_cell_data(f, c, a, B)
+        cells = _w_cell_data(f, c, a, B, 0)
         hit = bool(cells) and _any_nonzero_over_K(f, cells, kreps)
         size = max(es)
         table.append({"c_exponents": es, "nonzero": hit})

@@ -29,7 +29,7 @@ column, so terms that share a column prefix share its pivots and the
 units' inverses, and a prefix whose pivot shows that J vanishes is pruned
 with all its terms.  Its value is counted (J, chi_theta) exponent pairs
 (`CycValue.from_histogram`) and prints as the coset sum it replaces,
-which stays as the tested twin `_coset_sum`.
+the definitional twin that the tests keep (`tests/twins.py`).
 
 The H-side function is the conjugated translate f_H(g) = c1 conj(f0)(t g)
 with t the antidominant square-root-of-T diagonal, normalized so that the
@@ -47,39 +47,21 @@ from fractions import Fraction
 
 from .arith import (
     CertificateCapExceeded,
-    CycSum,
     CycValue,
     DepthContext,
     MellinMonomial,
     SqrtRational,
-    psi_T,
     valuation,
 )
 from .group import (
     Mat,
-    SubgroupSpec,
     _unit_a_k_residue,
     box_columns,
-    bruhat_open_cell,
-    enumerate_cosets,
     iwasawa_UAK,
     p_power_diag,
 )
 from .params import chi_tau_eval, theta_matrix
 from .residue import residue_rows
-
-
-def J_open_cell(g: Mat, ctx: DepthContext) -> CycValue:
-    """Open-cell kernel: zero off the big cell or when the cell's diagonal
-    is not a unit vector, else the additive character of the superdiagonal
-    of the upper-triangular factor."""
-    dec = bruhat_open_cell(g)
-    if dec is None:
-        return CycValue.zero
-    for d in dec.a.diagonal():
-        if valuation(d, ctx.p) != 0:
-            return CycValue.zero
-    return psi_T(dec.n.superdiagonal_sum(), ctx)
 
 
 @functools.cache
@@ -279,7 +261,7 @@ def f_convolution(g: Mat, ctx: DepthContext, L: int | None = None,
     leaves count the products J root * conj(chi_theta root) under their
     exponent pairs mod (P, T), made the value once
     (`CycValue.from_histogram` at the factor orders (P, T)), so it prints
-    as the coset sum `_coset_sum`, the tested twin.
+    as the coset sum it replaces (the tests' twin `coset_sum`).
     """
     n, p, m, T = g.n, ctx.p, ctx.m, ctx.T
     if L is None:
@@ -320,21 +302,6 @@ def f_convolution(g: Mat, ctx: DepthContext, L: int | None = None,
     walk(0, [], (1,), 0, 0, 0)
     return CycValue.from_histogram(pairs, Fraction(1, p ** ((L - m) * n * n)),
                                    (P, T))
-
-
-def _coset_sum(g: Mat, ctx: DepthContext, L: int) -> CycValue:
-    """The definitional twin of the level walk in `f_convolution`: the
-    normalized sum of J(g r) conj(chi_theta(r)) over the `Mat`
-    representatives r of K(q)/K(q^L)."""
-    n = g.n
-    theta = theta_matrix(n, ctx)
-    total = CycSum()
-    for r in enumerate_cosets(SubgroupSpec("Kq", n, ctx.p, ctx.m), L):
-        term = J_open_cell(g @ r, ctx)
-        if not term.coeffs:
-            continue
-        total.add(term * chi_tau_eval(theta, r).conj())
-    return total.value() * Fraction(1, ctx.p ** ((L - ctx.m) * n * n))
 
 
 def f_explicit(g: Mat, ctx: DepthContext) -> CycValue:

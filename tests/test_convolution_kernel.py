@@ -45,11 +45,8 @@ from padiczeta.arith import CycValue, DepthContext
 from padiczeta.group import Mat, box_columns
 from padiczeta.params import companion_matrix, theta_matrix
 from padiczeta.residue import residue_rows
-from padiczeta.testfn import (
-    J_open_cell,
-    _convolution_integral,
-    _J_exponent_mod,
-)
+from padiczeta.testfn import _convolution_integral, _J_exponent_mod
+from twins import J_open_cell
 
 GOLDEN_FILE = Path(__file__).parent / "golden" / "convolution-integral.json"
 INSTANCES = ((2, 2, 2), (2, 1, 3), (5, 1, 2), (3, 1, 2))

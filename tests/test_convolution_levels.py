@@ -1,13 +1,14 @@
 """The convolution at its certified levels, off K and on it.
 
 `f_convolution(g, ctx, L)` walks the columns of d g (1 + x) on the
-integers; `_coset_sum(g, ctx, L)` is its definitional twin, the sum of
-J(g r) conj(chi_theta(r)) over the `Mat` representatives r of
-K(q)/K(q^L).  The differential test compares the two byte for byte
-(`to_json` prints the stored order, which equality ignores) at integral
-and non-integral points, with zero and nonzero level sums.  At integral
-points the level walk at L = 2m is also compared, by value, with the
-default route, the mod-q^2 Crout walk `_convolution_integral`.
+integers; `coset_sum(g, ctx, L)` (`tests/twins.py`) is its definitional
+twin, the sum of J(g r) conj(chi_theta(r)) over the `Mat`
+representatives r of K(q)/K(q^L).  The differential test compares the
+two byte for byte (`to_json` prints the stored order, which equality
+ignores) at integral and non-integral points, with zero and nonzero
+level sums.  At integral points the level walk at L = 2m is also
+compared, by value, with the default route, the mod-q^2 Crout walk
+`_convolution_integral`.
 
 The report bytes of `f_convolution(g, ctx).to_json()` at seeded
 non-integral rank-2 points are pinned by
@@ -33,7 +34,8 @@ from hypothesis import strategies as st
 
 from padiczeta.arith import CycValue, DepthContext, valuation
 from padiczeta.group import Mat, _diagonal_pivot, _eliminate, box_columns
-from padiczeta.testfn import _coset_sum, f_convolution
+from padiczeta.testfn import f_convolution
+from twins import coset_sum
 
 GOLDEN_FILE = Path(__file__).parent / "golden" / "convolution-offK.json"
 # (p, m, kind, v, count): v is the p-adic valuation of the denominator
@@ -144,7 +146,7 @@ def level_sums(draw):
 def test_level_walk_matches_coset_sum(args):
     g, ctx, L = args
     assert (f_convolution(g, ctx, L=L).to_json()
-            == _coset_sum(g, ctx, L).to_json())
+            == coset_sum(g, ctx, L).to_json())
 
 
 # (p, m, n) for the integral points

@@ -45,7 +45,7 @@ def transform_cases(ctx):
     for e1, e2 in itertools.product(range(3), repeat=2):
         c = diag_c(ctx, e1, e2)
         a, _ = pinned_outer_diagonal(f, c)
-        yield c, a, _w_cell_data(f, c, a, 3)
+        yield c, a, _w_cell_data(f, c, a, 3, 0)
 
 
 # (ctx, rank, seed): the rank-2 contexts above and the benchmark's other
@@ -93,7 +93,7 @@ def test_grouped_cells_match_direct_transform(ctx):
 def outer_cells(ctx, e1, e2):
     c = diag_c(ctx, e1, e2)
     a, _ = pinned_outer_diagonal(ELEMS[ctx], c)
-    return c, a, _w_cell_data(ELEMS[ctx], c, a, 3)
+    return c, a, _w_cell_data(ELEMS[ctx], c, a, 3, 0)
 
 
 @functools.cache

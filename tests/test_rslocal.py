@@ -108,7 +108,7 @@ def test_det_matching_and_outer_pinning():
     _, ev = pinned_outer_diagonal(F2, c)
     for e in range(-5, 4):
         a = Mat.diag([Fraction(2) ** e, Fraction(1)], 2)
-        cells = _w_cell_data(F2, c, a, 4)
+        cells = _w_cell_data(F2, c, a, 4, 0)
         if (e, 0) == ev:
             assert cells
             assert abs_det(CTX21, a) == abs_det(CTX21, c)
@@ -121,7 +121,7 @@ def test_transform_right_character_equivariance():
     # character only, so |W|^2 is right K(q)-invariant
     c = central_c(CTX21, 2)
     a, _ = pinned_outer_diagonal(F2, c)
-    cells = _w_cell_data(F2, c, a, 3)
+    cells = _w_cell_data(F2, c, a, 3, 0)
     coeff = _coeff(F2, c)
     for k in k_transversal(CTX21, 2)[:3]:
         [phase] = _transform_values_over_K(F2, cells, [k])
@@ -156,7 +156,7 @@ def test_Q_rejects_bad_arguments():
     with pytest.raises(ValueError):
         Q_P(F2, c, nprime=1)
     with pytest.raises(ValueError):
-        _w_cell_data(standard_E_element(CTX21, 2, dual=True), c, c, 2)
+        _w_cell_data(standard_E_element(CTX21, 2, dual=True), c, c, 2, 0)
 
 
 def test_Q_depth_two():

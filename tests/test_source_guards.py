@@ -45,10 +45,8 @@ def test_rows_view_readers():
 def test_private_functions_are_used_in_src():
     # every module-level private function is referenced by code in src
     # (a name or an attribute outside its own definition; docstrings do
-    # not count), so no helper lives in the package only for the tests.
-    # The one exception is the definitional twin that the tests check the
-    # level walk of `f_convolution` against.
-    allowed = {"_coset_sum"}
+    # not count), so no helper lives in the package only for the tests;
+    # the definitional twins that only tests call are in `tests/twins.py`
     tops = [top for path in SOURCES
             for top in ast.parse(path.read_text()).body]
     private = {top.name for top in tops
@@ -61,8 +59,7 @@ def test_private_functions_are_used_in_src():
                    for top in tops if getattr(top, "name", None) != name
                    for node in ast.walk(top))
 
-    assert private >= allowed
-    found = sorted(name for name in private - allowed if not used(name))
+    found = sorted(name for name in private if not used(name))
     assert not found, f"private functions unused in src: {found}"
 
 
@@ -219,6 +216,56 @@ def test_formula_and_convolution_routes_share_no_kernel():
              for name, fn, banned in rules
              if _called_names(fn, local) & banned]
     assert not found, f"shared kernels: {found}"
+
+
+def _cached_functions(tree) -> dict:
+    """{name: (function, decorator)} for each function or method of a
+    parsed module under a `functools` cache."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            for deco in node.decorator_list:
+                target = deco.func if isinstance(deco, ast.Call) else deco
+                if getattr(target, "attr", None) in (
+                        "cache", "lru_cache", "cached_property"):
+                    out[node.name] = (node, deco)
+    return out
+
+
+def test_transform_cells_are_the_one_bounded_cache_in_rslocal():
+    # the cells of a transform box depend on (f, c, a, B, nprime) only, so
+    # they are cached under exactly that key, in a bounded cache, and
+    # every call passes the five arguments positionally so that a box has
+    # one key; the only other cache in `rslocal` is the certification of
+    # the standard element per (ctx, n, dual)
+    tree = ast.parse((SOURCES[0].parent / "rslocal.py").read_text())
+    cached = _cached_functions(tree)
+    assert set(cached) == {"_w_cell_data", "_certified_element"}
+    fn, deco = cached["_w_cell_data"]
+    assert [a.arg for a in fn.args.args] == ["f", "c", "a", "B", "nprime"]
+    assert not fn.args.defaults and not fn.args.kwonlyargs
+    assert deco.func.attr == "lru_cache" and not deco.args
+    [size] = [kw.value for kw in deco.keywords if kw.arg == "maxsize"]
+    assert isinstance(size.value, int) and size.value > 0
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "_w_cell_data"]
+    assert calls
+    assert all(len(node.args) == 5 and not node.keywords for node in calls)
+
+
+def test_no_cache_keyed_on_a_request():
+    # a cache keyed on a point of the group, or on the whole request of a
+    # transform, vanishing or zeta value, would only replay repeated
+    # requests; the benchmark pools repeat whole requests, so such a memo
+    # would show a gain that no real caller sees
+    requests = {"W_fcg", "_phase_at", "vanishing_check", "zeta_direct",
+                "zeta_explicit"}
+    found = [f"{path.name}:{name}" for path in SOURCES
+             for name, (fn, _) in _cached_functions(
+                 ast.parse(path.read_text())).items()
+             if name in requests
+             or {"k", "g"} & {a.arg for a in fn.args.args}]
+    assert not found, f"caches keyed on a request: {found}"
 
 
 def test_code_line_counter_on_synthetic_source():

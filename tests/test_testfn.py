@@ -11,7 +11,6 @@ from padiczeta.arith import CycValue, DepthContext, SqrtRational, psi_T, valuati
 from padiczeta.group import Mat, SubgroupSpec, enumerate_cosets, haar_volume
 from padiczeta.params import chi_tau_eval, theta_matrix
 from padiczeta.testfn import (
-    J_open_cell,
     base_test_function,
     dual_value_parts,
     f_convolution,
@@ -22,6 +21,7 @@ from padiczeta.testfn import (
     mellin_component,
     translate_for_H,
 )
+from twins import J_open_cell
 
 CTX21 = DepthContext(2, 1)
 CTX31 = DepthContext(3, 1)

@@ -23,6 +23,13 @@ loop it replaces, written here: each group's weight from its histogram,
 times the root of unity of its phase, summed by `CycSum`.  The two are
 compared by `to_json()` bytes, so the order of each value is pinned too.
 
+The cells of a box are kept in the bounded cache of `_w_cell_data`,
+shared by every `W_fcg` call at the same (f, c, a): a second call at a
+new k builds no box, and the golden file prints the same bytes from a
+cold and from a warm cache.  Tests that patch what the cell walk calls
+start and end with an empty cache (`cold_cells`), so the walk runs
+under the patch and what it builds there reaches no later test.
+
 The two integer kernels of the cell sweep are checked against their
 references: the early exit of the elimination and its K-part residue
 against `iwasawa_UAK`, and the zero test on a histogram of roots of unity
@@ -38,6 +45,7 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from padiczeta import rslocal
@@ -128,8 +136,52 @@ def golden_document() -> str:
     return json.dumps(out, indent=1, sort_keys=True) + "\n"
 
 
-def test_transform_report_bytes():
+@pytest.fixture
+def cold_cells():
+    """An empty `_w_cell_data` cache before and after the test.  This is
+    the function itself, not the `rslocal` attribute a test may patch."""
+    _w_cell_data.cache_clear()
+    yield
+    _w_cell_data.cache_clear()
+
+
+def test_transform_report_bytes(cold_cells):
+    # the same bytes from a cold cache and from the warm cache it leaves,
+    # where every box is a hit
     assert golden_document() == GOLDEN_FILE.read_text()
+    built = _w_cell_data.cache_info()
+    assert built.hits and built.currsize == built.misses
+    assert golden_document() == GOLDEN_FILE.read_text()
+    warm = _w_cell_data.cache_info()
+    assert warm.misses == built.misses
+    assert warm.hits == 2 * built.hits + built.misses
+
+
+def test_second_transform_reads_the_cached_cells(cold_cells, monkeypatch):
+    # the cells of W_fcg(f, c, a, k) do not depend on k: a call at a new
+    # k at the same (f, c, a) builds no box, and still reads its own k
+    # (the transform vanishes at the first k and not at the second)
+    f = standard_E_element(DepthContext(3, 1), 2)
+    c = p_power_diag([-1, -1], 3)
+    a, _ = pinned_outer_diagonal(f, c)
+    first, second = Mat.diag([2, 2], 3), Mat([[1, 0], [1, 2]], 3)
+    expected = W_fcg(f, c, a, second)
+    assert not expected.is_zero()
+    _w_cell_data.cache_clear()
+    assert W_fcg(f, c, a, first).is_zero()
+    before = _w_cell_data.cache_info()
+    built = []
+    box_cells = rslocal._box_cells
+
+    def counting(*args):
+        built.append(args)
+        return box_cells(*args)
+
+    monkeypatch.setattr(rslocal, "_box_cells", counting)
+    assert W_fcg(f, c, a, second) == expected
+    assert not built
+    after = _w_cell_data.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits
 
 
 class _OneHistogramCyc(CycValue):
@@ -153,7 +205,8 @@ class _NoCycSum:
         raise RuntimeError("CycSum in the W_fcg value path")
 
 
-def test_transform_values_need_no_per_group_cyc_values(monkeypatch):
+def test_transform_values_need_no_per_group_cyc_values(cold_cells,
+                                                       monkeypatch):
     # certify the elements first: certification reads f's own phases
     for p, m, n in W_INSTANCES:
         standard_E_element(DepthContext(p, m), n)
@@ -178,18 +231,19 @@ def test_transform_values_need_no_per_group_cyc_values(monkeypatch):
     assert values and _OneHistogramCyc.histograms == len(values)
 
 
-def test_cancelling_group_is_dropped(monkeypatch):
+def test_cancelling_group_is_dropped(cold_cells, monkeypatch):
     # with every cell given one K-part, the single group counts psi^{-1}
     # over the whole box, a full character sum, so it cancels and is
     # dropped; the standard K-parts at the same point leave live groups
     f = standard_E_element(DepthContext(3, 1), 2)
     c = p_power_diag([-1, -1], 3)
     a, _ = pinned_outer_diagonal(f, c)
-    assert _w_cell_data(f, c, a, 2)
+    assert _w_cell_data(f, c, a, 2, 0)
     one = ((1, 0), (0, 1))
     monkeypatch.setattr(rslocal, "_unit_a_k_residue",
                         lambda d, p, e: lambda rows: one)
-    assert not _w_cell_data(f, c, a, 2)
+    _w_cell_data.cache_clear()   # walk the box again, under the patch
+    assert not _w_cell_data(f, c, a, 2, 0)
 
 
 def _reference_values(f, cells, kreps):
@@ -226,7 +280,7 @@ def _real_cells(p, m, n, nprime, e, B):
     f = _element(p, m, n, False)
     if nprime == 0:
         c = p_power_diag([-m * e] * n, p)
-        return [_w_cell_data(f, c, pinned_outer_diagonal(f, c)[0], B)]
+        return [_w_cell_data(f, c, pinned_outer_diagonal(f, c)[0], B, 0)]
     c = p_power_diag([0] + [-m * e] * (n - 1), p)
     return [cells for _, cells in
             _outer_diagonals(f, c, nprime, RSIntegralConfig(), B)]
