@@ -6,7 +6,8 @@ entry as a Fraction.  Products, determinants, inverses and the
 decompositions below run on the integers and reduce each result once, by
 a single gcd; the boxes of matrices that the integrals sum over are built
 on the integers too (`unipotent_box`, and `box_columns` column by
-column).  Elimination is fraction-free (Bareiss,
+column, which `box_histograms` sweeps as the members of head u a, each
+read once and counted by its psi^{-1}(u) exponent).  Elimination is fraction-free (Bareiss,
 "Sylvester's identity and multistep integer-preserving Gaussian
 elimination", Math. Comp. 22, 1968): every intermediate entry is an
 integer minor.  The module provides the three decompositions every
@@ -689,6 +690,27 @@ def box_columns(H, den: int, scale, coords, ranges, weights) -> list:
                      for col, share in cands for dcol, dw in steps]
         tables.append(cands)
     return tables
+
+
+def box_histograms(H, den: int, scale, coords, ranges, read) -> dict:
+    """The members H (den I + X) diag(scale) of the box of `box_columns`,
+    counted by read: {key: {x: count}}, with key = read(rows) for each
+    member's integer rows (a member whose key is None is skipped) and
+    x = -(superdiagonal sum of X) mod den, the exponent of
+    psi^{-1}(1 + X / den) as a den-th root of unity.  The members are
+    walked in the order of the product of the column tables."""
+    tables = box_columns(H, den, scale, coords, ranges,
+                         {(j - 1, j): 1 for j in range(1, len(scale))})
+    hists: dict = {}
+    for member in itertools.product(*tables):
+        cols, shares = zip(*member)
+        key = read(list(zip(*cols)))
+        if key is None:
+            continue
+        h = hists.setdefault(key, {})
+        x = -sum(shares) % den
+        h[x] = h.get(x, 0) + 1
+    return hists
 
 
 def enumerate_cosets(spec: SubgroupSpec, L: int) -> list[Mat]:

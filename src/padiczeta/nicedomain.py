@@ -27,6 +27,12 @@ computation: integrals are sums over congruence cells whose level is
 certified by a one-step refinement comparison, and the q1/q2 congruence
 properties and the measure preservation of u -> w are checked on finite
 quotients.
+
+A cell sum is one sweep of the members shift u a on integers
+(`group.box_histograms`, the sweep of the transform cells in `rslocal`
+too), read at k: shift u a k has the a-part of shift u a and the K-part
+k' k, so each (a-part, K-part) key's phase is read at k by the kernel
+`testfn._explicit_exponent_at` and its coefficient from the a-part.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from .group import (
     Mat,
     SubgroupSpec,
     _a_k_residue,
-    box_columns,
+    box_histograms,
     bruhat_open_cell,
     enumerate_cosets,
     iwasawa_NAK,
@@ -55,7 +61,7 @@ from .group import (
 from .params import theta_matrix
 from .residue import residue_rows
 from .rslocal import EClassElement
-from .testfn import _explicit_exponent_mod, _explicit_on_K
+from .testfn import _explicit_exponent_at, _explicit_on_K
 
 
 # -- the dilation and entrywise conjugation ---------------------------------
@@ -590,101 +596,74 @@ def _base_levels(domain: NiceDomain, ctx: DepthContext, a: Mat) -> dict:
     return lv
 
 
-def _member_rows(grid: tuple, left, right):
-    """For each member u = 1 + X / den of a cell's grid (ranges, den)
-    (`NiceDomain.member_grid`), in the order of `NiceDomain.members`: the
-    integer rows of diag(left) (den I + X) right, and the superdiagonal
-    sum of X.  Row i of that product is column i of
-    right^T (den I + X^T) diag(left), which depends only on row i of X,
-    whose coordinates are consecutive in the grid; so the candidates of
-    each row are built once (`group.box_columns` on the transposed
-    coordinates) and the members are walked as their product."""
-    ranges, den = grid
-    n = len(right)
-    tables = box_columns(tuple(zip(*right)), den, left,
-                         [(j, i) for i, j in _upper_coords(n)], ranges,
-                         {(i + 1, i): 1 for i in range(n - 1)})
-    for member in itertools.product(*tables):
-        rows, shares = zip(*member)
-        yield rows, sum(shares)
-
-
-def _key_section(f: EClassElement, s: tuple, exps: tuple, krows: tuple,
-                 cache: dict) -> tuple | None:
-    """`section_value` at a g whose shift * w_G * g has the Iwasawa a-part
-    diag(p^exps) and the K-part krows mod q^2, as (radical, coefficient,
-    e) for coefficient * sqrt(radical) * exp(2 pi i e / T), None for zero.
-    e is cached by krows."""
+def _a_coefficient(f: EClassElement, s: tuple, exps: tuple) -> tuple:
+    """The coefficient of `section_value` at a g whose shift * w_G * g has
+    the Iwasawa a-part diag(p^exps): (radical, c) for c * sqrt(radical),
+    c1 * delta_U^{1/2}(a) * prod |a_i|^{s_i} with the square root taken
+    out of its square's squarefree part."""
     ctx, tf = f.ctx, f.tf
-    if krows not in cache:
-        cache[krows] = _explicit_exponent_mod(krows, ctx)
-    e = cache[krows]
-    if e is None:
-        return None
     n = len(exps)
     e2 = sum(exps[i] - exps[j] for i in range(n) for j in range(i + 1, n)) \
         - 2 * sum(si * ai for si, ai in zip(s, exps))
     coeff = tf.c1 * SqrtRational.sqrt(Fraction(ctx.p) ** e2)
     c, rad = _sqrt_split(coeff.squared())
-    return rad, c * coeff.sign, -e if tf.conjugate else e
+    return rad, c * coeff.sign
 
 
-def _cell_sum(f: EClassElement, s: tuple, a: Mat, k: Mat,
-              domain: NiceDomain, levels: dict, cache: dict) -> tuple:
+def _cell_sum(f: EClassElement, s: tuple, a: Mat, zk: tuple,
+              domain: NiceDomain, levels: dict) -> tuple:
     """(parts, cells): the exact sum of f[s](w_G u a k) psi^{-1}(u) du
-    over the cell, enumerating the conjugated coordinates to the given
-    per-entry levels.
+    over the cell, for the K-point k with integer rows zk mod q^2,
+    enumerating the conjugated coordinates to the given per-entry levels.
 
     This is the sum of `section_value(w_G u a k)` psi^{-1}(u) vol over
-    the members u, walked on integers; it is sound for three reasons.
-    (1) The section decomposes shift_weyl * w_G u a k = shift * u * a k,
-    because shift_weyl = shift * w_G and w_G^2 = 1.  With shift = H / h,
-    u = (den I + X) / den and a k = AK / t, that is the integer matrix
-    H (den I + X) AK over h * den * t.  (2) One elimination per member
-    (`group._a_k_residue`) reads from its pivots the Iwasawa a-part,
-    which fixes the coefficient, and the K-part k mod q^2.  (3) That
-    residue fixes the phase: `_explicit_on_K(k)` is
-    root_of_unity(T, `_explicit_exponent_mod`(k mod q^2)).  Upper
+    the members u, swept once on integers and read at k; it is sound for
+    three reasons.  (1) The section decomposes shift_weyl * w_G u a k =
+    shift * u * a * k, because shift_weyl = shift * w_G and w_G^2 = 1.
+    With shift = H / h, u = (den I + X) / den and a = A / t, shift u a is
+    the integer matrix H (den I + X) A over h * den * t, and
+    `group.box_histograms` sweeps the members as these matrices.  (2) One
+    elimination per member (`group._a_k_residue`) reads from its pivots
+    the Iwasawa a-part and the K-part k' mod q^2 of shift u a.  A k in K
+    leaves the a-part unchanged and moves the K-part to k' k, as in
+    `rslocal._box_cells`: the a-part fixes the coefficient
+    (`_a_coefficient`).  (3) k' k mod q^2 fixes the phase:
+    `_explicit_on_K(k' k)` is root_of_unity(T,
+    `testfn._explicit_exponent_at`(k' mod q^2, k mod q^2)).  Upper
     entries = 0 mod q is the same support test, and the explicit phase
-    depends only on k mod q^2.
+    depends only on k' k mod q^2.
 
     Members with the same (a-part, K-part) key have the same section
-    value, so psi^{-1}(u) enters through one histogram per key.  The
-    superdiagonal entries of a member have denominators dividing p^rho,
-    so these are p^rho-th roots of unity.  As in `rslocal._phase_at`,
-    each radical counts its keys' products (psi root) * (phase root),
-    times the key's coefficient, under their exponent pairs, made a value
-    by `CycValue.from_histogram` at the factor orders (p^rho, T) times the
+    value, so psi^{-1}(u) enters through one histogram per key, of
+    exponents mod den (the superdiagonal entries of a member have
+    denominators dividing den).  As in `rslocal._phase_at`, each radical
+    counts its keys' products (psi root) * (phase root), times the key's
+    coefficient, under their exponent pairs, made a value by
+    `CycValue.from_histogram` at the factor orders (den, T) times the
     member volume."""
     ctx, tf = f.ctx, f.tf
     n, p, rho = domain.n, domain.p, domain.slope
-    grid = domain.member_grid(levels)
-    den, psi_den = grid[1], p ** rho
-    shift, ak = tf.shift_mat(), a @ k
+    ranges, den = domain.member_grid(levels)
+    shift = tf.shift_mat()
     vol = Fraction(p) ** sum((j - i) * rho - n - levels[(i, j)]
                              for (i, j) in _upper_coords(n))
-    read = _a_k_residue(shift.den * den * ak.den, p, 2 * ctx.m)
-    hists: dict = {}
-    cells = 0
-    for rows, sd in _member_rows(grid, [shift.num[i][i] for i in range(n)],
-                                 ak.num):
-        cells += 1
-        hist = hists.setdefault(read(rows), {})
-        # psi^{-1}(u) = exp(2 pi i x / p^rho), x = -sd p^rho / den
-        x = -(sd // (den // psi_den)) % psi_den
-        hist[x] = hist.get(x, 0) + 1
+    hists = box_histograms(
+        shift.num, den, [a.num[j][j] for j in range(n)], _upper_coords(n),
+        ranges, _a_k_residue(shift.den * den * a.den, p, 2 * ctx.m))
+    kcols = list(zip(*zk))
     acc: dict = {}
     for (exps, krows), hist in hists.items():
-        section = _key_section(f, s, exps, krows, cache)
-        if section is None:
+        e = _explicit_exponent_at(krows, kcols, ctx)
+        if e is None:
             continue
-        rad, coeff, e = section
+        e = -e if tf.conjugate else e
+        rad, coeff = _a_coefficient(f, s, exps)
         counts = acc.setdefault(rad, {})
         for x, count in hist.items():
             counts[x, e] = counts.get((x, e), 0) + count * coeff
-    return _parts_clean({rad: CycValue.from_histogram(counts, vol,
-                                                      (psi_den, ctx.T))
-                         for rad, counts in acc.items()}), cells
+    parts = {rad: CycValue.from_histogram(counts, vol, (den, ctx.T))
+             for rad, counts in acc.items()}
+    return _parts_clean(parts), math.prod(map(len, ranges))
 
 
 @dataclass
@@ -716,26 +695,33 @@ def vanishing_check(a: Mat, k: Mat, s: tuple, domain: NiceDomain,
                     f: EClassElement, d2: int = 1,
                     max_refine: int = 3) -> CharacterSumValue:
     """The integral of f[s](w_G u a k) psi^{-1}(u) over the cell, as an
-    exact finite character sum.  Hypotheses checked: |a_n| = 1 and every
-    simple-root coordinate |a_i / a_{i+1}| <= T^{d2}.  The enumeration
+    exact finite character sum.  Hypotheses checked: a is diagonal with
+    |a_n| = 1 and every simple-root coordinate |a_i / a_{i+1}| <= T^{d2},
+    and k lies in K, so that the cells of shift u a are read at k
+    (`_cell_sum`).  The enumeration
     level is certified by a one-step refinement comparison; expected zero
     whenever the slope is large."""
     ctx = f.ctx
     n, p, m = f.n, ctx.p, ctx.m
     if domain.n != n or domain.p != p:
         raise ValueError("cell and function sizes disagree")
+    # the cells are read at k as a k' k, which needs a diagonal and k in K
+    if not a.is_diagonal():
+        raise ValueError("the outer factor a must be diagonal")
+    if not k.in_K():
+        raise ValueError("k must lie in K")
     av = [valuation(x, p) for x in a.diagonal()]
     if av[-1] != 0:
         raise ValueError("last diagonal entry must be a unit")
     if any(av[i] - av[i + 1] < -2 * m * d2 for i in range(n - 1)):
         raise ValueError("simple-root coordinates of a exceed T^d2")
     levels = _base_levels(domain, ctx, a)
-    cache: dict = {}
+    zk = residue_rows(k, 2 * m)
     # a failed round's finer sum is the next round's coarse one
-    parts, cells = _cell_sum(f, s, a, k, domain, levels, cache)
+    parts, cells = _cell_sum(f, s, a, zk, domain, levels)
     for _ in range(max_refine + 1):
         finer = {c: l + 1 for c, l in levels.items()}
-        parts2, cells2 = _cell_sum(f, s, a, k, domain, finer, cache)
+        parts2, cells2 = _cell_sum(f, s, a, zk, domain, finer)
         if parts == parts2:
             return CharacterSumValue(parts, levels, cells + cells2, True)
         levels, parts, cells = finer, parts2, cells2

@@ -385,10 +385,7 @@ class OmegaIdempotent:
         hits = count = 0
         for h in enumerate_GL(n, p, 2 * m):
             count += 1
-            emb = [[h.entries[i][j] if i < n and j < n
-                    else (1 if i == j else 0) for j in range(N)]
-                   for i in range(N)]
-            if j_tau_membership(self.tau, ZMat.make(emb, p, 2 * m).lift()):
+            if j_tau_membership(self.tau, h.embed(N).lift()):
                 hits += 1
         return Fraction(hits, count) / self.vol_J
 

@@ -143,6 +143,14 @@ class ZMat:
             raise ZeroDivisionError("non-unit determinant")
         return ZMat(residue_rows(inv, self.e), self.p, self.e)
 
+    def embed(self, N: int) -> "ZMat":
+        """The block matrix diag(self, 1, ..., 1) of size N: GL_n(Z/p^e)
+        in the upper left block of GL_N(Z/p^e)."""
+        n = self.n
+        return ZMat(tuple(tuple(self.entries[i][j] if i < n and j < n
+                                else int(i == j) for j in range(N))
+                          for i in range(N)), self.p, self.e)
+
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(self.entries[i][j] for i in range(self.n))
 

@@ -48,7 +48,7 @@ from .group import (
     Mat,
     SubgroupSpec,
     _unit_a_k_residue,
-    box_columns,
+    box_histograms,
     enumerate_cosets,
     haar_volume,
     modular_delta,
@@ -57,7 +57,7 @@ from .group import (
     unipotent_box,
 )
 from .residue import residue_rows
-from .testfn import TestFunction, _J_exponent_mod, translate_for_H
+from .testfn import TestFunction, _explicit_exponent_at, translate_for_H
 
 
 # -- the class of concentrated functions ------------------------------------
@@ -278,18 +278,16 @@ def _box_cells(f: EClassElement, head: Mat, a: Mat, B: int,
     and the cells counted in psi, of psi^{-1}(u) times the phase of
     krows k.
 
-    Each cell u of the box is evaluated on its own, on integers.  With
-    head = H / h, u = (p^B + X) / p^B and a = A / a0, the cell's argument
-    head u a is the integer matrix H (p^B + X) A over d = h p^B a0, and
-    column j of it depends only on column j of X, so the candidates of
-    each column are built once (`group.box_columns`).  The integrand
-    f(head u a k) vanishes unless the Iwasawa a-part of head u a is 1
-    (the support of f), and then depends on its K-part k' only through
-    k' k mod q^2.  One
-    elimination per cell (`_unit_a_k_residue`, which gives up at the
-    first pivot that shows a != 1) yields krows = k' mod q^2, and cells
-    with equal krows share one integer histogram of their psi^{-1}(u)
-    exponents mod p^B.  A group whose roots of unity cancel is dropped
+    With head = H / h, u = (p^B + X) / p^B and a = A / a0, the cell's
+    argument head u a is the integer matrix H (p^B + X) A over
+    d = h p^B a0, and `group.box_histograms` sweeps the cells of the box
+    as these matrices.  The integrand f(head u a k) vanishes unless the
+    Iwasawa a-part of head u a is 1 (the support of f), and then depends
+    on its K-part k' only through k' k mod q^2.  One elimination per cell
+    (`_unit_a_k_residue`, which gives up at the first pivot that shows
+    a != 1) yields krows = k' mod q^2, and cells with equal krows share
+    one integer histogram of their psi^{-1}(u) exponents mod p^B.  A
+    group whose roots of unity cancel is dropped
     (`CycValue.histogram_is_zero`).
     """
     ctx, n = f.ctx, f.n
@@ -300,20 +298,9 @@ def _box_cells(f: EClassElement, head: Mat, a: Mat, B: int,
         raise ValueError("the outer factor a must be diagonal")
     coords = [(k, l) for k in range(nprime, n) for l in range(k + 1, n)]
     ranges, vol = _box(ctx, a, B, coords)
-    # each cell's columns with their shares X[j-1][j] of the superdiagonal
-    # sum of X
-    tables = box_columns(head.num, pB, [a.num[j][j] for j in range(n)],
-                         coords, ranges, {(j - 1, j): 1 for j in range(1, n)})
-    k_part = _unit_a_k_residue(head.den * pB * a.den, p, 2 * ctx.m)
-    hists = {}
-    for cell in itertools.product(*tables):
-        cols, shares = zip(*cell)
-        krows = k_part(list(zip(*cols)))
-        if krows is None:
-            continue
-        h = hists.setdefault(krows, {})
-        s = -sum(shares) % pB
-        h[s] = h.get(s, 0) + 1
+    hists = box_histograms(
+        head.num, pB, [a.num[j][j] for j in range(n)], coords, ranges,
+        _unit_a_k_residue(head.den * pB * a.den, p, 2 * ctx.m))
     return TransformCells(vol, pB, tuple(
         (krows, tuple(h.items())) for krows, h in hists.items()
         if not CycValue.histogram_is_zero(h, p, pB)))
@@ -479,34 +466,25 @@ def _transform_values_over_K(f: EClassElement, cells: TransformCells,
 def _phase_at(f: EClassElement, cells: TransformCells, zk) -> CycValue:
     """The transform phase at the K-point with integer rows zk mod q^2.
 
-    A group (krows, psi) contributes where krows zk lies on the support:
-    its upper entries vanish mod q (tested before the rest of the product
-    is formed), and then its phase is a T-th root of unity of exponent e,
-    read mod q^2 by `_J_exponent_mod` and negated for a conjugate test
+    A group (krows, psi) contributes where krows zk lies on the support,
+    and then its phase is a T-th root of unity of exponent e, read by
+    `testfn._explicit_exponent_at` and negated for a conjugate test
     function.  Each psi exponent x mod p^B with count c counts c products
     (psi root, phase root) under the key (x, e), and
     `CycValue.from_histogram` at the factor orders (p^B, T) makes the
     histogram the value times the cell volume.
     """
-    ctx, n = f.ctx, f.n
-    q, T = ctx.q, ctx.T
     sign = -1 if f.tf.conjugate else 1
-    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    cols = list(zip(*zk))
+    kcols = list(zip(*zk))
     hist = {}
     for krows, counts in cells.groups:
-        if any(sum(x * y for x, y in zip(krows[i], cols[j])) % q
-               for i, j in upper):
-            continue
-        prod = [[sum(x * y for x, y in zip(row, col)) % T for col in cols]
-                for row in krows]
-        e = _J_exponent_mod(prod, ctx)
+        e = _explicit_exponent_at(krows, kcols, f.ctx)
         if e is None:
             continue
         e *= sign
         for x, count in counts:
             hist[x, e] = hist.get((x, e), 0) + count
-    return CycValue.from_histogram(hist, cells.vol, (cells.pB, T))
+    return CycValue.from_histogram(hist, cells.vol, (cells.pB, f.ctx.T))
 
 
 def _k_square_sum(f: EClassElement, cells, kreps) -> CycValue:
@@ -585,8 +563,7 @@ def _q_single_box(f: EClassElement, c: Mat, nprime: int,
     for a, cells in _outer_diagonals(f, c, nprime, cfg, B):
         inner = _k_square_sum(f, cells, kreps)
         total.add(inner * (vol_kq / modular_delta(a, "N")))
-    e2 = 2 * modular_delta_half_exponent(c, "N")
-    return total.value() * (Fraction(ctx.p) ** e2 * f.tf.c1.squared())
+    return total.value() * _coeff(f, c).squared()
 
 
 def Q_P(f: EClassElement, c: Mat, nprime: int = 0,

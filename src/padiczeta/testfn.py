@@ -114,6 +114,21 @@ def _explicit_exponent_mod(z, ctx: DepthContext):
     return _J_exponent_mod(z, ctx)
 
 
+def _explicit_exponent_at(krows, kcols, ctx: DepthContext):
+    """`_explicit_exponent_mod` of the K-element krows k mod q^2, for the
+    integer rows krows of a K-part and the integer columns kcols of a
+    K-point k: the upper entries of the product are tested mod q before
+    the rest of it is formed, and `_J_exponent_mod` reads the product mod
+    q^2.  So a cell of head u a with the K-part krows is read at a K-point
+    k: u' a' k' k, k in K, has the same a-part and the K-part k' k."""
+    n, q, T = len(krows), ctx.q, ctx.T
+    if any(sum(map(operator.mul, krows[i], kcols[j])) % q
+           for i in range(n) for j in range(i + 1, n)):
+        return None
+    return _J_exponent_mod([[sum(map(operator.mul, row, col)) % T
+                             for col in kcols] for row in krows], ctx)
+
+
 def _congruence_columns(z, ctx: DepthContext, tau, digits: int) -> list:
     """The candidates for each column j of z (1 + q off), one per column
     j of off with entries in range(digits), from `box_columns`: pairs of

@@ -130,13 +130,6 @@ class WhittakerOnH:
 
 # -- concentration ----------------------------------------------------------
 
-def _embed_in_G(z: ZMat, N: int) -> ZMat:
-    n = z.n
-    rows = [[z.entries[i][j] if i < n and j < n else (1 if i == j else 0)
-             for j in range(N)] for i in range(N)]
-    return ZMat.make(rows, z.p, z.e)
-
-
 def concentration_integral(tau: TauParam):
     """Exhaustive check over H(o/q): keeping tau subcyclic under
     conjugation forces the conjugator to be upper-unipotent mod q.
@@ -148,7 +141,7 @@ def concentration_integral(tau: TauParam):
     checked, violations = 0, []
     for h in enumerate_GL(n, ctx.p, ctx.m):
         checked += 1
-        hg = _embed_in_G(h, N)
+        hg = h.embed(N)
         conj = TauParam(ctx, hg @ tau.mat @ hg.inv())
         if is_subcyclic_wrt(conj, ident):
             uni = all(h.entries[i][j] == (1 if i == j else 0)
@@ -215,7 +208,7 @@ def concentration_check(tau: TauParam, box: int = 2):
     profiles = [prof for prof in
                 itertools.product(range(-box, box + 1), repeat=n)
                 if any(prof)]
-    kreps = [_embed_in_G(k, N).lift() for k in enumerate_GL(n, ctx.p, 1)]
+    kreps = [k.embed(N).lift() for k in enumerate_GL(n, ctx.p, 1)]
     for prof in profiles:
         a = p_power_diag((*prof, 0), ctx.p)
         for k in kreps:

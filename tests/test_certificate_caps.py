@@ -101,7 +101,7 @@ def test_refinement_reuses_the_finer_sum(monkeypatch):
     # so each level is summed once
     seen = []
 
-    def settling_sum(f, s, a, k, domain, levels, cache):
+    def settling_sum(f, s, a, zk, domain, levels):
         seen.append(levels)
         r = (sum(levels.values()) - sum(seen[0].values())) // len(levels)
         return {min(r, 1): None}, 10 ** r

@@ -13,11 +13,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from padiczeta.arith import CycValue, DepthContext
-from padiczeta.group import (Mat, SubgroupSpec, box_columns,
+from padiczeta.group import (Mat, SubgroupSpec, box_columns, box_histograms,
                              enumerate_cosets, p_power_diag, unipotent_box)
 from padiczeta import nicedomain
 from padiczeta.nicedomain import (NiceDomain, _cell_sum, _region_classes,
                                   conj_by_A, scan_box_domains)
+from padiczeta.residue import residue_rows
 from padiczeta.rslocal import _cell_levels, _u_cells, standard_E_element
 
 CTX21 = DepthContext(2, 1)
@@ -145,6 +146,36 @@ def test_box_columns_match_exact_product(box):
     assert got == want
 
 
+@BUILDER_SETTINGS
+@given(column_boxes(), st.integers(1, 9), st.integers(0, 2))
+def test_box_histograms_match_member_loop(box, den, skip):
+    # each member of the box counted on its own, as the matrix u of
+    # `unipotent_box`: the exact product H (den + X) diag(scale) =
+    # den H u diag(scale) is read on its rows (the key is the rows, or None
+    # on a class of their sum), and the psi^{-1}(u) exponent is
+    # -den (superdiagonal sum of u) mod den
+    H, _, scale, coords, ranges, _ = box
+    n = len(H)
+
+    def read(rows):
+        rows = tuple(map(tuple, rows))
+        return None if sum(map(sum, rows)) % 3 == skip else rows
+
+    left, right = Mat(H, 2), Mat.diag(scale, 2)
+    want = {}
+    for u in unipotent_box(n, 2, coords, ranges, den):
+        g = left @ u @ right
+        key = read([[int(g[i, j] * den) for j in range(n)]
+                    for i in range(n)])
+        if key is None:
+            continue
+        h = want.setdefault(key, {})
+        x = int(-u.superdiagonal_sum() * den) % den
+        h[x] = h.get(x, 0) + 1
+    got = box_histograms(H, den, scale, coords, ranges, read)
+    assert got == want
+
+
 # -- coset transversals -------------------------------------------------------
 
 COSET_COORDS = {
@@ -201,23 +232,25 @@ def test_region_classes_match_reference(n, p, b):
 
 def visited_members(domain, levels, monkeypatch):
     """The u of every term of `_cell_sum` over the cell, in order, read
-    from the rows its member walk yields.  With a = k = 1 those rows are
-    diag(shift) (den + X) for u = (den + X) / den, so row i divided by its
-    diagonal entry is row i of u."""
+    from the rows its sweep (`group.box_histograms`) hands to its reader.
+    With a = 1 those rows are diag(shift) (den + X) for u = (den + X) /
+    den, so row i divided by its diagonal entry is row i of u."""
     n, p = domain.n, domain.p
-    walk = nicedomain._member_rows
+    sweep = nicedomain.box_histograms
     seen = []
 
-    def record(*args):
-        for rows, sd in walk(*args):
+    def record(H, den, scale, coords, ranges, read):
+        def reader(rows):
             seen.append(Mat([[Fraction(x, r[i]) for x in r]
                              for i, r in enumerate(rows)], p))
-            yield rows, sd
+            return read(rows)
+        return sweep(H, den, scale, coords, ranges, reader)
 
-    monkeypatch.setattr(nicedomain, "_member_rows", record)
+    monkeypatch.setattr(nicedomain, "box_histograms", record)
     one = Mat.identity(n, p)
     f = standard_E_element(CTX21, n)
-    _, cells = _cell_sum(f, (0,) * n, one, one, domain, levels, {})
+    _, cells = _cell_sum(f, (0,) * n, one, residue_rows(one, 2), domain,
+                         levels)
     assert cells == len(seen)
     return seen
 
@@ -266,15 +299,18 @@ def test_cell_sum_mass_is_cell_volume(domain, levels, monkeypatch):
     # with a constant integrand, the sum is (number of members) x (volume
     # per member): each member stands for one class of the cell, so this
     # is the volume of the cell.  The integrand is made constant at the
-    # walk's seams: its member rows carry a trivial character, and its
-    # section is 1 on every (a-part, K-part) key.
+    # sweep's seams: every member is counted under a trivial character,
+    # and every (a-part, K-part) key has phase 1 and coefficient 1.
     n = domain.n
-    walk = nicedomain._member_rows
-    monkeypatch.setattr(nicedomain, "_member_rows",
-                        lambda *args: ((rows, 0) for rows, _ in walk(*args)))
-    monkeypatch.setattr(nicedomain, "_key_section",
-                        lambda f, s, exps, krows, cache: (1, 1, 0))
+    sweep = nicedomain.box_histograms
+    monkeypatch.setattr(nicedomain, "box_histograms", lambda *args: {
+        key: {0: sum(h.values())} for key, h in sweep(*args).items()})
+    monkeypatch.setattr(nicedomain, "_explicit_exponent_at",
+                        lambda krows, kcols, ctx: 0)
+    monkeypatch.setattr(nicedomain, "_a_coefficient",
+                        lambda f, s, exps: (1, 1))
     one = Mat.identity(n, domain.p)
     f = standard_E_element(CTX21, n)
-    parts, _ = _cell_sum(f, (0,) * n, one, one, domain, levels, {})
+    parts, _ = _cell_sum(f, (0,) * n, one, residue_rows(one, 2), domain,
+                         levels)
     assert parts == {1: CycValue.rational(domain.volume())}

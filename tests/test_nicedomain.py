@@ -102,7 +102,6 @@ def test_partition_rank2_p3():
     assert rep["classes"] == 27 == sum(rep["counts"])
 
 
-@pytest.mark.slow
 def test_partition_rank3_bound1():
     rep = verify_partition(3, 2, 1)
     assert rep["disjoint"] and rep["covering"]
@@ -166,6 +165,24 @@ def test_vanishing_hypotheses_checked():
         vanishing_check(bad, KREPS2[0], (0, 0), SLOPE0_2, F2)
 
 
+def test_vanishing_refuses_a_non_diagonal_a():
+    # the cells of shift u a are read at k only for a diagonal a; this a
+    # passes every other hypothesis
+    u = Mat([[Fraction(1), Fraction(1, 2)], [Fraction(0), Fraction(1)]], 2)
+    with pytest.raises(ValueError, match="must be diagonal"):
+        vanishing_check(A2 @ u, KREPS2[0], (0, 0), SLOPE0_2, F2)
+
+
+@pytest.mark.parametrize("k", [
+    Mat.diag([Fraction(1), Fraction(2)], 2),      # integral, det not a unit
+    Mat.diag([Fraction(1, 2), Fraction(2)], 2),   # det 1, not integral
+])
+def test_vanishing_refuses_a_k_outside_K(k):
+    # a k' k is the Iwasawa form of shift u a k only for k in K
+    with pytest.raises(ValueError, match="k must lie in K"):
+        vanishing_check(A2, k, (0, 0), SLOPE0_2, F2)
+
+
 def test_slope_zero_generically_nonzero():
     vals = [vanishing_check(A2, k, (0, 0), SLOPE0_2, F2) for k in KREPS2]
     assert any(not v.is_zero() for v in vals)
@@ -194,14 +211,12 @@ def test_rho0_rank2_p3():
     assert rep["rho0"] == 3 <= 4 * rep["m"] + rep["rank"]
 
 
-@pytest.mark.slow
 def test_rho0_rank2_depth2():
     ctx = DepthContext(2, 2)
     rep = rho0_report(standard_E_element(ctx, 2), k_count=4)
     assert rep["rho0"] == 5 <= 4 * rep["m"] + rep["rank"]
 
 
-@pytest.mark.slow
 def test_rho0_rank3():
     rep = rho0_report(F3, domain_cap=1, k_count=2, slope_max=7)
     assert rep["rho0"] == 4 <= 4 * rep["m"] + rep["rank"]
@@ -215,7 +230,6 @@ def test_mechanism_rank2():
     assert rep["x_values"] == 2 ** (d.remainder + 1)
 
 
-@pytest.mark.slow
 def test_mechanism_rank3():
     a3 = hypothesis_diagonal(CTX21, 3)
     k3 = enumerate_cosets(SubgroupSpec("K", 3, 2), 1)[0]

@@ -185,7 +185,6 @@ def test_support_scan_table_p3():
     assert tab["ratio_max"] <= tab["bound_rhs"]
 
 
-@pytest.mark.slow
 def test_Q_rank3_central():
     c = central_c(CTX21, 3)
     q = Q_phi_f_c(F3, c)

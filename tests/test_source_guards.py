@@ -106,8 +106,9 @@ def test_transform_value_path_builds_no_per_group_cyc_value():
     # CycValue at an order they work out themselves
     names = {"rslocal.py": {"_w_cell_data", "_box_cells",
                             "_transform_values_over_K", "_phase_at"},
-             "testfn.py": {"f_convolution"},
-             "nicedomain.py": {"_cell_sum", "_key_section"}}
+             "testfn.py": {"f_convolution", "_explicit_exponent_at"},
+             "group.py": {"box_histograms"},
+             "nicedomain.py": {"_cell_sum", "_a_coefficient"}}
 
     def computed_order(node):
         # a direct `CycValue(order, ...)` call whose order is not a literal
@@ -134,8 +135,10 @@ def test_counted_products_leave_the_order_rule_to_arith():
     # counted products and its gcd: the walks that count (psi, phase) or
     # (J, chi) exponent pairs call no gcd, lcm or max and hand over the
     # factors' own orders as a tuple, and the constructor takes no witness
-    names = {"rslocal.py": {"_phase_at"}, "testfn.py": {"f_convolution"},
-             "nicedomain.py": {"_cell_sum", "_key_section"}}
+    names = {"rslocal.py": {"_phase_at"},
+             "testfn.py": {"f_convolution", "_explicit_exponent_at"},
+             "group.py": {"box_histograms"},
+             "nicedomain.py": {"_cell_sum", "_a_coefficient"}}
 
     def callee(node):
         return getattr(node.func, "id", None) or getattr(node.func, "attr",
@@ -164,6 +167,28 @@ def test_counted_products_leave_the_order_rule_to_arith():
     params = [a.arg for a in ctor.args.args + ctor.args.kwonlyargs]
     assert "witness" not in params, params
 
+
+
+def test_character_sums_share_one_sweep_and_one_kernel():
+    # the transform cells and the vanishing cell sums are one sweep of
+    # head u a (`group.box_histograms`), and neither walks the box itself;
+    # both read their phases at k through `testfn._explicit_exponent_at`
+    def called(fn):
+        return {getattr(node.func, "id", None)
+                or getattr(node.func, "attr", None)
+                for node in ast.walk(fn) if isinstance(node, ast.Call)}
+
+    sweeps = [("rslocal.py", "_box_cells"), ("nicedomain.py", "_cell_sum")]
+    readers = [("rslocal.py", "_phase_at"), ("nicedomain.py", "_cell_sum")]
+    for module, name in sweeps:
+        names = called(_functions(module, {name})[name])
+        assert "box_histograms" in names, name
+        assert not names & {"product", "box_columns"}, name
+    for module, name in readers:
+        names = called(_functions(module, {name})[name])
+        assert "_explicit_exponent_at" in names, name
+        assert not names & {"_J_exponent_mod", "_explicit_exponent_mod"}, \
+            name
 
 
 def _called_names(fn, local: dict) -> set:

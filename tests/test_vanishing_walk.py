@@ -31,6 +31,7 @@ from padiczeta.group import Mat, p_power_diag
 from padiczeta.nicedomain import (NiceDomain, _cell_sum, _upper_coords,
                                   hypothesis_diagonal, scan_box_domains,
                                   section_value, vanishing_check)
+from padiczeta.residue import residue_rows
 from padiczeta.rslocal import standard_E_element
 
 GOLDEN_FILE = Path(__file__).parent / "golden" / "vanishing-check.json"
@@ -164,7 +165,8 @@ def cell_sum_arguments(draw):
 def test_cell_sum_matches_section_reference(args):
     f, s, a, k, domain, levels = args
     want, want_cells = ref_cell_sum(f, s, a, k, domain, levels)
-    got, cells = _cell_sum(f, s, a, k, domain, levels, {})
+    got, cells = _cell_sum(f, s, a, residue_rows(k, 2 * f.ctx.m), domain,
+                           levels)
     assert cells == want_cells
     assert _parts_json(got) == _parts_json(want)
 
