@@ -91,6 +91,20 @@ class CertificateCapExceeded(RuntimeError):
         return self.args[0]
 
 
+def certify(steps, message, cap, value, level, /):
+    """The one closing rule of the stabilization certificates: draw the
+    (level, value) steps in order and return the first two consecutive
+    ones with equal values, as (earlier, later), drawing no step past the
+    later one; when the steps run out first, raise
+    `CertificateCapExceeded(message, cap, value, level)`."""
+    prev = None
+    for step in steps:
+        if prev is not None and step[1] == prev[1]:
+            return prev, step
+        prev = step
+    raise CertificateCapExceeded(message, cap, value, level)
+
+
 @dataclass(frozen=True)
 class DepthContext:
     """The prime p and depth m, with the derived ideal q = (p^m) and the
@@ -551,11 +565,3 @@ class MellinPoly:
 def rat_to_text(x: Rat) -> str:
     x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
-
-
-def rat_from_text(s: str) -> Fraction:
-    s = s.strip()
-    if "/" in s:
-        num, den = s.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))

@@ -126,11 +126,11 @@ def render_json(report: dict) -> str:
 
 def render_markdown(report: dict) -> str:
     lines = [f"# suite `{report['suite']}`", ""]
-    cfg = report["config"]
+    config = report["config"]
     lines.append("| parameter | value |")
     lines.append("|---|---|")
-    for key in sorted(cfg):
-        lines.append(f"| {key} | {cfg[key]} |")
+    for key in sorted(config):
+        lines.append(f"| {key} | {config[key]} |")
     lines += ["", "| check | status | detail |", "|---|---|---|"]
     for chk in report["checks"]:
         status = "pass" if chk["ok"] else "FAIL"
@@ -154,8 +154,8 @@ def _check(name: str, ok: bool, detail=None) -> dict:
     return {"name": name, "ok": bool(ok), "detail": detail}
 
 
-def _suite_testfn(cfg: RunConfig) -> list:
-    ctx, n = cfg.ctx, cfg.rank
+def _suite_testfn(config: RunConfig) -> list:
+    ctx, n = config.ctx, config.rank
     checks = []
     one = f_explicit(Mat.identity(n, ctx.p), ctx)
     checks.append(_check("f(1) = 1", one == CycValue.one
@@ -181,8 +181,8 @@ def _suite_testfn(cfg: RunConfig) -> list:
     return checks
 
 
-def _suite_zeta(cfg: RunConfig) -> list:
-    ctx, n = cfg.ctx, cfg.rank
+def _suite_zeta(config: RunConfig) -> list:
+    ctx, n = config.ctx, config.rank
     ze = zeta_explicit(ctx, n)
     zd = zeta_direct(ctx, n)
     checks = [
@@ -205,8 +205,8 @@ def _suite_zeta(cfg: RunConfig) -> list:
     return checks
 
 
-def _suite_concentration(cfg: RunConfig) -> list:
-    ctx, n = cfg.ctx, cfg.rank
+def _suite_concentration(config: RunConfig) -> list:
+    ctx, n = config.ctx, config.rank
     coeffs = [1, 1] if n == 2 else [-1] + [0] * (n - 1)
     tau = companion_matrix(coeffs, ctx)
     # profiles beyond the unit shell can land on the support translate
@@ -223,12 +223,12 @@ def _suite_concentration(cfg: RunConfig) -> list:
     ]
 
 
-def _suite_rs_support(cfg: RunConfig) -> list:
-    ctx, n = cfg.ctx, cfg.rank
+def _suite_rs_support(config: RunConfig) -> list:
+    ctx, n = config.ctx, config.rank
     f = standard_E_element(ctx, n)
     # at rank 2 the symmetric box catches the single supported profile;
     # above that the support sits on nonnegative exponents only
-    window = range(-cfg.box, cfg.box + 1) if n == 2 \
+    window = range(-config.box, config.box + 1) if n == 2 \
         else range(0, 2 * ctx.m + 1)
     table = support_scan_table(f, window)
     checks = [
@@ -238,14 +238,14 @@ def _suite_rs_support(cfg: RunConfig) -> list:
                 "bound_rhs": table["bound_rhs"]}),
         _check("support region met", table["nonzero"] > 0),
     ]
-    qp = QP_nonvanishing_check(f, 1, range(-1, cfg.box + 2))
+    qp = QP_nonvanishing_check(f, 1, range(-1, config.box + 2))
     checks.append(_check("parabolic scan zero outside its bound",
                          qp["violations"] == [] and qp["nonzero_inside"] > 0,
                          {"nonzero_inside": qp["nonzero_inside"],
                           "D_P": qp["D_P"], "bound_rhs": qp["bound_rhs"]}))
-    if cfg.pair_rank != 1:
-        qp2 = QP_nonvanishing_check(f, cfg.pair_rank,
-                                    range(-1, cfg.box + 2))
+    if config.pair_rank != 1:
+        qp2 = QP_nonvanishing_check(f, config.pair_rank,
+                                    range(-1, config.box + 2))
         checks.append(_check("parabolic scan at the pair rank",
                              qp2["violations"] == [],
                              {"nonzero_inside": qp2["nonzero_inside"],
@@ -258,19 +258,19 @@ def _suite_rs_support(cfg: RunConfig) -> list:
     return checks
 
 
-def _suite_nicedomain(cfg: RunConfig) -> list:
-    ctx, n = cfg.ctx, cfg.rank
+def _suite_nicedomain(config: RunConfig) -> list:
+    ctx, n = config.ctx, config.rank
     p, m = ctx.p, ctx.m
     checks = []
-    b = 1 if n >= 3 else min(cfg.box, 2)
+    b = 1 if n >= 3 else min(config.box, 2)
     part = verify_partition(n, p, b)
     checks.append(_check("slope cells partition the region",
                          part["disjoint"] and part["covering"],
                          {"classes": part["classes"],
                           "domains": part["domain_count"]}))
-    rep = rho0_report(standard_E_element(ctx, n), slope_max=cfg.slope_max,
+    rep = rho0_report(standard_E_element(ctx, n), slope_max=config.slope_max,
                       domain_cap=2 if n == 2 else 1,
-                      k_count=6 if n == 2 else 2, jobs=cfg.jobs)
+                      k_count=6 if n == 2 else 2, jobs=config.jobs)
     rho0, rows = rep["rho0"], rep["rows"]
     bound = 4 * m + n
     checks.append(_check("vanishing threshold within linear bound",
@@ -284,10 +284,10 @@ def _suite_nicedomain(cfg: RunConfig) -> list:
     return checks
 
 
-def _suite_params(cfg: RunConfig) -> list:
+def _suite_params(config: RunConfig) -> list:
     import random
 
-    ctx, n = cfg.ctx, cfg.rank
+    ctx, n = config.ctx, config.rank
     theta = theta_matrix(n, ctx)
     reps = enumerate_cosets(SubgroupSpec("Kq", n, ctx.p, ctx.m), 2 * ctx.m)
     shift = Mat.elementary(n, ctx.p, n - 1, 0,
@@ -342,8 +342,8 @@ def _suite_params(cfg: RunConfig) -> list:
     return checks
 
 
-def _suite_volumes(cfg: RunConfig) -> list:
-    rep = volume_lemma_suite(cfg.ctx, cfg.rank)
+def _suite_volumes(config: RunConfig) -> list:
+    rep = volume_lemma_suite(config.ctx, config.rank)
     return [_check(it["name"], it["depth_free"],
                    {"constant": it["constant"], "lhs": it["lhs"],
                     "reference": it["reference"]})
@@ -361,20 +361,20 @@ _SUITE_FNS = {
 }
 
 
-def run_suite(cfg: RunConfig) -> dict:
+def run_suite(config: RunConfig) -> dict:
     try:
-        checks = _SUITE_FNS[cfg.suite](cfg)
+        checks = _SUITE_FNS[config.suite](config)
     except CertificateCapExceeded as exc:
         # a certificate cap (stabilization level, box, refinement) ran out
         checks = [_check("certificate cap exceeded", False, str(exc))]
     return {
         "schema": SCHEMA,
-        "suite": cfg.suite,
+        "suite": config.suite,
         # jobs deliberately omitted: report bytes must not depend on the
         # worker count
-        "config": {"p": cfg.p, "m": cfg.m, "rank": cfg.rank,
-                   "pair_rank": cfg.pair_rank, "slope_max": cfg.slope_max,
-                   "box": cfg.box},
+        "config": {"p": config.p, "m": config.m, "rank": config.rank,
+                   "pair_rank": config.pair_rank,
+                   "slope_max": config.slope_max, "box": config.box},
         "checks": checks,
         "ok": all(c["ok"] for c in checks),
     }
@@ -468,7 +468,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "verify":
         try:
-            cfg = RunConfig(suite=args.suite, p=args.p, m=args.m,
+            config = RunConfig(suite=args.suite, p=args.p, m=args.m,
                             rank=args.rank, pair_rank=args.pair_rank,
                             slope_max=args.slope_max, box=args.box,
                             jobs=args.jobs)
@@ -476,14 +476,14 @@ def main(argv=None) -> int:
             print(f"configuration error: {exc}", file=sys.stderr)
             return 2
         t0 = time.monotonic()
-        report = run_suite(cfg)
+        report = run_suite(config)
         text = report_render(report, args.format)
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-        print(f"suite {cfg.suite}: "
+        print(f"suite {config.suite}: "
               f"{'pass' if report['ok'] else 'FAIL'} "
               f"({time.monotonic() - t0:.2f}s)", file=sys.stderr)
         return 0 if report["ok"] else 1

@@ -275,24 +275,25 @@ def p_power_diag(exps, p: int) -> Mat:
 # ---------------------------------------------------------------------------
 
 def _first_nonzero(row, i):
-    return next((j for j in range(i, len(row)) if row[j]), None)
+    return next(((j, None) for j in range(i, len(row)) if row[j]), None)
 
 
 def _diagonal_pivot(row, i):
-    return i if row[i] else None
+    return (i, None) if row[i] else None
 
 
 def _least_valuation(p: int):
     """The Iwasawa pivot rule: the entry of least p-adic valuation,
-    leftmost on ties.  That least valuation v is the valuation of the gcd
-    of the entries, and an entry has it exactly when p^(v+1) does not
+    leftmost on ties, with that valuation.  It is the valuation v of the
+    gcd of the entries, and an entry has it exactly when p^(v+1) does not
     divide it."""
     def pick(row, i):
         g = math.gcd(*row[i:])
         if not g:
             return None
-        s = p ** (valuation(g, p) + 1)
-        return next(j for j in range(i, len(row)) if row[j] % s)
+        v = valuation(g, p)
+        s = p ** (v + 1)
+        return next(j for j in range(i, len(row)) if row[j] % s), v
     return pick
 
 
@@ -300,7 +301,8 @@ def _unit_a_pivot(p: int, vd: int):
     """The Iwasawa pivot rule `_least_valuation` for the integer rows
     d * g of a matrix g over a denominator d with v(d) = vd, with an early
     exit: None (so `_eliminate` gives up) at the first step i whose least
-    valuation is not (i + 1) * vd.
+    valuation is not (i + 1) * vd, which is otherwise the pivot's
+    valuation.
 
     Why the exit is sound: the pivot of step i is the leading minor
     Delta_{i+1} of d * g with its columns permuted, and `iwasawa_UAK` reads
@@ -311,10 +313,11 @@ def _unit_a_pivot(p: int, vd: int):
     then its work and column order are those of `iwasawa_UAK`.
     """
     def pick(row, i):
-        s = p ** ((i + 1) * vd)
+        v = (i + 1) * vd
+        s = p ** v
         if any(x % s for x in row[i:]):
             return None  # a valuation below (i + 1) * vd
-        return next((j for j in range(i, len(row)) if row[j] // s % p),
+        return next(((j, v) for j in range(i, len(row)) if row[j] // s % p),
                     None)
     return pick
 
@@ -323,25 +326,31 @@ def _eliminate(num, pick):
     """Bareiss row elimination, with column pivoting, on a copy of the
     integer rows num.
 
-    Step i takes its pivot in row i at the position pick(row, i) >= i and
-    swaps that column into position i in every row; pick returns None
-    when there is no admissible pivot, and so does this function.  Step i
-    replaces row r > i by (piv * row_r - row_r[i] * row_i) / prev, an
-    exact division, so every entry stays an integer minor of the column-
-    permuted matrix: work[i][i] is its (i+1)-th leading principal minor.
-    Returns (work, cols), where cols[c] is the original index of column
-    position c.  The upper triangle of work holds the eliminated rows and
-    the strict lower triangle the multiplier numerators: the LDU
-    multiplier clearing entry (r, i) is work[r][i] / work[i][i].
+    Step i takes its pivot in row i at the position j >= i of pick(row,
+    i) = (j, v) and swaps that column into position i in every row; v is
+    what the rule measured of the pivot (its valuation under the Iwasawa
+    rules, None under the others).  pick returns None when there is no
+    admissible pivot, and so does this function.  Step i replaces row
+    r > i by (piv * row_r - row_r[i] * row_i) / prev, an exact division,
+    so every entry stays an integer minor of the column-permuted matrix:
+    work[i][i] is its (i+1)-th leading principal minor.
+    Returns (work, cols, vals), where cols[c] is the original index of
+    column position c and vals[i] is the v of step i.  The upper triangle
+    of work holds the eliminated rows and the strict lower triangle the
+    multiplier numerators: the LDU multiplier clearing entry (r, i) is
+    work[r][i] / work[i][i].
     """
     n = len(num)
     work = [list(r) for r in num]
     cols = list(range(n))
+    vals = []
     prev = 1
     for i in range(n):
-        j = pick(work[i], i)
-        if j is None:
+        picked = pick(work[i], i)
+        if picked is None:
             return None
+        j, v = picked
+        vals.append(v)
         if j != i:
             for row in work:
                 row[i], row[j] = row[j], row[i]
@@ -354,7 +363,7 @@ def _eliminate(num, pick):
             for c in range(i + 1, n):
                 row[c] = (piv * row[c] - f * top[c]) // prev
         prev = piv
-    return work, cols
+    return work, cols, vals
 
 
 def _bareiss_det(num) -> int:
@@ -363,7 +372,7 @@ def _bareiss_det(num) -> int:
     out = _eliminate(num, _first_nonzero)
     if out is None:
         return 0
-    work, cols = out
+    work, cols, _ = out
     n = len(num)
     inversions = sum(cols[a] > cols[b]
                      for a in range(n) for b in range(a + 1, n))
@@ -421,11 +430,12 @@ def iwasawa_UAK(g: Mat) -> IwasawaUAK:
     out = _eliminate(g.num, _least_valuation(p))
     if out is None:
         raise ZeroDivisionError("singular matrix")
-    work, cols = out
-    # over the integer matrix d * g, t_i = minor_i / (d * minor_{i-1})
+    work, cols, vals = out
+    # over the integer matrix d * g, t_i = minor_i / (d * minor_{i-1});
+    # the pivot rule measured the valuations of the minors
     minors = [1] + [work[i][i] for i in range(n)]
     vd = valuation(d, p)
-    vmin = [valuation(x, p) for x in minors]
+    vmin = [0, *vals]
     exps = [vmin[i + 1] - vmin[i] - vd for i in range(n)]
     # row i of k is work[i] / (d * minor_{i-1} * a_i), columns restored
     krows, kdens = [], []
@@ -439,19 +449,19 @@ def iwasawa_UAK(g: Mat) -> IwasawaUAK:
                       _rows_over(krows, kdens, p))
 
 
-def _a_k_residue(d: int, p: int, e: int, pick=None, pivot_val=None):
+def _a_k_residue(d: int, p: int, e: int, pick):
     """The Iwasawa a-part and K-part mod p^e of the matrices g = num / d
     over one positive denominator d (not necessarily in lowest terms), as
     a function of the integer rows num: (exps, rows) with a =
     diag(p^exps) and the rows of k mod p^e in [0, p^e), or None when
     `_eliminate` finds no pivot.
 
-    `_eliminate` runs under pick, by default the Iwasawa rule
-    `_least_valuation`, and pivot_val(i, x) is the valuation of the pivot
-    x of step i (by default `valuation`; a rule that knows it saves the
-    count).  As in `iwasawa_UAK`, the pivot work[i][i] is the leading
-    minor Delta_{i+1} of num with its columns permuted, so exps[i] =
-    v(Delta_{i+1}) - v(Delta_i) - v(d), and row i of k is work[i] /
+    `_eliminate` runs under pick, the Iwasawa rule `_least_valuation` or
+    a rule that agrees with it wherever it does not give up, and hands
+    over the valuation of each pivot that the rule measured.  As in
+    `iwasawa_UAK`, the pivot work[i][i] is the leading minor Delta_{i+1}
+    of num with its columns permuted, so exps[i] = v(Delta_{i+1}) -
+    v(Delta_i) - v(d), and row i of k is work[i] /
     (d * Delta_i * p^exps[i]) (Delta_0 = 1) with the columns put back in
     order.  That denominator has valuation v(Delta_{i+1}), the least
     valuation in the row, which is stripped from both sides before the
@@ -462,22 +472,17 @@ def _a_k_residue(d: int, p: int, e: int, pick=None, pivot_val=None):
     e)`.
     """
     vd = valuation(d, p)
-    pick = _least_valuation(p) if pick is None else pick
-    if pivot_val is None:
-        def pivot_val(i, x):
-            return valuation(x, p)
     mod, unit_d = p ** e, d // p ** vd
 
     def read(num):
         out = _eliminate(num, pick)
         if out is None:
             return None
-        work, cols = out
+        work, cols, vals = out
         # the valuation and the unit part of d * Delta_i
         n, vbelow, unit = len(work), vd, unit_d
         exps, rows = [], []
-        for i, r in enumerate(work):
-            vpiv = pivot_val(i, r[i])
+        for i, (r, vpiv) in enumerate(zip(work, vals)):
             exps.append(vpiv - vbelow)
             s = p ** vpiv
             inv = pow(unit, -1, mod)
@@ -498,9 +503,7 @@ def _unit_a_k_residue(d: int, p: int, e: int):
     does, with the pivot of step i at valuation (i + 1) * v(d).  So the
     rows equal `residue_rows(iwasawa_UAK(g).k, e)`.
     """
-    vd = valuation(d, p)
-    read = _a_k_residue(d, p, e, _unit_a_pivot(p, vd),
-                        lambda i, x: (i + 1) * vd)
+    read = _a_k_residue(d, p, e, _unit_a_pivot(p, valuation(d, p)))
 
     def k_part(num):
         out = read(num)
@@ -521,7 +524,7 @@ def bruhat_open_cell(g: Mat) -> BruhatLDU | None:
     out = _eliminate(g.num, _diagonal_pivot)
     if out is None:
         return None
-    work, _ = out
+    work = out[0]
     minors = [1] + [work[i][i] for i in range(n)]
     a = Mat.diag([Fraction(minors[i + 1], d * minors[i]) for i in range(n)],
                  p)

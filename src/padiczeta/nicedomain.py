@@ -42,12 +42,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import (CertificateCapExceeded, CycSum, CycValue, DepthContext,
-                    SqrtRational, norm, psi, valuation)
+from .arith import (CycSum, CycValue, DepthContext, SqrtRational, certify,
+                    norm, psi, valuation)
 from .group import (
     Mat,
     SubgroupSpec,
     _a_k_residue,
+    _least_valuation,
     box_histograms,
     bruhat_open_cell,
     enumerate_cosets,
@@ -649,7 +650,8 @@ def _cell_sum(f: EClassElement, s: tuple, a: Mat, zk: tuple,
                              for (i, j) in _upper_coords(n))
     hists = box_histograms(
         shift.num, den, [a.num[j][j] for j in range(n)], _upper_coords(n),
-        ranges, _a_k_residue(shift.den * den * a.den, p, 2 * ctx.m))
+        ranges, _a_k_residue(shift.den * den * a.den, p, 2 * ctx.m,
+                             _least_valuation(p)))
     kcols = list(zip(*zk))
     acc: dict = {}
     for (exps, krows), hist in hists.items():
@@ -691,16 +693,20 @@ class CharacterSumValue:
         }
 
 
+# the refinements the certificate of `vanishing_check` may make
+MAX_REFINE = 3
+
+
 def vanishing_check(a: Mat, k: Mat, s: tuple, domain: NiceDomain,
-                    f: EClassElement, d2: int = 1,
-                    max_refine: int = 3) -> CharacterSumValue:
+                    f: EClassElement, d2: int = 1) -> CharacterSumValue:
     """The integral of f[s](w_G u a k) psi^{-1}(u) over the cell, as an
     exact finite character sum.  Hypotheses checked: a is diagonal with
     |a_n| = 1 and every simple-root coordinate |a_i / a_{i+1}| <= T^{d2},
     and k lies in K, so that the cells of shift u a are read at k
-    (`_cell_sum`).  The enumeration
-    level is certified by a one-step refinement comparison; expected zero
-    whenever the slope is large."""
+    (`_cell_sum`).  The enumeration level is certified by a one-step
+    refinement comparison (`arith.certify`): the levels are refined, at
+    most MAX_REFINE + 1 times, until two consecutive sums agree, and each
+    level is summed once.  Expected zero whenever the slope is large."""
     ctx = f.ctx
     n, p, m = f.n, ctx.p, ctx.m
     if domain.n != n or domain.p != p:
@@ -715,19 +721,21 @@ def vanishing_check(a: Mat, k: Mat, s: tuple, domain: NiceDomain,
         raise ValueError("last diagonal entry must be a unit")
     if any(av[i] - av[i + 1] < -2 * m * d2 for i in range(n - 1)):
         raise ValueError("simple-root coordinates of a exceed T^d2")
-    levels = _base_levels(domain, ctx, a)
     zk = residue_rows(k, 2 * m)
-    # a failed round's finer sum is the next round's coarse one
-    parts, cells = _cell_sum(f, s, a, zk, domain, levels)
-    for _ in range(max_refine + 1):
-        finer = {c: l + 1 for c, l in levels.items()}
-        parts2, cells2 = _cell_sum(f, s, a, zk, domain, finer)
-        if parts == parts2:
-            return CharacterSumValue(parts, levels, cells + cells2, True)
-        levels, parts, cells = finer, parts2, cells2
-    raise CertificateCapExceeded(
+
+    def steps(levels):
+        # the level of a step is its per-entry levels with the count of
+        # cells summed there
+        for _ in range(MAX_REFINE + 2):
+            parts, cells = _cell_sum(f, s, a, zk, domain, levels)
+            yield (levels, cells), parts
+            levels = {c: l + 1 for c, l in levels.items()}
+
+    ((levels, cells), parts), ((_, cells2), _) = certify(
+        steps(_base_levels(domain, ctx, a)),
         "cell refinement did not certify local constancy", "max_refine",
-        max_refine, max_refine)
+        MAX_REFINE, MAX_REFINE)
+    return CharacterSumValue(parts, levels, cells + cells2, True)
 
 
 def vanishing_mechanism_report(a: Mat, k: Mat, s: tuple,

@@ -399,12 +399,13 @@ class OmegaIdempotent:
         return val * val / Fraction(self.ctx.T) ** n
 
 
-def build_omega(tau: TauParam, extension_index: int = 0) -> OmegaIdempotent:
-    """Construct the idempotent from the chosen character extension.
+def build_omega(tau: TauParam) -> OmegaIdempotent:
+    """Construct the idempotent from the first character extension.
 
     All extensions give the same |omega|, hence the same idempotency and
-    L^1 statistics; the index only picks a phase convention.  Requires tau
-    uniform so that the centralizer is as large as the theory promises.
+    L^1 statistics; the choice only fixes a phase convention.  Requires
+    tau uniform so that the centralizer is as large as the theory
+    promises.
     """
     if not is_uniform(tau):
         raise ValueError("parameter must be uniform")
@@ -414,4 +415,4 @@ def build_omega(tau: TauParam, extension_index: int = 0) -> OmegaIdempotent:
     ctx = tau.ctx
     cent = centralizer_in_GL(tau.mat)
     vol_J = len(cent) * haar_volume(SubgroupSpec("Kq", tau.n, ctx.p, ctx.m))
-    return OmegaIdempotent(tau, tables[extension_index % len(tables)], vol_J)
+    return OmegaIdempotent(tau, tables[0], vol_J)

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import (CertificateCapExceeded, CycSum, CycValue, DepthContext,
-                    SqrtRational, psi, valuation)
+                    SqrtRational, certify, psi, valuation)
 from .group import (
     Mat,
     SubgroupSpec,
@@ -167,17 +167,12 @@ def _certified_element(ctx: DepthContext, n: int,
 
 # -- unipotent cells --------------------------------------------------------
 
-@dataclass(frozen=True)
-class RSIntegralConfig:
-    """Truncation policy for the noncompact directions: start with
-    unipotent entries of depth p^{-box_start} and certify stabilization by
-    growing the box until two consecutive values agree; outer diagonal
-    windows (parabolic case only) widen until two consecutive shells are
-    empty."""
-
-    box_start: int = 2
-    box_cap: int = 6
-    shell_cap: int = 8
+# Truncation caps for the noncompact directions: unipotent entries start
+# at depth p^{-BOX_START} and the box grows, up to depth p^{-BOX_CAP},
+# until two consecutive values agree (`arith.certify`); the outer diagonal
+# windows (parabolic case only) widen, by at most SHELL_CAP shells, until
+# two consecutive shells are empty.
+BOX_START, BOX_CAP, SHELL_CAP = 2, 6, 8
 
 
 def _cell_levels(ctx: DepthContext, a: Mat, B: int, coords):
@@ -327,55 +322,44 @@ class WValue:
         return self.phase.abs_sq() * self.coeff.squared()
 
 
-def _w_direct(f: EClassElement, c: Mat, a: Mat, k: Mat, B: int,
-              nprime: int = 0) -> WValue:
+def _w_direct(f: EClassElement, c: Mat, a: Mat, k: Mat, B: int) -> WValue:
     """Slow path valid for dual elements: evaluate f cell by cell."""
     ctx, n = f.ctx, f.n
-    coords = [(i, l) for i in range(nprime, n) for l in range(i + 1, n)]
-    wM = _block_weyl(n, nprime, ctx.p)
+    coords = [(i, l) for i in range(n) for l in range(i + 1, n)]
+    wG = Mat.longest_weyl(n, ctx.p)
     total = CycSum()
     for u, vol in _u_cells(ctx, n, a, B, coords):
-        val = f.phase(c.inv() @ wM @ u @ a @ k)
+        val = f.phase(c.inv() @ wG @ u @ a @ k)
         if val.is_zero():
             continue
         total.add(psi(-u.superdiagonal_sum(), ctx.p) * vol * val)
     return WValue(_coeff(f, c), total.value())
 
 
-def W_fcg(f: EClassElement, c: Mat, a: Mat, k: Mat,
-          nprime: int = 0,
-          cfg: RSIntegralConfig | None = None) -> WValue:
+def W_fcg(f: EClassElement, c: Mat, a: Mat, k: Mat) -> WValue:
     """The transform at g = a k (a diagonal, k in K), with a stabilization
-    certificate over the unipotent box; nprime > 0 gives the parabolic
-    variant W_P for the Levi blocks (nprime, n - nprime).
+    certificate over the unipotent box.  (The parabolic variant W_P is
+    reached only through `Q_P`, which reads `_w_cell_data` itself.)
 
-    The value is returned at the first box depth B in box_start..box_cap
-    whose phase equals that of depth B - 1, compared on every call at
-    this k.  For a forward element each box is the cells of
-    `_w_cell_data(f, c, a, B, nprime)`, which do not depend on k: its
-    bounded cache shares them with every call at the same (f, c, a,
-    nprime) and with Q, Q_P.  Only k mod q^2 is built per call, and
-    `_phase_at` reads each box at it: one integer histogram of (psi
-    exponent, phase exponent) pairs, made a value by
-    `CycValue.from_histogram` at the factor orders (p^B, T).  The dual
-    element takes `_w_direct`.
+    The value is returned at the first box depth B in BOX_START..BOX_CAP
+    whose phase equals that of depth B - 1 (`arith.certify`), compared on
+    every call at this k.  For a forward element each box is the cells
+    of `_w_cell_data(f, c, a, B, 0)`, which do not depend on k: its
+    bounded cache shares them with every call at the same (f, c, a) and
+    with Q.  Only k mod q^2 is built per call, and `_phase_at` reads each
+    box at it: one integer histogram of (psi exponent, phase exponent)
+    pairs, made a value by `CycValue.from_histogram` at the factor orders
+    (p^B, T).  The dual element takes `_w_direct`.
     """
-    cfg = cfg or RSIntegralConfig()
     coeff = _coeff(f, c)
-    if not f.dual:
-        zk = residue_rows(k, 2 * f.ctx.m)
-    prev = None
-    for B in range(cfg.box_start, cfg.box_cap + 1):
-        if f.dual:
-            cur = _w_direct(f, c, a, k, B, nprime).phase
-        else:
-            cur = _phase_at(f, _w_cell_data(f, c, a, B, nprime), zk)
-        if prev is not None and cur == prev:
-            return WValue(coeff, cur)
-        prev = cur
-    raise CertificateCapExceeded(
+    zk = None if f.dual else residue_rows(k, 2 * f.ctx.m)
+    _, (_, phase) = certify(
+        ((B, _w_direct(f, c, a, k, B).phase if f.dual
+          else _phase_at(f, _w_cell_data(f, c, a, B, 0), zk))
+         for B in range(BOX_START, BOX_CAP + 1)),
         "transform box cap exceeded without stabilization", "box_cap",
-        cfg.box_cap, cfg.box_cap)
+        BOX_CAP, BOX_CAP)
+    return WValue(coeff, phase)
 
 
 # -- support laws -----------------------------------------------------------
@@ -500,14 +484,14 @@ def _any_nonzero_over_K(f: EClassElement, cells, kreps) -> bool:
                for val in _transform_values_over_K(f, cells, kreps))
 
 
-def _outer_diagonals(f: EClassElement, c: Mat, nprime: int,
-                     cfg: RSIntegralConfig, B: int):
+def _outer_diagonals(f: EClassElement, c: Mat, nprime: int, B: int):
     """(a, cells) for the diagonal a's feeding the Iwasawa outer sum, with
     |a_n| = 1 and cells = _w_cell_data(f, c, a, B, nprime) nonempty.
 
     For nprime = 0 the support pins a uniquely.  For nprime > 0 the block
     valuations are windowed, with the simple-root support law inside the
-    block and an empty-shell widening certificate for the rest.
+    block and an empty-shell widening certificate for the rest, which
+    closes at two consecutive empty shells within SHELL_CAP shells.
     """
     ctx, n = f.ctx, f.n
     m = ctx.m
@@ -536,7 +520,7 @@ def _outer_diagonals(f: EClassElement, c: Mat, nprime: int,
 
     base = 2 * m * (n - 1) + abs(det_v)
     seen, live, empty_streak = set(), [], 0
-    for R in range(base, base + cfg.shell_cap + 1):
+    for R in range(base, base + SHELL_CAP + 1):
         shell = [e for e in tuples(R) if e not in seen]
         seen.update(shell)
         hits = 0
@@ -551,59 +535,49 @@ def _outer_diagonals(f: EClassElement, c: Mat, nprime: int,
             return live
     raise CertificateCapExceeded(
         "outer shell cap exceeded without certificate", "shell_cap",
-        cfg.shell_cap, base + cfg.shell_cap)
+        SHELL_CAP, base + SHELL_CAP)
 
 
 def _q_single_box(f: EClassElement, c: Mat, nprime: int,
-                  cfg: RSIntegralConfig, B: int) -> CycValue:
+                  B: int) -> CycValue:
     ctx, n = f.ctx, f.n
     kreps = _k_transversal(ctx, n)
     vol_kq = haar_volume(SubgroupSpec("Kq", n, ctx.p, ctx.m))
     total = CycSum()
-    for a, cells in _outer_diagonals(f, c, nprime, cfg, B):
+    for a, cells in _outer_diagonals(f, c, nprime, B):
         inner = _k_square_sum(f, cells, kreps)
         total.add(inner * (vol_kq / modular_delta(a, "N")))
     return total.value() * _coeff(f, c).squared()
 
 
-def Q_P(f: EClassElement, c: Mat, nprime: int = 0,
-        cfg: RSIntegralConfig | None = None) -> Fraction:
+def Q_P(f: EClassElement, c: Mat, nprime: int) -> Fraction:
     """The (partial) local Rankin--Selberg integral against the primitive-
     row indicator, for the standard parabolic with Levi blocks
     (nprime, n - nprime); nprime = 0 is the full integral Q(phi, f, c).
 
     Exact nonnegative rational output with a stabilization certificate on
-    the unipotent box.  c must be diagonal with first nprime entries 1.
+    the unipotent box: the first box depth B in BOX_START..BOX_CAP whose
+    value equals that of depth B - 1 (`arith.certify`).  c must be
+    diagonal with first nprime entries 1.
     """
-    cfg = cfg or RSIntegralConfig()
     if f.dual:
         raise ValueError("integrals are computed for the forward element")
     if any(c[i, i] != 1 for i in range(nprime)):
         raise ValueError(f"the first {nprime} entries of c must be 1")
-    prev = None
-    for B in range(cfg.box_start, cfg.box_cap + 1):
-        cur = _q_single_box(f, c, nprime, cfg, B)
-        if prev is not None and cur == prev:
-            r = cur.as_rational()
-            if r is None or r < 0:
-                raise ArithmeticError(
-                    "integral must be a nonnegative rational")
-            return r
-        prev = cur
-    raise CertificateCapExceeded(
+    _, (_, value) = certify(
+        ((B, _q_single_box(f, c, nprime, B))
+         for B in range(BOX_START, BOX_CAP + 1)),
         "integral box cap exceeded without stabilization", "box_cap",
-        cfg.box_cap, cfg.box_cap)
-
-
-def Q_phi_f_c(f: EClassElement, c: Mat,
-              cfg: RSIntegralConfig | None = None) -> Fraction:
-    return Q_P(f, c, 0, cfg)
+        BOX_CAP, BOX_CAP)
+    r = value.as_rational()
+    if r is None or r < 0:
+        raise ArithmeticError("integral must be a nonnegative rational")
+    return r
 
 
 # -- scans and tables -------------------------------------------------------
 
-def support_scan_table(f: EClassElement, window, d_rs: Fraction = Fraction(1),
-                       cfg: RSIntegralConfig | None = None) -> dict:
+def support_scan_table(f: EClassElement, window) -> dict:
     """Grid scan of Q over diagonal c = diag(p^{-e_1}, ..., p^{-e_n}),
     e_i in `window`: tabulates |det c|, the value, and the bound ratio
     Q * D * |det c| / ||f||^2 (here D = T^0 = 1, the modulus of det on the
@@ -614,22 +588,21 @@ def support_scan_table(f: EClassElement, window, d_rs: Fraction = Fraction(1),
     rows, violations, ratios = [], [], []
     for es in itertools.product(window, repeat=n):
         c = p_power_diag([-e for e in es], ctx.p)
-        val = Q_P(f, c, 0, cfg)
+        val = Q_P(f, c, 0)
         det_c = abs_det(ctx, c)
-        ratio = val * d_rs * det_c / f.norm_sq
+        ratio = val * det_c / f.norm_sq
         rows.append({"c_exponents": es, "det_abs": det_c, "value": val,
                      "ratio": ratio})
         if val != 0:
             ratios.append(ratio)
-            if d_rs * det_c > rhs:
+            if det_c > rhs:
                 violations.append(rows[-1])
     return {"rows": rows, "violations": violations, "bound_rhs": rhs,
             "nonzero": len(ratios),
             "ratio_max": max(ratios) if ratios else None}
 
 
-def QP_nonvanishing_check(f: EClassElement, nprime: int, det_window,
-                          cfg: RSIntegralConfig | None = None) -> dict:
+def QP_nonvanishing_check(f: EClassElement, nprime: int, det_window) -> dict:
     """Scan Q_P over the lower Levi torus: c with first nprime entries 1
     and the rest p^{-j m}, j from `det_window` in T^{1/2}-units; checks
     zero outside D_P |det c| <= T^{n''(n''-1)/2} and counts the nonzero
@@ -646,7 +619,7 @@ def QP_nonvanishing_check(f: EClassElement, nprime: int, det_window,
             continue
         seen.add(key)
         c = p_power_diag([0] * nprime + [-j * ctx.m for j in js], ctx.p)
-        val = Q_P(f, c, nprime, cfg)
+        val = Q_P(f, c, nprime)
         det_c = abs_det(ctx, c)
         inside = dp * det_c <= rhs
         rows.append({"block_exponents": js, "det_abs": det_c,
@@ -677,7 +650,7 @@ def denominator_scan(f: EClassElement, window: int | None = None,
     window = window if window is not None else 6 * m
     kreps = _k_transversal(ctx, n)
     lo = -window if n <= 2 else -m
-    B = RSIntegralConfig().box_start + 1
+    B = BOX_START + 1
     coords = [(k, l) for k in range(n) for l in range(k + 1, n)]
     best = None
     table, skipped = [], []

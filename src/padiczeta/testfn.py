@@ -46,11 +46,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import (
-    CertificateCapExceeded,
     CycValue,
     DepthContext,
     MellinMonomial,
     SqrtRational,
+    certify,
     valuation,
 )
 from .group import (
@@ -62,6 +62,10 @@ from .group import (
 )
 from .params import chi_tau_eval, theta_matrix
 from .residue import residue_rows
+
+# the last level 2m + LEVEL_CAP of the stabilization certificate of
+# `f_convolution` at a non-integral point
+LEVEL_CAP = 4
 
 
 @functools.cache
@@ -245,15 +249,15 @@ def _convolution_integral(g: Mat, ctx: DepthContext, tau=None) -> CycValue:
     return CycValue.from_histogram(counts, Fraction(1, q ** (n * n)))
 
 
-def f_convolution(g: Mat, ctx: DepthContext, L: int | None = None,
-                  cap: int = 4) -> CycValue:
+def f_convolution(g: Mat, ctx: DepthContext,
+                  L: int | None = None) -> CycValue:
     """f(g) by definitional convolution against the chi_theta projector.
 
     With L=None, a singular g raises ZeroDivisionError, as in
     `f_explicit`; integral arguments use the exact residue path at level
     2m; other arguments are certified by stabilization: levels 2m+1,
-    2m+2, ... until two consecutive answers agree (`CertificateCapExceeded`
-    past 2m+cap).
+    2m+2, ... until two consecutive answers agree (`arith.certify`, which
+    raises `CertificateCapExceeded` past 2m+LEVEL_CAP).
 
     With L given, returns the normalized sum over K(q)/K(q^L) for any g,
     on the integers.  With d = g.den, v = v_p(d) and G = g.num, the
@@ -284,14 +288,12 @@ def f_convolution(g: Mat, ctx: DepthContext, L: int | None = None,
             raise ZeroDivisionError("singular matrix")
         if g.is_integral():
             return _convolution_integral(g, ctx)
-        prev = None
-        for lev in range(2 * m + 1, 2 * m + cap + 1):
-            cur = f_convolution(g, ctx, L=lev)
-            if prev is not None and cur == prev:
-                return cur
-            prev = cur
-        raise CertificateCapExceeded("convolution level cap exceeded",
-                                     "cap", cap, 2 * m + cap)
+        last = 2 * m + LEVEL_CAP
+        _, (_, value) = certify(
+            ((lev, f_convolution(g, ctx, L=lev))
+             for lev in range(2 * m + 1, last + 1)),
+            "convolution level cap exceeded", "cap", LEVEL_CAP, last)
+        return value
     if L < 2 * m:
         raise ValueError("level must be at least 2m")
     v = valuation(g.den, p)

@@ -18,7 +18,6 @@ from padiczeta.arith import (
     norm,
     psi,
     psi_T,
-    rat_from_text,
     rat_to_text,
     valuation,
 )
@@ -270,5 +269,3 @@ def test_mellin_poly_zero_detection():
 
 def test_text_roundtrip():
     assert rat_to_text(Fraction(-3, 4)) == "-3/4"
-    assert rat_from_text("-3/4") == Fraction(-3, 4)
-    assert rat_from_text("7") == 7

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from padiczeta import cli
+from padiczeta import cli, testfn
 from padiczeta.cli import (
     RunConfig,
     main,
@@ -14,7 +14,6 @@ from padiczeta.cli import (
     render_markdown,
     run_suite,
 )
-from padiczeta.testfn import f_convolution
 
 
 def test_runconfig_validation():
@@ -57,7 +56,7 @@ def test_config_error_text(command, args, message, capsys):
 def test_certificate_cap_is_a_failed_check(monkeypatch, capsys):
     """A cap that runs out inside a suite is a named failed check in a
     written report, not a traceback."""
-    monkeypatch.setattr(f_convolution, "__defaults__", (None, 1))
+    monkeypatch.setattr(testfn, "LEVEL_CAP", 1)
     assert main(["verify", "--suite", "testfn-agreement",
                  *VERIFY_ARGS]) == 1
     report = json.loads(capsys.readouterr().out)

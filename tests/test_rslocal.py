@@ -11,9 +11,7 @@ from padiczeta.rslocal import (
     D_P_value,
     EClassElement,
     Q_P,
-    Q_phi_f_c,
     QP_nonvanishing_check,
-    RSIntegralConfig,
     W_fcg,
     abs_det,
     certify_E_class,
@@ -132,27 +130,31 @@ def test_transform_right_character_equivariance():
             assert shifted.abs_sq() == base.abs_sq()
 
 
-def test_stabilization_certificate_required():
+def test_stabilization_certificate_required(monkeypatch):
+    from padiczeta import rslocal
+
     c = central_c(CTX21, 2)
     a, _ = pinned_outer_diagonal(F2, c)
     k = k_transversal(CTX21, 2)[0]
+    monkeypatch.setattr(rslocal, "BOX_START", 0)
+    monkeypatch.setattr(rslocal, "BOX_CAP", 0)
     with pytest.raises(RuntimeError):
-        W_fcg(F2, c, a, k, cfg=RSIntegralConfig(box_start=0, box_cap=0))
+        W_fcg(F2, c, a, k)
 
 
 def test_Q_values_rank2():
     c = central_c(CTX21, 2)
-    q = Q_phi_f_c(F2, c)
+    q = Q_P(F2, c, 0)
     assert q == Fraction(1, 2)
     # the bound ratio Q * D * |det c| sits below T^{n(n-1)/2}
     assert q * abs_det(CTX21, c) == 2 <= CTX21.T
-    assert Q_phi_f_c(F2, Mat.identity(2, 2)) == 0
+    assert Q_P(F2, Mat.identity(2, 2), 0) == 0
 
 
 def test_Q_rejects_bad_arguments():
     c = central_c(CTX21, 2)
     with pytest.raises(ValueError):
-        Q_P(standard_E_element(CTX21, 2, dual=True), c)
+        Q_P(standard_E_element(CTX21, 2, dual=True), c, 0)
     with pytest.raises(ValueError):
         Q_P(F2, c, nprime=1)
     with pytest.raises(ValueError):
@@ -163,7 +165,7 @@ def test_Q_depth_two():
     ctx = CTX22
     f = standard_E_element(ctx, 2)
     c = central_c(ctx, 2)
-    q = Q_phi_f_c(f, c)
+    q = Q_P(f, c, 0)
     assert q > 0
     assert q * abs_det(ctx, c) <= Fraction(ctx.T)
 
@@ -187,7 +189,7 @@ def test_support_scan_table_p3():
 
 def test_Q_rank3_central():
     c = central_c(CTX21, 3)
-    q = Q_phi_f_c(F3, c)
+    q = Q_P(F3, c, 0)
     assert q == Fraction(1, 16)
     # boundary of the support law: D |det c| = T^3 exactly
     assert abs_det(CTX21, c) == Fraction(CTX21.T) ** 3

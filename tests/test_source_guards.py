@@ -243,6 +243,44 @@ def test_formula_and_convolution_routes_share_no_kernel():
     assert not found, f"shared kernels: {found}"
 
 
+def test_certificates_close_through_certify():
+    # the four stabilization certificates close by the one rule
+    # `arith.certify`, which raises their `CertificateCapExceeded`, so
+    # none of them raises it itself
+    names = {"testfn.py": {"f_convolution"}, "rslocal.py": {"W_fcg", "Q_P"},
+             "nicedomain.py": {"vanishing_check"}}
+    for module, wanted in names.items():
+        for name, fn in _functions(module, wanted).items():
+            calls = {getattr(node.func, "id", None)
+                     for node in ast.walk(fn) if isinstance(node, ast.Call)}
+            assert "certify" in calls, name
+            assert "CertificateCapExceeded" not in calls, name
+
+
+def test_no_truncation_knob_parameters():
+    # the caps are module constants (testfn.LEVEL_CAP, rslocal.BOX_START,
+    # BOX_CAP and SHELL_CAP, nicedomain.MAX_REFINE) and the parameters
+    # that no caller set are gone; `cap` stays only as the name of the
+    # cap that a certificate reports, and as the subsample bound of the
+    # slope-cell scans
+    banned = {"cfg", "cap", "max_refine", "d_rs", "extension_index",
+              "pivot_val"}
+    allowed = {("arith.py", "certify", "cap"),
+               ("arith.py", "__init__", "cap"),
+               ("nicedomain.py", "_entry_val", "cap"),
+               ("nicedomain.py", "_base_points", "cap"),
+               ("nicedomain.py", "scan_box_domains", "cap")}
+    found = [(path.name, node.name, arg.arg) for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.FunctionDef)
+             for arg in (node.args.posonlyargs + node.args.args
+                         + node.args.kwonlyargs)
+             if arg.arg in banned]
+    assert set(found) <= allowed, sorted(set(found) - allowed)
+    assert not [path.name for path in SOURCES
+                if "RSIntegralConfig" in path.read_text()]
+
+
 def _cached_functions(tree) -> dict:
     """{name: (function, decorator)} for each function or method of a
     parsed module under a `functools` cache."""

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from padiczeta.arith import CycValue, DepthContext, SqrtRational, psi_T, valuation
 from padiczeta.group import Mat, SubgroupSpec, enumerate_cosets, haar_volume
+from padiczeta import testfn
 from padiczeta.params import chi_tau_eval, theta_matrix
 from padiczeta.testfn import (
     base_test_function,
@@ -75,11 +76,12 @@ def test_agreement_on_K_mod_q2_rank2():
             assert f_explicit(k, ctx) == f_convolution(k, ctx)
 
 
-def test_agreement_off_K_points():
+def test_agreement_off_K_points(monkeypatch):
+    monkeypatch.setattr(testfn, "LEVEL_CAP", 3)
     pts = ["1/2,0;1,1", "2,1;1,1", "1,1/2;0,1", "0,1;1,0", "1,0;1/2,1"]
     for text in pts:
         g = Mat.from_text(text, 2)
-        assert f_explicit(g, CTX21) == f_convolution(g, CTX21, cap=3)
+        assert f_explicit(g, CTX21) == f_convolution(g, CTX21)
 
 
 def test_rank2_closed_form_of_f():
@@ -371,10 +373,11 @@ def test_dual_concentration_and_slice_norm():
     assert s_dual == s_orig
 
 
-def test_convolution_stabilization_non_integral():
+def test_convolution_stabilization_non_integral(monkeypatch):
+    monkeypatch.setattr(testfn, "LEVEL_CAP", 3)
     g = Mat.from_text("1,1/2;0,1", 2)
     # outside the support: both levels give zero, certifying stabilization
-    assert f_convolution(g, CTX21, cap=3).is_zero()
+    assert f_convolution(g, CTX21).is_zero()
     assert f_explicit(g, CTX21).is_zero()
 
 

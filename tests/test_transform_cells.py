@@ -53,13 +53,13 @@ from padiczeta.arith import (CycSum, CycValue, DepthContext, rat_to_text,
                              valuation)
 from padiczeta.cli import main
 from padiczeta.group import (Mat, _a_k_residue, _eliminate,
-                             _unit_a_k_residue, _unit_a_pivot, iwasawa_UAK,
-                             p_power_diag)
+                             _least_valuation, _unit_a_k_residue,
+                             _unit_a_pivot, iwasawa_UAK, p_power_diag)
 from padiczeta.residue import residue_rows
-from padiczeta.rslocal import (EClassElement, RSIntegralConfig,
-                               TransformCells, W_fcg, _outer_diagonals,
-                               _transform_values_over_K, _w_cell_data,
-                               pinned_outer_diagonal, standard_E_element)
+from padiczeta.rslocal import (EClassElement, TransformCells, W_fcg,
+                               _outer_diagonals, _transform_values_over_K,
+                               _w_cell_data, pinned_outer_diagonal,
+                               standard_E_element)
 from padiczeta.testfn import _explicit_exponent_mod, translate_for_H
 
 GOLDEN_FILE = Path(__file__).parent / "golden" / "w-fcg.json"
@@ -283,7 +283,7 @@ def _real_cells(p, m, n, nprime, e, B):
         return [_w_cell_data(f, c, pinned_outer_diagonal(f, c)[0], B, 0)]
     c = p_power_diag([0] + [-m * e] * (n - 1), p)
     return [cells for _, cells in
-            _outer_diagonals(f, c, nprime, RSIntegralConfig(), B)]
+            _outer_diagonals(f, c, nprime, B)]
 
 
 @st.composite
@@ -429,7 +429,8 @@ def test_a_k_reader_matches_iwasawa(arg):
     dec = iwasawa_UAK(g)
     exps = tuple(valuation(x, p) for x in dec.a.diagonal())
     for e in (1, 2, 4):
-        assert _a_k_residue(d, p, e)(num) == (exps, residue_rows(dec.k, e))
+        assert _a_k_residue(d, p, e, _least_valuation(p))(num) == (
+            exps, residue_rows(dec.k, e))
 
 
 @st.composite
