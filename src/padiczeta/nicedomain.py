@@ -33,10 +33,12 @@ A cell sum is one sweep of the members shift u a on integers
 too), read at k: shift u a k has the a-part of shift u a and the K-part
 k' k, so each (a-part, K-part) key's phase is read at k by the kernel
 `testfn._explicit_exponent_at` and its coefficient from the a-part.
+The sweep does not depend on k, so it is cached (`_cell_keys`).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -611,6 +613,33 @@ def _a_coefficient(f: EClassElement, s: tuple, exps: tuple) -> tuple:
     return rad, c * coeff.sign
 
 
+@functools.lru_cache(maxsize=256)
+def _cell_keys(f: EClassElement, a: Mat, domain: NiceDomain,
+               levels: tuple) -> tuple:
+    """(keys, den, vol, cells): the members of the cell at the levels
+    (sorted (coordinate, level) pairs), swept once on integers as
+    shift u a = H (den I + X) A over h * den * t, for shift = H / h,
+    u = (den I + X) / den and a = A / t, with one elimination each
+    (`group._a_k_residue`).  keys holds ((exps, krows), ((x, count), ...))
+    per key: the a-part exponents, the K-part rows mod q^2 and the
+    histogram of psi^{-1}(u) exponents x mod den.  vol is the volume of
+    one member and cells the number swept.  Nothing here depends on s or
+    k, so the `vanishing_check` calls at one (f, a, domain) share it in
+    one bounded cache (`rho0_report` reads each cell at `k_count`
+    K-points); every caller passes the four arguments positionally.
+    `_cell_keys.cache_info()` gives the hits and misses."""
+    n, p, rho = domain.n, domain.p, domain.slope
+    ranges, den = domain.member_grid(dict(levels))
+    shift = f.tf.shift_mat()
+    vol = Fraction(p) ** sum((j - i) * rho - n - l for (i, j), l in levels)
+    hists = box_histograms(
+        shift.num, den, [a.num[j][j] for j in range(n)], _upper_coords(n),
+        ranges, _a_k_residue(shift.den * den * a.den, p, 2 * f.ctx.m,
+                             _least_valuation(p)))
+    keys = tuple((key, tuple(hist.items())) for key, hist in hists.items())
+    return keys, den, vol, math.prod(map(len, ranges))
+
+
 def _cell_sum(f: EClassElement, s: tuple, a: Mat, zk: tuple,
               domain: NiceDomain, levels: dict) -> tuple:
     """(parts, cells): the exact sum of f[s](w_G u a k) psi^{-1}(u) du
@@ -618,13 +647,10 @@ def _cell_sum(f: EClassElement, s: tuple, a: Mat, zk: tuple,
     enumerating the conjugated coordinates to the given per-entry levels.
 
     This is the sum of `section_value(w_G u a k)` psi^{-1}(u) vol over
-    the members u, swept once on integers and read at k; it is sound for
-    three reasons.  (1) The section decomposes shift_weyl * w_G u a k =
-    shift * u * a * k, because shift_weyl = shift * w_G and w_G^2 = 1.
-    With shift = H / h, u = (den I + X) / den and a = A / t, shift u a is
-    the integer matrix H (den I + X) A over h * den * t, and
-    `group.box_histograms` sweeps the members as these matrices.  (2) One
-    elimination per member (`group._a_k_residue`) reads from its pivots
+    the members u, swept once on integers (`_cell_keys`) and read at k;
+    it is sound for three reasons.  (1) The section decomposes
+    shift_weyl * w_G u a k = shift * u * a * k, because shift_weyl =
+    shift * w_G and w_G^2 = 1.  (2) The sweep reads from each member
     the Iwasawa a-part and the K-part k' mod q^2 of shift u a.  A k in K
     leaves the a-part unchanged and moves the K-part to k' k, as in
     `rslocal._box_cells`: the a-part fixes the coefficient
@@ -635,37 +661,28 @@ def _cell_sum(f: EClassElement, s: tuple, a: Mat, zk: tuple,
     depends only on k' k mod q^2.
 
     Members with the same (a-part, K-part) key have the same section
-    value, so psi^{-1}(u) enters through one histogram per key, of
-    exponents mod den (the superdiagonal entries of a member have
-    denominators dividing den).  As in `rslocal._phase_at`, each radical
-    counts its keys' products (psi root) * (phase root), times the key's
-    coefficient, under their exponent pairs, made a value by
-    `CycValue.from_histogram` at the factor orders (den, T) times the
-    member volume."""
+    value, so psi^{-1}(u) enters through one histogram per key.  As in
+    `rslocal._phase_at`, each radical counts its keys' products (psi
+    root) * (phase root), times the key's coefficient, under their
+    exponent pairs, made a value by `CycValue.from_histogram` at the
+    factor orders (den, T) times the member volume."""
     ctx, tf = f.ctx, f.tf
-    n, p, rho = domain.n, domain.p, domain.slope
-    ranges, den = domain.member_grid(levels)
-    shift = tf.shift_mat()
-    vol = Fraction(p) ** sum((j - i) * rho - n - levels[(i, j)]
-                             for (i, j) in _upper_coords(n))
-    hists = box_histograms(
-        shift.num, den, [a.num[j][j] for j in range(n)], _upper_coords(n),
-        ranges, _a_k_residue(shift.den * den * a.den, p, 2 * ctx.m,
-                             _least_valuation(p)))
+    keys, den, vol, cells = _cell_keys(f, a, domain,
+                                       tuple(sorted(levels.items())))
     kcols = list(zip(*zk))
     acc: dict = {}
-    for (exps, krows), hist in hists.items():
+    for (exps, krows), hist in keys:
         e = _explicit_exponent_at(krows, kcols, ctx)
         if e is None:
             continue
         e = -e if tf.conjugate else e
         rad, coeff = _a_coefficient(f, s, exps)
         counts = acc.setdefault(rad, {})
-        for x, count in hist.items():
+        for x, count in hist:
             counts[x, e] = counts.get((x, e), 0) + count * coeff
     parts = {rad: CycValue.from_histogram(counts, vol, (den, ctx.T))
              for rad, counts in acc.items()}
-    return _parts_clean(parts), math.prod(map(len, ranges))
+    return _parts_clean(parts), cells
 
 
 @dataclass
@@ -698,10 +715,10 @@ MAX_REFINE = 3
 
 
 def vanishing_check(a: Mat, k: Mat, s: tuple, domain: NiceDomain,
-                    f: EClassElement, d2: int = 1) -> CharacterSumValue:
+                    f: EClassElement) -> CharacterSumValue:
     """The integral of f[s](w_G u a k) psi^{-1}(u) over the cell, as an
     exact finite character sum.  Hypotheses checked: a is diagonal with
-    |a_n| = 1 and every simple-root coordinate |a_i / a_{i+1}| <= T^{d2},
+    |a_n| = 1 and every simple-root coordinate |a_i / a_{i+1}| <= T,
     and k lies in K, so that the cells of shift u a are read at k
     (`_cell_sum`).  The enumeration level is certified by a one-step
     refinement comparison (`arith.certify`): the levels are refined, at
@@ -719,8 +736,8 @@ def vanishing_check(a: Mat, k: Mat, s: tuple, domain: NiceDomain,
     av = [valuation(x, p) for x in a.diagonal()]
     if av[-1] != 0:
         raise ValueError("last diagonal entry must be a unit")
-    if any(av[i] - av[i + 1] < -2 * m * d2 for i in range(n - 1)):
-        raise ValueError("simple-root coordinates of a exceed T^d2")
+    if any(av[i] - av[i + 1] < -2 * m for i in range(n - 1)):
+        raise ValueError("simple-root coordinates of a exceed T")
     zk = residue_rows(k, 2 * m)
 
     def steps(levels):
@@ -799,16 +816,16 @@ def vanishing_mechanism_report(a: Mat, k: Mat, s: tuple,
 
 # -- the slope threshold report ---------------------------------------------
 
-def hypothesis_diagonal(ctx: DepthContext, n: int, d2: int = 1) -> Mat:
+def hypothesis_diagonal(ctx: DepthContext, n: int) -> Mat:
     """The canonical diagonal satisfying the character-sum hypotheses with
-    every simple-root coordinate exactly T^{d2}: a_i = p^{-2m d2 (n-i)}."""
-    return p_power_diag([-2 * ctx.m * d2 * (n - i - 1) for i in range(n)],
+    every simple-root coordinate exactly T: a_i = p^{-2m (n-i)}."""
+    return p_power_diag([-2 * ctx.m * (n - i - 1) for i in range(n)],
                         ctx.p)
 
 
 def _vanishing_row(task) -> dict:
-    f, a, k, s, dom, d2, ki = task
-    cs = vanishing_check(a, k, s, dom, f, d2=d2)
+    f, a, k, s, dom, ki = task
+    cs = vanishing_check(a, k, s, dom, f)
     return {**dom.to_json(), "k_index": ki, "cells": cs.cells,
             "zero": cs.is_zero()}
 
@@ -826,9 +843,8 @@ def _pmap(fn, tasks, jobs: int) -> list:
 
 
 def rho0_report(f: EClassElement, s: tuple | None = None,
-                slope_max: int | None = None, d2: int = 1,
-                domain_cap: int = 2, k_count: int = 2,
-                jobs: int = 1) -> dict:
+                slope_max: int | None = None, domain_cap: int = 2,
+                k_count: int = 2, jobs: int = 1) -> dict:
     """Empirical vanishing threshold: evaluate the cell character sum for
     every scan-box cell of each slope up to slope_max (and the slope-0
     cell), at the canonical hypothesis diagonal and a few K-coset
@@ -842,7 +858,7 @@ def rho0_report(f: EClassElement, s: tuple | None = None,
         s = tuple(0 for _ in range(n))
     if slope_max is None:
         slope_max = 4 * m + n
-    a = hypothesis_diagonal(ctx, n, d2)
+    a = hypothesis_diagonal(ctx, n)
     klist = enumerate_cosets(SubgroupSpec("K", n, p), max(m, 1))[:k_count]
     bases = _base_points(n, p, domain_cap) if slope_max > 0 else []
     tasks = []
@@ -852,7 +868,7 @@ def rho0_report(f: EClassElement, s: tuple | None = None,
         else:
             domains = [NiceDomain(n, p, rho, l, base, pivot)
                        for l, pivot, base in bases]
-        tasks += [(f, a, k, s, d, d2, ki)
+        tasks += [(f, a, k, s, d, ki)
                   for d in domains for ki, k in enumerate(klist)]
     rows = _pmap(_vanishing_row, tasks, jobs)
     max_nonzero = max((r["slope"] for r in rows if not r["zero"]),
@@ -860,7 +876,7 @@ def rho0_report(f: EClassElement, s: tuple | None = None,
     rho0 = 0 if max_nonzero is None else max_nonzero + 1
     return {
         "rank": n, "p": p, "m": m, "vT": 2 * m,
-        "slope_max": slope_max, "d2": d2,
+        "slope_max": slope_max,
         "max_nonzero_slope": max_nonzero,
         "rho0": rho0,
         "rows": rows,

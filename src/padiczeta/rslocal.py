@@ -633,13 +633,12 @@ def QP_nonvanishing_check(f: EClassElement, nprime: int, det_window) -> dict:
             "D_P": dp}
 
 
-def denominator_scan(f: EClassElement, window: int | None = None,
-                     d2: int = 1) -> dict:
+def denominator_scan(f: EClassElement, window: int | None = None) -> dict:
     """Empirical denominator control.  Over diagonal c = diag(p^{-e_i})
     with sizes e_i scanned up to `window` (entries below p^{-m} are not
     probed beyond rank 2: tiny |c_i| cannot attain the maximum), keep
     those whose pinned outer diagonal is admissible (|a_n| = 1 and
-    simple-root coordinates within T^{d2}) and test the transform on a
+    simple-root coordinates within T) and test the transform on a
     K-residue sample; report the largest entry size max_i v_p(1/c_i)
     (in T-units) seen nonzero.  Points whose unipotent cell budget would
     exceed the cap are recorded as skipped, not silently dropped.
@@ -659,8 +658,8 @@ def denominator_scan(f: EClassElement, window: int | None = None,
         a, ev = pinned_outer_diagonal(f, c)
         if ev[-1] != 0:
             continue
-        if any(ev[i + 1] - ev[i] > 2 * m * d2 for i in range(n - 1)):
-            continue  # a inadmissible: simple-root size beyond T^{d2}
+        if any(ev[i + 1] - ev[i] > 2 * m for i in range(n - 1)):
+            continue  # a inadmissible: simple-root size beyond T
         L = _cell_levels(ctx, a, B, coords)
         if p ** sum(max(B + lv, 0) for lv in L.values()) > 20000:
             skipped.append(es)
@@ -673,4 +672,4 @@ def denominator_scan(f: EClassElement, window: int | None = None,
             best = size
     d_emp = Fraction(best, 2 * m) if best is not None else None
     return {"table": table, "max_e": best, "empirical_d": d_emp,
-            "d2": d2, "skipped": skipped}
+            "skipped": skipped}

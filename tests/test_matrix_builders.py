@@ -232,7 +232,8 @@ def test_region_classes_match_reference(n, p, b):
 
 def visited_members(domain, levels, monkeypatch):
     """The u of every term of `_cell_sum` over the cell, in order, read
-    from the rows its sweep (`group.box_histograms`) hands to its reader.
+    from the rows its sweep (`group.box_histograms`) hands to its reader;
+    the `_cell_keys` cache must be cold, so that the sweep runs.
     With a = 1 those rows are diag(shift) (den + X) for u = (den + X) /
     den, so row i divided by its diagonal entry is row i of u."""
     n, p = domain.n, domain.p
@@ -289,18 +290,22 @@ def member_cases():
 
 
 @pytest.mark.parametrize("domain,levels", list(member_cases()))
-def test_cell_sum_members_match_reference(domain, levels, monkeypatch):
+def test_cell_sum_members_match_reference(domain, levels, monkeypatch,
+                                          cold_cell_keys):
     assert_same_list(visited_members(domain, levels, monkeypatch),
                      ref_members(domain, levels))
 
 
 @pytest.mark.parametrize("domain,levels", list(member_cases()))
-def test_cell_sum_mass_is_cell_volume(domain, levels, monkeypatch):
+def test_cell_sum_mass_is_cell_volume(domain, levels, monkeypatch,
+                                      cold_cell_keys):
     # with a constant integrand, the sum is (number of members) x (volume
     # per member): each member stands for one class of the cell, so this
     # is the volume of the cell.  The integrand is made constant at the
     # sweep's seams: every member is counted under a trivial character,
-    # and every (a-part, K-part) key has phase 1 and coefficient 1.
+    # and every (a-part, K-part) key has phase 1 and coefficient 1.  The
+    # cache is cold, so the patched sweep runs and its histograms are
+    # dropped after the test.
     n = domain.n
     sweep = nicedomain.box_histograms
     monkeypatch.setattr(nicedomain, "box_histograms", lambda *args: {

@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from padiczeta import nicedomain
 from padiczeta.arith import DepthContext
 from padiczeta.group import Mat, SubgroupSpec, enumerate_cosets
 from padiczeta.nicedomain import (
     A_rho,
     NiceDomain,
+    _cell_keys,
     classify,
     conj_by_A,
     decompose_region,
@@ -203,6 +205,28 @@ def test_rho0_rank2():
     assert rep["rho0"] <= 4 * rep["m"] + rep["rank"]
     # every tested cell at or above the threshold summed to exactly zero
     assert all(r["zero"] for r in rep["rows"] if r["slope"] >= rep["rho0"])
+
+
+def test_rho0_sweeps_each_cell_once_per_level(cold_cell_keys, monkeypatch):
+    # rho0_report reads each cell at k_count K-points, and the sweep of a
+    # cell at its levels does not depend on k: from a cold cache, it is a
+    # miss once per distinct (domain, levels) pair and a hit at every other
+    # call, and the warm report equals the cold one
+    seen = []
+
+    def record(f, a, domain, levels):
+        seen.append((f, a, domain, levels))
+        return _cell_keys(f, a, domain, levels)
+
+    monkeypatch.setattr(nicedomain, "_cell_keys", record)
+    rep = rho0_report(F2, k_count=6)
+    info = _cell_keys.cache_info()
+    assert {(f, a) for f, a, _, _ in seen} == {(F2, A2)}
+    pairs = {(domain, levels) for _, _, domain, levels in seen}
+    assert (info.misses, info.hits) == (len(pairs), len(seen) - len(pairs))
+    assert info.hits >= 5 * info.misses
+    assert rho0_report(F2, k_count=6) == rep
+    assert _cell_keys.cache_info().misses == info.misses
 
 
 def test_rho0_rank2_p3():

@@ -172,13 +172,14 @@ def test_counted_products_leave_the_order_rule_to_arith():
 def test_character_sums_share_one_sweep_and_one_kernel():
     # the transform cells and the vanishing cell sums are one sweep of
     # head u a (`group.box_histograms`), and neither walks the box itself;
-    # both read their phases at k through `testfn._explicit_exponent_at`
+    # both read their phases at k through `testfn._explicit_exponent_at`.
+    # The vanishing cells are swept by `_cell_keys` and read by `_cell_sum`
     def called(fn):
         return {getattr(node.func, "id", None)
                 or getattr(node.func, "attr", None)
                 for node in ast.walk(fn) if isinstance(node, ast.Call)}
 
-    sweeps = [("rslocal.py", "_box_cells"), ("nicedomain.py", "_cell_sum")]
+    sweeps = [("rslocal.py", "_box_cells"), ("nicedomain.py", "_cell_keys")]
     readers = [("rslocal.py", "_phase_at"), ("nicedomain.py", "_cell_sum")]
     for module, name in sweeps:
         names = called(_functions(module, {name})[name])
@@ -279,6 +280,18 @@ def test_no_truncation_knob_parameters():
     assert set(found) <= allowed, sorted(set(found) - allowed)
     assert not [path.name for path in SOURCES
                 if "RSIntegralConfig" in path.read_text()]
+    # the simple-root bound T^{d2} is T where no caller set d2: these
+    # functions name no d2, as a parameter, a variable or a report field
+    d2_free = {"rslocal.py": {"denominator_scan"},
+               "nicedomain.py": {"vanishing_check", "hypothesis_diagonal",
+                                 "rho0_report", "_vanishing_row"}}
+    for module, wanted in d2_free.items():
+        for name, fn in _functions(module, wanted).items():
+            names = {getattr(node, "arg", None) or getattr(node, "id", None)
+                     or getattr(node, "value", None)
+                     for node in ast.walk(fn)
+                     if isinstance(node, (ast.arg, ast.Name, ast.Constant))}
+            assert "d2" not in names, name
 
 
 def _cached_functions(tree) -> dict:
@@ -314,6 +327,34 @@ def test_transform_cells_are_the_one_bounded_cache_in_rslocal():
              and getattr(node.func, "id", None) == "_w_cell_data"]
     assert calls
     assert all(len(node.args) == 5 and not node.keywords for node in calls)
+
+
+def test_vanishing_cells_are_the_one_bounded_cache_in_nicedomain():
+    # the swept cells of a vanishing sum depend on (f, a, domain, levels)
+    # only, not on s or the K-point, so they are cached under exactly that
+    # key, in a bounded cache; every call passes the four arguments
+    # positionally, and the levels become a key once, at the call in
+    # `_cell_sum`, as the sorted items of its levels dict
+    tree = ast.parse((SOURCES[0].parent / "nicedomain.py").read_text())
+    cached = _cached_functions(tree)
+    assert set(cached) == {"_cell_keys"}
+    fn, deco = cached["_cell_keys"]
+    assert [a.arg for a in fn.args.args] == ["f", "a", "domain", "levels"]
+    assert not fn.args.defaults and not fn.args.kwonlyargs
+    assert not fn.args.posonlyargs and not fn.args.vararg
+    assert deco.func.attr == "lru_cache" and not deco.args
+    [size] = [kw.value for kw in deco.keywords if kw.arg == "maxsize"]
+    assert isinstance(size.value, int) and size.value > 0
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "_cell_keys"]
+    assert calls
+    assert all(len(node.args) == 4 and not node.keywords for node in calls)
+    [cell_sum] = [node for node in tree.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "_cell_sum"]
+    assert [node for node in ast.walk(cell_sum) if node in calls] == calls
+    assert [ast.unparse(node.args[3]) for node in calls] == [
+        "tuple(sorted(levels.items()))"]
 
 
 def test_no_cache_keyed_on_a_request():

@@ -13,7 +13,10 @@ on purpose) with
 
 `_cell_sum` is compared with a reference sum over `section_value`,
 written here, and the same golden points must come out without any
-Iwasawa decomposition or per-member section in `nicedomain`.
+Iwasawa decomposition or per-member section in `nicedomain`.  The sweep
+of a cell is cached (`_cell_keys`) and read at k, so at the golden points
+and at K-points across K/K(q) a call on a warm cache must give the value
+of the same call on a cold one.
 """
 
 import functools
@@ -28,11 +31,12 @@ from hypothesis import given, settings, strategies as st
 from padiczeta import nicedomain
 from padiczeta.arith import CycSum, DepthContext, psi
 from padiczeta.group import Mat, p_power_diag
-from padiczeta.nicedomain import (NiceDomain, _cell_sum, _upper_coords,
-                                  hypothesis_diagonal, scan_box_domains,
-                                  section_value, vanishing_check)
+from padiczeta.nicedomain import (NiceDomain, _cell_keys, _cell_sum,
+                                  _upper_coords, hypothesis_diagonal,
+                                  scan_box_domains, section_value,
+                                  vanishing_check)
 from padiczeta.residue import residue_rows
-from padiczeta.rslocal import standard_E_element
+from padiczeta.rslocal import _k_transversal, standard_E_element
 
 GOLDEN_FILE = Path(__file__).parent / "golden" / "vanishing-check.json"
 # (p, m, n, slopes, cap on the cells drawn from per slope)
@@ -106,7 +110,9 @@ def _refuse(*args, **kwargs):
     raise RuntimeError("a per-member kernel ran")
 
 
-def test_cell_walk_runs_no_iwasawa_or_section(monkeypatch):
+def test_cell_walk_runs_no_iwasawa_or_section(monkeypatch,
+                                              cold_cell_keys):
+    # from a cold cache, so that every cell is swept under the patch
     for name in ("iwasawa_UAK", "section_value", "_explicit_on_K"):
         monkeypatch.setattr(nicedomain, name, _refuse)
     assert golden_document() == GOLDEN_FILE.read_text()
@@ -169,6 +175,36 @@ def test_cell_sum_matches_section_reference(args):
                            levels)
     assert cells == want_cells
     assert _parts_json(got) == _parts_json(want)
+
+
+# -- the cached sweep: a warm cache gives the values of a cold one ----------
+
+@functools.cache
+def _k_points(ctx, n):
+    """The K-points of the warm and cold calls: all of K/K(q) at rank 2,
+    and at rank 3, where K/K(q) has 168 points at p = 2 and 11,232 at
+    p = 3 and each cold call sweeps afresh, its first six, the prefix
+    that `rho0_report` reads its K-points from."""
+    return _k_transversal(ctx, n)[:None if n == 2 else 6]
+
+
+def test_warm_cells_give_the_cold_values(cold_cell_keys):
+    # the sweep is cached on (f, a, domain, levels) and read at k: at each
+    # golden point and each of its `_k_points`, the call on a warm cache
+    # (where every sweep is a hit) equals the call after cache_clear()
+    for f, a, _, s, dom in golden_points():
+        ks = _k_points(f.ctx, f.n)
+        for k in ks:
+            vanishing_check(a, k, s, dom, f)
+        misses = _cell_keys.cache_info().misses
+        warm = [vanishing_check(a, k, s, dom, f) for k in ks]
+        assert _cell_keys.cache_info().misses == misses
+        for k, got in zip(ks, warm):
+            _cell_keys.cache_clear()
+            want = vanishing_check(a, k, s, dom, f)
+            assert (got.parts, got.levels, got.cells) == (
+                want.parts, want.levels, want.cells)
+            assert got.to_json() == want.to_json()
 
 
 if __name__ == "__main__":
