@@ -823,11 +823,16 @@ def hypothesis_diagonal(ctx: DepthContext, n: int) -> Mat:
                         ctx.p)
 
 
-def _vanishing_row(task) -> dict:
-    f, a, k, s, dom, ki = task
-    cs = vanishing_check(a, k, s, dom, f)
-    return {**dom.to_json(), "k_index": ki, "cells": cs.cells,
-            "zero": cs.is_zero()}
+def _vanishing_rows(task) -> list:
+    """The rows of one cell, in K-point order.  A cell is one task, so
+    its K-points share its sweep in one process's `_cell_keys`."""
+    f, a, klist, s, dom = task
+    rows = []
+    for ki, k in enumerate(klist):
+        cs = vanishing_check(a, k, s, dom, f)
+        rows.append({**dom.to_json(), "k_index": ki, "cells": cs.cells,
+                     "zero": cs.is_zero()})
+    return rows
 
 
 def _pmap(fn, tasks, jobs: int) -> list:
@@ -868,9 +873,9 @@ def rho0_report(f: EClassElement, s: tuple | None = None,
         else:
             domains = [NiceDomain(n, p, rho, l, base, pivot)
                        for l, pivot, base in bases]
-        tasks += [(f, a, k, s, d, ki)
-                  for d in domains for ki, k in enumerate(klist)]
-    rows = _pmap(_vanishing_row, tasks, jobs)
+        tasks += [(f, a, klist, s, d) for d in domains]
+    rows = [row for cell in _pmap(_vanishing_rows, tasks, jobs)
+            for row in cell]
     max_nonzero = max((r["slope"] for r in rows if not r["zero"]),
                       default=None)
     rho0 = 0 if max_nonzero is None else max_nonzero + 1

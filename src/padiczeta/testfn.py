@@ -21,8 +21,10 @@ is right K(q^L)-invariant.  For integral g this happens already at L = 2m
 the whole term can be evaluated in Z/q^2 integer arithmetic, which is the
 fast path: a depth-first walk over the columns of the terms, one
 left-looking LU step per column, so terms that share their first columns
-share that part of the elimination.  For non-integral g no level is
-guaranteed a priori, so we certify stabilization empirically per point.
+share that part of the elimination.  That walk is one helper,
+`_crout_walk`, which the direct zeta sum runs too.  For non-integral g
+no level is guaranteed a priori, so we certify stabilization empirically
+per point.
 Each level is the same kind of walk on the exact integers, over the
 columns of d g (1 + x): one left-looking fraction-free (Bareiss) step per
 column, so terms that share a column prefix share its pivots and the
@@ -197,6 +199,37 @@ def _bareiss_column(col, low, piv, j: int) -> list:
     return y
 
 
+def _crout_walk(tables, inverse, T: int, leaf) -> None:
+    """Walk the product of the column tables depth first, one
+    left-looking (Crout) LU step mod T per column, and hand each parent
+    of the last column to leaf(weights, e, idx).
+
+    tables holds, for the columns 0..n-2 of n x n terms, lists of
+    (column, share) pairs; the last column is left to the leaf.  Columns
+    0..j of a term fix columns 0..j of L and U, so at depth j forward
+    substitution with the prefix's L gives column j of U and, past the
+    pivot, column j of L (`_crout_column`), and the exponent e gains
+    U[j-1][j] / U[j-1][j-1] less the column's share.  Terms that share a
+    column prefix share only its arithmetic.  At a parent, weights is the
+    linear form of `_leaf_weights`, which takes rows 0..n-2 of a last
+    column to its term's last exponent summand U[n-2][n-1] / U[n-2][n-2],
+    and idx is the parent's index in the itertools.product order of the
+    tables.  The walk tests no pivot: the caller makes the unit test once
+    for all terms, which agree mod q."""
+    n = len(tables) + 1
+
+    def walk(j, low, d, e, idx):
+        if j == n - 1:
+            leaf(_leaf_weights(low, d, T), e, idx)
+            return
+        table = tables[j]
+        for k, (col, s) in enumerate(table, idx * len(table)):
+            y, dj, sub = _crout_column(col, low, j, inverse, T)
+            walk(j + 1, sub, dj, e + (y[j - 1] * d if j else 0) - s, k)
+
+    walk(0, [()] * n, 0, 0, 0)
+
+
 def _convolution_integral(g: Mat, ctx: DepthContext, tau=None) -> CycValue:
     """Exact convolution at level 2m via residue arithmetic (g integral).
 
@@ -208,18 +241,14 @@ def _convolution_integral(g: Mat, ctx: DepthContext, tau=None) -> CycValue:
 
     A term is L U mod T with L unit lower triangular, J vanishes on it
     unless every pivot U[i][i] is a unit, and otherwise its exponent is
-    sum_i U[i][i+1] / U[i][i].  Columns 0..j of the term fix columns 0..j
-    of L and U (left-looking, or Crout, LU), so the q^{n^2} terms are
-    walked depth first over the product of the column tables: at depth j,
-    forward substitution with the prefix's L gives column j of U and, past
-    the pivot, column j of L (`_crout_column`), and the exponent gains
-    U[j-1][j] / U[j-1][j-1].  Terms that share a column prefix share only
-    its arithmetic; each leaf is one term with its own exponent, less its
-    columns' shifts, counted in a histogram of T ints that becomes the
-    value once at the end (`CycValue.from_histogram`).  Every term is z
-    mod q, so a pivot is a unit at every node of a depth or at none: the
-    test is made once, on z itself.  The leaves read only U[n-2][n-1],
-    a linear form in the last column taken once per parent
+    sum_i U[i][i+1] / U[i][i].  The q^{n^2} terms are walked depth first
+    over the product of the column tables, one left-looking (Crout) LU
+    step per column (`_crout_walk`).  Each leaf is one term with its own
+    exponent, less its columns' shifts, counted in a histogram of T ints
+    that becomes the value once at the end (`CycValue.from_histogram`).
+    Every term is z mod q, so a pivot is a unit at every node of a depth
+    or at none: the test is made once, on z itself.  The leaves read only
+    U[n-2][n-1], a linear form in the last column taken once per parent
     (`_leaf_weights`).
     """
     n, q, T = g.n, ctx.q, ctx.T
@@ -235,17 +264,12 @@ def _convolution_integral(g: Mat, ctx: DepthContext, tau=None) -> CycValue:
     # the leaves keep rows 0..n-2 of the column and the shift
     leaves = [(*col[:n - 1], s) for col, s in last]
 
-    def walk(j, low, d, e):
-        if j == n - 1:
-            w = (*_leaf_weights(low, d, T), -1)
-            for leaf in leaves:
-                counts[(e + sum(map(operator.mul, w, leaf))) % T] += 1
-            return
-        for col, s in tables[j]:
-            y, dj, sub = _crout_column(col, low, j, inverse, T)
-            walk(j + 1, sub, dj, e + (y[j - 1] * d if j else 0) - s)
+    def leaf(weights, e, idx):
+        w = (*weights, -1)
+        for term in leaves:
+            counts[(e + sum(map(operator.mul, w, term))) % T] += 1
 
-    walk(0, [()] * n, 0, 0)
+    _crout_walk(tables, inverse, T, leaf)
     return CycValue.from_histogram(counts, Fraction(1, q ** (n * n)))
 
 

@@ -18,9 +18,18 @@ The direct route recomputes Z as the honest double sum over K_H(q)/K_H(q^2)
 and the unipotent cells u in K_N(q)/K_N(q^2), pairing the Whittaker vector
 against the transform pointwise; the product is N_H-invariant and right
 K(q^2)-invariant, so level q^2 is exact.  As y and u y lie in K(q) and the
-translated a_T is central, both phases of a term are mod-q^2 elimination
-kernels on integer rows (`whitmodel` for W, `testfn` for f): no Iwasawa,
-no Fractions, no per-term code shared with the explicit route.
+translated a_T is central, both phases of a term are mod-q^2 eliminations
+on integer rows: no Iwasawa, no Fractions, no per-term code shared with
+the explicit route.  The W phase is read once per y
+(`WhittakerOnH.kq_exponent_mod`) into a table in the order of the
+identity box's columns.  The f phase is read by a column walk: column j
+of u y = u (1 + q X) depends only on column j of X, so per cell u the
+products are walked depth first over their column candidates, one
+left-looking (Crout) LU step mod q^2 per column, by the walk that the
+convolution at integral points runs (`testfn._crout_walk`), and each
+leaf is counted as its own term.  Every u y is u mod q, so the support
+test and the unit-pivot test of the f kernel are made once per cell, on
+u itself.
 
 The parameter enters through conjugation transport: every uniform tau is
 conjugate over the integers to the companion matrix of its characteristic
@@ -54,6 +63,7 @@ from .arith import (
 from .group import (
     Mat,
     SubgroupSpec,
+    box_columns,
     enumerate_cosets,
     gl_order,
     haar_volume,
@@ -61,8 +71,8 @@ from .group import (
     open_cell_density,
 )
 from .params import TauParam
-from .testfn import (TestFunction, _explicit_exponent_mod, mellin_component,
-                     translate_for_H)
+from .testfn import (TestFunction, _crout_walk, _unit_inverses,
+                     mellin_component, translate_for_H)
 from .whitmodel import WhittakerOnH, a_T_element, vol_support_quotient
 
 
@@ -165,6 +175,66 @@ def zeta_explicit(ctx: DepthContext, n: int) -> ZetaResult:
     return ZetaResult(mono.exponents, mono.offset, c, "explicit")
 
 
+def _direct_counts(tf: TestFunction, W: WhittakerOnH) -> list:
+    """The histogram of T = q^2 ints of the direct double sum: one count
+    per term (y, u) under its exponent w(y) + s(u) -/+ f(u y) mod T (see
+    `zeta_direct`).
+
+    y runs over 1 + X, X in q M_n mod q^2, and column j of u y = u (1 + X)
+    depends only on column j of X.  So per cell u the q^n candidates of
+    each column of u y are built once (`group.box_columns`, with zero
+    shares), and the q^{n^2} products are walked depth first, one
+    left-looking LU step mod q^2 per column, by the walk that the
+    convolution runs (`testfn._crout_walk`): at each parent of the last
+    column it hands over the prefix exponent e and the linear form that
+    takes the last column to the last summand, and each leaf is counted
+    on its own, e plus that form at the leaf being f(u y) of
+    `_explicit_exponent_mod`.  w(y) = `WhittakerOnH.kq_exponent_mod(y)` is
+    read once per y, by its own elimination, into a table in the walk's
+    product order, built from the identity box's columns.
+
+    Every u y = u mod q, as y = 1 mod q.  So the two tests of
+    `_explicit_exponent_mod` are made once per cell, on u itself: its
+    support test reads the upper entries of u y mod q, which are those of
+    u; and when they vanish, u y is lower triangular mod q, so its pivots
+    (each leading minor over the one before) are its diagonal entries mod
+    q, which are those of u.  A cell that fails skips all its terms."""
+    ctx, n = tf.ctx, tf.N
+    p, q, T = ctx.p, ctx.q, ctx.T
+    sign = -1 if tf.conjugate else 1
+    inverse = _unit_inverses(p, T)
+    coords = [(i, j) for i in range(n) for j in range(n)]
+    ranges = [range(0, T, q)] * len(coords)
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    # the members 1 + X of the identity box as column tuples, in the
+    # walk's product order
+    ys = [()]
+    for table in box_columns(ident, 1, [1] * n, coords, ranges, {}):
+        ys = [y + (col,) for y in ys for col, _ in table]
+    wy = [W.kq_exponent_mod(list(zip(*y))) for y in ys]
+    if None in wy:
+        raise ArithmeticError("K(q) points lie on the support")
+    counts = [0] * T
+    for u in enumerate_cosets(SubgroupSpec("KN", n, p, ctx.m), 2 * ctx.m):
+        z = u.num
+        if any(z[i][j] % q for i in range(n) for j in range(i + 1, n)) \
+                or any(not z[i][i] % p for i in range(n)):
+            continue
+        s = int(u.superdiagonal_sum())
+        *tables, last = box_columns(z, 1, [1] * n, coords, ranges, {})
+        leaves = [col[:n - 1] for col, _ in last]
+
+        def leaf(weights, e, idx):
+            base = s + sign * e
+            at = idx * len(leaves)
+            for w, col in zip(wy[at:at + len(leaves)], leaves):
+                counts[(w + base + sign * sum(map(mul, weights, col)))
+                       % T] += 1
+
+        _crout_walk(tables, inverse, T, leaf)
+    return counts
+
+
 def zeta_direct(ctx: DepthContext, n: int) -> ZetaResult:
     """The definitional route: the pairing of W against the transform over
     N_H\\H, as the exact double sum at level q^2.
@@ -179,33 +249,22 @@ def zeta_direct(ctx: DepthContext, n: int) -> ZetaResult:
     u y lie in K(q) and the translated a_T is central (`_central_exponents`:
     it is the Iwasawa a-part of every term, with trivial modular character,
     so offset 0), each term is a root of unity with exponent mod T = q^2
-    w(y) + s(u) -/+ f(u y): w = `WhittakerOnH.kq_exponent_mod`, s the
-    superdiagonal sum of u (psi_T(u)), and f = `_explicit_exponent_mod`,
-    negated when tf.conjugate (None skips the term).  Every term is
-    evaluated on its own and counted in a histogram of exponents, which
-    becomes one value at the end.
+    w(y) + s(u) -/+ f(u y): w = `WhittakerOnH.kq_exponent_mod`, read once
+    per y into a table; s the superdiagonal sum of u (psi_T(u)); and f the
+    exponent of `_explicit_exponent_mod` at u y, negated when tf.conjugate.
+    f is read by a depth-first column walk over the products u y of each
+    cell, with the support and pivot tests made once per cell, on u
+    (`_direct_counts`).  Every term is evaluated on its own and counted in
+    a histogram of exponents, which becomes one value at the end.
     """
     tf = translate_for_H(ctx, n)
     W = WhittakerOnH(ctx, n)
-    T, m = ctx.T, ctx.m
     exps = _central_exponents(tf, W.a_T)
-    sign = -1 if tf.conjugate else 1
-    cells = [(u.num, int(u.superdiagonal_sum())) for u in enumerate_cosets(
-        SubgroupSpec("KN", n, ctx.p, m), 2 * m)]
-    counts = [0] * T
-    for y in enumerate_cosets(SubgroupSpec("Kq", n, ctx.p, m), 2 * m):
-        w = W.kq_exponent_mod(y.num)
-        if w is None:
-            raise ArithmeticError("K(q) points lie on the support")
-        cols = tuple(zip(*y.num))
-        for u, s in cells:
-            e = _explicit_exponent_mod(
-                [[sum(map(mul, r, c)) % T for c in cols] for r in u], ctx)
-            if e is not None:
-                counts[(w + s + sign * e) % T] += 1
+    counts = _direct_counts(tf, W)
     # vol(K_H(q^2)) / vol(fiber) times the cell volume vol(fiber) / q^{dim N}
     total = CycValue.from_histogram(
-        counts, haar_volume(SubgroupSpec("Kq", n, ctx.p, 2 * m)) / len(cells))
+        counts, haar_volume(SubgroupSpec("Kq", n, ctx.p, 2 * ctx.m))
+        / ctx.q ** (n * (n - 1) // 2))
     if total.is_zero():
         raise ArithmeticError("zeta must be a single monomial")
     scalar = total.as_rational()

@@ -100,15 +100,17 @@ def _functions(module: str, wanted: set) -> dict:
 
 def test_transform_value_path_builds_no_per_group_cyc_value():
     # the counted values (the W_fcg cell walk and K-sweep, the convolution
-    # level walk, the vanishing cell sums) are counted in integer
-    # histograms and made values only by `CycValue.from_histogram`, so
-    # these functions never form a root of unity, a running CycSum or a
-    # CycValue at an order they work out themselves
+    # level walk, the vanishing cell sums, the direct zeta double sum) are
+    # counted in integer histograms and made values only by
+    # `CycValue.from_histogram`, so these functions never form a root of
+    # unity, a running CycSum or a CycValue at an order they work out
+    # themselves
     names = {"rslocal.py": {"_w_cell_data", "_box_cells",
                             "_transform_values_over_K", "_phase_at"},
              "testfn.py": {"f_convolution", "_explicit_exponent_at"},
              "group.py": {"box_histograms"},
-             "nicedomain.py": {"_cell_sum", "_a_coefficient"}}
+             "nicedomain.py": {"_cell_sum", "_a_coefficient"},
+             "zeta.py": {"zeta_direct", "_direct_counts"}}
 
     def computed_order(node):
         # a direct `CycValue(order, ...)` call whose order is not a literal
@@ -244,6 +246,44 @@ def test_formula_and_convolution_routes_share_no_kernel():
     assert not found, f"shared kernels: {found}"
 
 
+def _recursive_functions(tree) -> list:
+    """The functions, nested ones included, of a parsed module that call
+    themselves by name."""
+    return [fn.name for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef)
+            and any(isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == fn.name
+                    for node in ast.walk(fn))]
+
+
+def test_coset_walks_share_one_crout_walk():
+    # the convolution at an integral point and the f side of the direct
+    # zeta sum walk the column tables of their terms by the one depth-first
+    # Crout walk `testfn._crout_walk`: neither recurses itself, nothing in
+    # `zeta` takes a Crout step or enumerates a product of tables, and in
+    # `testfn` only the Crout walk and the Bareiss level walk of
+    # `f_convolution` recurse
+    names = {"testfn.py": {"_convolution_integral"},
+             "zeta.py": {"_direct_counts"}}
+    for module, wanted in names.items():
+        for name, fn in _functions(module, wanted).items():
+            assert "_crout_walk" in {getattr(node.func, "id", None)
+                                     for node in ast.walk(fn)
+                                     if isinstance(node, ast.Call)}, name
+            assert not _recursive_functions(fn), name
+    tree = ast.parse((SOURCES[0].parent / "zeta.py").read_text())
+    calls = {getattr(node.func, "id", None) or getattr(node.func, "attr",
+                                                       None)
+             for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert not calls & {"_crout_column", "product"}, calls
+    assert not _recursive_functions(tree)
+    testfn = ast.parse((SOURCES[0].parent / "testfn.py").read_text())
+    assert sorted(top.name for top in testfn.body
+                  if isinstance(top, ast.FunctionDef)
+                  and _recursive_functions(top)) == ["_crout_walk",
+                                                     "f_convolution"]
+
+
 def test_certificates_close_through_certify():
     # the four stabilization certificates close by the one rule
     # `arith.certify`, which raises their `CertificateCapExceeded`, so
@@ -284,7 +324,7 @@ def test_no_truncation_knob_parameters():
     # functions name no d2, as a parameter, a variable or a report field
     d2_free = {"rslocal.py": {"denominator_scan"},
                "nicedomain.py": {"vanishing_check", "hypothesis_diagonal",
-                                 "rho0_report", "_vanishing_row"}}
+                                 "rho0_report", "_vanishing_rows"}}
     for module, wanted in d2_free.items():
         for name, fn in _functions(module, wanted).items():
             names = {getattr(node, "arg", None) or getattr(node, "id", None)

@@ -126,22 +126,25 @@ def test_result_value_semantics():
 
 
 def test_zeta_invariant_raises_when_transform_splits(monkeypatch):
-    """An f-side kernel that skips every term leaves a zero sum, which
+    """An f-side column walk that reaches no term leaves a zero sum, which
     breaks the single-monomial invariant of the direct route; it raises
     ArithmeticError, so it holds even under python -O."""
     from padiczeta import zeta
 
-    monkeypatch.setattr(zeta, "_explicit_exponent_mod", lambda z, ctx: None)
+    monkeypatch.setattr(zeta, "_crout_walk",
+                        lambda tables, inverse, T, leaf: None)
     with pytest.raises(ArithmeticError, match="single monomial"):
         zeta_direct(CTX21, 2)
 
 
 def test_zeta_invariant_raises_when_constant_is_irrational(monkeypatch):
-    """A constant f exponent 1 at rank 1, where every W phase is 1, makes
+    """An f-side column walk whose one parent gets the prefix exponent 1
+    at rank 1, where the leaves add nothing and every W phase is 1, makes
     the sum q zeta_T^{-1}: not rational, so the direct route raises
     ArithmeticError, even under python -O."""
     from padiczeta import zeta
 
-    monkeypatch.setattr(zeta, "_explicit_exponent_mod", lambda z, ctx: 1)
+    monkeypatch.setattr(zeta, "_crout_walk",
+                        lambda tables, inverse, T, leaf: leaf([], 1, 0))
     with pytest.raises(ArithmeticError, match="rational before roots"):
         zeta_direct(CTX21, 1)

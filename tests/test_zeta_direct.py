@@ -13,12 +13,18 @@ read mod q^2 by two integer kernels: the W side
 `WhittakerOnH.kq_exponent_mod(y)` and the f side
 `_explicit_exponent_mod(u y)`.  Both are checked pointwise against the
 Fraction routes they replace (`WhittakerOnH.value_parts` and
-`mellin_component`), and the direct route is checked to run none of the
-explicit route's code, and the other way round.
+`mellin_component`).  The route reads the f side by the column walk
+`testfn._crout_walk`, which is checked leaf by leaf against
+`_explicit_exponent_mod(u y)`, and its histogram is checked int for int
+against the per-term twin `tests/twins.py` `zeta_direct_counts`.  The
+direct route is checked to run none of the explicit route's code, and the
+other way round.
 """
 
+import itertools
 import json
 import sys
+from operator import mul
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -35,11 +41,15 @@ import padiczeta.testfn
 import padiczeta.whitmodel
 import padiczeta.zeta
 from padiczeta.arith import CycValue, DepthContext
-from padiczeta.group import Mat
-from padiczeta.testfn import (_explicit_exponent_mod, mellin_component,
+from padiczeta.group import Mat, box_columns, enumerate_cosets
+from padiczeta.testfn import (_crout_walk, _explicit_exponent_mod,
+                             _unit_inverses, mellin_component,
                              translate_for_H)
 from padiczeta.whitmodel import WhittakerOnH
-from padiczeta.zeta import _central_exponents, zeta_direct, zeta_explicit
+from padiczeta.zeta import (_central_exponents, _direct_counts, zeta_direct,
+                            zeta_explicit)
+
+import twins
 
 GOLDEN_FILE = Path(__file__).parent / "golden" / "zeta-direct.json"
 # (p, m, n)
@@ -116,6 +126,109 @@ def test_f_kernel_matches_mellin_component(args):
         assert mono.scalar == CycValue.root_of_unity(ctx.T, sign * e)
 
 
+# -- the column walk against the per-term double loop ------------------------
+
+def _counts(p, m, n):
+    ctx = DepthContext(p, m)
+    return _direct_counts(translate_for_H(ctx, n), WhittakerOnH(ctx, n))
+
+
+def test_direct_counts_match_the_per_term_twin():
+    for p, m, n in INSTANCES:
+        assert _counts(p, m, n) == twins.zeta_direct_counts(
+            DepthContext(p, m), n), (p, m, n)
+
+
+def test_direct_counts_skip_the_cells_off_the_support(monkeypatch):
+    # cells that no transversal of K_N(q) holds: one with a non-unit pivot
+    # (p in the last diagonal entry), one off the support (a unit upper
+    # corner) and two on the support that are not unipotent (1 + q on the
+    # diagonal, and a unit lower corner); the walk skips the first two, as
+    # the per-term loop does term by term, and reads the others
+    def with_extra_cells(spec, L):
+        reps = enumerate_cosets(spec, L)
+        if spec.tag != "KN":
+            return reps
+        n, p, q = spec.N, spec.p, spec.p ** spec.e
+        changes = [{(n - 1, n - 1): p}, {(0, 0): 1 + q}]
+        if n > 1:
+            changes += [{(0, n - 1): 1}, {(0, 0): 1 + q, (n - 1, 0): 1}]
+        extra = []
+        for change in changes:
+            rows = [[change.get((i, j), int(i == j)) for j in range(n)]
+                    for i in range(n)]
+            extra.append(Mat(rows, p))
+        return reps + extra
+
+    monkeypatch.setattr(padiczeta.zeta, "enumerate_cosets", with_extra_cells)
+    monkeypatch.setattr(twins, "enumerate_cosets", with_extra_cells)
+    for p, m, n in INSTANCES:
+        assert _counts(p, m, n) == twins.zeta_direct_counts(
+            DepthContext(p, m), n), (p, m, n)
+
+
+def test_direct_counts_match_the_twin_at_rank_3_and_q_3(monkeypatch):
+    # every term exponent is a multiple of q, so its sign is lost mod q^2
+    # at q = 2, and at rank 2 the walk's prefix exponent is 0: the sign of
+    # the prefix exponent shows only from rank 3 at q >= 3, here on the
+    # first cell of K_N(q), the identity, which keeps the per-term loop
+    # short
+    def first_cell(spec, L):
+        reps = enumerate_cosets(spec, L)
+        return reps[:1] if spec.tag == "KN" else reps
+
+    monkeypatch.setattr(padiczeta.zeta, "enumerate_cosets", first_cell)
+    monkeypatch.setattr(twins, "enumerate_cosets", first_cell)
+    assert _counts(3, 1, 3) == twins.zeta_direct_counts(DepthContext(3, 1),
+                                                        3)
+
+
+@st.composite
+def walk_points(draw):
+    """(ctx, z): a golden instance's context and the integer rows of an
+    n x n z on the support of f, upper entries multiples of q and the
+    diagonal units, with entries drawn past q^2 (the walk reads them mod
+    q^2); the cells u of K_N(q) are among them."""
+    p, m, n = draw(st.sampled_from(INSTANCES))
+    ctx = DepthContext(p, m)
+    q, T = ctx.q, ctx.T
+    entry = st.integers(0, p * T - 1)
+    z = [[q * draw(entry) if i < j else
+          draw(entry.filter(lambda x: x % p)) if i == j else draw(entry)
+          for j in range(n)] for i in range(n)]
+    return ctx, z
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(walk_points())
+def test_walk_leaves_match_explicit_exponent(args):
+    # each leaf of the column walk over the box z (1 + X), X in q M_n mod
+    # q^2, has the exponent of `_explicit_exponent_mod` at its own term,
+    # the product of z with the member 1 + X of the identity box at the
+    # same index of the itertools.product order
+    ctx, z = args
+    n, q, T = len(z), ctx.q, ctx.T
+    coords = [(i, j) for i in range(n) for j in range(n)]
+    ranges = [range(0, T, q)] * len(coords)
+    *tables, last = box_columns(z, 1, [1] * n, coords, ranges, {})
+    got = {}
+
+    def leaf(weights, e, idx):
+        for k, (col, _) in enumerate(last):
+            got[idx * len(last) + k] = (
+                e + sum(map(mul, weights, col[:n - 1]))) % T
+
+    _crout_walk(tables, _unit_inverses(ctx.p, T), T, leaf)
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    members = list(itertools.product(
+        *box_columns(ident, 1, [1] * n, coords, ranges, {})))
+    assert sorted(got) == list(range(len(members)))
+    for idx, member in enumerate(members):
+        y = list(zip(*(col for col, _ in member)))
+        zy = [[sum(map(mul, r, c)) for c in zip(*y)] for r in z]
+        assert got[idx] == _explicit_exponent_mod(zy, ctx), (idx, y)
+
+
 # -- the two routes share no per-term code -----------------------------------
 
 MODULES = (padiczeta.arith, padiczeta.cli, padiczeta.group,
@@ -145,7 +258,8 @@ def test_direct_route_runs_no_explicit_route_code(monkeypatch):
 def test_explicit_route_runs_no_direct_route_kernel(monkeypatch):
     want = {(p, m, n): zeta_explicit(DepthContext(p, m), n)
             for p, m, n in INSTANCES}
-    _forbid(monkeypatch, "_J_exponent_mod")
+    for name in ("_J_exponent_mod", "_crout_column", "_crout_walk"):
+        _forbid(monkeypatch, name)
     for (p, m, n), z in want.items():
         assert zeta_explicit(DepthContext(p, m), n).agrees_with(z)
 

@@ -9,16 +9,23 @@ Each function here is the slow, definitional form of a fast path in
 - `coset_sum(g, ctx, L)`, the normalized sum of J(g r) conj(chi_theta(r))
   over the `Mat` representatives r of K(q)/K(q^L); the level walk of
   `testfn.f_convolution(g, ctx, L=L)` is checked against it byte for byte.
+- `zeta_direct_counts(ctx, n)`, the histogram of the direct zeta double
+  sum with every term (y, u) evaluated on its own: the product u y formed
+  in full and its f exponent read by `testfn._explicit_exponent_mod`; the
+  column walk of `zeta._direct_counts` is checked against it int for int.
 
 The file is not collected by pytest; the test modules import it.
 """
 
 from fractions import Fraction
+from operator import mul
 
 from padiczeta.arith import CycSum, CycValue, DepthContext, psi_T, valuation
 from padiczeta.group import (Mat, SubgroupSpec, bruhat_open_cell,
                              enumerate_cosets)
 from padiczeta.params import chi_tau_eval, theta_matrix
+from padiczeta.testfn import _explicit_exponent_mod, translate_for_H
+from padiczeta.whitmodel import WhittakerOnH
 
 
 def J_open_cell(g: Mat, ctx: DepthContext) -> CycValue:
@@ -47,3 +54,29 @@ def coset_sum(g: Mat, ctx: DepthContext, L: int) -> CycValue:
             continue
         total.add(term * chi_tau_eval(theta, r).conj())
     return total.value() * Fraction(1, ctx.p ** ((L - ctx.m) * n * n))
+
+
+def zeta_direct_counts(ctx: DepthContext, n: int) -> list:
+    """The definitional twin of the direct zeta double sum: the histogram
+    of T ints of the term exponents w(y) + s(u) -/+ f(u y) mod T, over the
+    `Mat` representatives y of K_H(q)/K_H(q^2) and the cells u of
+    K_N(q)/K_N(q^2), each term's product u y formed in full and read by
+    `_explicit_exponent_mod` (None skips the term)."""
+    tf = translate_for_H(ctx, n)
+    W = WhittakerOnH(ctx, n)
+    T, m = ctx.T, ctx.m
+    sign = -1 if tf.conjugate else 1
+    cells = [(u.num, int(u.superdiagonal_sum())) for u in enumerate_cosets(
+        SubgroupSpec("KN", n, ctx.p, m), 2 * m)]
+    counts = [0] * T
+    for y in enumerate_cosets(SubgroupSpec("Kq", n, ctx.p, m), 2 * m):
+        w = W.kq_exponent_mod(y.num)
+        if w is None:
+            raise ArithmeticError("K(q) points lie on the support")
+        cols = tuple(zip(*y.num))
+        for u, s in cells:
+            e = _explicit_exponent_mod(
+                [[sum(map(mul, r, c)) % T for c in cols] for r in u], ctx)
+            if e is not None:
+                counts[(w + s + sign * e) % T] += 1
+    return counts
