@@ -536,28 +536,6 @@ class MellinMonomial:
                 f"exps={self.exponents}, offset={self.offset})")
 
 
-class MellinPoly:
-    """A finite sum of Mellin monomials with CycValue coefficients, keyed by
-    (exponent vector, offset).  This is the value type of symbolic-in-s
-    character sums: zero means zero for every specialization of s."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self):
-        self.terms: dict[tuple[tuple[int, ...], int], CycSum] = {}
-
-    def add_monomial(self, mono: MellinMonomial, coeff=1) -> None:
-        scalar = mono.scalar
-        if isinstance(scalar, SqrtRational):
-            raise TypeError("MellinPoly sums CycValue-scaled monomials only")
-        key = (mono.exponents, mono.offset)
-        self.terms.setdefault(key, CycSum()).add(_as_cyc(scalar) * coeff)
-
-    def nonzero_terms(self) -> dict:
-        return {k: c for k, acc in self.terms.items()
-                for c in (acc.value(),) if not c.is_zero()}
-
-
 # ---------------------------------------------------------------------------
 # serialization helpers (shared text formats)
 # ---------------------------------------------------------------------------

@@ -88,6 +88,8 @@ class RunConfig:
             raise ValueError("jobs must be >= 1")
         if self.box < 0:
             raise ValueError("box must be >= 0")
+        if self.slope_max is not None and self.slope_max < 0:
+            raise ValueError("slope max must be >= 0")
 
     @property
     def ctx(self) -> DepthContext:
@@ -209,14 +211,12 @@ def _suite_concentration(config: RunConfig) -> list:
     ctx, n = config.ctx, config.rank
     coeffs = [1, 1] if n == 2 else [-1] + [0] * (n - 1)
     tau = companion_matrix(coeffs, ctx)
-    # profiles beyond the unit shell can land on the support translate
-    # itself (where no contradicting unipotent exists), so part two is
-    # scanned at box 1
-    rep = concentration_check(tau, box=1)
+    rep = concentration_check(tau)
     return [
         _check("subcyclic conjugators are integral-unipotent",
                rep["integral_violations"] == [],
                {"checked": rep["integral_checked"]}),
+        # part two scans the unit shell of profiles, [-1, 1]^n
         _check("contradicting unipotent found off the integral image",
                rep["nonintegral_failures"] == [],
                {"checked": rep["nonintegral_checked"], "box": 1}),

@@ -195,7 +195,12 @@ class Mat:
         return self.den % self.p != 0
 
     def in_K(self) -> bool:
-        return self.is_integral() and self.det().numerator % self.p != 0
+        # with p prime to den, p divides det = D / den^n iff it divides
+        # the last Bareiss pivot, which is D up to sign
+        if not self.is_integral():
+            return False
+        out = _eliminate(self.num, _first_nonzero)
+        return out is not None and out[0][-1][-1] % self.p != 0
 
     def in_congruence(self, e: int) -> bool:
         """Membership in K(p^e): congruent to 1 modulo p^e entrywise."""
@@ -275,7 +280,10 @@ def p_power_diag(exps, p: int) -> Mat:
 # ---------------------------------------------------------------------------
 
 def _first_nonzero(row, i):
-    return next(((j, None) for j in range(i, len(row)) if row[j]), None)
+    for j in range(i, len(row)):
+        if row[j]:
+            return j, None
+    return None
 
 
 def _diagonal_pivot(row, i):
@@ -566,18 +574,14 @@ def minor_norm_M(g: Mat, l: int) -> Fraction:
         best = max(best, norm(sub.det(), g.p))
     return best
 
-def modular_delta(a: Mat, side: str = "N") -> Fraction:
-    """delta_N(a) = prod_{i<j} |a_i/a_j|; delta_U is its inverse."""
+def modular_delta(a: Mat) -> Fraction:
+    """delta_N(a) = prod_{i<j} |a_i/a_j| (delta_U is its inverse)."""
     d = a.diagonal()
     out = Fraction(1)
     for i in range(len(d)):
         for j in range(i + 1, len(d)):
             out *= norm(d[i] / d[j], a.p)
-    if side == "N":
-        return out
-    if side == "U":
-        return 1 / out
-    raise ValueError("side must be 'N' or 'U'")
+    return out
 
 
 def modular_delta_half_exponent(a: Mat, side: str = "N") -> Fraction:

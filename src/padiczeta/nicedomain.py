@@ -333,14 +333,12 @@ def _base_points(n: int, p: int, cap: int | None) -> list:
     return kept
 
 
-def scan_box_domains(n: int, p: int, rho: int, cap: int | None = None) -> list:
-    """All slope-rho cells (every admissible base point over Z/p^n); with
-    cap, a deterministic subsample keeping at most cap base points per
-    (remainder, pivot) class."""
+def scan_box_domains(n: int, p: int, rho: int) -> list:
+    """All slope-rho cells (every admissible base point over Z/p^n)."""
     if rho < 1:
         raise ValueError("positive slope required")
     return [NiceDomain(n, p, rho, l, base, pivot)
-            for l, pivot, base in _base_points(n, p, cap)]
+            for l, pivot, base in _base_points(n, p, None)]
 
 
 # -- the two-parameter family of moves --------------------------------------
@@ -847,20 +845,19 @@ def _pmap(fn, tasks, jobs: int) -> list:
         return list(pool.map(fn, tasks, chunksize=1))
 
 
-def rho0_report(f: EClassElement, s: tuple | None = None,
-                slope_max: int | None = None, domain_cap: int = 2,
-                k_count: int = 2, jobs: int = 1) -> dict:
-    """Empirical vanishing threshold: evaluate the cell character sum for
-    every scan-box cell of each slope up to slope_max (and the slope-0
-    cell), at the canonical hypothesis diagonal and a few K-coset
+def rho0_report(f: EClassElement, slope_max: int | None = None,
+                domain_cap: int = 2, k_count: int = 2,
+                jobs: int = 1) -> dict:
+    """Empirical vanishing threshold: evaluate the cell character sum at
+    s = 0 for every scan-box cell of each slope up to slope_max (and the
+    slope-0 cell), at the canonical hypothesis diagonal and a few K-coset
     representatives.  rho0 is one past the largest slope with a nonzero
     value; every tested cell of slope >= rho0 summed to exactly zero.
     The rows are computed over `jobs` worker processes and come back in
     the same order for every job count."""
     ctx, n = f.ctx, f.n
     p, m = ctx.p, ctx.m
-    if s is None:
-        s = tuple(0 for _ in range(n))
+    s = (0,) * n
     if slope_max is None:
         slope_max = 4 * m + n
     a = hypothesis_diagonal(ctx, n)

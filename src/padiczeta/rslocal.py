@@ -349,8 +349,11 @@ def W_fcg(f: EClassElement, c: Mat, a: Mat, k: Mat) -> WValue:
     with Q.  Only k mod q^2 is built per call, and `_phase_at` reads each
     box at it: one integer histogram of (psi exponent, phase exponent)
     pairs, made a value by `CycValue.from_histogram` at the factor orders
-    (p^B, T).  The dual element takes `_w_direct`.
+    (p^B, T).  The dual element takes `_w_direct`.  k must lie in K: the
+    cells are read at k mod q^2 only.
     """
+    if not k.in_K():
+        raise ValueError("k must lie in K")
     coeff = _coeff(f, c)
     zk = None if f.dual else residue_rows(k, 2 * f.ctx.m)
     _, (_, phase) = certify(
@@ -546,7 +549,7 @@ def _q_single_box(f: EClassElement, c: Mat, nprime: int,
     total = CycSum()
     for a, cells in _outer_diagonals(f, c, nprime, B):
         inner = _k_square_sum(f, cells, kreps)
-        total.add(inner * (vol_kq / modular_delta(a, "N")))
+        total.add(inner * (vol_kq / modular_delta(a)))
     return total.value() * _coeff(f, c).squared()
 
 
@@ -633,9 +636,9 @@ def QP_nonvanishing_check(f: EClassElement, nprime: int, det_window) -> dict:
             "D_P": dp}
 
 
-def denominator_scan(f: EClassElement, window: int | None = None) -> dict:
+def denominator_scan(f: EClassElement) -> dict:
     """Empirical denominator control.  Over diagonal c = diag(p^{-e_i})
-    with sizes e_i scanned up to `window` (entries below p^{-m} are not
+    with sizes e_i scanned up to 6m (entries below p^{-m} are not
     probed beyond rank 2: tiny |c_i| cannot attain the maximum), keep
     those whose pinned outer diagonal is admissible (|a_n| = 1 and
     simple-root coordinates within T) and test the transform on a
@@ -646,14 +649,13 @@ def denominator_scan(f: EClassElement, window: int | None = None) -> dict:
     ctx, n = f.ctx, f.n
     m = ctx.m
     p = ctx.p
-    window = window if window is not None else 6 * m
     kreps = _k_transversal(ctx, n)
-    lo = -window if n <= 2 else -m
+    lo = -6 * m if n <= 2 else -m
     B = BOX_START + 1
     coords = [(k, l) for k in range(n) for l in range(k + 1, n)]
     best = None
     table, skipped = [], []
-    for es in itertools.product(range(lo, window + 1), repeat=n):
+    for es in itertools.product(range(lo, 6 * m + 1), repeat=n):
         c = p_power_diag([-e for e in es], p)
         a, ev = pinned_outer_diagonal(f, c)
         if ev[-1] != 0:

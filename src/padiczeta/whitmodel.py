@@ -186,14 +186,16 @@ def find_contradicting_unipotent(tau: TauParam, h: Mat):
     return None
 
 
-def concentration_check(tau: TauParam, box: int = 2):
+def concentration_check(tau: TauParam):
     """Full report for the support concentration of chi_tau-equivariant
     Whittaker functions restricted to H.
 
     Part one is the exhaustive integral statement; part two produces, for
-    every nontrivial valuation profile in [-box, box]^n and every residue
+    every nontrivial valuation profile in [-1, 1]^n and every residue
     class of K_H mod p, a contradicting unipotent.  tau should be stable
-    and subcyclic for part two to succeed.
+    and subcyclic for part two to succeed.  Part two stays in the unit
+    shell because profiles beyond it can land on the support translate
+    itself, where no contradicting unipotent exists.
     """
     ctx = tau.ctx
     N = tau.n
@@ -206,7 +208,7 @@ def concentration_check(tau: TauParam, box: int = 2):
         "nonintegral_checked": 0,
     }
     profiles = [prof for prof in
-                itertools.product(range(-box, box + 1), repeat=n)
+                itertools.product(range(-1, 2), repeat=n)
                 if any(prof)]
     kreps = [k.embed(N).lift() for k in enumerate_GL(n, ctx.p, 1)]
     for prof in profiles:

@@ -52,10 +52,10 @@ from fractions import Fraction
 from operator import mul
 
 from .arith import (
+    CycSum,
     CycValue,
     DepthContext,
     MellinMonomial,
-    MellinPoly,
     SqrtRational,
     psi_T,
     valuation,
@@ -80,7 +80,7 @@ def fiber_volume(ctx: DepthContext, n: int) -> Fraction:
     """vol(a_T K_N(q) a_T^{-1}): the stretch multiplies each entry volume
     by a T-power, with total the unipotent modular character at a_T."""
     aT = a_T_element(ctx, n)
-    return modular_delta(aT, "N") * haar_volume(
+    return modular_delta(aT) * haar_volume(
         SubgroupSpec("KN", n, ctx.p, ctx.m))
 
 
@@ -119,22 +119,27 @@ def _central_exponents(tf: TestFunction, aT: Mat):
     return tuple(v // ctx.m for v in vals)
 
 
-def _transform_poly(tf: TestFunction) -> MellinPoly:
-    """Wf[s](a_T) = integral over N_H of f[s](n a_T) psi(n) dn as an exact
-    finite sum.
+def whittaker_transform_at_aT(ctx: DepthContext, n: int):
+    """The transform at the antidominant point itself, as (monomial, c1).
 
-    Substituting n = a_T u a_T^{-1} confines u to the congruence
-    unipotents, and each level-q^2 cell carries the constant value
-    f[s](a_T u) psi(a_T u a_T^{-1}) times the stretched cell volume.
+    Wf[s](a_T) = integral over N_H of f[s](n a_T) psi(n) dn is an exact
+    finite sum.  Substituting n = a_T u a_T^{-1} confines u to the
+    congruence unipotents, and each level-q^2 cell carries the constant
+    value f[s](a_T u) psi(a_T u a_T^{-1}) times the stretched cell volume.
     Conjugation by a_T scales every superdiagonal entry by Ttilde, so
-    psi(a_T u a_T^{-1}) = psi_T(u).
+    psi(a_T u a_T^{-1}) = psi_T(u).  Every cell meeting the support has
+    the central exponents (and so one offset), so the cells sum to one
+    monomial, whose coefficient is collected in one `CycSum`.
+
+    The honest cell sum is evaluated and checked against the closed form:
+    scalar = vol(a_T K_N(q) a_T^{-1}), exponent n+1 per Mellin coordinate.
     """
-    ctx, n = tf.ctx, tf.N
+    tf = translate_for_H(ctx, n)
     aT = a_T_element(ctx, n)
     dim_n = n * (n - 1) // 2
-    cell = modular_delta(aT, "N") * Fraction(1, ctx.p ** (2 * ctx.m * dim_n))
+    cell = modular_delta(aT) * Fraction(1, ctx.p ** (2 * ctx.m * dim_n))
     exps = _central_exponents(tf, aT)
-    poly = MellinPoly()
+    total, off = CycSum(), None
     for u in enumerate_cosets(SubgroupSpec("KN", n, ctx.p, ctx.m),
                               2 * ctx.m):
         psi_val = psi_T(u.superdiagonal_sum(), ctx)
@@ -143,22 +148,11 @@ def _transform_poly(tf: TestFunction) -> MellinPoly:
             continue
         if mono.exponents != exps:
             raise ArithmeticError("cell monomial off the central exponents")
-        poly.add_monomial(mono, psi_val * cell)
-    return poly
-
-
-def whittaker_transform_at_aT(ctx: DepthContext, n: int):
-    """The transform at the antidominant point itself, as (monomial, c1).
-
-    The honest cell sum is evaluated and checked against the closed form:
-    scalar = vol(a_T K_N(q) a_T^{-1}), exponent n+1 per Mellin coordinate.
-    """
-    tf = translate_for_H(ctx, n)
-    poly = _transform_poly(tf)
-    terms = poly.nonzero_terms()
-    if len(terms) != 1:
+        total.add(psi_val * cell * mono.scalar)
+        off = mono.offset
+    coeff = total.value()
+    if coeff.is_zero():  # also when no cell meets the support
         raise ArithmeticError("transform must be a single monomial")
-    (exps, off), coeff = next(iter(terms.items()))
     scalar = coeff.as_rational()
     if scalar is None or scalar != fiber_volume(ctx, n):
         raise ArithmeticError("transform scalar must be the fiber volume")
@@ -312,14 +306,14 @@ def volume_lemma_suite(ctx: DepthContext, n: int) -> dict:
     items = []
 
     lhs1 = vol_support_quotient(ctx, n)
-    ref1 = (1 / modular_delta(aT, "N")) * sqT ** (-(n * (n + 1)) // 2)
+    ref1 = (1 / modular_delta(aT)) * sqT ** (-(n * (n + 1)) // 2)
     expect1 = Fraction(p ** (n * n), gl_order(n, p, 1))
     items.append({"name": "support-volume", "lhs": lhs1, "reference": ref1,
                   "constant": lhs1 / ref1,
                   "depth_free": lhs1 / ref1 == expect1})
 
     lhs2 = tf.c1.squared()
-    ref2 = (1 / modular_delta(tf.shift_mat().inv(), "N")) \
+    ref2 = (1 / modular_delta(tf.shift_mat().inv())) \
         * sqT ** (n * (n - 1) // 2)
     expect2 = 1 / open_cell_density(n, p)
     items.append({"name": "normalization", "lhs": lhs2, "reference": ref2,
@@ -327,7 +321,7 @@ def volume_lemma_suite(ctx: DepthContext, n: int) -> dict:
                   "depth_free": lhs2 / ref2 == expect2})
 
     lhs3 = fiber_volume(ctx, n)
-    ref3 = modular_delta(aT, "N") * sqT ** (-(n * (n - 1)) // 2)
+    ref3 = modular_delta(aT) * sqT ** (-(n * (n - 1)) // 2)
     items.append({"name": "fiber-volume", "lhs": lhs3, "reference": ref3,
                   "constant": lhs3 / ref3,
                   "depth_free": lhs3 / ref3 == 1})

@@ -53,6 +53,7 @@ from padiczeta.testfn import f_convolution, f_explicit
 from padiczeta.whitmodel import concentration_check
 from padiczeta.zeta import volume_lemma_suite, zeta_direct, zeta_explicit, \
     zeta_for_parameter
+from twins import sampled_domains
 
 MATRIX = [(2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 2, 2)]
 
@@ -108,11 +109,11 @@ def test_criterion_04_concentration():
     # residue group; the rank-2 pair as a degenerate sanity instance
     for p in (2, 3):
         tau = companion_matrix([-1, 0, 0], _ctx(p, 1))
-        rep = concentration_check(tau, box=1)
+        rep = concentration_check(tau)
         assert rep["integral_violations"] == []
         assert rep["nonintegral_failures"] == []
         assert rep["nonintegral_checked"] > 0
-    rep2 = concentration_check(companion_matrix([1, 1], _ctx(2, 1)), box=1)
+    rep2 = concentration_check(companion_matrix([1, 1], _ctx(2, 1)))
     assert rep2["integral_violations"] == []
     assert rep2["nonintegral_failures"] == []
 
@@ -224,7 +225,7 @@ def test_criterion_07_rs_support_laws():
         assert tab["ratio_max"] <= tab["bound_rhs"]
         qp = QP_nonvanishing_check(f2, 1, range(-1, 3))
         assert qp["violations"] == []
-    ds2 = denominator_scan(standard_E_element(_ctx(2, 1), 2), window=4)
+    ds2 = denominator_scan(standard_E_element(_ctx(2, 1), 2))
     assert ds2["max_e"] == 1 and ds2["empirical_d"] == Fraction(1, 2)
     # pair rank 3 over rank 2
     f3 = standard_E_element(_ctx(2, 1), 3)
@@ -237,7 +238,7 @@ def test_criterion_07_rs_support_laws():
     assert qp3["nonzero_inside"] == 2
     qp3b = QP_nonvanishing_check(f3, 2, range(-1, 4))
     assert qp3b["violations"] == []
-    ds3 = denominator_scan(f3, window=3)
+    ds3 = denominator_scan(f3)
     assert ds3["max_e"] == 2 and ds3["empirical_d"] == 1
 
 
@@ -249,7 +250,7 @@ def test_criterion_08_nice_domain_suite():
         assert sum(rep["counts"]) == rep["classes"]
     # two-parameter move on every tested (domain, u, x)
     for dom in (scan_box_domains(2, 2, 7)[:2]
-                + scan_box_domains(3, 2, 7, cap=1)[:3]):
+                + sampled_domains(3, 2, 7)[:3]):
         u = dom.representative()
         for x in (1, 2, 3):
             props = q1_q2_properties(dom, u, x)

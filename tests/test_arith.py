@@ -11,7 +11,6 @@ from padiczeta.arith import (
     CycValue,
     DepthContext,
     MellinMonomial,
-    MellinPoly,
     SqrtRational,
     cyclotomic_poly,
     frac_part,
@@ -239,7 +238,7 @@ def test_sqrt_rational():
     assert SqrtRational.sqrt(5).as_rational() is None
 
 
-# -- MellinMonomial / MellinPoly -------------------------------------------
+# -- MellinMonomial ---------------------------------------------------------
 
 def test_monomial_examples():
     # T^{s1 + 1/2}: exponent 2 in T^(1/2)-units, offset 1
@@ -248,23 +247,6 @@ def test_monomial_examples():
     # closed-form zeta exponent at n=2: offset -2 in T^(1/2) units
     zeta_shape = MellinMonomial(Fraction(1), (3, 3), -2)
     assert zeta_shape.offset == -2
-
-
-def test_mellin_poly_zero_detection():
-    poly = MellinPoly()
-    z = CycValue.root_of_unity(4, 1)
-    poly.add_monomial(MellinMonomial(z, (1,), 0))
-    poly.add_monomial(MellinMonomial(z, (2,), 0))  # different exponent key
-    assert set(poly.nonzero_terms()) == {((1,), 0), ((2,), 0)}
-    # z4 + z4^3 = 0 within a single exponent key
-    poly.add_monomial(MellinMonomial(z * z * z, (1,), 0))
-    assert set(poly.nonzero_terms()) == {((2,), 0)}
-    poly.add_monomial(MellinMonomial(z, (2,), 0), coeff=-1)
-    assert poly.nonzero_terms() == {}
-    poly2 = MellinPoly()
-    poly2.add_monomial(MellinMonomial(z, (1,), 0))
-    poly2.add_monomial(MellinMonomial(z, (1,), 0), coeff=-1)
-    assert poly2.nonzero_terms() == {}
 
 
 def test_text_roundtrip():

@@ -30,6 +30,20 @@ def test_runconfig_validation():
         RunConfig(suite="zeta", p=2, m=1, rank=2, pair_rank=2)
 
 
+def test_negative_slope_max_is_a_config_error(capsys):
+    # a negative slope bound scans no cell, so every check would pass on
+    # nothing; it is refused before any suite runs
+    RunConfig(suite="nicedomain-vanishing", p=2, m=1, rank=2, slope_max=0)
+    with pytest.raises(ValueError, match="slope max"):
+        RunConfig(suite="nicedomain-vanishing", p=2, m=1, rank=2,
+                  slope_max=-1)
+    assert main(["verify", "--suite", "nicedomain-vanishing", "--p", "2",
+                 "--slope-max", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "configuration error: slope max must be >= 0\n"
+
+
 def test_exit_code_config_error(capsys):
     assert main(["verify", "--suite", "zeta", "--p", "4"]) == 2
     with pytest.raises(SystemExit) as exc:
@@ -192,6 +206,15 @@ def test_eval_Wfcg(capsys):
                  "--m", "1"]) == 0
     val = json.loads(capsys.readouterr().out)
     assert "zero" in val
+
+
+def test_eval_Wfcg_k_outside_K_is_a_config_error(capsys):
+    # det k = 8 is not a unit at p = 2, so k is not in K
+    assert main(["eval", "Wfcg", "--p", "2", "--c", "1,0;0,1",
+                 "--a", "1/8,0;0,1", "--k", "6,7;4,6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "configuration error: k must lie in K\n"
 
 
 GOLDEN = Path(__file__).parent / "golden"

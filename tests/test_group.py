@@ -173,16 +173,14 @@ def test_minor_norm():
 
 def test_modular_delta():
     ident = Mat.identity(2, 2)
-    assert modular_delta(ident, "N") == 1
+    assert modular_delta(ident) == 1
     a = Mat.diag([2, 1], 2)
-    assert modular_delta(a, "N") == Fraction(1, 2)
-    assert modular_delta(a, "U") == 2
+    assert modular_delta(a) == Fraction(1, 2)
     rng = random.Random(3)
     for _ in range(30):
         d = Mat.diag([Fraction(2) ** rng.randint(-3, 3) for _ in range(3)], 2)
-        assert modular_delta(d, "N") * modular_delta(d, "U") == 1
         he = modular_delta_half_exponent(d, "N")
-        assert Fraction(2) ** (2 * he) == modular_delta(d, "N")
+        assert Fraction(2) ** (2 * he) == modular_delta(d)
 
 
 # -- volumes ----------------------------------------------------------------

@@ -113,13 +113,16 @@ def test_storage_round_trips(a, p):
 @KERNEL_SETTINGS
 @given(matrices(), primes)
 def test_det_and_inverse_match_reference(a, p):
-    # the drawn matrix, and a singular copy whose last row is the sum of
-    # the others
+    # the drawn matrix, a singular copy whose last row is the sum of the
+    # others, and the integral matrix of its numerators
     last = [sum(col[:-1], Fraction(0)) for col in zip(*a)]
-    for m in (a, a[:-1] + [last]):
+    ints = [[Fraction(x.numerator) for x in r] for r in a]
+    for m in (a, a[:-1] + [last], ints):
         g = Mat(m, p)
         d = ref_det(m)
         assert g.det() == d
+        assert g.in_K() == (all(vp(x, p) >= 0 for r in m for x in r if x)
+                            and d != 0 and vp(d, p) == 0)
         if d == 0:
             with pytest.raises(ZeroDivisionError):
                 g.inv()

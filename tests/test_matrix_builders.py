@@ -17,9 +17,10 @@ from padiczeta.group import (Mat, SubgroupSpec, box_columns, box_histograms,
                              enumerate_cosets, p_power_diag, unipotent_box)
 from padiczeta import nicedomain
 from padiczeta.nicedomain import (NiceDomain, _cell_sum, _region_classes,
-                                  conj_by_A, scan_box_domains)
+                                  conj_by_A)
 from padiczeta.residue import residue_rows
 from padiczeta.rslocal import _cell_levels, _u_cells, standard_E_element
+from twins import sampled_domains
 
 CTX21 = DepthContext(2, 1)
 
@@ -285,7 +286,7 @@ def member_cases():
         yield NiceDomain(n, p, 0, 0, None, None), flat
         yield NiceDomain(n, p, 0, 0, None, None), mixed
         for rho in (1, 3):
-            for dom in scan_box_domains(n, p, rho, cap=1):
+            for dom in sampled_domains(n, p, rho):
                 yield dom, flat if dom.remainder % 2 else mixed
 
 

@@ -29,6 +29,7 @@ from padiczeta.nicedomain import (
     verify_partition,
 )
 from padiczeta.rslocal import standard_E_element
+from twins import sampled_domains
 
 CTX21 = DepthContext(2, 1)
 F2 = standard_E_element(CTX21, 2)
@@ -74,7 +75,7 @@ def test_classify_staircase_family():
 
 
 def test_classify_constant_on_cell():
-    d = scan_box_domains(3, 2, 4, cap=1)[2]
+    d = sampled_domains(3, 2, 4)[2]
     base = d.base_lift()
     n, p = 3, 2
     for digits in [(0, 0, 0), (1, 0, 1), (3, 7, 5)]:
@@ -124,7 +125,7 @@ def test_move_threshold_enforced():
 
 
 def test_move_congruence_properties():
-    for d in (scan_box_domains(2, 2, 7)[0], scan_box_domains(3, 2, 7, cap=1)[3]):
+    for d in (scan_box_domains(2, 2, 7)[0], sampled_domains(3, 2, 7)[3]):
         u = d.representative()
         for x in (1, 3):
             rep = q1_q2_properties(d, u, x)
@@ -135,7 +136,7 @@ def test_move_congruence_properties():
 def test_move_row_scaling_case():
     # pivot on the superdiagonal: q1 is diagonal and the reduction is a
     # single row scaling; the shifted superdiagonal entry is exact
-    d = scan_box_domains(3, 2, 8, cap=1)[0]
+    d = sampled_domains(3, 2, 8)[0]
     i0, j0 = d.pivot
     assert j0 - i0 == 1
     u = d.representative()
@@ -147,8 +148,8 @@ def test_move_row_scaling_case():
 
 def test_measure_preservation_finite_quotient():
     for d, x in [(scan_box_domains(2, 2, 7)[1], 1),
-                 (scan_box_domains(3, 2, 7, cap=1)[0], 1),
-                 (scan_box_domains(3, 2, 7, cap=1)[4], 3)]:
+                 (sampled_domains(3, 2, 7)[0], 1),
+                 (sampled_domains(3, 2, 7)[4], 3)]:
         rep = measure_preservation_check(d, x)
         assert rep["identity_on_residues"] and rep["bijection"]
         assert rep["residues"] == d.p ** (d.n * (d.n - 1) // 2)
@@ -257,7 +258,7 @@ def test_mechanism_rank2():
 def test_mechanism_rank3():
     a3 = hypothesis_diagonal(CTX21, 3)
     k3 = enumerate_cosets(SubgroupSpec("K", 3, 2), 1)[0]
-    d3 = scan_box_domains(3, 2, 7, cap=1)[0]
+    d3 = sampled_domains(3, 2, 7)[0]
     rep = vanishing_mechanism_report(a3, k3, (0, 0, 0), d3, F3, cell_cap=4)
     assert rep["threshold_ok"] and rep["inner_sum_zero"] and rep["total_zero"]
 

@@ -142,6 +142,17 @@ def test_stabilization_certificate_required(monkeypatch):
         W_fcg(F2, c, a, k)
 
 
+def test_transform_refuses_k_outside_K():
+    # the cells are read at k mod q^2, which is the transform at k only
+    # for k in K: a k of non-unit determinant, or not integral, raises
+    c = central_c(CTX21, 2)
+    a, _ = pinned_outer_diagonal(F2, c)
+    for k in (Mat([[6, 7], [4, 6]], 2),
+              Mat([[Fraction(1, 2), 0], [0, 1]], 2)):
+        with pytest.raises(ValueError, match="k must lie in K"):
+            W_fcg(F2, c, a, k)
+
+
 def test_Q_values_rank2():
     c = central_c(CTX21, 2)
     q = Q_P(F2, c, 0)
@@ -225,13 +236,13 @@ def test_QP_degenerate_block_rank2():
 
 
 def test_denominator_scan_rank2():
-    rep = denominator_scan(F2, window=4)
+    rep = denominator_scan(F2)
     assert rep["max_e"] == 1            # |c_i| up to p^{m(n-1)} only
     assert rep["empirical_d"] == Fraction(1, 2)
 
 
 def test_denominator_scan_rank3():
-    rep = denominator_scan(F3, window=3)
+    rep = denominator_scan(F3)
     assert rep["max_e"] == 2
     assert rep["empirical_d"] == 1
 

@@ -303,21 +303,33 @@ def test_no_truncation_knob_parameters():
     # BOX_CAP and SHELL_CAP, nicedomain.MAX_REFINE) and the parameters
     # that no caller set are gone; `cap` stays only as the name of the
     # cap that a certificate reports, and as the subsample bound of the
-    # slope-cell scans
+    # base points that `rho0_report` scans
     banned = {"cfg", "cap", "max_refine", "d_rs", "extension_index",
               "pivot_val"}
     allowed = {("arith.py", "certify", "cap"),
                ("arith.py", "__init__", "cap"),
                ("nicedomain.py", "_entry_val", "cap"),
-               ("nicedomain.py", "_base_points", "cap"),
-               ("nicedomain.py", "scan_box_domains", "cap")}
+               ("nicedomain.py", "_base_points", "cap")}
+
+    def params(node):
+        return (node.args.posonlyargs + node.args.args
+                + node.args.kwonlyargs)
+
     found = [(path.name, node.name, arg.arg) for path in SOURCES
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.FunctionDef)
-             for arg in (node.args.posonlyargs + node.args.args
-                         + node.args.kwonlyargs)
-             if arg.arg in banned]
+             for arg in params(node) if arg.arg in banned]
     assert set(found) <= allowed, sorted(set(found) - allowed)
+    # one value at every caller is a constant, not a parameter: the unit
+    # shell of the concentration scan, s = 0 of the slope scan, the
+    # window 6m of the denominator scan, and delta_N
+    one_valued = {"whitmodel.py": {"concentration_check": "box"},
+                  "nicedomain.py": {"rho0_report": "s"},
+                  "rslocal.py": {"denominator_scan": "window"},
+                  "group.py": {"modular_delta": "side"}}
+    for module, wanted in one_valued.items():
+        for name, fn in _functions(module, set(wanted)).items():
+            assert wanted[name] not in {a.arg for a in params(fn)}, name
     assert not [path.name for path in SOURCES
                 if "RSIntegralConfig" in path.read_text()]
     # the simple-root bound T^{d2} is T where no caller set d2: these
@@ -332,6 +344,15 @@ def test_no_truncation_knob_parameters():
                      for node in ast.walk(fn)
                      if isinstance(node, (ast.arg, ast.Name, ast.Constant))}
             assert "d2" not in names, name
+
+
+def test_mellin_sums_are_gone():
+    # every cell of the explicit transform has the central exponents, so
+    # its sum is one monomial, collected in one `CycSum`: no polynomial
+    # keyed by exponents is left in the package
+    found = [path.name for path in SOURCES
+             if "MellinPoly" in path.read_text()]
+    assert not found, found
 
 
 def _cached_functions(tree) -> dict:

@@ -37,14 +37,16 @@ from padiczeta.nicedomain import (NiceDomain, _cell_keys, _cell_sum,
                                   vanishing_check)
 from padiczeta.residue import residue_rows
 from padiczeta.rslocal import _k_transversal, standard_E_element
+from twins import sampled_domains
 
 GOLDEN_FILE = Path(__file__).parent / "golden" / "vanishing-check.json"
-# (p, m, n, slopes, cap on the cells drawn from per slope)
-INSTANCES = ((2, 1, 2, (0, 1, 2, 3, 5), None),
-             (3, 1, 2, (0, 1, 2, 3), None),
-             (2, 2, 2, (0, 1, 3, 5), None),
-             (2, 1, 3, (0, 1, 2, 4), 1),
-             (3, 1, 3, (1, 2), 1))
+# (p, m, n, slopes, whether the cells are drawn per slope from one base
+# point per class, `twins.sampled_domains`, or from all of them)
+INSTANCES = ((2, 1, 2, (0, 1, 2, 3, 5), False),
+             (3, 1, 2, (0, 1, 2, 3), False),
+             (2, 2, 2, (0, 1, 3, 5), False),
+             (2, 1, 3, (0, 1, 2, 4), True),
+             (3, 1, 3, (1, 2), True))
 
 
 def _draw_k(rng, p, mod, n):
@@ -56,20 +58,20 @@ def _draw_k(rng, p, mod, n):
 
 
 @functools.cache
-def _scan_box(n, p, rho, cap):
-    return scan_box_domains(n, p, rho, cap=cap)
+def _scan_box(n, p, rho, sampled):
+    return (sampled_domains if sampled else scan_box_domains)(n, p, rho)
 
 
-def _domain(rng, n, p, rho, cap):
+def _domain(rng, n, p, rho, sampled):
     if rho == 0:
         return NiceDomain(n, p, 0, 0, None, None)
-    return rng.choice(_scan_box(n, p, rho, cap))
+    return rng.choice(_scan_box(n, p, rho, sampled))
 
 
 def golden_points():
     """(f, a, k, s, domain) at the seeded golden points, in file order."""
     rng = random.Random(20261019)
-    for p, m, n, slopes, cap in INSTANCES:
+    for p, m, n, slopes, sampled in INSTANCES:
         ctx = DepthContext(p, m)
         f = standard_E_element(ctx, n)
         diagonals = (hypothesis_diagonal(ctx, n), Mat.identity(n, p))
@@ -78,7 +80,7 @@ def golden_points():
                 s1 = tuple(rng.randrange(-2, 3) for _ in range(n - 1)) + (0,)
                 for s in ((0,) * n, s1):
                     k = _draw_k(rng, p, p ** m, n)
-                    yield f, a, k, s, _domain(rng, n, p, rho, cap)
+                    yield f, a, k, s, _domain(rng, n, p, rho, sampled)
 
 
 def golden_document() -> str:

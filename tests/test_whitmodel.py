@@ -160,7 +160,7 @@ def test_contradicting_unipotent_simple_cases():
 def test_concentration_full_report():
     for ctx in (CTX21, CTX31):
         tau = companion_matrix([-1, 0, 0], ctx)
-        report = concentration_check(tau, box=1)
+        report = concentration_check(tau)
         assert report["integral_violations"] == []
         assert report["nonintegral_failures"] == []
         assert report["nonintegral_checked"] > 0

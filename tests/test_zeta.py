@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from padiczeta.arith import DepthContext
+from padiczeta.arith import CycValue, DepthContext, MellinMonomial
 from padiczeta.group import SubgroupSpec, enumerate_cosets, gl_order
 from padiczeta.params import companion_matrix, theta_matrix
 from padiczeta.testfn import _convolution_integral
@@ -148,3 +148,29 @@ def test_zeta_invariant_raises_when_constant_is_irrational(monkeypatch):
                         lambda tables, inverse, T, leaf: leaf([], 1, 0))
     with pytest.raises(ArithmeticError, match="rational before roots"):
         zeta_direct(CTX21, 1)
+
+
+def test_explicit_invariant_raises_when_no_cell_meets_the_support(
+        monkeypatch):
+    """With no cell on the support the explicit cell sum holds no
+    monomial, which breaks its single-monomial invariant; it raises
+    ArithmeticError, so it holds even under python -O."""
+    from padiczeta import zeta
+
+    monkeypatch.setattr(zeta, "mellin_component", lambda tf, g: None)
+    with pytest.raises(ArithmeticError, match="single monomial"):
+        whittaker_transform_at_aT(CTX21, 2)
+    with pytest.raises(ArithmeticError, match="single monomial"):
+        zeta_explicit(CTX21, 2)
+
+
+def test_explicit_invariant_raises_off_the_central_exponents(monkeypatch):
+    """A cell whose monomial has other exponents than the central ones
+    would make the cell sum more than one monomial; the explicit route
+    raises ArithmeticError on it, even under python -O."""
+    from padiczeta import zeta
+
+    monkeypatch.setattr(zeta, "mellin_component",
+                        lambda tf, g: MellinMonomial(CycValue.one, (0, 0)))
+    with pytest.raises(ArithmeticError, match="central exponents"):
+        whittaker_transform_at_aT(CTX21, 2)

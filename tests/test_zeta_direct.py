@@ -249,7 +249,8 @@ def _forbid(monkeypatch, name):
 
 
 def test_direct_route_runs_no_explicit_route_code(monkeypatch):
-    for name in ("mellin_component", "iwasawa_UAK", "_transform_poly"):
+    for name in ("mellin_component", "iwasawa_UAK",
+                 "whittaker_transform_at_aT"):
         _forbid(monkeypatch, name)
     monkeypatch.setattr(WhittakerOnH, "value_parts", _refuse)
     assert golden_document() == GOLDEN_FILE.read_text()

@@ -14,6 +14,11 @@ Each function here is the slow, definitional form of a fast path in
   in full and its f exponent read by `testfn._explicit_exponent_mod`; the
   column walk of `zeta._direct_counts` is checked against it int for int.
 
+It also holds `sampled_domains(n, p, rho)`, the slope-rho cells of one
+base point per (remainder, pivot) class, built from
+`nicedomain._base_points` as `nicedomain.rho0_report` builds its cells:
+the tests that read a few cells of every class at rank 3 draw from it.
+
 The file is not collected by pytest; the test modules import it.
 """
 
@@ -23,6 +28,7 @@ from operator import mul
 from padiczeta.arith import CycSum, CycValue, DepthContext, psi_T, valuation
 from padiczeta.group import (Mat, SubgroupSpec, bruhat_open_cell,
                              enumerate_cosets)
+from padiczeta.nicedomain import NiceDomain, _base_points
 from padiczeta.params import chi_tau_eval, theta_matrix
 from padiczeta.testfn import _explicit_exponent_mod, translate_for_H
 from padiczeta.whitmodel import WhittakerOnH
@@ -80,3 +86,10 @@ def zeta_direct_counts(ctx: DepthContext, n: int) -> list:
             if e is not None:
                 counts[(w + s + sign * e) % T] += 1
     return counts
+
+
+def sampled_domains(n: int, p: int, rho: int) -> list:
+    """The slope-rho cells of the first admissible base point of each
+    (remainder, pivot) class, in the sorted order of `_base_points`."""
+    return [NiceDomain(n, p, rho, l, base, pivot)
+            for l, pivot, base in _base_points(n, p, 1)]
