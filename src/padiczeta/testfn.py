@@ -22,7 +22,10 @@ the whole term can be evaluated in Z/q^2 integer arithmetic, which is the
 fast path: a depth-first walk over the columns of the terms, one
 left-looking LU step per column, so terms that share their first columns
 share that part of the elimination.  That walk is one helper,
-`_crout_walk`, which the direct zeta sum runs too.  For non-integral g
+`_crout_walk`, which the direct zeta sum runs too.  Parents of the last
+column with equal leaf weights share one count of it: the count depends
+only on the weights mod q^2, and each parent shifts it by its own prefix
+exponent.  For non-integral g
 no level is guaranteed a priori, so we certify stabilization empirically
 per point.
 Each level is the same kind of walk on the exact integers, over the
@@ -243,13 +246,17 @@ def _convolution_integral(g: Mat, ctx: DepthContext, tau=None) -> CycValue:
     unless every pivot U[i][i] is a unit, and otherwise its exponent is
     sum_i U[i][i+1] / U[i][i].  The q^{n^2} terms are walked depth first
     over the product of the column tables, one left-looking (Crout) LU
-    step per column (`_crout_walk`).  Each leaf is one term with its own
-    exponent, less its columns' shifts, counted in a histogram of T ints
-    that becomes the value once at the end (`CycValue.from_histogram`).
-    Every term is z mod q, so a pivot is a unit at every node of a depth
-    or at none: the test is made once, on z itself.  The leaves read only
-    U[n-2][n-1], a linear form in the last column taken once per parent
-    (`_leaf_weights`).
+    step per column (`_crout_walk`).  Every term is z mod q, so a pivot
+    is a unit at every node of a depth or at none: the test is made once,
+    on z itself.  The leaves read only U[n-2][n-1], a linear form in the
+    last column taken once per parent (`_leaf_weights`): a leaf adds
+    (weights . leaf - shift) mod T to the parent's prefix exponent e, and
+    the weights are reduced mod T.  So parents with equal weights share
+    one count of the last column, the histogram ((x, multiplicity), ...)
+    of that summand, made when the weights first occur in the call, and
+    each parent adds it at offset e, multiplicities included, to a
+    histogram of T ints that becomes the value once at the end
+    (`CycValue.from_histogram`).
     """
     n, q, T = g.n, ctx.q, ctx.T
     inverse = _unit_inverses(ctx.p, T)
@@ -264,10 +271,19 @@ def _convolution_integral(g: Mat, ctx: DepthContext, tau=None) -> CycValue:
     # the leaves keep rows 0..n-2 of the column and the shift
     leaves = [(*col[:n - 1], s) for col, s in last]
 
+    # the count of the last column under each leaf weights tuple
+    hists = {}
+
     def leaf(weights, e, idx):
-        w = (*weights, -1)
-        for term in leaves:
-            counts[(e + sum(map(operator.mul, w, term))) % T] += 1
+        key = tuple(weights)
+        hist = hists.get(key)
+        if hist is None:
+            w = (*key, -1)
+            hist = hists[key] = tuple(collections.Counter(
+                sum(map(operator.mul, w, term)) % T
+                for term in leaves).items())
+        for x, c in hist:
+            counts[(e + x) % T] += c
 
     _crout_walk(tables, inverse, T, leaf)
     return CycValue.from_histogram(counts, Fraction(1, q ** (n * n)))
@@ -277,11 +293,15 @@ def f_convolution(g: Mat, ctx: DepthContext,
                   L: int | None = None) -> CycValue:
     """f(g) by definitional convolution against the chi_theta projector.
 
-    With L=None, a singular g raises ZeroDivisionError, as in
-    `f_explicit`; integral arguments use the exact residue path at level
+    With L=None, integral arguments use the exact residue path at level
     2m; other arguments are certified by stabilization: levels 2m+1,
     2m+2, ... until two consecutive answers agree (`arith.certify`, which
-    raises `CertificateCapExceeded` past 2m+LEVEL_CAP).
+    raises `CertificateCapExceeded` past 2m+LEVEL_CAP).  A singular g
+    raises ZeroDivisionError, as in `f_explicit`, and is tested for only
+    when no term was counted: on both paths it counts none, since a
+    determinant that vanishes mod p leaves a prefix pivot of the integral
+    walk a non-unit, and Delta_n = det(G r) = 0 prunes every term of a
+    level.
 
     With L given, returns the normalized sum over K(q)/K(q^L) for any g,
     on the integers.  With d = g.den, v = v_p(d) and G = g.num, the
@@ -308,15 +328,16 @@ def f_convolution(g: Mat, ctx: DepthContext,
     """
     n, p, m, T = g.n, ctx.p, ctx.m, ctx.T
     if L is None:
-        if g.det() == 0:
-            raise ZeroDivisionError("singular matrix")
         if g.is_integral():
-            return _convolution_integral(g, ctx)
-        last = 2 * m + LEVEL_CAP
-        _, (_, value) = certify(
-            ((lev, f_convolution(g, ctx, L=lev))
-             for lev in range(2 * m + 1, last + 1)),
-            "convolution level cap exceeded", "cap", LEVEL_CAP, last)
+            value = _convolution_integral(g, ctx)
+        else:
+            last = 2 * m + LEVEL_CAP
+            _, (_, value) = certify(
+                ((lev, f_convolution(g, ctx, L=lev))
+                 for lev in range(2 * m + 1, last + 1)),
+                "convolution level cap exceeded", "cap", LEVEL_CAP, last)
+        if not value.coeffs and g.det() == 0:
+            raise ZeroDivisionError("singular matrix")
         return value
     if L < 2 * m:
         raise ValueError("level must be at least 2m")

@@ -28,7 +28,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import padiczeta.arith
@@ -240,8 +240,19 @@ def check_walk(g, ctx, tau):
     assert _convolution_integral(g, ctx, tau).to_json() == want.to_json()
 
 
+CTX31 = DepthContext(3, 1)
+
+
+# rank 3 at q = 3, where the leaf weights have two components and a
+# count of the last column can hold several residues: an open point under
+# a companion parameter, where parents with equal last weights count the
+# column differently, then a support point under the default projector,
+# whose weights recur from the first call with other leaves
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(walk_arguments(WALK_INSTANCES))
+@example((Mat.from_text("25,0,10;40,1,19;20,1,27", 3), CTX31,
+          companion_matrix([0, 2, 0], CTX31)))
+@example((Mat.from_text("5,21,3;110,490,78;130,602,158", 3), CTX31, None))
 def test_column_walk_matches_per_term_loop(args):
     check_walk(*args)
 
