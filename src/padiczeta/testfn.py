@@ -22,12 +22,14 @@ the whole term can be evaluated in Z/q^2 integer arithmetic, which is the
 fast path: a depth-first walk over the columns of the terms, one
 left-looking LU step per column, so terms that share their first columns
 share that part of the elimination.  That walk is one helper,
-`_crout_walk`, which the direct zeta sum runs too.  Parents of the last
-column with equal leaf weights share one count of it: the count depends
-only on the weights mod q^2, and each parent shifts it by its own prefix
-exponent.  For non-integral g
-no level is guaranteed a priori, so we certify stabilization empirically
-per point.
+`_crout_walk`, which the direct zeta sum runs too.  It stops at the last
+pivot: the column before the last is substituted only down to its pivot,
+since the leaves read no row of L below it, and each parent's leaf
+weights are its pivot inverse times one linear form per node.  Parents of
+the last column with equal leaf weights share one count of it: the count
+depends only on the weights mod q^2, and each parent shifts it by its own
+prefix exponent.  For non-integral g no level is guaranteed a priori, so
+we certify stabilization empirically per point.
 Each level is the same kind of walk on the exact integers, over the
 columns of d g (1 + x): one left-looking fraction-free (Bareiss) step per
 column, so terms that share a column prefix share its pivots and the
@@ -161,7 +163,9 @@ def _crout_column(col, low, j: int, inverse, T: int):
     argument, returns (y, d, low').  Forward substitution gives y, whose
     entries 0..j are column j of U and whose entries below are U[j][j]
     times column j of L; d is the inverse of U[j][j] mod T (0 for a
-    non-unit) and low' is low extended by column j of L."""
+    non-unit) and low' is low extended by column j of L.  `_crout_walk`
+    takes this step above depth n-2 only, and `_convolution_integral`
+    for its prefix test on z."""
     y = []
     for c, row in zip(col, low):
         y.append((c - sum(map(operator.mul, row, y))) % T)
@@ -209,16 +213,24 @@ def _crout_walk(tables, inverse, T: int, leaf) -> None:
 
     tables holds, for the columns 0..n-2 of n x n terms, lists of
     (column, share) pairs; the last column is left to the leaf.  Columns
-    0..j of a term fix columns 0..j of L and U, so at depth j forward
-    substitution with the prefix's L gives column j of U and, past the
-    pivot, column j of L (`_crout_column`), and the exponent e gains
-    U[j-1][j] / U[j-1][j-1] less the column's share.  Terms that share a
-    column prefix share only its arithmetic.  At a parent, weights is the
-    linear form of `_leaf_weights`, which takes rows 0..n-2 of a last
-    column to its term's last exponent summand U[n-2][n-1] / U[n-2][n-2],
-    and idx is the parent's index in the itertools.product order of the
-    tables.  The walk tests no pivot: the caller makes the unit test once
-    for all terms, which agree mod q."""
+    0..j of a term fix columns 0..j of L and U, so at depth j < n-2
+    forward substitution with the prefix's L gives column j of U and,
+    past the pivot, column j of L (`_crout_column`), and the exponent e
+    gains U[j-1][j] / U[j-1][j-1] less the column's share.  Terms that
+    share a column prefix share only its arithmetic.  At a parent,
+    weights is the linear form of `_leaf_weights`, which takes rows
+    0..n-2 of a last column to its term's last exponent summand
+    U[n-2][n-1] / U[n-2][n-2], and idx is the parent's index in the
+    itertools.product order of the tables.
+
+    That form reads only rows 0..n-2 of L, which column n-2 does not
+    extend, and it is linear in the pivot inverse d, its last entry d.
+    So depth n-2 substitutes each candidate against rows 0..n-2 only,
+    stopping at the pivot U[n-2][n-2], and hands each parent d times the
+    node's one form `_leaf_weights(low, 1, T)`, reduced mod T.  Rank 1
+    has no tables, and its one parent reads `_leaf_weights` directly.
+    The walk tests no pivot: the caller makes the unit test once for all
+    terms, which agree mod q."""
     n = len(tables) + 1
 
     def walk(j, low, d, e, idx):
@@ -226,9 +238,20 @@ def _crout_walk(tables, inverse, T: int, leaf) -> None:
             leaf(_leaf_weights(low, d, T), e, idx)
             return
         table = tables[j]
+        if j < n - 2:
+            for k, (col, s) in enumerate(table, idx * len(table)):
+                y, dj, sub = _crout_column(col, low, j, inverse, T)
+                walk(j + 1, sub, dj, e + (y[j - 1] * d if j else 0) - s, k)
+            return
+        base = _leaf_weights(low, 1, T)
+        rows = low[:j + 1]
         for k, (col, s) in enumerate(table, idx * len(table)):
-            y, dj, sub = _crout_column(col, low, j, inverse, T)
-            walk(j + 1, sub, dj, e + (y[j - 1] * d if j else 0) - s, k)
+            y = []
+            for c, row in zip(col, rows):
+                y.append((c - sum(map(operator.mul, row, y))) % T)
+            dj = inverse[y[j]]
+            leaf([dj * b % T for b in base],
+                 e + (y[j - 1] * d if j else 0) - s, k)
 
     walk(0, [()] * n, 0, 0, 0)
 
@@ -249,7 +272,8 @@ def _convolution_integral(g: Mat, ctx: DepthContext, tau=None) -> CycValue:
     step per column (`_crout_walk`).  Every term is z mod q, so a pivot
     is a unit at every node of a depth or at none: the test is made once,
     on z itself.  The leaves read only U[n-2][n-1], a linear form in the
-    last column taken once per parent (`_leaf_weights`): a leaf adds
+    last column that the walk hands each parent (`_leaf_weights`, as the
+    parent's pivot inverse times one form per node above): a leaf adds
     (weights . leaf - shift) mod T to the parent's prefix exponent e, and
     the weights are reduced mod T.  So parents with equal weights share
     one count of the last column, the histogram ((x, multiplicity), ...)

@@ -18,8 +18,15 @@ leading minor, where both vanish.  The column walk of
 product of the column tables, one `_J_exponent_mod` per term, and the
 golden points are evaluated once more with the explicit route's code and
 the per-term kernel made to raise.
+
+The Crout walk `_crout_walk`, which the column walk and the direct zeta
+sum share, is checked leaf call for leaf call against its full twin
+`crout_walk_full` (`tests/twins.py`), and its steps are counted: the
+depth before the leaves takes no `_crout_column` step and reads one
+`_leaf_weights` form per node.
 """
 
+import collections
 import itertools
 import json
 import random
@@ -45,8 +52,9 @@ from padiczeta.arith import CycValue, DepthContext
 from padiczeta.group import Mat, box_columns
 from padiczeta.params import companion_matrix, theta_matrix
 from padiczeta.residue import residue_rows
-from padiczeta.testfn import _convolution_integral, _J_exponent_mod
-from twins import J_open_cell
+from padiczeta.testfn import (_congruence_columns, _convolution_integral,
+                              _crout_walk, _J_exponent_mod, _unit_inverses)
+from twins import J_open_cell, crout_walk_full
 
 GOLDEN_FILE = Path(__file__).parent / "golden" / "convolution-integral.json"
 INSTANCES = ((2, 2, 2), (2, 1, 3), (5, 1, 2), (3, 1, 2))
@@ -262,6 +270,82 @@ def test_column_walk_matches_per_term_loop(args):
 @given(data=st.data())
 def test_column_walk_matches_per_term_loop_rank4(shape, data):
     check_walk(*data.draw(walk_arguments([(2, 1, 4)], [shape])))
+
+
+# -- the Crout walk against its full twin, and its step counts ---------------
+
+def _walk_tables(p, m, n, kind, seed):
+    """(tables, T) of the Crout walk at a seeded integral point of the
+    given `_draw_point` kind: the columns 0..n-2 of the convolution tables
+    of `_congruence_columns` under the default projector (kind "conv"), a
+    companion parameter ("tau"), or the zero-share cell tables of the
+    direct zeta sum (`box_columns(..., {})`, kind "zeta")."""
+    ctx = DepthContext(p, m)
+    q, T = ctx.q, ctx.T
+    rng = random.Random(seed)
+    point = _draw_point(rng, rng.choice(["open", "generic"]), p, m, n)
+    z = residue_rows(Mat(point, p), 2 * m)
+    if kind == "zeta":
+        coords = [(i, j) for i in range(n) for j in range(n)]
+        tables = box_columns(z, 1, [1] * n, coords,
+                             [range(0, T, q)] * len(coords), {})
+    else:
+        tau = None if kind == "conv" else companion_matrix(
+            [rng.randrange(q) for _ in range(n)], ctx)
+        tables = _congruence_columns(z, ctx, tau, q)
+    return tables[:-1], T
+
+
+def _leaf_calls(walk, tables, p, T):
+    calls = []
+    walk(tables, _unit_inverses(p, T), T,
+         lambda weights, e, idx: calls.append((list(weights), e, idx)))
+    return calls
+
+
+# (p, m, n) at ranks 1-4 with at most 2^12 parents q^(n(n-1)) of the last
+# column
+TWIN_INSTANCES = [(p, m, n) for n in range(1, 5)
+                  for p, m in ((2, 1), (3, 1), (2, 2), (5, 1))
+                  if (p ** m) ** (n * (n - 1)) <= 2 ** 12]
+
+
+@pytest.mark.parametrize("kind", ["conv", "tau", "zeta"])
+@pytest.mark.parametrize("p,m,n", TWIN_INSTANCES)
+def test_crout_walk_hands_the_twins_leaf_calls(p, m, n, kind):
+    # every leaf call (weights, e, idx), in order, is the full walk's
+    for seed in range(2):
+        tables, T = _walk_tables(p, m, n, kind, seed)
+        want = _leaf_calls(crout_walk_full, tables, p, T)
+        assert len(want) == (p ** m) ** (n * (n - 1))
+        assert _leaf_calls(_crout_walk, tables, p, T) == want
+
+
+@pytest.mark.parametrize("p,m,n", [(2, 1, 1), (2, 1, 2), (2, 1, 3),
+                                   (2, 1, 4), (3, 1, 2), (3, 1, 3)])
+def test_crout_walk_stops_at_the_last_pivot(monkeypatch, p, m, n):
+    # with q^n candidates per column, `_crout_column` runs once per node
+    # above depth n-2 (sum of q^(nk), k = 1..n-2) and `_leaf_weights` once
+    # per node of depth n-2 (q^(n(n-2)); once at rank 1)
+    steps = collections.Counter()
+
+    def counted(name):
+        func = getattr(padiczeta.testfn, name)
+
+        def wrapper(*args):
+            steps[name] += 1
+            return func(*args)
+        monkeypatch.setattr(padiczeta.testfn, name, wrapper)
+
+    counted("_crout_column")
+    counted("_leaf_weights")
+    tables, T = _walk_tables(p, m, n, "conv", 0)
+    calls = _leaf_calls(_crout_walk, tables, p, T)
+    q = p ** m
+    assert len(calls) == q ** (n * (n - 1))
+    assert steps["_crout_column"] == sum(q ** (n * k)
+                                         for k in range(1, n - 1))
+    assert steps["_leaf_weights"] == q ** (n * max(n - 2, 0))
 
 
 # -- the walk runs no explicit-route code and no per-term elimination -------

@@ -13,6 +13,10 @@ Each function here is the slow, definitional form of a fast path in
   sum with every term (y, u) evaluated on its own: the product u y formed
   in full and its f exponent read by `testfn._explicit_exponent_mod`; the
   column walk of `zeta._direct_counts` is checked against it int for int.
+- `crout_walk_full(tables, inverse, T, leaf)`, the Crout walk that takes
+  a full `testfn._crout_column` step at every depth and reads each
+  parent's leaf weights by its own `testfn._leaf_weights`; the walk
+  `testfn._crout_walk` is checked against it leaf call for leaf call.
 
 It also holds `sampled_domains(n, p, rho)`, the slope-rho cells of one
 base point per (remainder, pivot) class, built from
@@ -30,7 +34,8 @@ from padiczeta.group import (Mat, SubgroupSpec, bruhat_open_cell,
                              enumerate_cosets)
 from padiczeta.nicedomain import NiceDomain, _base_points
 from padiczeta.params import chi_tau_eval, theta_matrix
-from padiczeta.testfn import _explicit_exponent_mod, translate_for_H
+from padiczeta.testfn import (_crout_column, _explicit_exponent_mod,
+                              _leaf_weights, translate_for_H)
 from padiczeta.whitmodel import WhittakerOnH
 
 
@@ -86,6 +91,27 @@ def zeta_direct_counts(ctx: DepthContext, n: int) -> list:
             if e is not None:
                 counts[(w + s + sign * e) % T] += 1
     return counts
+
+
+def crout_walk_full(tables, inverse, T: int, leaf) -> None:
+    """The twin of `testfn._crout_walk`: the same depth-first walk over
+    the product of the column tables, with one full left-looking step
+    (`_crout_column`: all of column j of U, and column j of L past the
+    pivot) per column at every depth, and leaf(weights, e, idx) at each
+    parent of the last column, its weights read by `_leaf_weights` from
+    its own rows of L and pivot inverse."""
+    n = len(tables) + 1
+
+    def walk(j, low, d, e, idx):
+        if j == n - 1:
+            leaf(_leaf_weights(low, d, T), e, idx)
+            return
+        table = tables[j]
+        for k, (col, s) in enumerate(table, idx * len(table)):
+            y, dj, sub = _crout_column(col, low, j, inverse, T)
+            walk(j + 1, sub, dj, e + (y[j - 1] * d if j else 0) - s, k)
+
+    walk(0, [()] * n, 0, 0, 0)
 
 
 def sampled_domains(n: int, p: int, rho: int) -> list:
