@@ -10,17 +10,15 @@ column, which `box_histograms` sweeps as the members of head u a, each
 read once and counted by its psi^{-1}(u) exponent).  Elimination is fraction-free (Bareiss,
 "Sylvester's identity and multistep integer-preserving Gaussian
 elimination", Math. Comp. 22, 1968): every intermediate entry is an
-integer minor.  The module provides the three decompositions every
+integer minor.  The module provides the two decompositions every
 integration in the library is built on:
 
-* Iwasawa  g = n a k  (or u a k with the opposite unipotent), computed by
-  row elimination with minimal-valuation column pivoting, so the k-factor
-  is genuinely in K = GL_N(Z_p) and the a-part is normalized to pure p-powers
-  (units are folded into k);
+* Iwasawa  g = u a k  (u lower unipotent), computed by row elimination
+  with minimal-valuation column pivoting, so the k-factor is genuinely in
+  K = GL_N(Z_p) and the a-part is normalized to pure p-powers (units are
+  folded into k);
 * the Bruhat open cell  g = u a n  (LDU), which exists iff every leading
-  principal minor is nonzero, with a_i = Delta_i / Delta_{i-1};
-* the Iwahori factorization of a principal congruence element into
-  lower-unipotent x diagonal x upper-unipotent congruence pieces.
+  principal minor is nonzero, with a_i = Delta_i / Delta_{i-1}.
 
 Haar measure follows the usual local normalizations: K, K_A, N(o), U(o) all
 have volume 1, so the volume of a compact open subgroup is the reciprocal of
@@ -154,10 +152,6 @@ class Mat:
         return Mat._from_ints(tuple(r[::-1] for r in self.num[::-1]),
                               self.den, self.p)
 
-    def reverse_rows(self) -> "Mat":
-        """w x for the longest Weyl element w: rows reversed."""
-        return Mat._from_ints(self.num[::-1], self.den, self.p)
-
     def det(self) -> Fraction:
         return Fraction(_bareiss_det(self.num), self.den ** self.n)
 
@@ -213,10 +207,8 @@ class Mat:
                    for i, r in enumerate(self.num)
                    for j, x in enumerate(r))
 
-    def is_upper_unipotent(self, e: int = None) -> bool:
-        """Upper unipotent; with e, additionally in K_N(p^e)."""
-        den, p = self.den, self.p
-        vden = valuation(den, p)
+    def is_upper_unipotent(self) -> bool:
+        den = self.den
         for i, r in enumerate(self.num):
             for j, x in enumerate(r):
                 if i == j:
@@ -225,13 +217,7 @@ class Mat:
                 elif i > j:
                     if x != 0:
                         return False
-                elif (e is not None and x != 0
-                      and valuation(x, p) - vden < e):
-                    return False
         return True
-
-    def is_lower_unipotent(self, e: int = None) -> bool:
-        return self.transpose().is_upper_unipotent(e)
 
     def is_diagonal(self) -> bool:
         return all(x == 0 for i, r in enumerate(self.num)
@@ -255,7 +241,7 @@ def _text_entry(s: str) -> tuple[int, int]:
     num, den = s.split("/") if "/" in s else (s, "1")
     num, den = int(num), int(den)
     if den == 0:
-        raise ZeroDivisionError(f"zero denominator in entry {s.strip()!r}")
+        raise ValueError(f"zero denominator in entry {s.strip()!r}")
     return num, den
 
 
@@ -399,13 +385,6 @@ class IwasawaUAK:
 
 
 @dataclass(frozen=True)
-class IwasawaNAK:
-    n: Mat  # upper unipotent
-    a: Mat
-    k: Mat
-
-
-@dataclass(frozen=True)
 class BruhatLDU:
     u: Mat  # lower unipotent
     a: Mat  # diagonal
@@ -519,12 +498,6 @@ def _unit_a_k_residue(d: int, p: int, e: int):
     return k_part
 
 
-def iwasawa_NAK(g: Mat) -> IwasawaNAK:
-    """g = n a k via the UAK algorithm applied to the Weyl-flipped matrix."""
-    dec = iwasawa_UAK(g.flip())
-    return IwasawaNAK(dec.u.flip(), dec.a.flip(), dec.k.flip())
-
-
 def bruhat_open_cell(g: Mat) -> BruhatLDU | None:
     """g = u a n (lower-unipotent, diagonal, upper-unipotent).  Exists iff
     every leading principal minor is nonzero; a_i = Delta_i/Delta_{i-1}."""
@@ -541,38 +514,9 @@ def bruhat_open_cell(g: Mat) -> BruhatLDU | None:
     return BruhatLDU(_unit_lower(work, p), a, upper)
 
 
-def iwahori_factor(k: Mat, e: int) -> tuple[Mat, Mat, Mat]:
-    """Factor k in K(p^e), e >= 1, as u a n with u in K_U(p^e),
-    a in K_A(p^e), n in K_N(p^e)."""
-    if not k.in_congruence(e):
-        raise ValueError(f"input not in K(p^{e})")
-    dec = bruhat_open_cell(k)
-    if dec is None:
-        raise ArithmeticError("congruence element has a non-unit leading "
-                              "minor")
-    u, a, nn = dec.u, dec.a, dec.n
-    if not (u.is_lower_unipotent(e) and nn.is_upper_unipotent(e)
-            and all(valuation(x - 1, k.p) >= e for x in a.diagonal() if x != 1)):
-        raise ArithmeticError("Iwahori components escaped their levels")
-    return u, a, nn
-
-
 # ---------------------------------------------------------------------------
-# minors and modular characters
+# modular characters
 # ---------------------------------------------------------------------------
-
-def minor_norm_M(g: Mat, l: int) -> Fraction:
-    """max |det| over all l x l minors of the bottom l rows of g."""
-    n = g.n
-    if not 1 <= l <= n:
-        raise ValueError("l out of range")
-    rows = g.num[n - l:]
-    best = Fraction(0)
-    for cols in itertools.combinations(range(n), l):
-        sub = Mat._from_ints(tuple(tuple(r[c] for c in cols) for r in rows),
-                             g.den, g.p)
-        best = max(best, norm(sub.det(), g.p))
-    return best
 
 def modular_delta(a: Mat) -> Fraction:
     """delta_N(a) = prod_{i<j} |a_i/a_j| (delta_U is its inverse)."""
@@ -584,15 +528,14 @@ def modular_delta(a: Mat) -> Fraction:
     return out
 
 
-def modular_delta_half_exponent(a: Mat, side: str = "N") -> Fraction:
-    """log_p of delta^(1/2)(a), an exact (half-)integer p-exponent."""
+def modular_delta_half_exponent(a: Mat) -> Fraction:
+    """log_p of delta_N^(1/2)(a), an exact (half-)integer p-exponent."""
     d = a.diagonal()
     s = 0
     for i in range(len(d)):
         for j in range(i + 1, len(d)):
             s += valuation(d[j] / d[i], a.p)
-    s = Fraction(s, 2)
-    return s if side == "N" else -s
+    return Fraction(s, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,10 @@ congruence subgroup of the lower Borel, where h is right invariant, so
 h(u) = h(u n(u, x)) while the character picks up a full nontrivial sum
 over x mod p^{l+1} -- which is zero.  Everything here is a finite exact
 computation: integrals are sums over congruence cells whose level is
-certified by a one-step refinement comparison, and the q1/q2 congruence
-properties and the measure preservation of u -> w are checked on finite
-quotients.
+certified by a one-step refinement comparison.  The move itself, its
+congruence properties and the measure preservation of u -> w are checked
+on finite quotients by the paper checks of the tests
+(`tests/paper_checks.py`).
 
 A cell sum is one sweep of the members shift u a on integers
 (`group.box_histograms`, the sweep of the transform cells in `rslocal`
@@ -39,42 +40,27 @@ The sweep does not depend on k, so it is cached (`_cell_keys`).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import (CycSum, CycValue, DepthContext, SqrtRational, certify,
-                    norm, psi, valuation)
+from .arith import CycValue, DepthContext, SqrtRational, certify, valuation
 from .group import (
     Mat,
     SubgroupSpec,
     _a_k_residue,
     _least_valuation,
     box_histograms,
-    bruhat_open_cell,
     enumerate_cosets,
-    iwasawa_NAK,
-    iwasawa_UAK,
-    minor_norm_M,
-    modular_delta_half_exponent,
     p_power_diag,
     unipotent_box,
 )
-from .params import theta_matrix
 from .residue import residue_rows
 from .rslocal import EClassElement
-from .testfn import _explicit_exponent_at, _explicit_on_K
+from .testfn import _explicit_exponent_at
 
 
 # -- the dilation and entrywise conjugation ---------------------------------
-
-def A_rho(rho: int, n: int, p: int) -> Mat:
-    """diag(p^{(n-1)rho}, ..., p^rho, 1)."""
-    if rho < 0:
-        raise ValueError("slope must be nonnegative")
-    return p_power_diag([(n - 1 - i) * rho for i in range(n)], p)
-
 
 def conj_by_A(g: Mat, rho: int) -> Mat:
     """A(rho) g A(rho)^{-1}: entry (i, j) is scaled by p^{(j-i) rho}."""
@@ -161,16 +147,6 @@ class NiceDomain:
 
     # -- geometry ----------------------------------------------------------
 
-    def base_lift(self) -> Mat:
-        """Integral lift of the base point (identity for slope 0)."""
-        if self.slope == 0:
-            return Mat.identity(self.n, self.p)
-        return Mat._from_ints(self.base, 1, self.p)
-
-    def representative(self) -> Mat:
-        """A member of the cell: the base lift conjugated back down."""
-        return conj_by_A(self.base_lift(), -self.slope)
-
     def member_grid(self, levels: dict) -> tuple:
         """(ranges, den): the members of the cell at the per-entry levels
         are the matrices 1 + x / den, with x[c] running over ranges[c] for
@@ -193,13 +169,6 @@ class NiceDomain:
                                 step))
         return ranges, p ** top
 
-    def members(self, levels: dict):
-        """One member of the cell per residue class of its conjugated
-        entries at the per-entry levels (see `member_grid`)."""
-        ranges, den = self.member_grid(levels)
-        return unipotent_box(self.n, self.p, _upper_coords(self.n), ranges,
-                             den)
-
     def contains(self, u: Mat) -> bool:
         n, p = self.n, self.p
         if u.n != n or u.p != p or not u.is_upper_unipotent():
@@ -210,13 +179,6 @@ class NiceDomain:
         if self.slope == 0:
             return True
         return residue_rows(up, n) == self.base
-
-    def volume(self) -> Fraction:
-        """Haar measure (N(Z_p) has volume 1)."""
-        n = self.n
-        e = sum((j - i) * self.slope - n
-                for i in range(n) for j in range(i + 1, n))
-        return Fraction(self.p) ** e if self.slope else Fraction(1)
 
     def to_json(self) -> dict:
         return {
@@ -341,108 +303,7 @@ def scan_box_domains(n: int, p: int, rho: int) -> list:
             for l, pivot, base in _base_points(n, p, None)]
 
 
-# -- the two-parameter family of moves --------------------------------------
-
-def q1_q2_construct(domain: NiceDomain, u: Mat, x) -> tuple:
-    """(q1, q2, w', w): the right move q1 = I + p^{rho-l-1} x E_{j0, i0+1}
-    on the conjugated coset, the exact row reduction q2 restoring the
-    unipotent shape, the reduced matrix w' = q2 u' q1 (the upper-unipotent
-    factor of the Bruhat open cell of u' q1), and its conjugate w back in
-    the cell.  Requires slope >= remainder + 1 + n so that both
-    factors are congruent to I at level n."""
-    n, p, rho, l = domain.n, domain.p, domain.slope, domain.remainder
-    x = Fraction(x)
-    if x != 0 and valuation(x, p) < 0:
-        raise ValueError("the move parameter must be integral")
-    if rho < l + 1 + n:
-        raise ValueError("slope below the two-parameter construction "
-                         "threshold")
-    if not domain.contains(u):
-        raise ValueError("matrix outside the cell")
-    i0, j0 = domain.pivot
-    up = conj_by_A(u, rho)
-    q1_rows = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-               for i in range(n)]
-    q1_rows[j0][i0 + 1] += Fraction(p) ** (rho - l - 1) * x
-    q1 = Mat(q1_rows, p)
-    m = up @ q1
-    dec = bruhat_open_cell(m)
-    if dec is None:
-        raise ArithmeticError("row reduction failure")
-    wp = dec.n
-    q2 = wp @ m.inv()
-    # at level rho - l - 1 >= n >= 1, K_Q is the lower-triangular part of
-    # the principal congruence subgroup
-    if (any(x for i, r in enumerate(q2.num) for x in r[i + 1:])
-            or not q2.in_congruence(rho - l - 1)):
-        raise ArithmeticError("row reduction escaped its congruence level")
-    if q2 @ up @ q1 != wp:
-        raise ArithmeticError("q2 u q1 does not equal w'")
-    return q1, q2, wp, conj_by_A(wp, -rho)
-
-
-def q1_q2_properties(domain: NiceDomain, u: Mat, x) -> dict:
-    """Exact congruence properties of the move: w' matches u' mod p^n;
-    the superdiagonal shifts by p^{rho-l-1} (base pivot) x exactly at row
-    i0 mod p^rho; w stays in the cell; n(u,x) = u^{-1} w conjugates into
-    K_N(p^n); and n'(w,x) = w^{-1} u has the stated superdiagonal profile
-    mod Z_p."""
-    n, p, rho, l = domain.n, domain.p, domain.slope, domain.remainder
-    i0, j0 = domain.pivot
-    q1, q2, wp, w = q1_q2_construct(domain, u, x)
-    up = conj_by_A(u, rho)
-    piv_lift = Fraction(domain.base[i0][j0])
-    inc = Fraction(p) ** (rho - l - 1) * piv_lift * Fraction(x)
-
-    def vge(y, e):
-        return y == 0 or valuation(y, p) >= e
-
-    mod_n = all(vge(wp[i, j] - up[i, j], n)
-                for i in range(n) for j in range(n))
-    superdiag = all(
-        vge(wp[i, i + 1] - up[i, i + 1] - (inc if i == i0 else 0), rho)
-        for i in range(n - 1))
-    in_cell = domain.contains(w)
-    move = conj_by_A(u.inv() @ w, rho)
-    move_in_range = all(
-        vge(move[i, j] - (1 if i == j else 0), n)
-        for i in range(n) for j in range(n))
-    nprime = w.inv() @ u
-    profile = all(
-        vge(nprime[i, i + 1]
-            + (Fraction(p) ** (-l - 1) * piv_lift * Fraction(x)
-               if i == i0 else 0), 0)
-        for i in range(n - 1))
-    return {
-        "w_prime_mod_pn": mod_n,
-        "superdiagonal_mod_p_rho": superdiag,
-        "w_in_cell": in_cell,
-        "move_in_congruence_range": move_in_range,
-        "inverse_move_profile": profile,
-        "q2_level": rho - l - 1,
-    }
-
-
-def measure_preservation_check(domain: NiceDomain, x) -> dict:
-    """u -> w on the finite quotient at entry level p^{n+1}: for fixed x
-    the move fixes every residue class (w' = u' mod p^{n+1} entrywise),
-    so it is a counting-measure-preserving bijection of the quotient."""
-    n, p, rho = domain.n, domain.p, domain.slope
-    total = 0
-    for u in domain.members(dict.fromkeys(_upper_coords(n), 1)):
-        _, _, wp, _ = q1_q2_construct(domain, u, x)
-        up = conj_by_A(u, rho)
-        for i in range(n):
-            for j in range(n):
-                d = wp[i, j] - up[i, j]
-                if d != 0 and valuation(d, p) < n + 1:
-                    raise ValueError("move does not fix the residue class")
-        total += 1
-    return {"residues": total, "identity_on_residues": True,
-            "bijection": True, "level": n + 1}
-
-
-# -- the induced-model section and its invariance ---------------------------
+# -- exact character sums over a cell ---------------------------------------
 
 def _sqrt_split(r: Fraction) -> tuple:
     """sqrt(r) = c * sqrt(s) with s squarefree: returns (c, s)."""
@@ -470,114 +331,9 @@ def _sqrt_split(r: Fraction) -> tuple:
     return Fraction(c_num, r.denominator), s
 
 
-def section_value(f: EClassElement, s: tuple, g: Mat,
-                  cache: dict | None = None) -> dict:
-    """The induced-model family through the class element, at g.
-
-    The underlying lower-structured function extends to a family over the
-    complex parameter s by giving it full diagonal support: with
-    shift * w_G * g = u a k (lower Iwasawa), the value is c1 *
-    delta_U^{1/2}(a) * prod |a_i|^{s_i} times the congruence-character
-    value on k.  At s integral this is exact; the result is returned as a
-    map {squarefree radical -> cyclotomic coefficient} (the value is the
-    sum of coeff * sqrt(radical)); the empty map means zero.  The family
-    is left-invariant under the upper unipotents and unit diagonals and
-    right-invariant under K(q^2), which is what the character-sum
-    arguments need."""
-    ctx, tf = f.ctx, f.tf
-    dec = iwasawa_UAK(tf.shift_weyl @ g)
-    cache = {} if cache is None else cache
-    key = residue_rows(dec.k, 2 * ctx.m)
-    if key in cache:
-        phase = cache[key]
-    else:
-        phase = _explicit_on_K(dec.k, ctx, theta_matrix(f.n, ctx))
-        if phase is not None and tf.conjugate:
-            phase = phase.conj()
-        cache[key] = phase
-    if phase is None or phase.is_zero():
-        return {}
-    e2 = 2 * modular_delta_half_exponent(dec.a, "U") - 2 * sum(
-        si * valuation(ai, ctx.p)
-        for si, ai in zip(s, dec.a.diagonal()))
-    coeff = tf.c1 * SqrtRational.sqrt(Fraction(ctx.p) ** e2)
-    c, rad = _sqrt_split(coeff.squared())
-    return {rad: phase * (c * coeff.sign)}
-
-
 def _parts_clean(parts: dict) -> dict:
     return {rad: v for rad, v in parts.items() if not v.is_zero()}
 
-
-def h_right_invariance_level(ctx: DepthContext, a: Mat) -> int:
-    """Congruence depth d such that a K(q^2) a^{-1} contains the level-d
-    lower Borel congruence subgroup: 2m plus the largest downward
-    valuation drop along the diagonal of a."""
-    d = a.diagonal()
-    p = ctx.p
-    drop = max((valuation(d[i], p) - valuation(d[j], p)
-                for i in range(len(d)) for j in range(i)), default=0)
-    return 2 * ctx.m + max(0, drop)
-
-
-def h_invariance_check(f: EClassElement, s: tuple, a: Mat, k: Mat,
-                       trials: int = 5, seed: int = 0) -> dict:
-    """h(g) = f[s](w_G g a k) is invariant under left multiplication by
-    unit diagonals and integral lower unipotents, and under right
-    multiplication by the level-d lower Borel congruence subgroup with
-    d = h_right_invariance_level."""
-    import random
-
-    ctx, n = f.ctx, f.n
-    p = ctx.p
-    rng = random.Random(seed)
-    d = h_right_invariance_level(ctx, a)
-    ak = a @ k
-
-    def rand_upper():
-        rows = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-                for i in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                rows[i][j] = Fraction(rng.randrange(-p ** 3, p ** 3),
-                                      p ** rng.randrange(0, 3))
-        return Mat(rows, p)
-
-    def h(u):
-        return _parts_clean(section_value(f, s, (u @ ak).reverse_rows()))
-
-    left_ok = right_ok = 0
-    for _ in range(trials):
-        u = rand_upper()
-        base = h(u)
-        # left: unit diagonal times integral lower unipotent
-        rows = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-                for i in range(n)]
-        for i in range(n):
-            rows[i][i] = Fraction(rng.choice(
-                [c for c in range(1, p ** 2) if c % p]))
-            for j in range(i):
-                rows[i][j] = Fraction(rng.randrange(0, p ** 2))
-        q = Mat(rows, p)
-        if h(q @ u) != base:
-            raise ValueError("left lower-Borel invariance failed")
-        left_ok += 1
-        # right: level-d lower Borel congruence element (acting on the
-        # u-slot of h)
-        rows = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-                for i in range(n)]
-        for i in range(n):
-            rows[i][i] += Fraction(p ** d * rng.randrange(0, p))
-            for j in range(i):
-                rows[i][j] = Fraction(p ** d * rng.randrange(0, p ** 2))
-        r = Mat(rows, p)
-        if h(u @ r) != base:
-            raise ValueError("right congruence invariance failed")
-        right_ok += 1
-    return {"left_checked": left_ok, "right_checked": right_ok, "depth": d}
-
-
-# -- exact character sums over a cell ---------------------------------------
 
 def _base_levels(domain: NiceDomain, ctx: DepthContext, a: Mat) -> dict:
     """Initial per-entry refinement levels: the superdiagonal must be
@@ -598,7 +354,7 @@ def _base_levels(domain: NiceDomain, ctx: DepthContext, a: Mat) -> dict:
 
 
 def _a_coefficient(f: EClassElement, s: tuple, exps: tuple) -> tuple:
-    """The coefficient of `section_value` at a g whose shift * w_G * g has
+    """The coefficient of the section f[s] at a g whose shift * w_G * g has
     the Iwasawa a-part diag(p^exps): (radical, c) for c * sqrt(radical),
     c1 * delta_U^{1/2}(a) * prod |a_i|^{s_i} with the square root taken
     out of its square's squarefree part."""
@@ -644,8 +400,10 @@ def _cell_sum(f: EClassElement, s: tuple, a: Mat, zk: tuple,
     over the cell, for the K-point k with integer rows zk mod q^2,
     enumerating the conjugated coordinates to the given per-entry levels.
 
-    This is the sum of `section_value(w_G u a k)` psi^{-1}(u) vol over
-    the members u, swept once on integers (`_cell_keys`) and read at k;
+    This is the sum of f[s](w_G u a k) psi^{-1}(u) vol over the members
+    u, swept once on integers (`_cell_keys`) and read at k, of the
+    section f[s] whose definitional twin is `section_value` in
+    `tests/twins.py`;
     it is sound for three reasons.  (1) The section decomposes
     shift_weyl * w_G u a k = shift * u * a * k, because shift_weyl =
     shift * w_G and w_G^2 = 1.  (2) The sweep reads from each member
@@ -753,65 +511,6 @@ def vanishing_check(a: Mat, k: Mat, s: tuple, domain: NiceDomain,
     return CharacterSumValue(parts, levels, cells + cells2, True)
 
 
-def vanishing_mechanism_report(a: Mat, k: Mat, s: tuple,
-                               domain: NiceDomain, f: EClassElement,
-                               cell_cap: int = 12) -> dict:
-    """The vanishing mechanism, step by step, as exact finite identities:
-    (1) h(u) = h(u n(u,x)) on sampled cells for all x mod p^{l+1};
-    (2) the character is multiplicative along the move, psi(w n') =
-    psi(w) psi(n'); (3) psi^{-1}(n'(w,x)) equals the pure pivot character
-    psi(p^{-l-1} (base pivot) x); (4) the inner sum over x mod p^{l+1} of
-    that character is exactly zero; (5) the full cell sum is zero."""
-    ctx = f.ctx
-    n, p = f.n, ctx.p
-    rho, l = domain.slope, domain.remainder
-    i0, j0 = domain.pivot
-    d = h_right_invariance_level(ctx, a)
-    threshold_ok = (rho - l - 1 >= d
-                    and (j0 - i0) * rho - l - 1 >= d
-                    and rho >= l + 1 + n)
-    ak = a @ k
-    cache: dict = {}
-
-    def h(u):
-        return _parts_clean(section_value(f, s, (u @ ak).reverse_rows(),
-                                          cache))
-
-    piv = Fraction(domain.base[i0][j0])
-    xs = list(range(p ** (l + 1)))
-    sampled = 0
-    members = domain.members(dict.fromkeys(_upper_coords(n), 1))
-    for u in itertools.islice(members, cell_cap):
-        hu = h(u)
-        for x in xs:
-            _, _, _, w = q1_q2_construct(domain, u, x)
-            if h(w) != hu:
-                raise ValueError("h is not invariant along the move")
-            nprime = w.inv() @ u
-            sd_w = w.superdiagonal_sum()
-            sd_np = nprime.superdiagonal_sum()
-            sd_u = u.superdiagonal_sum()
-            if psi(sd_u, p) != psi(sd_w, p) * psi(sd_np, p):
-                raise ValueError("character not multiplicative on the move")
-            if psi(-sd_np, p) != psi(Fraction(p) ** (-l - 1) * piv * x, p):
-                raise ValueError("inverse move misses the pivot character")
-        sampled += 1
-    inner = CycSum()
-    for x in xs:
-        inner.add(psi(Fraction(p) ** (-l - 1) * piv * x, p))
-    if not inner.value().is_zero():
-        raise ValueError("inner pivot character sum is nonzero")
-    total = vanishing_check(a, k, s, domain, f)
-    return {
-        "threshold_ok": threshold_ok,
-        "invariance_cells": sampled,
-        "x_values": len(xs),
-        "inner_sum_zero": True,
-        "total_zero": total.is_zero(),
-        "right_invariance_depth": d,
-    }
-
-
 # -- the slope threshold report ---------------------------------------------
 
 def hypothesis_diagonal(ctx: DepthContext, n: int) -> Mat:
@@ -883,81 +582,3 @@ def rho0_report(f: EClassElement, slope_max: int | None = None,
         "rho0": rho0,
         "rows": rows,
     }
-
-
-# -- minors along the Iwasawa decomposition ---------------------------------
-
-def iwasawa_minor_bound_check(u: Mat, a: Mat, ctx: DepthContext,
-                              d1: int = 1, d2: int = 1) -> dict:
-    """For g = w_G u a with |u_ij| <= T^{d1}, |a_n| = 1 and simple-root
-    coordinates of a at most T^{d2}: the bottom-row minor norms M_l of g
-    equal those of a' n' from the Iwasawa decomposition g = n'' a' k
-    (a' n' = n'' a'), the Laplace inequality M_{l+1} <= M_l * max|g_ij|
-    holds, and every |a'_i| is at most T^d for the chain exponent
-    d = (rank+1)(d1 + (rank-1) d2) + log_T(1/|det a|)."""
-    n, p, m = u.n, ctx.p, ctx.m
-    T = Fraction(ctx.T)
-    for i in range(n):
-        for j in range(i + 1, n):
-            x = u[i, j]
-            if x != 0 and valuation(x, p) < -2 * m * d1:
-                raise ValueError("u exceeds the entry bound T^d1")
-    av = [valuation(x, p) for x in a.diagonal()]
-    if av[-1] != 0:
-        raise ValueError("last diagonal entry must be a unit")
-    if any(av[i] - av[i + 1] < -2 * m * d2 for i in range(n - 1)):
-        raise ValueError("simple-root coordinates of a exceed T^d2")
-    g = Mat.longest_weyl(n, p) @ u @ a
-    dec = iwasawa_NAK(g)
-    if dec.n @ dec.a @ dec.k != g:
-        raise ValueError("decomposition does not re-multiply")
-    other = dec.n @ dec.a  # = a' n' with n' = a'^{-1} n'' a'
-    emax = max(norm(g[i, j], p) for i in range(n) for j in range(n))
-    minors = [minor_norm_M(g, l) for l in range(1, n + 1)]
-    for l in range(1, n + 1):
-        if minors[l - 1] != minor_norm_M(other, l):
-            raise ValueError("minor identity failed")
-        if l < n and minors[l] > minors[l - 1] * emax:
-            raise ValueError("Laplace inequality failed")
-    det_v = sum(av)
-    d = (n + 1) * (d1 + (n - 1) * d2) + Fraction(det_v, 2 * m)
-    exps = [Fraction(-valuation(x, p), 2 * m) for x in dec.a.diagonal()]
-    if any(e > d for e in exps):
-        raise ValueError("a'-bound exceeded the chain exponent")
-    return {
-        "minor_identity": True,
-        "laplace": True,
-        "chain_exponent": d,
-        "aprime_T_exponents": exps,
-        "ok": True,
-    }
-
-
-def minor_bound_sample_suite(ctx: DepthContext, n: int, count: int = 1000,
-                             d1: int = 1, d2: int = 1,
-                             seed: int = 0) -> dict:
-    """Randomized sweep of iwasawa_minor_bound_check; raises on the first
-    failing instance."""
-    import random
-
-    p, m = ctx.p, ctx.m
-    rng = random.Random(seed)
-    worst = Fraction(0)
-    for _ in range(count):
-        rows = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-                for i in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                rows[i][j] = Fraction(
-                    rng.randrange(-p ** (2 * m * d1 + 2),
-                                  p ** (2 * m * d1 + 2)),
-                    p ** (2 * m * d1))
-        u = Mat(rows, p)
-        exps = [0]
-        for _ in range(n - 1):
-            exps.append(exps[-1] + rng.randint(-2 * m * d2, 2 * m * d2))
-        exps = exps[::-1]  # exps[-1] = 0 so |a_n| = 1
-        a = p_power_diag(exps, p)
-        rep = iwasawa_minor_bound_check(u, a, ctx, d1, d2)
-        worst = max(worst, max(rep["aprime_T_exponents"]))
-    return {"count": count, "failures": 0, "max_aprime_T_exponent": worst}

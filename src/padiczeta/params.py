@@ -2,9 +2,8 @@
 
 A parameter tau is a matrix over o/q = Z/p^m.  The classification layer
 decides whether tau is cyclic (admits a cyclic vector), subcyclic with
-respect to a flag (companion-shaped below the diagonal), stable (the
-characteristic polynomials of tau and of its upper-left block are coprime
-mod p), and uniform (cyclic with unit determinant).  All conjugations are
+respect to a flag (companion-shaped below the diagonal), and uniform
+(cyclic with unit determinant).  All conjugations are
 constructive: we produce the group element, never just the yes/no answer.
 
 On the character side, tau defines a character chi_tau of K(q)/K(q^2) by
@@ -27,7 +26,7 @@ from fractions import Fraction
 
 from .arith import CycSum, CycValue, DepthContext, frac_part
 from .group import Mat, SubgroupSpec, haar_volume
-from .residue import ZMat, centralizer_in_GL, charpoly, enumerate_GL, resultant
+from .residue import ZMat, centralizer_in_GL
 
 
 @dataclass(frozen=True)
@@ -44,11 +43,6 @@ class TauParam:
     @property
     def n(self) -> int:
         return self.mat.n
-
-    def upper_left_block(self) -> ZMat:
-        n = self.n
-        return ZMat.make([row[: n - 1] for row in self.mat.entries[: n - 1]],
-                         self.ctx.p, self.ctx.m)
 
     def to_text(self) -> str:
         body = ";".join(",".join(str(x) for x in row)
@@ -165,62 +159,6 @@ def conjugate_to_standard_cyclic(tau: TauParam):
     if not is_cyclic_wrt(tau2, ZMat.identity(tau.n, tau.ctx.p, tau.ctx.m)):
         raise ArithmeticError("conjugate parameter is not cyclic")
     return g, tau2
-
-
-def unique_NF_conjugate_cyclic(tau: TauParam, basis: ZMat) -> ZMat:
-    """The unique flag-unipotent v with v tau v^{-1} cyclic wrt basis.
-
-    Starting from the first basis vector, e'_j = tau e'_{j-1} rebuilds the
-    only basis that induces the same decorated flag and is cyclic for tau;
-    v is the change of basis, upper unipotent in flag coordinates.
-    """
-    if not is_subcyclic_wrt(tau, basis):
-        raise ValueError("parameter is not subcyclic for this flag")
-    v = basis @ _krylov_basis(tau.mat, basis.column(0)).inv()
-    if not is_cyclic_wrt(tau, v.inv() @ basis):
-        raise ArithmeticError("rebuilt basis is not cyclic for tau")
-    return v
-
-
-def factor_subcyclic(tau: TauParam, g: ZMat, basis: ZMat):
-    """Write g = v c with v flag-unipotent and c centralizing tau.
-
-    Requires tau and g tau g^{-1} both subcyclic with respect to the flag
-    of the basis.  Both then have a unique unipotent conjugate cyclic wrt
-    the basis, and both of those conjugates equal the companion matrix of
-    the common characteristic polynomial, which pins down c.
-    """
-    gtau = TauParam(tau.ctx, g @ tau.mat @ g.inv())
-    v1 = unique_NF_conjugate_cyclic(tau, basis)
-    v2 = unique_NF_conjugate_cyclic(gtau, basis)
-    c = v1.inv() @ v2 @ g
-    if not (c @ tau.mat == tau.mat @ c):
-        raise ValueError("factorization failed: preconditions violated?")
-    v = v2.inv() @ v1
-    if v @ c != g:
-        raise ArithmeticError("factorization does not multiply back to g")
-    return v, c
-
-
-def is_stable(tau: TauParam) -> bool:
-    """The characteristic polynomials of tau and of its upper-left block
-    are coprime modulo p (resultant a unit)."""
-    f = charpoly([list(r) for r in tau.mat.entries])
-    g = charpoly([list(r) for r in tau.upper_left_block().entries])
-    return resultant(f, g) % tau.ctx.p != 0
-
-
-def generation_criterion(tau: TauParam) -> bool:
-    """Direct module-theoretic form of stability, for cross-checking:
-    the last basis vector generates the column space and the last dual
-    vector generates the row space, under repeated application of tau.
-    Over a local ring, generation is a unit-determinant condition."""
-    p, m, n = tau.ctx.p, tau.ctx.m, tau.n
-    e = tuple(0 for _ in range(n - 1)) + (1,)
-    taut = ZMat.make([[tau.mat.entries[j][i] for j in range(n)]
-                      for i in range(n)], p, m)
-    return (_krylov_basis(tau.mat, e).is_unit()
-            and _krylov_basis(taut, e).is_unit())
 
 
 # -- characters of congruence subgroups -------------------------------------
@@ -371,33 +309,6 @@ class OmegaIdempotent:
             total.add(self.value(r.lift()) * self.value(
                 (r.inv() @ ZMat.from_mat(g, 2 * ctx.m)).lift()))
         return total.value() * vol_cell
-
-    def omega_sharp_L1(self) -> Fraction:
-        """Exact value of the L^1-mass over H of the center-averaged
-        idempotent, with the matched central twist, whose average against
-        conj(chitilde) over the scalar units is 1.  Support on H meets K
-        only inside J_tau, where the absolute value is vol(J_tau)^{-1};
-        the h-integral becomes a finite sum over GL_{N-1}(Z/q^2) embedded
-        in the upper left block."""
-        ctx = self.ctx
-        p, m, N = ctx.p, ctx.m, self.tau.n
-        n = N - 1
-        hits = count = 0
-        for h in enumerate_GL(n, p, 2 * m):
-            count += 1
-            if j_tau_membership(self.tau, h.embed(N).lift()):
-                hits += 1
-        return Fraction(hits, count) / self.vol_J
-
-    def omega_sharp_ratio(self) -> Fraction:
-        """omega_sharp L^1-mass divided by T^{(N-1)/2}; the interesting
-        scale for the mass.  Only meaningful when N-1 is even or T is a
-        perfect square times a power with half-integral exponent, so we
-        return the square of the ratio to stay rational."""
-        val = self.omega_sharp_L1()
-        n = self.tau.n - 1
-        return val * val / Fraction(self.ctx.T) ** n
-
 
 def build_omega(tau: TauParam) -> OmegaIdempotent:
     """Construct the idempotent from the first character extension.

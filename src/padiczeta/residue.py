@@ -1,14 +1,12 @@
 """Exact linear algebra over the finite residue rings Z/p^e.
 
-Matrices here are integer tuples reduced mod p^e.  Determinants and
-characteristic polynomials are computed over Z on canonical lifts and then
-reduced.  Every determinant is the fraction-free (Bareiss) elimination that
-`Mat.det` uses; the characteristic polynomial is the Faddeev-LeVerrier
-trace recurrence, whose divisions are exact.  An inverse is the
-fraction-free inverse `Mat.inv` of the lift, reduced mod p^e; it exists
-exactly when that inverse is p-integral, that is when the determinant is a
-unit.  Centralizers in GL are lifted digit by digit from the residue
-field, so no enumeration runs over all of M_n(Z/p^e).
+Matrices here are integer tuples reduced mod p^e.  Determinants are
+computed over Z on canonical lifts and then reduced; every determinant is
+the fraction-free (Bareiss) elimination that `Mat.det` uses.  An inverse
+is the fraction-free inverse `Mat.inv` of the lift, reduced mod p^e; it
+exists exactly when that inverse is p-integral, that is when the
+determinant is a unit.  Centralizers in GL are lifted digit by digit
+from the residue field, so no enumeration runs over all of M_n(Z/p^e).
 """
 
 from __future__ import annotations
@@ -32,43 +30,6 @@ def residue_rows(g: Mat, e: int) -> tuple:
         raise ValueError("entry not p-integral")
     inv = pow(g.den, -1, mod)
     return tuple(tuple(x * inv % mod for x in row) for row in g.num)
-
-
-def charpoly(rows: list[list[int]]) -> tuple[int, ...]:
-    """Coefficients (low to high, monic) of det(x*I - A) over Z, by the
-    Faddeev-LeVerrier recurrence: M_k = A M_(k-1) + c_(n-k+1) I from
-    M_0 = 0, and c_(n-k) = -tr(A M_k) / k, an exact division."""
-    n = len(rows)
-    coeffs = [0] * n + [1]
-    m = [[0] * n for _ in range(n)]  # A M_(k-1)
-    for k in range(1, n + 1):
-        for i in range(n):
-            m[i][i] += coeffs[n - k + 1]  # now M_k
-        m = [[sum(a * m[t][j] for t, a in enumerate(row))
-              for j in range(n)] for row in rows]  # A M_k
-        coeffs[n - k], rem = divmod(-sum(m[i][i] for i in range(n)), k)
-        if rem:
-            raise ArithmeticError("trace recurrence division is not exact")
-    return tuple(coeffs)
-
-
-def resultant(f: tuple[int, ...], g: tuple[int, ...]) -> int:
-    """Resultant of two integer polynomials via the Sylvester matrix."""
-    df, dg = len(f) - 1, len(g) - 1
-    if df < 0 or dg < 0:
-        raise ValueError("zero polynomial")
-    if df == 0:
-        return f[0] ** dg
-    if dg == 0:
-        return g[0] ** df
-    size = df + dg
-    rows = []
-    frev, grev = list(f[::-1]), list(g[::-1])
-    for i in range(dg):
-        rows.append([0] * i + frev + [0] * (size - df - 1 - i))
-    for i in range(df):
-        rows.append([0] * i + grev + [0] * (size - dg - 1 - i))
-    return int_det(rows)
 
 
 @dataclass(frozen=True)
@@ -119,12 +80,6 @@ class ZMat:
                                 for j in range(n)) for i in range(n)),
                     self.p, self.e)
 
-    def add(self, other: "ZMat") -> "ZMat":
-        mod = self.modulus
-        return ZMat(tuple(tuple((x + y) % mod for x, y in zip(r1, r2))
-                          for r1, r2 in zip(self.entries, other.entries)),
-                    self.p, self.e)
-
     def det(self) -> int:
         return int_det(self.entries) % self.modulus
 
@@ -150,9 +105,6 @@ class ZMat:
         return ZMat(tuple(tuple(self.entries[i][j] if i < n and j < n
                                 else int(i == j) for j in range(N))
                           for i in range(N)), self.p, self.e)
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entries[i][j] for i in range(self.n))
 
     def apply(self, vec) -> tuple[int, ...]:
         mod = self.modulus

@@ -302,7 +302,7 @@ def _box_cells(f: EClassElement, head: Mat, a: Mat, B: int,
 
 
 def _coeff(f: EClassElement, c: Mat) -> SqrtRational:
-    e2 = 2 * modular_delta_half_exponent(c, "N")
+    e2 = 2 * modular_delta_half_exponent(c)
     return SqrtRational.sqrt(Fraction(f.ctx.p) ** e2) * f.tf.c1
 
 
@@ -349,9 +349,12 @@ def W_fcg(f: EClassElement, c: Mat, a: Mat, k: Mat) -> WValue:
     with Q.  Only k mod q^2 is built per call, and `_phase_at` reads each
     box at it: one integer histogram of (psi exponent, phase exponent)
     pairs, made a value by `CycValue.from_histogram` at the factor orders
-    (p^B, T).  The dual element takes `_w_direct`.  k must lie in K: the
-    cells are read at k mod q^2 only.
+    (p^B, T).  The dual element takes `_w_direct`.  c, a and k must have
+    the size of f, and k must lie in K: the cells are read at k mod q^2
+    only.
     """
+    if not c.n == a.n == k.n == f.n:
+        raise ValueError("c, a and k must have the size of f")
     if not k.in_K():
         raise ValueError("k must lie in K")
     coeff = _coeff(f, c)
@@ -366,14 +369,6 @@ def W_fcg(f: EClassElement, c: Mat, a: Mat, k: Mat) -> WValue:
 
 
 # -- support laws -----------------------------------------------------------
-
-def w_support_violated(ctx: DepthContext, a: Mat) -> bool:
-    """True when some simple-root ratio a_i/a_{i+1} falls outside q^{-2},
-    in which case the transform vanishes identically in k."""
-    d = a.diagonal()
-    return any(valuation(d[i] / d[i + 1], ctx.p) < -2 * ctx.m
-               for i in range(len(d) - 1))
-
 
 def pinned_outer_diagonal(f: EClassElement, c: Mat):
     """The unique diagonal a with W(f,c,ak) possibly nonzero, for diagonal

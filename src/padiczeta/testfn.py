@@ -427,19 +427,6 @@ def l2_norm_sq(ctx: DepthContext, N: int) -> Fraction:
                     gl_order(N, ctx.p, ctx.m))
 
 
-def l2_norm_report(ctx: DepthContext, N: int):
-    """(value, p-exponent, constant): value factors as the depth-free
-    open-cell density times p to the exponent -m dim(N)."""
-    from .group import open_cell_density
-
-    val = l2_norm_sq(ctx, N)
-    expo = -ctx.m * (N * (N - 1) // 2)
-    const = val / Fraction(ctx.p) ** expo
-    if const != open_cell_density(N, ctx.p):
-        raise ArithmeticError("L2 constant is not the open-cell density")
-    return val, expo, const
-
-
 @dataclass(frozen=True)
 class TestFunction:
     """f with an optional antidominant translation and normalization.
@@ -490,11 +477,6 @@ class TestFunction:
 
     def value_parts(self, g: Mat):
         return self.c1, self.phase(g)
-
-
-def base_test_function(ctx: DepthContext, N: int) -> TestFunction:
-    return TestFunction(ctx, N, tuple(0 for _ in range(N)),
-                        SqrtRational.of_rational(Fraction(1)))
 
 
 def translate_for_H(ctx: DepthContext, n: int) -> TestFunction:
@@ -548,9 +530,3 @@ def _explicit_on_K(k: Mat, ctx: DepthContext, theta) -> CycValue | None:
     low = Mat([[k[i, j] if i >= j else Fraction(0) for j in range(n)]
                for i in range(n)], p)
     return chi_tau_eval(theta, low.inv() @ k)
-
-
-def dual_value_parts(tf: TestFunction, g: Mat):
-    """The dual function at g: tf at w_G times inverse-transpose of g."""
-    w = Mat.longest_weyl(tf.N, tf.ctx.p)
-    return tf.value_parts(w @ g.inv().transpose())

@@ -16,15 +16,10 @@ from padiczeta.group import (
     SubgroupSpec,
     bruhat_open_cell,
     enumerate_cosets,
-    iwahori_factor,
-    iwasawa_NAK,
     iwasawa_UAK,
 )
 from padiczeta.nicedomain import (
     hypothesis_diagonal,
-    measure_preservation_check,
-    minor_bound_sample_suite,
-    q1_q2_properties,
     rho0_report,
     scan_box_domains,
     verify_partition,
@@ -35,12 +30,8 @@ from padiczeta.params import (
     chi_tau_exponent,
     companion_matrix,
     enumerate_chi_extensions,
-    factor_subcyclic,
-    generation_criterion,
     is_cyclic_wrt,
-    is_stable,
     theta_matrix,
-    unique_NF_conjugate_cyclic,
 )
 from padiczeta.residue import ZMat, centralizer_in_GL, enumerate_matrices
 from padiczeta.rslocal import (
@@ -53,6 +44,18 @@ from padiczeta.testfn import f_convolution, f_explicit
 from padiczeta.whitmodel import concentration_check
 from padiczeta.zeta import volume_lemma_suite, zeta_direct, zeta_explicit, \
     zeta_for_parameter
+from paper_checks import (
+    factor_subcyclic,
+    generation_criterion,
+    is_stable,
+    iwahori_factor,
+    iwasawa_NAK,
+    measure_preservation_check,
+    minor_bound_sample_suite,
+    q1_q2_properties,
+    representative,
+    unique_NF_conjugate_cyclic,
+)
 from twins import sampled_domains
 
 MATRIX = [(2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 2, 2)]
@@ -251,7 +254,7 @@ def test_criterion_08_nice_domain_suite():
     # two-parameter move on every tested (domain, u, x)
     for dom in (scan_box_domains(2, 2, 7)[:2]
                 + sampled_domains(3, 2, 7)[:3]):
-        u = dom.representative()
+        u = representative(dom)
         for x in (1, 2, 3):
             props = q1_q2_properties(dom, u, x)
             assert all(v is True for key, v in props.items()

@@ -182,10 +182,13 @@ def test_eval_bruhat(capsys):
 
 @pytest.mark.parametrize("obj", ["f", "iwasawa", "W", "bruhat"])
 def test_eval_singular_matrix_is_a_config_error(obj, capsys):
-    assert main(["eval", obj, "--p", "2", "--m", "1", "--g", "1,1;1,1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "configuration error: matrix is singular\n"
+    # a singular matrix, and an entry with a zero denominator
+    for g, message in [("1,1;1,1", "matrix is singular"),
+                       ("1/0,0;0,1", "zero denominator in entry '1/0'")]:
+        assert main(["eval", obj, "--p", "2", "--m", "1", "--g", g]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"configuration error: {message}\n"
 
 
 def test_eval_missing_matrix(capsys):
@@ -209,12 +212,20 @@ def test_eval_Wfcg(capsys):
 
 
 def test_eval_Wfcg_k_outside_K_is_a_config_error(capsys):
-    # det k = 8 is not a unit at p = 2, so k is not in K
-    assert main(["eval", "Wfcg", "--p", "2", "--c", "1,0;0,1",
-                 "--a", "1/8,0;0,1", "--k", "6,7;4,6"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "configuration error: k must lie in K\n"
+    for args, message in [
+        # det k = 8 is not a unit at p = 2, so k is not in K
+        (["--c", "1,0;0,1", "--a", "1/8,0;0,1", "--k", "6,7;4,6"],
+         "k must lie in K"),
+        # a k or an a of another size than c
+        (["--c", "1/2,0;0,1/2", "--a", "1/4,0;0,1",
+          "--k", "1,0,5;0,1,7;0,0,1"], "c, a and k must have the size of f"),
+        (["--c", "1/2,0;0,1/2", "--a", "1/4,0,0;0,1,0;0,0,1"],
+         "c, a and k must have the size of f"),
+    ]:
+        assert main(["eval", "Wfcg", "--p", "2", *args]) == 2, args
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"configuration error: {message}\n"
 
 
 GOLDEN = Path(__file__).parent / "golden"

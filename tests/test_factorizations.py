@@ -24,8 +24,9 @@ from padiczeta.params import theta_matrix
 from padiczeta.residue import ZMat, residue_rows
 from padiczeta.rslocal import (EClassElement, TransformCells,
                                _transform_values_over_K)
-from padiczeta.testfn import _explicit_on_K, base_test_function
+from padiczeta.testfn import _explicit_on_K
 from padiczeta.whitmodel import WhittakerOnH
+from paper_checks import base_test_function
 
 FACTOR_SETTINGS = settings(derandomize=True, max_examples=300,
                            deadline=None)

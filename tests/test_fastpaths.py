@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from padiczeta.arith import CycSum, CycValue, DepthContext, psi
 from padiczeta.group import Mat
-from padiczeta.nicedomain import section_value
 from padiczeta.rslocal import (
     _any_nonzero_over_K,
     _coeff,
@@ -28,6 +27,7 @@ from padiczeta.rslocal import (
     standard_E_element,
 )
 from padiczeta.testfn import _convolution_integral, f_convolution
+from twins import section_value
 
 CTXS = [DepthContext(2, 1), DepthContext(3, 1)]
 ELEMS = {ctx: standard_E_element(ctx, 2) for ctx in CTXS}

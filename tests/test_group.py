@@ -13,14 +13,13 @@ from padiczeta.group import (
     enumerate_cosets,
     gl_order,
     haar_volume,
-    iwahori_factor,
-    iwasawa_NAK,
     iwasawa_UAK,
-    minor_norm_M,
     modular_delta,
     modular_delta_half_exponent,
     open_cell_density,
 )
+from paper_checks import (iwahori_factor, iwasawa_NAK, minor_norm_M,
+                          upper_unipotent_in_level)
 
 
 def random_invertible(n, p, rng, spread=3):
@@ -65,7 +64,7 @@ def test_longest_weyl():
 def test_iwasawa_UAK_spec_point():
     g = Mat.from_text("1/2,0;1,1", 2)
     dec = iwasawa_UAK(g)
-    assert dec.u.is_lower_unipotent()
+    assert dec.u.transpose().is_upper_unipotent()
     assert dec.a.is_diagonal()
     for x in dec.a.diagonal():  # pure p-powers
         assert x == Fraction(2) ** valuation(x, 2)
@@ -88,7 +87,7 @@ def test_iwasawa_random_remultiplication():
         p = rng.choice([2, 3])
         g = random_invertible(rng.choice([2, 3]), p, rng)
         for dec, checks in [
-            (iwasawa_UAK(g), lambda d: d.u.is_lower_unipotent()),
+            (iwasawa_UAK(g), lambda d: d.u.transpose().is_upper_unipotent()),
             (iwasawa_NAK(g), lambda d: d.n.is_upper_unipotent()),
         ]:
             parts = (dec.u, dec.a, dec.k) if hasattr(dec, "u") \
@@ -158,7 +157,8 @@ def test_iwahori_random():
         k = Mat([[x[i][j] + (1 if i == j else 0) for j in range(n)]
                  for i in range(n)], p)
         u, a, nn = iwahori_factor(k, e)
-        assert u.is_lower_unipotent(e) and nn.is_upper_unipotent(e)
+        assert upper_unipotent_in_level(u.transpose(), e)
+        assert upper_unipotent_in_level(nn, e)
         assert u @ a @ nn == k
 
 
@@ -179,7 +179,7 @@ def test_modular_delta():
     rng = random.Random(3)
     for _ in range(30):
         d = Mat.diag([Fraction(2) ** rng.randint(-3, 3) for _ in range(3)], 2)
-        he = modular_delta_half_exponent(d, "N")
+        he = modular_delta_half_exponent(d)
         assert Fraction(2) ** (2 * he) == modular_delta(d)
 
 

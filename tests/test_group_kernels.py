@@ -10,8 +10,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padiczeta.group import (Mat, bruhat_open_cell, iwahori_factor,
-                             iwasawa_UAK)
+from padiczeta.group import Mat, bruhat_open_cell, iwasawa_UAK
+from paper_checks import iwahori_factor, upper_unipotent_in_level
 
 KERNEL_SETTINGS = settings(derandomize=True, max_examples=150, deadline=None)
 
@@ -215,7 +215,8 @@ def test_iwahori_identities(point, data):
     k = Mat(rows, p)
     u, a, nn = iwahori_factor(k, e)
     assert u @ a @ nn == k
-    assert u.is_lower_unipotent(e) and nn.is_upper_unipotent(e)
+    assert upper_unipotent_in_level(u.transpose(), e)
+    assert upper_unipotent_in_level(nn, e)
     assert a.is_diagonal() and a.in_congruence(e)
     # moving one entry by p^(e-1) leaves K(p^e)
     n = len(rows)

@@ -8,27 +8,31 @@ from padiczeta import nicedomain
 from padiczeta.arith import DepthContext
 from padiczeta.group import Mat, SubgroupSpec, enumerate_cosets
 from padiczeta.nicedomain import (
-    A_rho,
     NiceDomain,
     _cell_keys,
     classify,
     conj_by_A,
     decompose_region,
+    hypothesis_diagonal,
+    rho0_report,
+    scan_box_domains,
+    vanishing_check,
+    verify_partition,
+)
+from padiczeta.rslocal import standard_E_element
+from paper_checks import (
+    A_rho,
+    cell_volume,
     h_invariance_check,
     h_right_invariance_level,
-    hypothesis_diagonal,
     iwasawa_minor_bound_check,
     measure_preservation_check,
     minor_bound_sample_suite,
     q1_q2_construct,
     q1_q2_properties,
-    rho0_report,
-    scan_box_domains,
-    vanishing_check,
+    representative,
     vanishing_mechanism_report,
-    verify_partition,
 )
-from padiczeta.rslocal import standard_E_element
 from twins import sampled_domains
 
 CTX21 = DepthContext(2, 1)
@@ -57,7 +61,7 @@ def test_classify_integral_is_slope_zero():
     u = Mat([[1, 3, 7], [0, 1, 2], [0, 0, 1]], 2)
     d = classify(u)
     assert (d.slope, d.remainder, d.base, d.pivot) == (0, 0, None, None)
-    assert d.contains(u) and d.volume() == 1
+    assert d.contains(u) and cell_volume(d) == 1
 
 
 def test_classify_staircase_family():
@@ -76,10 +80,9 @@ def test_classify_staircase_family():
 
 def test_classify_constant_on_cell():
     d = sampled_domains(3, 2, 4)[2]
-    base = d.base_lift()
     n, p = 3, 2
     for digits in [(0, 0, 0), (1, 0, 1), (3, 7, 5)]:
-        rows = [[base[i, j] for j in range(n)] for i in range(n)]
+        rows = [list(r) for r in d.base]
         for (i, j), t in zip([(0, 1), (0, 2), (1, 2)], digits):
             rows[i][j] += p ** n * t
         u = conj_by_A(Mat(rows, p), -d.slope)
@@ -113,7 +116,7 @@ def test_partition_rank3_bound1():
 
 def test_move_trivial_at_x_zero():
     d = scan_box_domains(2, 2, 6)[0]
-    u = d.representative()
+    u = representative(d)
     q1, q2, wp, w = q1_q2_construct(d, u, 0)
     assert q1 == Mat.identity(2, 2) and w == u
 
@@ -121,12 +124,12 @@ def test_move_trivial_at_x_zero():
 def test_move_threshold_enforced():
     d = scan_box_domains(2, 2, 2)[0]  # slope 2 < remainder + 1 + rank
     with pytest.raises(ValueError):
-        q1_q2_construct(d, d.representative(), 1)
+        q1_q2_construct(d, representative(d), 1)
 
 
 def test_move_congruence_properties():
     for d in (scan_box_domains(2, 2, 7)[0], sampled_domains(3, 2, 7)[3]):
-        u = d.representative()
+        u = representative(d)
         for x in (1, 3):
             rep = q1_q2_properties(d, u, x)
             assert all(v is True for k, v in rep.items() if k != "q2_level")
@@ -139,7 +142,7 @@ def test_move_row_scaling_case():
     d = sampled_domains(3, 2, 8)[0]
     i0, j0 = d.pivot
     assert j0 - i0 == 1
-    u = d.representative()
+    u = representative(d)
     q1, q2, wp, w = q1_q2_construct(d, u, 1)
     up = conj_by_A(u, d.slope)
     inc = Fraction(2) ** (d.slope - d.remainder - 1) * up[i0, j0]

@@ -16,26 +16,31 @@ from padiczeta.params import (
     companion_matrix,
     conjugate_to_standard_cyclic,
     enumerate_chi_extensions,
-    factor_subcyclic,
     find_cyclic_vector,
-    generation_criterion,
     is_cyclic,
     is_cyclic_wrt,
-    is_stable,
     is_subcyclic_wrt,
     is_uniform,
     j_tau_membership,
     j_tau_transversal,
     theta_matrix,
-    unique_NF_conjugate_cyclic,
 )
 from padiczeta.residue import (
     ZMat,
     centralizer_in_GL,
-    charpoly,
     enumerate_GL,
     enumerate_matrices,
+)
+from paper_checks import (
+    charpoly,
+    factor_subcyclic,
+    generation_criterion,
+    is_stable,
+    omega_sharp_L1,
+    omega_sharp_ratio,
     resultant,
+    unique_NF_conjugate_cyclic,
+    upper_left_block,
 )
 
 CTX21 = DepthContext(2, 1)
@@ -131,7 +136,7 @@ def test_conjugate_to_standard_cyclic_roundtrip():
             assert is_cyclic_wrt(std, ZMat.identity(3, ctx.p, ctx.m))
             assert std.mat == h @ tau.mat @ h.inv()
             # upper-left block of the standard form is the theta pattern
-            assert std.upper_left_block().entries == \
+            assert upper_left_block(std).entries == \
                 theta_matrix(2, ctx).mat.entries
 
 
@@ -239,7 +244,9 @@ def test_uniformity():
     assert not is_uniform(theta_matrix(3, CTX21))  # det 0
     # nilpotent regular plus a unit scalar is uniform
     th = theta_matrix(3, CTX31).mat
-    shifted = TauParam(CTX31, th.add(ZMat.identity(3, 3, 1)))
+    shifted = TauParam(CTX31, ZMat.make(
+        [[x + (i == j) for j, x in enumerate(r)]
+         for i, r in enumerate(th.entries)], 3, 1))
     assert is_uniform(shifted)
 
 
@@ -378,18 +385,18 @@ def test_build_omega_requires_uniform():
 def test_omega_sharp_mass():
     tau = companion_matrix([1, 1], CTX21)
     om = build_omega(tau)
-    mass = om.omega_sharp_L1()
+    mass = omega_sharp_L1(om)
     assert mass == 2  # equals T^{n/2} = 4^{1/2} exactly here
-    assert om.omega_sharp_ratio() == 1
+    assert omega_sharp_ratio(om) == 1
 
 
 def test_omega_sharp_rank3():
     tau = companion_matrix([1, 0, 0], CTX21)
     om = build_omega(tau)
-    mass = om.omega_sharp_L1()
+    mass = omega_sharp_L1(om)
     # recorded constant: mass/T^{n/2} = (28/3)/4 = 7/3 at this instance
     assert mass == Fraction(28, 3)
-    assert om.omega_sharp_ratio() == Fraction(49, 9)
+    assert omega_sharp_ratio(om) == Fraction(49, 9)
 
 
 def test_tau_param_text_roundtrip():

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padiczeta.residue import ZMat, centralizer_in_GL, charpoly, int_det
+from padiczeta.residue import ZMat, centralizer_in_GL, int_det
+from paper_checks import charpoly
 
 GOLDEN_FILE = Path(__file__).parent / "golden" / "centralizers.json"
 

@@ -20,7 +20,6 @@ from padiczeta.rslocal import (
     qp_bound_rhs,
     standard_E_element,
     support_scan_table,
-    w_support_violated,
 )
 from padiczeta.rslocal import (
     WValue,
@@ -29,6 +28,7 @@ from padiczeta.rslocal import (
     _w_cell_data,
 )
 from padiczeta.testfn import translate_for_H
+from paper_checks import w_support_violated
 
 CTX21 = DepthContext(2, 1)
 CTX31 = DepthContext(3, 1)

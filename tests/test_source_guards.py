@@ -2,6 +2,8 @@
 
 import ast
 import importlib.util
+import io
+import tokenize
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "padiczeta")
@@ -42,25 +44,79 @@ def test_rows_view_readers():
     assert not found, f".rows read in src: {found}"
 
 
-def test_private_functions_are_used_in_src():
-    # every module-level private function is referenced by code in src
-    # (a name or an attribute outside its own definition; docstrings do
-    # not count), so no helper lives in the package only for the tests;
-    # the definitional twins that only tests call are in `tests/twins.py`
-    tops = [top for path in SOURCES
-            for top in ast.parse(path.read_text()).body]
-    private = {top.name for top in tops
-               if isinstance(top, ast.FunctionDef)
-               and top.name.startswith("_") and not top.name.startswith("__")}
+WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads.py"
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITIONS = FUNCTIONS + (ast.ClassDef,)
 
-    def used(name):
-        return any(getattr(node, "id", None) == name
-                   or getattr(node, "attr", None) == name
-                   for top in tops if getattr(top, "name", None) != name
-                   for node in ast.walk(top))
 
-    found = sorted(name for name in private if not used(name))
-    assert not found, f"private functions unused in src: {found}"
+def _identifiers(nodes) -> set:
+    """The names and attribute names read anywhere in nodes."""
+    return {getattr(node, "id", None) or getattr(node, "attr", None)
+            for top in nodes for node in ast.walk(top)} - {None}
+
+
+def _unreached() -> tuple:
+    """(top-level definitions, methods) of the package that the program
+    does not reach, as sorted "module.name" and "module.Class.name".
+
+    The program is `cli.main`, the module-level code of every module
+    (imports aside) and the benchmark: every identifier of
+    `perfbench/workloads.py`, read as tokens, not imported.  From these
+    roots a name reaches every definition of that name, in any module,
+    and a reached definition reaches the names its body reads.  A method
+    is reached when its class is and its name is read, or it is a dunder;
+    a class reaches its bases, decorators and the statements of its body
+    that are not methods.  Names are matched across modules, so the pass
+    errs toward reached."""
+    roots = {"main"} | {
+        tok.string for tok in tokenize.generate_tokens(
+            io.StringIO(WORKLOADS.read_text()).readline)
+        if tok.type == tokenize.NAME}
+    tops, methods = {}, {}
+    for path in SOURCES:
+        for top in ast.parse(path.read_text()).body:
+            if not isinstance(top, DEFINITIONS):
+                if not isinstance(top, (ast.Import, ast.ImportFrom)):
+                    roots |= _identifiers([top])
+                continue
+            own = [top]
+            if isinstance(top, ast.ClassDef):
+                own = top.bases + top.keywords + top.decorator_list
+                for node in top.body:
+                    if isinstance(node, FUNCTIONS):
+                        methods[path.stem, top.name, node.name] = node
+                    else:
+                        own.append(node)
+            tops[path.stem, top.name] = own
+    names, reached = set(roots), set()
+    while True:
+        new = {key for key in tops if key[1] in names} | {
+            key for key in methods if (key[:2] in reached)
+            and (key[2] in names or key[2].startswith("__"))}
+        new -= reached
+        if not new:
+            break
+        reached |= new
+        for key in new:
+            names |= _identifiers(tops[key] if len(key) == 2
+                                  else [methods[key]])
+    return (sorted(".".join(key) for key in tops if key not in reached),
+            sorted(".".join(key) for key in methods if key not in reached))
+
+
+def test_every_definition_is_reached_by_the_program():
+    # the package holds only what `verify`, `eval` and the benchmark run:
+    # code that only the tests reach lives in `tests/` (the definitional
+    # twins in `tests/twins.py`, the paper checks in
+    # `tests/paper_checks.py`)
+    tops, _ = _unreached()
+    assert not tops, f"definitions only the tests reach: {tops}"
+
+
+def test_every_method_is_reached_by_the_program():
+    # the same rule for the methods of the package's classes
+    _, methods = _unreached()
+    assert not methods, f"methods only the tests reach: {methods}"
 
 
 def test_residue_kernels_are_not_recursive():
@@ -322,11 +378,12 @@ def test_no_truncation_knob_parameters():
     assert set(found) <= allowed, sorted(set(found) - allowed)
     # one value at every caller is a constant, not a parameter: the unit
     # shell of the concentration scan, s = 0 of the slope scan, the
-    # window 6m of the denominator scan, and delta_N
+    # window 6m of the denominator scan, and delta_N and its half exponent
     one_valued = {"whitmodel.py": {"concentration_check": "box"},
                   "nicedomain.py": {"rho0_report": "s"},
                   "rslocal.py": {"denominator_scan": "window"},
-                  "group.py": {"modular_delta": "side"}}
+                  "group.py": {"modular_delta": "side",
+                               "modular_delta_half_exponent": "side"}}
     for module, wanted in one_valued.items():
         for name, fn in _functions(module, set(wanted)).items():
             assert wanted[name] not in {a.arg for a in params(fn)}, name

@@ -12,17 +12,15 @@ from padiczeta.group import Mat, SubgroupSpec, enumerate_cosets, haar_volume
 from padiczeta import testfn
 from padiczeta.params import chi_tau_eval, theta_matrix
 from padiczeta.testfn import (
-    base_test_function,
-    dual_value_parts,
     f_convolution,
     f_explicit,
-    l2_norm_report,
     l2_norm_sq,
     lower_borel_order,
     mellin_component,
     translate_for_H,
 )
-from twins import J_open_cell
+from paper_checks import base_test_function, l2_norm_report
+from twins import J_open_cell, dual_value_parts
 
 CTX21 = DepthContext(2, 1)
 CTX31 = DepthContext(3, 1)

@@ -11,16 +11,19 @@ on purpose) with
     PYTHONPATH=src python tests/test_vanishing_walk.py \
         > tests/golden/vanishing-check.json
 
-`_cell_sum` is compared with a reference sum over `section_value`,
-written here, and the same golden points must come out without any
-Iwasawa decomposition or per-member section in `nicedomain`.  The sweep
-of a cell is cached (`_cell_keys`) and read at k, so at the golden points
-and at K-points across K/K(q) a call on a warm cache must give the value
-of the same call on a cold one.
+`_cell_sum` is compared with a reference sum over the twin
+`section_value`, written here, and the same golden points must come out
+with `nicedomain` binding no Iwasawa decomposition or per-member section
+and with every binding of them in the package and the twins refused.
+The sweep of a cell is cached (`_cell_keys`) and read at k, so at the
+golden points and at K-points across K/K(q) a call on a warm cache must
+give the value of the same call on a cold one.
 """
 
 import functools
+import importlib
 import json
+import pkgutil
 import random
 import sys
 from fractions import Fraction
@@ -28,16 +31,17 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+import padiczeta
+import twins
 from padiczeta import nicedomain
 from padiczeta.arith import CycSum, DepthContext, psi
 from padiczeta.group import Mat, p_power_diag
 from padiczeta.nicedomain import (NiceDomain, _cell_keys, _cell_sum,
                                   _upper_coords, hypothesis_diagonal,
-                                  scan_box_domains, section_value,
-                                  vanishing_check)
+                                  scan_box_domains, vanishing_check)
 from padiczeta.residue import residue_rows
 from padiczeta.rslocal import _k_transversal, standard_E_element
-from twins import sampled_domains
+from twins import cell_members, sampled_domains, section_value
 
 GOLDEN_FILE = Path(__file__).parent / "golden" / "vanishing-check.json"
 # (p, m, n, slopes, whether the cells are drawn per slope from one base
@@ -112,11 +116,22 @@ def _refuse(*args, **kwargs):
     raise RuntimeError("a per-member kernel ran")
 
 
+PACKAGE = tuple(importlib.import_module(f"padiczeta.{info.name}")
+                for info in pkgutil.iter_modules(padiczeta.__path__))
+
+
 def test_cell_walk_runs_no_iwasawa_or_section(monkeypatch,
                                               cold_cell_keys):
-    # from a cold cache, so that every cell is swept under the patch
+    # the class elements are certified (through `TestFunction.phase`)
+    # before the patch; the cells are swept from a cold cache under it
+    for p, m, n, _, _ in INSTANCES:
+        standard_E_element(DepthContext(p, m), n)
     for name in ("iwasawa_UAK", "section_value", "_explicit_on_K"):
-        monkeypatch.setattr(nicedomain, name, _refuse)
+        assert not hasattr(nicedomain, name), name
+        bound = [mod for mod in PACKAGE + (twins,) if hasattr(mod, name)]
+        assert bound, name
+        for mod in bound:
+            monkeypatch.setattr(mod, name, _refuse)
     assert golden_document() == GOLDEN_FILE.read_text()
 
 
@@ -126,13 +141,13 @@ def ref_cell_sum(f, s, a, k, domain, levels):
     """(parts, cells) as the sum over the members u of the cell of
     section_value(w_G u a k) psi^{-1}(u) vol, one member at a time."""
     n, p, rho = domain.n, domain.p, domain.slope
-    ak = a @ k
+    wG, ak = Mat.longest_weyl(n, p), a @ k
     vol = Fraction(p) ** sum((j - i) * rho - n - levels[(i, j)]
                              for (i, j) in _upper_coords(n))
     acc, cells = {}, 0
-    for u in domain.members(levels):
+    for u in cell_members(domain, levels):
         cells += 1
-        parts = section_value(f, s, (u @ ak).reverse_rows(), {})
+        parts = section_value(f, s, wG @ u @ ak, {})
         weight = psi(-u.superdiagonal_sum(), p) * vol
         for rad, val in parts.items():
             acc.setdefault(rad, CycSum()).add(val * weight)

@@ -17,6 +17,14 @@ Each function here is the slow, definitional form of a fast path in
   a full `testfn._crout_column` step at every depth and reads each
   parent's leaf weights by its own `testfn._leaf_weights`; the walk
   `testfn._crout_walk` is checked against it leaf call for leaf call.
+- `section_value(f, s, g, cache)`, the induced-model family f[s] at g
+  through a full Iwasawa decomposition and the Fraction formula
+  `testfn._explicit_on_K`; the integer cell sweep of
+  `nicedomain._cell_sum` is checked against its sum over
+  `cell_members(domain, levels)`, the members of a cell one `Mat` at a
+  time.
+- `dual_value_parts(tf, g)`, the dual function at g, which reads f
+  through `TestFunction.phase`.
 
 It also holds `sampled_domains(n, p, rho)`, the slope-rho cells of one
 base point per (remainder, pivot) class, built from
@@ -29,12 +37,18 @@ The file is not collected by pytest; the test modules import it.
 from fractions import Fraction
 from operator import mul
 
-from padiczeta.arith import CycSum, CycValue, DepthContext, psi_T, valuation
+from padiczeta.arith import (CycSum, CycValue, DepthContext, SqrtRational,
+                             psi_T, valuation)
 from padiczeta.group import (Mat, SubgroupSpec, bruhat_open_cell,
-                             enumerate_cosets)
-from padiczeta.nicedomain import NiceDomain, _base_points
+                             enumerate_cosets, iwasawa_UAK,
+                             modular_delta_half_exponent, unipotent_box)
+from padiczeta.nicedomain import (NiceDomain, _base_points, _sqrt_split,
+                                  _upper_coords)
 from padiczeta.params import chi_tau_eval, theta_matrix
-from padiczeta.testfn import (_crout_column, _explicit_exponent_mod,
+from padiczeta.residue import residue_rows
+from padiczeta.rslocal import EClassElement
+from padiczeta.testfn import (TestFunction, _crout_column,
+                              _explicit_exponent_mod, _explicit_on_K,
                               _leaf_weights, translate_for_H)
 from padiczeta.whitmodel import WhittakerOnH
 
@@ -119,3 +133,53 @@ def sampled_domains(n: int, p: int, rho: int) -> list:
     (remainder, pivot) class, in the sorted order of `_base_points`."""
     return [NiceDomain(n, p, rho, l, base, pivot)
             for l, pivot, base in _base_points(n, p, 1)]
+
+
+def section_value(f: EClassElement, s: tuple, g: Mat,
+                  cache: dict | None = None) -> dict:
+    """The induced-model family through the class element, at g.
+
+    The underlying lower-structured function extends to a family over the
+    complex parameter s by giving it full diagonal support: with
+    shift * w_G * g = u a k (lower Iwasawa), the value is c1 *
+    delta_U^{1/2}(a) * prod |a_i|^{s_i} times the congruence-character
+    value on k.  At s integral this is exact; the result is returned as a
+    map {squarefree radical -> cyclotomic coefficient} (the value is the
+    sum of coeff * sqrt(radical)); the empty map means zero.  The family
+    is left-invariant under the upper unipotents and unit diagonals and
+    right-invariant under K(q^2), which is what the character-sum
+    arguments need."""
+    ctx, tf = f.ctx, f.tf
+    dec = iwasawa_UAK(tf.shift_weyl @ g)
+    cache = {} if cache is None else cache
+    key = residue_rows(dec.k, 2 * ctx.m)
+    if key in cache:
+        phase = cache[key]
+    else:
+        phase = _explicit_on_K(dec.k, ctx, theta_matrix(f.n, ctx))
+        if phase is not None and tf.conjugate:
+            phase = phase.conj()
+        cache[key] = phase
+    if phase is None or phase.is_zero():
+        return {}
+    # delta_U = delta_N^{-1}
+    e2 = -2 * modular_delta_half_exponent(dec.a) - 2 * sum(
+        si * valuation(ai, ctx.p)
+        for si, ai in zip(s, dec.a.diagonal()))
+    coeff = tf.c1 * SqrtRational.sqrt(Fraction(ctx.p) ** e2)
+    c, rad = _sqrt_split(coeff.squared())
+    return {rad: phase * (c * coeff.sign)}
+
+
+def cell_members(domain: NiceDomain, levels: dict):
+    """One member `Mat` of the cell per residue class of its conjugated
+    entries at the per-entry levels (see `NiceDomain.member_grid`)."""
+    ranges, den = domain.member_grid(levels)
+    return unipotent_box(domain.n, domain.p, _upper_coords(domain.n),
+                         ranges, den)
+
+
+def dual_value_parts(tf: TestFunction, g: Mat):
+    """The dual function at g: tf at w_G times inverse-transpose of g."""
+    w = Mat.longest_weyl(tf.N, tf.ctx.p)
+    return tf.value_parts(w @ g.inv().transpose())
