@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 import time
@@ -31,6 +32,7 @@ from .group import (
     SubgroupSpec,
     bruhat_open_cell,
     enumerate_cosets,
+    iter_cosets,
     iwasawa_UAK,
 )
 from .nicedomain import classify, rho0_report, verify_partition
@@ -168,7 +170,7 @@ def _suite_testfn(config: RunConfig) -> list:
     # capped deterministically by enumeration-order prefix
     spec = (SubgroupSpec("K", n, ctx.p) if n == 2
             else SubgroupSpec("Kq", n, ctx.p, ctx.m))
-    grid = enumerate_cosets(spec, 2 * ctx.m)[:512]
+    grid = list(itertools.islice(iter_cosets(spec, 2 * ctx.m), 512))
     mismatches = [g.to_text() for g in grid
                   if f_explicit(g, ctx) != f_convolution(g, ctx)]
     checks.append(_check("explicit = convolution on grid",

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
@@ -111,8 +112,9 @@ class Mat:
     @staticmethod
     def longest_weyl(n: int, p: int) -> "Mat":
         """w_G: the antidiagonal permutation matrix."""
-        return Mat([[1 if i + j == n - 1 else 0 for j in range(n)]
-                    for i in range(n)], p)
+        return Mat._from_ints(tuple(tuple(int(i + j == n - 1)
+                                          for j in range(n))
+                                    for i in range(n)), 1, p)
 
     @staticmethod
     def elementary(n: int, p: int, i: int, j: int, c) -> "Mat":
@@ -663,13 +665,18 @@ def box_histograms(H, den: int, scale, coords, ranges, read) -> dict:
     return hists
 
 
-def enumerate_cosets(spec: SubgroupSpec, L: int) -> list[Mat]:
-    """Representatives of spec modulo its own level-L congruence kernel.
+def iter_cosets(spec: SubgroupSpec, L: int) -> Iterator[Mat]:
+    """Representatives of spec modulo its own level-L congruence kernel,
+    one at a time.
 
-    L is a p-exponent with L >= spec.e.  Enumeration order is deterministic
-    (lexicographic in entry residues).  For "Kq" the representatives are
-    1 + x with x running over p^e M_N mod p^L, which is a genuine transversal
-    because k' k^{-1} in K(p^L) iff k' = k + p^L * (integral) for k in K.
+    L is a p-exponent with L >= spec.e; a lower L or an unknown tag raises
+    at the call, not at the first item.  Enumeration order is
+    deterministic (lexicographic in entry residues).  For "Kq" the
+    representatives are 1 + x with x running over p^e M_N mod p^L, which
+    is a genuine transversal because k' k^{-1} in K(p^L) iff
+    k' = k + p^L * (integral) for k in K.  A caller that reads a prefix
+    builds only that prefix: "K" filters every matrix mod p^L by its
+    determinant, p^(L N^2) candidates in all.
     """
     N, p, e = spec.N, spec.p, spec.e
     if L < max(e, 1):
@@ -678,18 +685,18 @@ def enumerate_cosets(spec: SubgroupSpec, L: int) -> list[Mat]:
     if spec.tag in ("Kq", "KN", "KU"):
         coords = [(i, j) for i in range(N) for j in range(N)
                   if {"Kq": True, "KN": i < j, "KU": i > j}[spec.tag]]
-        return list(unipotent_box(N, p, coords, [digits] * len(coords)))
+        return unipotent_box(N, p, coords, [digits] * len(coords))
     if spec.tag == "KA":
         if e == 0:
             units = [c for c in range(1, p ** L) if c % p != 0]
         else:
             units = [1 + v for v in digits]
-        return [Mat.diag(list(vals), p)
-                for vals in itertools.product(units, repeat=N)]
+        return (Mat.diag(list(vals), p)
+                for vals in itertools.product(units, repeat=N))
     if spec.tag == "KQ":
         a_reps = enumerate_cosets(SubgroupSpec("KA", N, p, e), L)
         u_reps = enumerate_cosets(SubgroupSpec("KU", N, p, e), L)
-        return [a @ u for a in a_reps for u in u_reps]
+        return (a @ u for a in a_reps for u in u_reps)
     if spec.tag == "K":
         # every matrix mod p^L: the diagonal of x starts at -1, so that
         # the diagonal of 1 + x runs over 0, ..., p^L - 1
@@ -697,5 +704,10 @@ def enumerate_cosets(spec: SubgroupSpec, L: int) -> list[Mat]:
         coords = [(i, j) for i in range(N) for j in range(N)]
         box = unipotent_box(N, p, coords, [range(-1, pl - 1) if i == j
                                            else range(pl) for i, j in coords])
-        return [g for g in box if g.det() % p != 0]
+        return (g for g in box if g.det() % p != 0)
     raise ValueError(f"unknown subgroup tag {spec.tag}")
+
+
+def enumerate_cosets(spec: SubgroupSpec, L: int) -> list[Mat]:
+    """The representatives of `iter_cosets`, as a list in the same order."""
+    return list(iter_cosets(spec, L))

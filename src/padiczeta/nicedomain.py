@@ -40,6 +40,7 @@ The sweep does not depend on k, so it is cached (`_cell_keys`).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,7 +52,7 @@ from .group import (
     _a_k_residue,
     _least_valuation,
     box_histograms,
-    enumerate_cosets,
+    iter_cosets,
     p_power_diag,
     unipotent_box,
 )
@@ -560,7 +561,8 @@ def rho0_report(f: EClassElement, slope_max: int | None = None,
     if slope_max is None:
         slope_max = 4 * m + n
     a = hypothesis_diagonal(ctx, n)
-    klist = enumerate_cosets(SubgroupSpec("K", n, p), max(m, 1))[:k_count]
+    klist = list(itertools.islice(
+        iter_cosets(SubgroupSpec("K", n, p), max(m, 1)), k_count))
     bases = _base_points(n, p, domain_cap) if slope_max > 0 else []
     tasks = []
     for rho in range(slope_max + 1):

@@ -51,6 +51,7 @@ from .group import (
     box_histograms,
     enumerate_cosets,
     haar_volume,
+    iter_cosets,
     modular_delta,
     modular_delta_half_exponent,
     p_power_diag,
@@ -112,14 +113,20 @@ def certify_E_class(elem: EClassElement) -> dict:
     recorded profile, and the profile coset is actually hit; (iii) the
     recorded squared norm is positive.  Raises ValueError on failure and
     returns the checked counts.
+
+    The K points are read lazily (`iter_cosets`), as far as the checks
+    go: the first five, and then up to the first that hits the support.
     """
     ctx, n = elem.ctx, elem.n
     p, m = ctx.p, ctx.m
     a0 = _profile_mat(elem)
-    kreps = enumerate_cosets(SubgroupSpec("K", n, p), max(m, 1))
-    base_pts = [a0] + [a0 @ k for k in kreps[:5]]
+    kreps = iter_cosets(SubgroupSpec("K", n, p), max(m, 1))
+    head = list(itertools.islice(kreps, 5))
+    base_pts = [a0] + [a0 @ k for k in head]
+    right = list(itertools.islice(
+        iter_cosets(SubgroupSpec("Kq", n, p, 2 * m), 2 * m + 1), 2 * p ** n))
     checked = {"left_KA": 0, "right_Kq2": 0, "support": 0}
-    units = [Fraction(c) for c in range(1, p ** m) if c % p != 0]
+    units = [c for c in range(1, p ** m) if c % p != 0]
     for g in base_pts:
         ref = elem.phase(g)
         for vals in itertools.product(units, repeat=n):
@@ -127,8 +134,7 @@ def certify_E_class(elem: EClassElement) -> dict:
             if elem.phase(d @ g) != ref:
                 raise ValueError("not left K_A-invariant")
             checked["left_KA"] += 1
-        for r in enumerate_cosets(SubgroupSpec("Kq", n, p, 2 * m),
-                                  2 * m + 1)[:2 * p ** n]:
+        for r in right:
             if elem.phase(g @ r) != ref:
                 raise ValueError("not right K(q^2)-invariant")
             checked["right_Kq2"] += 1
@@ -138,11 +144,12 @@ def certify_E_class(elem: EClassElement) -> dict:
         if vals == prof:
             continue
         a = p_power_diag(vals, p)
-        for k in kreps[:4]:
+        for k in head[:4]:
             checked["support"] += 1
             if not elem.phase(a @ k).is_zero():
                 raise ValueError(f"support leaks to profile {vals}")
-    if not any(not elem.phase(a0 @ k).is_zero() for k in kreps):
+    if not any(not elem.phase(a0 @ k).is_zero()
+               for k in itertools.chain(head, kreps)):
         raise ValueError("profile coset not in the support")
     if elem.norm_sq <= 0:
         raise ValueError("norm must be positive")

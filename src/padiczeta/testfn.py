@@ -67,7 +67,7 @@ from .group import (
     iwasawa_UAK,
     p_power_diag,
 )
-from .params import chi_tau_eval, theta_matrix
+from .params import TauParam, chi_tau_eval, theta_matrix
 from .residue import residue_rows
 
 # the last level 2m + LEVEL_CAP of the stabilization certificate of
@@ -457,6 +457,16 @@ class TestFunction:
         """shift_mat() @ w_G, built once per function like shift_mat()."""
         return self._shift_mat @ Mat.longest_weyl(self.N, self.ctx.p)
 
+    @functools.cached_property
+    def _identity(self) -> Mat:
+        # the a-part of a point of the support, built once per function
+        return Mat.identity(self.N, self.ctx.p)
+
+    @functools.cached_property
+    def theta(self) -> TauParam:
+        """theta_matrix(N, ctx), built once per function."""
+        return theta_matrix(self.N, self.ctx)
+
     def phase(self, g: Mat) -> CycValue:
         """The cyclotomic part of the value; the full value is c1 * phase.
 
@@ -466,11 +476,10 @@ class TestFunction:
         lower part (`_explicit_on_K`).  It shares no integer kernel with
         `f_explicit` or with the W_fcg cell walk, whose twins read f
         through it."""
-        ctx, n = self.ctx, self.N
-        dec = iwasawa_UAK(self.shift_mat() @ g)
-        if dec.a != Mat.identity(n, ctx.p):
+        dec = iwasawa_UAK(self._shift_mat @ g)
+        if dec.a != self._identity:
             return CycValue.zero
-        v = _explicit_on_K(dec.k, ctx, theta_matrix(n, ctx))
+        v = _explicit_on_K(dec.k, self.ctx, self.theta)
         if v is None:
             return CycValue.zero
         return v.conj() if self.conjugate else v
@@ -506,7 +515,7 @@ def mellin_component(tf: TestFunction, g: Mat):
     ctx = tf.ctx
     p, m, n = ctx.p, ctx.m, tf.N
     dec = iwasawa_UAK(tf.shift_mat() @ g)
-    kval = _explicit_on_K(dec.k, ctx, theta_matrix(n, ctx))
+    kval = _explicit_on_K(dec.k, ctx, tf.theta)
     if kval is None:
         return None
     phase = kval.conj() if tf.conjugate else kval

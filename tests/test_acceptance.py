@@ -19,7 +19,6 @@ from padiczeta.group import (
     iwasawa_UAK,
 )
 from padiczeta.nicedomain import (
-    hypothesis_diagonal,
     rho0_report,
     scan_box_domains,
     verify_partition,

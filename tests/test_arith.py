@@ -14,7 +14,6 @@ from padiczeta.arith import (
     SqrtRational,
     cyclotomic_poly,
     frac_part,
-    norm,
     psi,
     psi_T,
     rat_to_text,

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from padiczeta.arith import norm, valuation
+from padiczeta.arith import valuation
 from padiczeta.group import (
     Mat,
     SubgroupSpec,

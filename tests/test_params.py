@@ -8,7 +8,6 @@ import pytest
 from padiczeta.arith import CycValue, DepthContext
 from padiczeta.group import Mat
 from padiczeta.params import (
-    OmegaIdempotent,
     TauParam,
     build_omega,
     chi_tau_eval,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padiczeta.arith import CycValue, DepthContext, SqrtRational, psi_T, valuation
+from padiczeta.arith import CycValue, DepthContext, psi_T, valuation
 from padiczeta.group import Mat, SubgroupSpec, enumerate_cosets, haar_volume
 from padiczeta import testfn
 from padiczeta.params import chi_tau_eval, theta_matrix

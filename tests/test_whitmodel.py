@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from padiczeta.arith import CycValue, DepthContext, psi_T, valuation
+from padiczeta.arith import CycValue, DepthContext, psi_T
 from padiczeta.group import Mat, SubgroupSpec, enumerate_cosets
 from padiczeta.params import chi_tau_eval, companion_matrix, theta_matrix
 from padiczeta.whitmodel import (
@@ -91,7 +91,7 @@ def test_left_equivariance_plain_character():
             v = Mat([[1, b], [0, 1]], 2)
             scaled = v @ h
             lhs = W.phase(scaled)
-            from padiczeta.arith import frac_part, psi
+            from padiczeta.arith import psi
             assert lhs == psi(b, 2) * base
 
 
