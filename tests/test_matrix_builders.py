@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from padiczeta.arith import CycValue, DepthContext
 from padiczeta.group import (Mat, SubgroupSpec, box_columns, box_histograms,
-                             enumerate_cosets, p_power_diag, unipotent_box)
+                             enumerate_cosets, iter_cosets, p_power_diag,
+                             unipotent_box)
 from padiczeta import nicedomain
 from padiczeta.nicedomain import (NiceDomain, _cell_sum, _region_classes,
                                   conj_by_A)
@@ -197,6 +198,48 @@ def test_unipotent_cosets_match_reference(tag, n, p, e, L):
     digits = [c * p ** e for c in range(p ** (L - e))]
     assert type(got) is list
     assert_same_list(got, ref_box(n, p, coords, [digits] * len(coords)))
+
+
+def ref_det(rows):
+    """The Leibniz determinant of a square list of rows."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        term = (-1) ** inversions
+        for i in range(n):
+            term *= rows[i][perm[i]]
+        total += term
+    return total
+
+
+def ref_k_cosets(n, p, L):
+    """Every n x n matrix with entries in [0, p^L), in row-major product
+    order, kept when its determinant is a unit mod p."""
+    for flat in itertools.product(range(p ** L), repeat=n * n):
+        rows = [[Fraction(v) for v in flat[i * n:(i + 1) * n]]
+                for i in range(n)]
+        if ref_det(rows) % p != 0:
+            yield Mat(rows, p)
+
+
+# count None compares the whole transversal; a count compares the prefix
+# that the lazy readers take: the class certificate reads 5 points at
+# (p, m, rank) = (3, 2, 2) and the testfn-agreement grid 512 at (3, 1, 2)
+@pytest.mark.parametrize("n,p,L,count", [
+    (1, 3, 2, None), (2, 2, 1, None), (2, 3, 1, None), (2, 2, 2, None),
+    (3, 2, 1, None), (2, 3, 2, 5), (2, 3, 2, 512),
+])
+def test_k_cosets_match_reference(n, p, L, count):
+    spec = SubgroupSpec("K", n, p)
+    if count is None:
+        got = enumerate_cosets(spec, L)
+        want = list(ref_k_cosets(n, p, L))
+    else:
+        got = list(itertools.islice(iter_cosets(spec, L), count))
+        want = list(itertools.islice(ref_k_cosets(n, p, L), count))
+    assert_same_list(got, want)
 
 
 # -- the transform cells of rslocal ------------------------------------------

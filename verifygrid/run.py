@@ -1,14 +1,13 @@
 """Run every `padiczeta verify` suite on a grid of instances and print
 which pass, fail or run out of time.
 
-    python3 verifygrid/run.py [--timeout 60] [--mem-mb 2048] [--save DIR]
-        [--suite NAME ...] [--instance P,M,RANK ...]
+    python3 verifygrid/run.py [--save DIR]
 
 Run from anywhere: the package is imported from ``src/`` next to this
 directory.  Each (suite, instance) is one subprocess, started only after
 the previous one has ended, never in parallel, with a wall budget of
-``--timeout`` seconds and an address-space limit of ``--mem-mb`` MB; a
-subprocess that exceeds either is stopped and reported as ``timeout`` or
+TIMEOUT_S seconds and an address-space limit of MEM_BYTES; a subprocess
+that exceeds either is stopped and reported as ``timeout`` or
 ``memory``.  The last lines of stdout are a markdown table, one row per
 run.  With ``--save DIR`` the report each finished run printed is kept in
 DIR as ``<suite>-<p>-<m>-<rank>.json``, so that two checkouts can be
@@ -36,32 +35,24 @@ SUITES = ("testfn-agreement", "zeta", "concentration", "rs-support",
 INSTANCES = ((2, 1, 2), (3, 1, 2), (2, 1, 3), (2, 2, 2),
              (5, 1, 2), (3, 2, 2), (3, 1, 3), (2, 1, 4))
 
-
-def _instance(text: str) -> tuple:
-    try:
-        p, m, rank = (int(x) for x in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"instance must be P,M,RANK, not {text!r}") from None
-    return p, m, rank
+TIMEOUT_S = 60
+MEM_BYTES = 2 * 2 ** 30
 
 
-def run_one(suite: str, inst: tuple, timeout: float, mem_mb: int,
-            save: Path | None) -> tuple:
+def run_one(suite: str, inst: tuple, save: Path | None) -> tuple:
     """(result, seconds) for one suite at one instance."""
     p, m, rank = inst
     cmd = [sys.executable, "-m", "padiczeta.cli", "verify", "--suite", suite,
            "--p", str(p), "--m", str(m), "--rank", str(rank)]
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    limit = mem_mb * 2 ** 20
 
     def cap_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        resource.setrlimit(resource.RLIMIT_AS, (MEM_BYTES, MEM_BYTES))
 
     t0 = time.monotonic()
     try:
         proc = subprocess.run(cmd, env=env, capture_output=True, text=True,
-                              timeout=timeout, preexec_fn=cap_memory)
+                              timeout=TIMEOUT_S, preexec_fn=cap_memory)
     except subprocess.TimeoutExpired:
         return "timeout", time.monotonic() - t0
     secs = time.monotonic() - t0
@@ -77,21 +68,14 @@ def run_one(suite: str, inst: tuple, timeout: float, mem_mb: int,
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--timeout", type=float, default=60.0)
-    parser.add_argument("--mem-mb", type=int, default=2048)
     parser.add_argument("--save", type=Path, default=None)
-    parser.add_argument("--suite", action="append", choices=SUITES)
-    parser.add_argument("--instance", action="append", type=_instance)
     args = parser.parse_args(argv)
-    if args.timeout <= 0 or args.mem_mb <= 0:
-        parser.error("--timeout and --mem-mb must be positive")
     if args.save is not None:
         args.save.mkdir(parents=True, exist_ok=True)
     rows = []
-    for inst in args.instance or INSTANCES:
-        for suite in args.suite or SUITES:
-            result, secs = run_one(suite, inst, args.timeout, args.mem_mb,
-                                   args.save)
+    for inst in INSTANCES:
+        for suite in SUITES:
+            result, secs = run_one(suite, inst, args.save)
             print(f"{suite} {inst}: {result} ({secs:.1f} s)", flush=True)
             rows.append((suite, inst, result, secs))
     print()
