@@ -343,6 +343,11 @@ class CycValue:
         return all(c == 0 for c in self.reduced())
 
     def __eq__(self, other) -> bool:
+        # equal stored forms are equal values; the converse fails across
+        # orders and for unreduced forms, which the reduction decides
+        if isinstance(other, CycValue) and other.order == self.order \
+                and other.coeffs == self.coeffs:
+            return True
         if isinstance(other, (int, Fraction, CycValue)):
             return (self - other).is_zero()
         return NotImplemented

@@ -396,7 +396,8 @@ def _cell_keys(f: EClassElement, a: Mat, domain: NiceDomain,
 
 
 def _cell_sum(f: EClassElement, s: tuple, a: Mat, zk: tuple,
-              domain: NiceDomain, levels: dict) -> tuple:
+              domain: NiceDomain, levels: dict, phases: dict,
+              coeffs: dict) -> tuple:
     """(parts, cells): the exact sum of f[s](w_G u a k) psi^{-1}(u) du
     over the cell, for the K-point k with integer rows zk mod q^2,
     enumerating the conjugated coordinates to the given per-entry levels.
@@ -422,18 +423,28 @@ def _cell_sum(f: EClassElement, s: tuple, a: Mat, zk: tuple,
     `rslocal._phase_at`, each radical counts its keys' products (psi
     root) * (phase root), times the key's coefficient, under their
     exponent pairs, made a value by `CycValue.from_histogram` at the
-    factor orders (den, T) times the member volume."""
+    factor orders (den, T) times the member volume.
+
+    phases maps the rows of each K-part already read at k to its phase
+    exponent, or to None off the support, and coeffs each a-part's
+    exponents already read at s to `_a_coefficient`; a key not in them
+    is read and added.  Sums at one (s, k) may share the two dicts, and
+    `vanishing_check` passes the same ones to every level it sums."""
     ctx, tf = f.ctx, f.tf
     keys, den, vol, cells = _cell_keys(f, a, domain,
                                        tuple(sorted(levels.items())))
     kcols = list(zip(*zk))
     acc: dict = {}
     for (exps, krows), hist in keys:
-        e = _explicit_exponent_at(krows, kcols, ctx)
+        if krows not in phases:
+            e = _explicit_exponent_at(krows, kcols, ctx)
+            phases[krows] = -e if e is not None and tf.conjugate else e
+        e = phases[krows]
         if e is None:
             continue
-        e = -e if tf.conjugate else e
-        rad, coeff = _a_coefficient(f, s, exps)
+        if exps not in coeffs:
+            coeffs[exps] = _a_coefficient(f, s, exps)
+        rad, coeff = coeffs[exps]
         counts = acc.setdefault(rad, {})
         for x, count in hist:
             counts[x, e] = counts.get((x, e), 0) + count * coeff
@@ -480,7 +491,11 @@ def vanishing_check(a: Mat, k: Mat, s: tuple, domain: NiceDomain,
     (`_cell_sum`).  The enumeration level is certified by a one-step
     refinement comparison (`arith.certify`): the levels are refined, at
     most MAX_REFINE + 1 times, until two consecutive sums agree, and each
-    level is summed once.  Expected zero whenever the slope is large."""
+    level is summed once.  The levels share most of their keys, so the
+    call keeps one dict of phase exponents at k and one of a-part
+    coefficients at s, which every level reads and extends: each K-part
+    and each a-part is read once per call.  Expected zero whenever the
+    slope is large."""
     ctx = f.ctx
     n, p, m = f.n, ctx.p, ctx.m
     if domain.n != n or domain.p != p:
@@ -496,12 +511,14 @@ def vanishing_check(a: Mat, k: Mat, s: tuple, domain: NiceDomain,
     if any(av[i] - av[i + 1] < -2 * m for i in range(n - 1)):
         raise ValueError("simple-root coordinates of a exceed T")
     zk = residue_rows(k, 2 * m)
+    phases, coeffs = {}, {}
 
     def steps(levels):
         # the level of a step is its per-entry levels with the count of
         # cells summed there
         for _ in range(MAX_REFINE + 2):
-            parts, cells = _cell_sum(f, s, a, zk, domain, levels)
+            parts, cells = _cell_sum(f, s, a, zk, domain, levels, phases,
+                                     coeffs)
             yield (levels, cells), parts
             levels = {c: l + 1 for c, l in levels.items()}
 

@@ -356,9 +356,14 @@ def W_fcg(f: EClassElement, c: Mat, a: Mat, k: Mat) -> WValue:
     with Q.  Only k mod q^2 is built per call, and `_phase_at` reads each
     box at it: one integer histogram of (psi exponent, phase exponent)
     pairs, made a value by `CycValue.from_histogram` at the factor orders
-    (p^B, T).  The dual element takes `_w_direct`.  c, a and k must have
-    the size of f, and k must lie in K: the cells are read at k mod q^2
-    only.
+    (p^B, T).  The boxes of one call share most of their K-parts (at the
+    points tried, those of box B are all among those of box B + 1), so
+    the call keeps one dict from a K-part's rows to its phase exponent
+    at k, which every box reads and extends: each K-part is read once
+    per call.  The two phases compared are usually stored alike, which
+    `CycValue.__eq__` settles without reduction.  The dual element takes
+    `_w_direct`.  c, a and k must have the size of f, and k must lie in
+    K: the cells are read at k mod q^2 only.
     """
     if not c.n == a.n == k.n == f.n:
         raise ValueError("c, a and k must have the size of f")
@@ -366,9 +371,10 @@ def W_fcg(f: EClassElement, c: Mat, a: Mat, k: Mat) -> WValue:
         raise ValueError("k must lie in K")
     coeff = _coeff(f, c)
     zk = None if f.dual else residue_rows(k, 2 * f.ctx.m)
+    phases = {}
     _, (_, phase) = certify(
         ((B, _w_direct(f, c, a, k, B).phase if f.dual
-          else _phase_at(f, _w_cell_data(f, c, a, B, 0), zk))
+          else _phase_at(f, _w_cell_data(f, c, a, B, 0), zk, phases))
          for B in range(BOX_START, BOX_CAP + 1)),
         "transform box cap exceeded without stabilization", "box_cap",
         BOX_CAP, BOX_CAP)
@@ -447,19 +453,28 @@ def _k_transversal(ctx: DepthContext, n: int):
 def _transform_values_over_K(f: EClassElement, cells: TransformCells,
                              kreps):
     """The transform phase at each point k of kreps, in order: `_phase_at`
-    at k mod q^2, one `CycValue.from_histogram` per value."""
+    at k mod q^2, one `CycValue.from_histogram` per value.  One box is
+    read at each K-point, so no K-part is read twice and no exponent
+    dict is kept."""
     for k in kreps:
-        yield _phase_at(f, cells, residue_rows(k, 2 * f.ctx.m))
+        yield _phase_at(f, cells, residue_rows(k, 2 * f.ctx.m), None)
 
 
-def _phase_at(f: EClassElement, cells: TransformCells, zk) -> CycValue:
+def _phase_at(f: EClassElement, cells: TransformCells, zk,
+              phases: dict | None) -> CycValue:
     """The transform phase at the K-point with integer rows zk mod q^2.
 
     A group (krows, psi) contributes where krows zk lies on the support,
     and then its phase is a T-th root of unity of exponent e, read by
     `testfn._explicit_exponent_at` and negated for a conjugate test
-    function.  Each psi exponent x mod p^B with count c counts c products
-    (psi root, phase root) under the key (x, e), and
+    function.  A caller that reads several boxes at one K-point passes
+    one dict phases to all of them, which maps the rows of each K-part
+    already read there to e, or to None off the support; a K-part not in
+    it is read and added.  A caller that reads one box per K-point
+    passes None, which keeps nothing: a dict there would only hash
+    K-parts that are never read again (about 15 % of a rank-3 K-sweep
+    of `Q_P`).  Each psi exponent x mod p^B with count c counts c
+    products (psi root, phase root) under the key (x, e), and
     `CycValue.from_histogram` at the factor orders (p^B, T) makes the
     histogram the value times the cell volume.
     """
@@ -467,10 +482,15 @@ def _phase_at(f: EClassElement, cells: TransformCells, zk) -> CycValue:
     kcols = list(zip(*zk))
     hist = {}
     for krows, counts in cells.groups:
-        e = _explicit_exponent_at(krows, kcols, f.ctx)
+        if phases is not None and krows in phases:
+            e = phases[krows]
+        else:
+            e = _explicit_exponent_at(krows, kcols, f.ctx)
+            e = None if e is None else sign * e
+            if phases is not None:
+                phases[krows] = e
         if e is None:
             continue
-        e *= sign
         for x, count in counts:
             hist[x, e] = hist.get((x, e), 0) + count
     return CycValue.from_histogram(hist, cells.vol, (cells.pB, f.ctx.T))
@@ -543,10 +563,9 @@ def _outer_diagonals(f: EClassElement, c: Mat, nprime: int, B: int):
         SHELL_CAP, base + SHELL_CAP)
 
 
-def _q_single_box(f: EClassElement, c: Mat, nprime: int,
-                  B: int) -> CycValue:
+def _q_single_box(f: EClassElement, c: Mat, nprime: int, B: int,
+                  kreps) -> CycValue:
     ctx, n = f.ctx, f.n
-    kreps = _k_transversal(ctx, n)
     vol_kq = haar_volume(SubgroupSpec("Kq", n, ctx.p, ctx.m))
     total = CycSum()
     for a, cells in _outer_diagonals(f, c, nprime, B):
@@ -562,15 +581,17 @@ def Q_P(f: EClassElement, c: Mat, nprime: int) -> Fraction:
 
     Exact nonnegative rational output with a stabilization certificate on
     the unipotent box: the first box depth B in BOX_START..BOX_CAP whose
-    value equals that of depth B - 1 (`arith.certify`).  c must be
+    value equals that of depth B - 1 (`arith.certify`).  The K/K(q)
+    transversal is built once per call and read at every box.  c must be
     diagonal with first nprime entries 1.
     """
     if f.dual:
         raise ValueError("integrals are computed for the forward element")
     if any(c[i, i] != 1 for i in range(nprime)):
         raise ValueError(f"the first {nprime} entries of c must be 1")
+    kreps = _k_transversal(f.ctx, f.n)
     _, (_, value) = certify(
-        ((B, _q_single_box(f, c, nprime, B))
+        ((B, _q_single_box(f, c, nprime, B, kreps))
          for B in range(BOX_START, BOX_CAP + 1)),
         "integral box cap exceeded without stabilization", "box_cap",
         BOX_CAP, BOX_CAP)

@@ -158,6 +158,57 @@ def test_cyc_ring_laws(a, b, c):
     assert (x * y) * z == x * (y * z)
 
 
+def _eq_cases():
+    z2, z3, z4 = (CycValue.root_of_unity(n, 1) for n in (2, 3, 4))
+    w = z3 * Fraction(2, 3) + CycValue.rational(5)
+    return [
+        # identical dicts, the second a copy of the first
+        (w, CycValue(w.order, dict(w.coeffs)), True),
+        (w, w, True),
+        # one value stored at two orders
+        (z2, z4 * z4, True),
+        (z4 * z4, CycValue.rational(-1), True),
+        (z2, z4, False),
+        # cancelled sums against zero
+        (CycValue.one + z2, CycValue.zero, True),
+        (CycValue.one + z3 + z3 * z3, CycValue.zero, True),
+        (CycValue.one + z3 + z3 * z3, 0, True),
+        # the same order, different dicts
+        (CycValue(3, {0: 1}), CycValue(3, {1: -1, 2: -1}), True),
+        (CycValue(3, {1: 1}), CycValue(3, {2: 1}), False),
+        (CycValue(4, {1: 1, 2: 1}), CycValue(4, {1: 1, 3: 1}), False),
+        # int and Fraction operands
+        (CycValue.rational(3), 3, True),
+        (CycValue.rational(3), Fraction(3), True),
+        (CycValue(1, {0: Fraction(1, 2)}), Fraction(1, 2), True),
+        (CycValue(1, {0: Fraction(1, 2)}), 1, False),
+        (CycValue(2, {0: 2, 1: 1}), 1, True),
+        (z4, 0, False),
+    ]
+
+
+def test_cyc_eq_matches_reduction():
+    # equality is decided by reduction mod Phi_order; equal stored forms
+    # may answer at once, and the answer is the reduction's either way,
+    # from either side
+    for a, b, want in _eq_cases():
+        assert (a - b).is_zero() is want
+        assert (a == b) is want and (a != b) is not want
+        assert (b == a) is want
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.sampled_from([1, 2, 3, 4, 6, 8, 9]),
+       st.sampled_from([1, 2, 3, 4, 6, 8, 9]),
+       st.dictionaries(st.integers(0, 71), st.integers(-2, 2), max_size=4),
+       st.dictionaries(st.integers(0, 71), st.integers(-2, 2), max_size=4),
+       st.booleans())
+def test_cyc_eq_matches_reduction_on_random_values(n, n2, ca, cb, copy):
+    a = CycValue(n, ca)
+    b = CycValue(n, dict(a.coeffs)) if copy else CycValue(n2, cb)
+    assert (a == b) is (a - b).is_zero() is (b == a)
+
+
 # an addend: a count times a product of roots of unity, one per factor,
 # with factor i at order p^k_i for k_i <= 3 and any integer exponent
 _counts = st.one_of(st.integers(-3, 3),

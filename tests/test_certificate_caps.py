@@ -148,7 +148,7 @@ def test_refinement_reuses_the_finer_sum(monkeypatch):
     # so each level is summed once
     seen = []
 
-    def settling_sum(f, s, a, zk, domain, levels):
+    def settling_sum(f, s, a, zk, domain, levels, phases, coeffs):
         seen.append(levels)
         r = (sum(levels.values()) - sum(seen[0].values())) // len(levels)
         return {min(r, 1): None}, 10 ** r
@@ -181,7 +181,7 @@ def test_transform_builds_no_box_past_the_closing_one(monkeypatch):
     W_fcg(F2, C2, a, k)
     assert built == list(range(rslocal.BOX_START, built[-1] + 1))
     zk = rslocal.residue_rows(k, 2)
-    phases = [rslocal._phase_at(F2, real(F2, C2, a, B, 0), zk)
+    phases = [rslocal._phase_at(F2, real(F2, C2, a, B, 0), zk, {})
               for B in built]
     assert phases[-2] == phases[-1]
     assert all(x != y for x, y in zip(phases[:-2], phases[1:-1]))

@@ -296,7 +296,7 @@ def visited_members(domain, levels, monkeypatch):
     one = Mat.identity(n, p)
     f = standard_E_element(CTX21, n)
     _, cells = _cell_sum(f, (0,) * n, one, residue_rows(one, 2), domain,
-                         levels)
+                         levels, {}, {})
     assert cells == len(seen)
     return seen
 
@@ -362,5 +362,5 @@ def test_cell_sum_mass_is_cell_volume(domain, levels, monkeypatch,
     one = Mat.identity(n, domain.p)
     f = standard_E_element(CTX21, n)
     parts, _ = _cell_sum(f, (0,) * n, one, residue_rows(one, 2), domain,
-                         levels)
+                         levels, {}, {})
     assert parts == {1: CycValue.rational(cell_volume(domain))}

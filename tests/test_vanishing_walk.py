@@ -189,7 +189,7 @@ def test_cell_sum_matches_section_reference(args):
     f, s, a, k, domain, levels = args
     want, want_cells = ref_cell_sum(f, s, a, k, domain, levels)
     got, cells = _cell_sum(f, s, a, residue_rows(k, 2 * f.ctx.m), domain,
-                           levels)
+                           levels, {}, {})
     assert cells == want_cells
     assert _parts_json(got) == _parts_json(want)
 
