@@ -531,13 +531,15 @@ def modular_delta(a: Mat) -> Fraction:
 
 
 def modular_delta_half_exponent(a: Mat) -> Fraction:
-    """log_p of delta_N^(1/2)(a), an exact (half-)integer p-exponent."""
-    d = a.diagonal()
-    s = 0
-    for i in range(len(d)):
-        for j in range(i + 1, len(d)):
-            s += valuation(d[j] / d[i], a.p)
-    return Fraction(s, 2)
+    """log_p of delta_N^(1/2)(a), an exact (half-)integer p-exponent: half
+    the sum over i < j of v(a_j) - v(a_i), in which v(a_j) has the weight
+    j - (n - 1 - j).  The entries share the denominator of a, which
+    cancels in each difference, so one valuation per integer diagonal
+    entry of a.num is taken; a zero diagonal entry raises
+    ZeroDivisionError."""
+    v = [valuation(r[i], a.p) for i, r in enumerate(a.num)]
+    n = len(v)
+    return Fraction(sum((2 * j - n + 1) * x for j, x in enumerate(v)), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ from .group import (
     p_power_diag,
     unipotent_box,
 )
-from .residue import residue_rows
+from .residue import residue_rows, residue_rows_in_K
 from .rslocal import EClassElement
 from .testfn import _explicit_exponent_at
 
@@ -336,14 +336,14 @@ def _parts_clean(parts: dict) -> dict:
     return {rad: v for rad, v in parts.items() if not v.is_zero()}
 
 
-def _base_levels(domain: NiceDomain, ctx: DepthContext, a: Mat) -> dict:
+def _base_levels(domain: NiceDomain, ctx: DepthContext, av: list) -> dict:
     """Initial per-entry refinement levels: the superdiagonal must be
     enumerated to level rho - n for the additive character, and every
     entry to the depth at which pushing the perturbation through a and k
-    lands in K(q^2)."""
-    n, p, m = domain.n, domain.p, ctx.m
+    lands in K(q^2).  av holds the valuations of the diagonal entries of
+    a."""
+    n, m = domain.n, ctx.m
     rho = domain.slope
-    av = [valuation(x, p) for x in a.diagonal()]
     lv = {}
     for i in range(n):
         for j in range(i + 1, n):
@@ -503,14 +503,14 @@ def vanishing_check(a: Mat, k: Mat, s: tuple, domain: NiceDomain,
     # the cells are read at k as a k' k, which needs a diagonal and k in K
     if not a.is_diagonal():
         raise ValueError("the outer factor a must be diagonal")
-    if not k.in_K():
-        raise ValueError("k must lie in K")
-    av = [valuation(x, p) for x in a.diagonal()]
+    zk = residue_rows_in_K(k, 2 * m)
+    # a = A / t on the integers: v(a_i) = v(A_ii) - v(t), read once
+    vt = valuation(a.den, p)
+    av = [valuation(r[i], p) - vt for i, r in enumerate(a.num)]
     if av[-1] != 0:
         raise ValueError("last diagonal entry must be a unit")
     if any(av[i] - av[i + 1] < -2 * m for i in range(n - 1)):
         raise ValueError("simple-root coordinates of a exceed T")
-    zk = residue_rows(k, 2 * m)
     phases, coeffs = {}, {}
 
     def steps(levels):
@@ -523,7 +523,7 @@ def vanishing_check(a: Mat, k: Mat, s: tuple, domain: NiceDomain,
             levels = {c: l + 1 for c, l in levels.items()}
 
     ((levels, cells), parts), ((_, cells2), _) = certify(
-        steps(_base_levels(domain, ctx, a)),
+        steps(_base_levels(domain, ctx, av)),
         "cell refinement did not certify local constancy", "max_refine",
         MAX_REFINE, MAX_REFINE)
     return CharacterSumValue(parts, levels, cells + cells2, True)

@@ -57,7 +57,7 @@ from .group import (
     p_power_diag,
     unipotent_box,
 )
-from .residue import residue_rows
+from .residue import residue_rows, residue_rows_in_K
 from .testfn import TestFunction, _explicit_exponent_at, translate_for_H
 
 
@@ -70,11 +70,30 @@ class EClassElement:
     The underlying data is the lower-structured test function; values are
     taken after left translation by the longest Weyl element, and `dual`
     composes with the duality map g -> w_G g^{-T}.
+
+    The element keys the cell caches `_w_cell_data` and
+    `nicedomain._cell_keys`, which one transform or vanishing call looks
+    up at each box or level it draws.  Its hash, that of the fields, is
+    computed once, on construction, and kept as a plain attribute, so a
+    lookup does not hash the test function and its Fractions again.
+    Equality stays field by field.  A pickled element is rebuilt through
+    the constructor, so a worker process computes the hash itself rather
+    than trusting one made in another process.
     """
 
     tf: TestFunction
     norm_sq: Fraction
     dual: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash",
+                           hash((self.tf, self.norm_sq, self.dual)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return EClassElement, (self.tf, self.norm_sq, self.dual)
 
     @property
     def ctx(self) -> DepthContext:
@@ -309,8 +328,15 @@ def _box_cells(f: EClassElement, head: Mat, a: Mat, B: int,
 
 
 def _coeff(f: EClassElement, c: Mat) -> SqrtRational:
-    e2 = 2 * modular_delta_half_exponent(c)
-    return SqrtRational.sqrt(Fraction(f.ctx.p) ** e2) * f.tf.c1
+    """delta_N^{1/2}(c) * c1, the coefficient of every transform value at
+    c: c1 with its radicand times p^e2, for e2 = log_p delta_N(c), which
+    `group.modular_delta_half_exponent` reads from the integer diagonal
+    of c.  The radicand is formed as one Fraction of integers."""
+    h = modular_delta_half_exponent(c)
+    e2, p, c1 = 2 * h.numerator // h.denominator, f.ctx.p, f.tf.c1
+    num, den = c1.radicand.numerator, c1.radicand.denominator
+    return SqrtRational(c1.sign, Fraction(num * p ** e2, den) if e2 >= 0
+                        else Fraction(num, den * p ** -e2))
 
 
 @dataclass(frozen=True)
@@ -363,14 +389,15 @@ def W_fcg(f: EClassElement, c: Mat, a: Mat, k: Mat) -> WValue:
     per call.  The two phases compared are usually stored alike, which
     `CycValue.__eq__` settles without reduction.  The dual element takes
     `_w_direct`.  c, a and k must have the size of f, and k must lie in
-    K: the cells are read at k mod q^2 only.
+    K: the cells are read at k mod q^2 only.  k is reduced mod q^2 once,
+    and its membership in K is read on those rows
+    (`residue.residue_rows_in_K`).  The coefficient `_coeff` is read from
+    the integer diagonal of c, without a Fraction division.
     """
     if not c.n == a.n == k.n == f.n:
         raise ValueError("c, a and k must have the size of f")
-    if not k.in_K():
-        raise ValueError("k must lie in K")
+    zk = residue_rows_in_K(k, 2 * f.ctx.m)
     coeff = _coeff(f, c)
-    zk = None if f.dual else residue_rows(k, 2 * f.ctx.m)
     phases = {}
     _, (_, phase) = certify(
         ((B, _w_direct(f, c, a, k, B).phase if f.dual

@@ -182,6 +182,7 @@ def test_vanishing_refuses_a_non_diagonal_a():
 @pytest.mark.parametrize("k", [
     Mat.diag([Fraction(1), Fraction(2)], 2),      # integral, det not a unit
     Mat.diag([Fraction(1, 2), Fraction(2)], 2),   # det 1, not integral
+    Mat([[1, 2], [3, 2]], 2),                     # det -4, zero mod q^2
 ])
 def test_vanishing_refuses_a_k_outside_K(k):
     # a k' k is the Iwasawa form of shift u a k only for k in K

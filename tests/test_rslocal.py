@@ -144,11 +144,13 @@ def test_stabilization_certificate_required(monkeypatch):
 
 def test_transform_refuses_k_outside_K():
     # the cells are read at k mod q^2, which is the transform at k only
-    # for k in K: a k of non-unit determinant, or not integral, raises
+    # for k in K: a k of non-unit determinant, or not integral, raises.
+    # det 2 is not zero mod q^2 = 4, only mod p; diag(1/2, 2) has det 1
     c = central_c(CTX21, 2)
     a, _ = pinned_outer_diagonal(F2, c)
-    for k in (Mat([[6, 7], [4, 6]], 2),
-              Mat([[Fraction(1, 2), 0], [0, 1]], 2)):
+    for k in (Mat([[6, 7], [4, 6]], 2), Mat([[1, 0], [1, 2]], 2),
+              Mat([[Fraction(1, 2), 0], [0, 1]], 2),
+              Mat.diag([Fraction(1, 2), Fraction(2)], 2)):
         with pytest.raises(ValueError, match="k must lie in K"):
             W_fcg(F2, c, a, k)
 

@@ -25,6 +25,12 @@ Each function here is the slow, definitional form of a fast path in
   time.
 - `dual_value_parts(tf, g)`, the dual function at g, which reads f
   through `TestFunction.phase`.
+- `delta_half_exponent(a)`, log_p of delta_N^{1/2}(a) from the Fraction
+  quotients a_j / a_i of the diagonal; the integer form
+  `group.modular_delta_half_exponent` is checked against it.
+- `transform_coeff(f, c)`, the coefficient delta_N^{1/2}(c) c1 of the
+  transform as the product of two square roots; `rslocal._coeff`, which
+  scales the radicand of c1 on the integers, is checked against it.
 
 It also holds `sampled_domains(n, p, rho)`, the slope-rho cells of one
 base point per (remainder, pivot) class, built from
@@ -40,8 +46,7 @@ from operator import mul
 from padiczeta.arith import (CycSum, CycValue, DepthContext, SqrtRational,
                              psi_T, valuation)
 from padiczeta.group import (Mat, SubgroupSpec, bruhat_open_cell,
-                             enumerate_cosets, iwasawa_UAK,
-                             modular_delta_half_exponent, unipotent_box)
+                             enumerate_cosets, iwasawa_UAK, unipotent_box)
 from padiczeta.nicedomain import (NiceDomain, _base_points, _sqrt_split,
                                   _upper_coords)
 from padiczeta.params import chi_tau_eval, theta_matrix
@@ -163,7 +168,7 @@ def section_value(f: EClassElement, s: tuple, g: Mat,
     if phase is None or phase.is_zero():
         return {}
     # delta_U = delta_N^{-1}
-    e2 = -2 * modular_delta_half_exponent(dec.a) - 2 * sum(
+    e2 = -2 * delta_half_exponent(dec.a) - 2 * sum(
         si * valuation(ai, ctx.p)
         for si, ai in zip(s, dec.a.diagonal()))
     coeff = tf.c1 * SqrtRational.sqrt(Fraction(ctx.p) ** e2)
@@ -183,3 +188,21 @@ def dual_value_parts(tf: TestFunction, g: Mat):
     """The dual function at g: tf at w_G times inverse-transpose of g."""
     w = Mat.longest_weyl(tf.N, tf.ctx.p)
     return tf.value_parts(w @ g.inv().transpose())
+
+
+def delta_half_exponent(a: Mat) -> Fraction:
+    """log_p of delta_N^{1/2}(a), half the sum over i < j of the
+    valuations of the Fraction quotients a_j / a_i."""
+    d = a.diagonal()
+    s = 0
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            s += valuation(d[j] / d[i], a.p)
+    return Fraction(s, 2)
+
+
+def transform_coeff(f: EClassElement, c: Mat) -> SqrtRational:
+    """delta_N^{1/2}(c) * c1 as the product of the square root of the
+    rational p^(2 delta_half_exponent(c)) and c1."""
+    e2 = 2 * delta_half_exponent(c)
+    return SqrtRational.sqrt(Fraction(f.ctx.p) ** e2) * f.tf.c1
