@@ -340,6 +340,14 @@ class CycValue:
         return tuple(poly[:deg])
 
     def is_zero(self) -> bool:
+        """Whether the value is zero.  At an order p^k, k >= 1 (every order
+        the package builds is a power of its p), the stored coefficients
+        decide it by the coset rule of `histogram_is_zero`, which holds
+        for rational coefficients too and needs no reduction; at order 1
+        or any other order, the reduction decides it."""
+        p = _prime_of_power(self.order)
+        if p:
+            return CycValue.histogram_is_zero(self.coeffs, p, self.order)
         return all(c == 0 for c in self.reduced())
 
     def __eq__(self, other) -> bool:
@@ -385,6 +393,59 @@ class CycValue:
 
 CycValue.one = CycValue(1, {0: Fraction(1)})
 CycValue.zero = CycValue(1, {})
+
+
+def _prime_of_power(n: int) -> int:
+    """The prime p with n = p^k for some k >= 1, or 0 when n is 1 or not
+    a prime power."""
+    if n < 2:
+        return 0
+    p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+    while n % p == 0:
+        n //= p
+    return p if n == 1 else 0
+
+
+class CountedRoots:
+    """weight times the products of roots of unity counted in counts, at
+    factor orders that are powers of the prime p: the arguments of
+    `CycValue.from_histogram` for products (a dict {(e_1, ..., e_k):
+    count} at the orders (N_1, ..., N_k)), kept as they are until
+    `value()` makes them a value by that one call.
+
+    Two of them are equal when their values are, which is decided on the
+    counts without building either value.  Both histograms are placed at
+    the common order N, the largest N_i (all are powers of p).  The
+    weights a/b and a'/b' are cross-multiplied, so that a b' times the
+    one side's counts minus a' b times the other's is a histogram of
+    integer counts at N (for integer counts), the difference of the
+    values times b b'.  It is zero exactly when `CycValue.histogram_is_zero`
+    says so: the rule is exact both ways, so a certificate that compares
+    these closes where one comparing the values would."""
+
+    __slots__ = ("counts", "weight", "orders", "p")
+
+    def __init__(self, counts: dict, weight: Rat, orders: tuple, p: int):
+        self.counts, self.weight, self.orders, self.p = (counts, weight,
+                                                         orders, p)
+
+    def value(self) -> CycValue:
+        return CycValue.from_histogram(self.counts, self.weight, self.orders)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CountedRoots):
+            return NotImplemented
+        N = max(*self.orders, *other.orders)
+        a, b = self.weight, other.weight
+        diff: dict = {}
+        for side, scale in ((self, a.numerator * b.denominator),
+                            (other, -b.numerator * a.denominator)):
+            shifts = [N // n for n in side.orders]
+            for key, c in side.counts.items():
+                e = sum(map(operator.mul, key, shifts)) % N
+                diff[e] = diff.get(e, 0) + scale * c
+        return CycValue.histogram_is_zero(
+            {e: c for e, c in diff.items() if c}, self.p, N)
 
 
 def _as_cyc(x) -> CycValue:

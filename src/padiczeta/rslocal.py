@@ -42,8 +42,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import (CertificateCapExceeded, CycSum, CycValue, DepthContext,
-                    SqrtRational, certify, psi, valuation)
+from .arith import (CertificateCapExceeded, CountedRoots, CycSum, CycValue,
+                    DepthContext, SqrtRational, certify, psi, valuation)
 from .group import (
     Mat,
     SubgroupSpec,
@@ -256,7 +256,8 @@ def _head(f: EClassElement, c: Mat, wM: Mat) -> Mat:
 
 @dataclass(frozen=True)
 class TransformCells:
-    """The surviving cells of a transform box, grouped by K-part.
+    """The surviving cells of a transform box, grouped by K-part, and the
+    coefficient `coeff` of every transform value read from them.
 
     Every cell of the box has the volume `vol`.  Each group is a pair
     (krows, psi): krows are the integer rows mod q^2 of the K-part shared
@@ -267,6 +268,7 @@ class TransformCells:
     vol: Fraction
     pB: int
     groups: tuple
+    coeff: SqrtRational
 
     def __bool__(self) -> bool:
         return bool(self.groups)
@@ -286,18 +288,20 @@ def _w_cell_data(f: EClassElement, c: Mat, a: Mat, B: int,
     them at its own k on every call) and by the integrals Q, Q_P.  Every
     caller passes the five arguments positionally, so each box has one
     key.  `_w_cell_data.cache_info()` gives the hits and misses.
+    The coefficient `_coeff(f, c)` of the values, which depends on (f, c)
+    alone, travels with the cells, so a cached box carries it too.
     Only for forward elements: the dual takes the slow path `_w_direct`.
     """
     return _box_cells(f, _head(f, c, _block_weyl(f.n, nprime, f.ctx.p)),
-                      a, B, nprime)
+                      a, B, nprime, _coeff(f, c))
 
 
-def _box_cells(f: EClassElement, head: Mat, a: Mat, B: int,
-               nprime: int) -> TransformCells:
+def _box_cells(f: EClassElement, head: Mat, a: Mat, B: int, nprime: int,
+               coeff: SqrtRational) -> TransformCells:
     """The cells of the box of depth B for the constant left factor head:
-    the value at k in K is vol times the sum, over the groups (krows, psi)
+    the phase at k in K is vol times the sum, over the groups (krows, psi)
     and the cells counted in psi, of psi^{-1}(u) times the phase of
-    krows k.
+    krows k, and coeff times the phase is the value.
 
     With head = H / h, u = (p^B + X) / p^B and a = A / a0, the cell's
     argument head u a is the integer matrix H (p^B + X) A over
@@ -324,7 +328,7 @@ def _box_cells(f: EClassElement, head: Mat, a: Mat, B: int,
         _unit_a_k_residue(head.den * pB * a.den, p, 2 * ctx.m))
     return TransformCells(vol, pB, tuple(
         (krows, tuple(h.items())) for krows, h in hists.items()
-        if not CycValue.histogram_is_zero(h, p, pB)))
+        if not CycValue.histogram_is_zero(h, p, pB)), coeff)
 
 
 def _coeff(f: EClassElement, c: Mat) -> SqrtRational:
@@ -381,31 +385,35 @@ def W_fcg(f: EClassElement, c: Mat, a: Mat, k: Mat) -> WValue:
     bounded cache shares them with every call at the same (f, c, a) and
     with Q.  Only k mod q^2 is built per call, and `_phase_at` reads each
     box at it: one integer histogram of (psi exponent, phase exponent)
-    pairs, made a value by `CycValue.from_histogram` at the factor orders
-    (p^B, T).  The boxes of one call share most of their K-parts (at the
-    points tried, those of box B are all among those of box B + 1), so
-    the call keeps one dict from a K-part's rows to its phase exponent
-    at k, which every box reads and extends: each K-part is read once
-    per call.  The two phases compared are usually stored alike, which
-    `CycValue.__eq__` settles without reduction.  The dual element takes
-    `_w_direct`.  c, a and k must have the size of f, and k must lie in
-    K: the cells are read at k mod q^2 only.  k is reduced mod q^2 once,
-    and its membership in K is read on those rows
-    (`residue.residue_rows_in_K`).  The coefficient `_coeff` is read from
-    the integer diagonal of c, without a Fraction division.
+    pairs at the factor orders (p^B, T), kept as `arith.CountedRoots`.
+    The certificate compares two boxes on those integer counts, so no
+    value is built for a box it drops; the returned box alone is made a
+    value, by `CycValue.from_histogram`, and its cells carry the
+    coefficient `_coeff(f, c)`.  The boxes of one call share most of
+    their K-parts (at the points tried, those of box B are all among
+    those of box B + 1), so the call keeps one dict from a K-part's rows
+    to its phase exponent at k, which every box reads and extends: each
+    K-part is read once per call.  The dual element takes `_w_direct`.
+    c, a and k must have the size of f, and k must lie in K: the cells
+    are read at k mod q^2 only.  k is reduced mod q^2 once, and its
+    membership in K is read on those rows (`residue.residue_rows_in_K`).
     """
     if not c.n == a.n == k.n == f.n:
         raise ValueError("c, a and k must have the size of f")
     zk = residue_rows_in_K(k, 2 * f.ctx.m)
-    coeff = _coeff(f, c)
+    boxes = range(BOX_START, BOX_CAP + 1)
+    cap = ("transform box cap exceeded without stabilization", "box_cap",
+           BOX_CAP, BOX_CAP)
+    if f.dual:
+        _, (_, phase) = certify(
+            ((B, _w_direct(f, c, a, k, B).phase) for B in boxes), *cap)
+        return WValue(_coeff(f, c), phase)
     phases = {}
-    _, (_, phase) = certify(
-        ((B, _w_direct(f, c, a, k, B).phase if f.dual
-          else _phase_at(f, _w_cell_data(f, c, a, B, 0), zk, phases))
-         for B in range(BOX_START, BOX_CAP + 1)),
-        "transform box cap exceeded without stabilization", "box_cap",
-        BOX_CAP, BOX_CAP)
-    return WValue(coeff, phase)
+    # each step carries its box's cells, for the coefficient
+    _, (cells, counts) = certify(
+        ((cells, _phase_at(f, cells, zk, phases))
+         for cells in (_w_cell_data(f, c, a, B, 0) for B in boxes)), *cap)
+    return WValue(cells.coeff, counts.value())
 
 
 # -- support laws -----------------------------------------------------------
@@ -484,12 +492,13 @@ def _transform_values_over_K(f: EClassElement, cells: TransformCells,
     read at each K-point, so no K-part is read twice and no exponent
     dict is kept."""
     for k in kreps:
-        yield _phase_at(f, cells, residue_rows(k, 2 * f.ctx.m), None)
+        yield _phase_at(f, cells, residue_rows(k, 2 * f.ctx.m), None).value()
 
 
 def _phase_at(f: EClassElement, cells: TransformCells, zk,
-              phases: dict | None) -> CycValue:
-    """The transform phase at the K-point with integer rows zk mod q^2.
+              phases: dict | None) -> CountedRoots:
+    """The transform phase at the K-point with integer rows zk mod q^2, as
+    its counted roots of unity.
 
     A group (krows, psi) contributes where krows zk lies on the support,
     and then its phase is a T-th root of unity of exponent e, read by
@@ -501,18 +510,20 @@ def _phase_at(f: EClassElement, cells: TransformCells, zk,
     passes None, which keeps nothing: a dict there would only hash
     K-parts that are never read again (about 15 % of a rank-3 K-sweep
     of `Q_P`).  Each psi exponent x mod p^B with count c counts c
-    products (psi root, phase root) under the key (x, e), and
-    `CycValue.from_histogram` at the factor orders (p^B, T) makes the
-    histogram the value times the cell volume.
+    products (psi root, phase root) under the key (x, e).  The histogram
+    at the factor orders (p^B, T), times the cell volume, is returned as
+    `CountedRoots`, whose `value()` is `CycValue.from_histogram` of it
+    and whose equality is decided on the counts.
     """
     sign = -1 if f.tf.conjugate else 1
+    ctx = f.ctx
     kcols = list(zip(*zk))
     hist = {}
     for krows, counts in cells.groups:
         if phases is not None and krows in phases:
             e = phases[krows]
         else:
-            e = _explicit_exponent_at(krows, kcols, f.ctx)
+            e = _explicit_exponent_at(krows, kcols, ctx)
             e = None if e is None else sign * e
             if phases is not None:
                 phases[krows] = e
@@ -520,7 +531,7 @@ def _phase_at(f: EClassElement, cells: TransformCells, zk,
             continue
         for x, count in counts:
             hist[x, e] = hist.get((x, e), 0) + count
-    return CycValue.from_histogram(hist, cells.vol, (cells.pB, f.ctx.T))
+    return CountedRoots(hist, cells.vol, (cells.pB, ctx.T), ctx.p)
 
 
 def _k_square_sum(f: EClassElement, cells, kreps) -> CycValue:

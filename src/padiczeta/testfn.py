@@ -126,18 +126,49 @@ def _explicit_exponent_mod(z, ctx: DepthContext):
 
 
 def _explicit_exponent_at(krows, kcols, ctx: DepthContext):
-    """`_explicit_exponent_mod` of the K-element krows k mod q^2, for the
-    integer rows krows of a K-part and the integer columns kcols of a
-    K-point k: the upper entries of the product are tested mod q before
-    the rest of it is formed, and `_J_exponent_mod` reads the product mod
-    q^2.  So a cell of head u a with the K-part krows is read at a K-point
-    k: u' a' k' k, k in K, has the same a-part and the K-part k' k."""
-    n, q, T = len(krows), ctx.q, ctx.T
-    if any(sum(map(operator.mul, krows[i], kcols[j])) % q
-           for i in range(n) for j in range(i + 1, n)):
-        return None
-    return _J_exponent_mod([[sum(map(operator.mul, row, col)) % T
-                             for col in kcols] for row in krows], ctx)
+    """`_explicit_exponent_mod` of z = krows k mod q^2, for the integer
+    rows krows of a K-part and the integer columns kcols of a K-point k,
+    both in K, read from rows 0..n-2 of z alone.  So a cell of head u a
+    with the K-part krows is read at a K-point k: u' a' k' k, k in K, has
+    the same a-part and the K-part k' k.
+
+    Row by row, the upper entries of z are formed and tested mod q (off
+    the support at the first that is not 0 mod q) before the rest of the
+    row is formed.  Row n-1 of z is never formed, and it is not needed.
+    On the support z is lower triangular mod q, and det z is a unit
+    because both factors lie in K; so every diagonal entry of z is a unit.
+    Eliminating a column with such a pivot row, whose entries past the
+    pivot are 0 mod q, leaves the rows below unchanged mod q, so each
+    Schur complement is again lower triangular mod q with the same
+    diagonal, and every pivot is a unit: the unit test of the last pivot,
+    the one use `_J_exponent_mod` makes of row n-1, cannot fail.  Each
+    formed row is eliminated mod q^2 against the pivot rows above it
+    (Doolittle's order), which gives the rows U = D N of `_J_exponent_mod`;
+    row i of U depends on rows 0..i of z only, and so does each summand
+    U[i][i+1] / U[i][i] of the exponent, i < n-1."""
+    n, q = len(kcols), ctx.q
+    T = q * q
+    rows = []
+    for i in range(n - 1):
+        row = krows[i]
+        upper = []
+        for col in kcols[i + 1:]:
+            x = sum(map(operator.mul, row, col))
+            if x % q:
+                return None
+            upper.append(x)
+        rows.append([sum(map(operator.mul, row, col))
+                     for col in kcols[:i + 1]] + upper)
+    inverse = _unit_inverses(ctx.p, T)
+    pivots, total = [], 0
+    for r in rows:
+        for tail, pinv in pivots:
+            f = r[0] * pinv
+            r = [(x - f * y) % T for x, y in zip(r[1:], tail)]
+        pinv = inverse[r[0] % T]
+        total += r[1] * pinv
+        pivots.append((r[1:], pinv))
+    return total % T
 
 
 def _congruence_columns(z, ctx: DepthContext, tau, digits: int) -> list:

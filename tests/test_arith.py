@@ -1,12 +1,14 @@
 """Oracle and property tests for the exact scalar layer."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from padiczeta.arith import (
+    CountedRoots,
     CycSum,
     CycValue,
     DepthContext,
@@ -209,6 +211,68 @@ def test_cyc_eq_matches_reduction_on_random_values(n, n2, ca, cb, copy):
     assert (a == b) is (a - b).is_zero() is (b == a)
 
 
+def _reduces_to_zero(v):
+    return all(c == 0 for c in v.reduced())
+
+
+def test_is_zero_by_the_coset_rule_matches_the_reduction(monkeypatch):
+    # at a power p^k of a prime, k >= 1, `is_zero` reads the stored
+    # coefficients by the coset rule, with no reduction; random sparse
+    # rational values, zeros built from whole cosets of the subgroup of
+    # order p, and such zeros one count off are all read as the reduction
+    # reads them
+    rng = random.Random(37)
+    reductions = []
+    reduced = CycValue.reduced
+
+    def counted(self):
+        reductions.append(self.order)
+        return reduced(self)
+
+    counts = [Fraction(c, d) for c in range(-3, 4) if c
+              for d in (1, 2, 3)]
+    zeros = misses = 0
+    for p, ks in ((2, (1, 2, 3, 4)), (3, (1, 2, 3)), (5, (1, 2))):
+        for k in ks:
+            N = p ** k
+            step = N // p
+            for trial in range(60):
+                coeffs = {}
+                if trial % 3:
+                    for e in rng.sample(range(step),
+                                        rng.randint(1, min(3, step))):
+                        c = rng.choice(counts)
+                        for j in range(p):
+                            coeffs[e + j * step] = c
+                    if trial % 3 == 2:
+                        e = rng.choice([*coeffs, rng.randrange(N)])
+                        coeffs[e] = coeffs.get(e, 0) + rng.choice([1, -1])
+                else:
+                    coeffs = {rng.randrange(N): rng.choice(counts)
+                              for _ in range(rng.randint(0, 2 * p))}
+                v = CycValue(N, coeffs)
+                want = _reduces_to_zero(v)
+                with monkeypatch.context() as patch:
+                    patch.setattr(CycValue, "reduced", counted)
+                    assert v.is_zero() is want, (N, coeffs)
+                zeros += want and trial % 3 == 1
+                misses += trial % 3 == 2 and not want
+    assert reductions == [] and zeros == 9 * 20 and misses == 9 * 20
+    # order 1 and orders that are not prime powers take the reduction
+    for N, coeffs, want in ((1, {}, True), (1, {0: 2}, False),
+                            (6, {0: 1, 2: 1, 4: 1}, True),
+                            (6, {0: 1, 3: 1}, True), (6, {1: 1}, False),
+                            (12, {0: 1, 4: 1, 8: 1}, True),
+                            (12, {1: 1, 7: 1}, True), (12, {1: 1, 5: 1},
+                                                       False)):
+        v = CycValue(N, coeffs)
+        with monkeypatch.context() as patch:
+            patch.setattr(CycValue, "reduced", counted)
+            patch.setattr(CycValue, "histogram_is_zero", None)
+            assert v.is_zero() is want, (N, coeffs)
+        assert reductions[-1] == N
+
+
 # an addend: a count times a product of roots of unity, one per factor,
 # with factor i at order p^k_i for k_i <= 3 and any integer exponent
 _counts = st.one_of(st.integers(-3, 3),
@@ -255,6 +319,63 @@ def test_from_histogram_prints_as_cyc_sum_of_products(p, ks, addends, cancel,
                 if count:
                     total.add(CycValue.root_of_unity(N, e) * (count * weight))
     assert got.to_json() == total.value().to_json()
+
+
+def _box_pair(rng, p, T, kind):
+    """Two (psi exponent, phase exponent) histograms as `CountedRoots` at
+    (p^B, T) for two depths B, each with its own weight.  "equal": one
+    histogram read at both depths, its counts times s and its weight over
+    s, plus whole cosets of the subgroup of order p (zero sums), so the
+    values are equal though the counts differ; "near": the same, one count
+    off on one side; "random": two independent histograms."""
+    B1, B2 = rng.sample(range(5), 2)
+    base = {(rng.randrange(p ** min(B1, B2)), rng.randrange(T)):
+            rng.choice([-2, -1, 1, 2, 3]) for _ in range(rng.randint(1, 5))}
+    weight = Fraction(rng.choice([1, -1, 2, 3]), p ** rng.randrange(6))
+    sides = []
+    for B in (B1, B2):
+        pB, s = p ** B, rng.randint(1, 4)
+        if kind == "random":
+            counts = {(rng.randrange(pB), rng.randrange(T)):
+                      rng.choice([-1, 1, 2]) for _ in range(rng.randint(0, 5))}
+        else:
+            lift = pB // p ** min(B1, B2)
+            counts = {(x * lift, e): s * c for (x, e), c in base.items()}
+        for _ in range(rng.randint(0, 2)):
+            x, e = rng.randrange(pB), rng.randrange(T)
+            c, by_x = rng.choice([-1, 1, 2]), pB > 1 and rng.random() < 0.5
+            for j in range(p):
+                key = ((x + j * pB // p) % pB, e) if by_x \
+                    else (x, (e + j * T // p) % T)
+                counts[key] = counts.get(key, 0) + c
+        counts = {key: c for key, c in counts.items() if c}
+        sides.append(CountedRoots(counts, weight / s, (pB, T), p))
+    if kind == "near":
+        counts = sides[1].counts
+        key = rng.choice([*counts, (0, rng.randrange(T))])
+        counts[key] = counts.get(key, 0) + rng.choice([-1, 1])
+    return sides
+
+
+def test_counted_roots_compare_as_their_values():
+    # the integer comparison of two box histograms at different depths
+    # and weights answers as `==` of their `from_histogram` values, and as
+    # the reduction of the difference, also where only the reduction
+    # makes them equal
+    rng = random.Random(41)
+    seen = {}
+    for p, m in ((2, 1), (3, 1), (2, 2), (5, 1)):
+        T = p ** (2 * m)
+        for trial in range(150):
+            kind = ("equal", "near", "random")[trial % 3]
+            one, two = _box_pair(rng, p, T, kind)
+            want = _reduces_to_zero(one.value() - two.value())
+            assert (one.value() == two.value()) is want
+            assert (one == two) is want is (two == one), (p, m, kind)
+            assert (one != two) is not want
+            seen[kind, want] = seen.get((kind, want), 0) + 1
+    assert seen["equal", True] == 4 * 50
+    assert seen["near", False] > 150 and seen["random", False] > 150
 
 
 def test_cyc_numeric_sanity():

@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padiczeta.arith import CycValue, DepthContext
+from padiczeta.arith import CycValue, DepthContext, SqrtRational
 from padiczeta.group import Mat
 from padiczeta.params import theta_matrix
 from padiczeta.residue import ZMat, residue_rows
@@ -218,7 +218,8 @@ def test_sweep_phase_matches_explicit_on_K(point):
     cell_mat, k_mat = Mat(cell, p), Mat(k, p)
     # one cell of volume weight at psi exponent 0 (box depth 0)
     cells = TransformCells(weight, 1,
-                           ((residue_rows(cell_mat, 2 * m), ((0, 1),)),))
+                           ((residue_rows(cell_mat, 2 * m), ((0, 1),)),),
+                           SqrtRational.of_rational(1))
     [got] = _transform_values_over_K(f, cells, [k_mat])
     ref = _explicit_on_K(cell_mat @ k_mat, ctx, theta_matrix(n, ctx))
     if ref is None:

@@ -50,6 +50,77 @@ def test_kernel_rank2_closed_form():
         assert J_open_cell(g, CTX21) == expect
 
 
+def _rows_in_K(rng, p, n, T):
+    """Random integer rows mod T of an element of K."""
+    while True:
+        rows = [[rng.randrange(T) for _ in range(n)] for _ in range(n)]
+        if Mat(rows, p).det() % p:
+            return rows
+
+
+def _inverse_mod(rows, p, T):
+    """The inverse mod T of integer rows with a unit determinant, by
+    Gauss-Jordan elimination on a unit pivot of each column."""
+    n = len(rows)
+    aug = [list(row) + [int(i == j) for j in range(n)]
+           for i, row in enumerate(rows)]
+    for j in range(n):
+        piv = next(i for i in range(j, n) if aug[i][j] % p)
+        aug[j], aug[piv] = aug[piv], aug[j]
+        inv = pow(aug[j][j], -1, T)
+        aug[j] = [x * inv % T for x in aug[j]]
+        for i in range(n):
+            if i != j:
+                f = aug[i][j]
+                aug[i] = [(x - f * y) % T for x, y in zip(aug[i], aug[j])]
+    return [row[n:] for row in aug]
+
+
+def _times_mod(x, y, T):
+    return [[sum(a * b for a, b in zip(row, col)) % T for col in zip(*y)]
+            for row in x]
+
+
+def test_explicit_exponent_at_matches_the_full_product():
+    # `_explicit_exponent_at` reads the phase of krows k from a prefix of
+    # the product; `_explicit_exponent_mod` of the whole product mod q^2
+    # is the reference.  On-support pairs are krows = b k^-1 mod q^2, with
+    # b lower triangular, or lower triangular times an upper unipotent
+    # matrix = 1 mod q; random pairs in K are read off the support
+    # exactly where the reference reads None
+    rng = random.Random(31)
+    for p, m in ((2, 1), (3, 1), (2, 2), (5, 1)):
+        ctx = DepthContext(p, m)
+        q, T = ctx.q, ctx.T
+        units = [u for u in range(T) if u % p]
+        for n in (2, 3, 4):
+            hits = misses = 0
+            for trial in range(120):
+                k = _rows_in_K(rng, p, n, T)
+                if trial % 2:
+                    krows = _rows_in_K(rng, p, n, T)
+                else:
+                    b = [[rng.choice(units) if i == j
+                          else rng.randrange(T) if j < i else 0
+                          for j in range(n)] for i in range(n)]
+                    if trial % 4:
+                        b = _times_mod(b, [[int(i == j) if j <= i
+                                            else q * rng.randrange(q)
+                                            for j in range(n)]
+                                           for i in range(n)], T)
+                    krows = _times_mod(b, _inverse_mod(k, p, T), T)
+                want = testfn._explicit_exponent_mod(_times_mod(krows, k, T),
+                                                     ctx)
+                got = testfn._explicit_exponent_at(krows, list(zip(*k)),
+                                                   ctx)
+                assert got == want, (p, m, n, krows, k)
+                if trial % 2 == 0:
+                    assert want is not None
+                hits += want is not None
+                misses += want is None
+            assert hits >= 60 and misses > 10, (p, m, n, hits, misses)
+
+
 # -- convolution vs explicit ------------------------------------------------
 
 def test_f_at_identity():

@@ -49,8 +49,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from padiczeta import rslocal
-from padiczeta.arith import (CycSum, CycValue, DepthContext, rat_to_text,
-                             valuation)
+from padiczeta.arith import (CycSum, CycValue, DepthContext, SqrtRational,
+                             rat_to_text, valuation)
 from padiczeta.cli import main
 from padiczeta.group import (Mat, _a_k_residue, _eliminate,
                              _least_valuation, _unit_a_k_residue,
@@ -184,20 +184,12 @@ def test_second_transform_reads_the_cached_cells(cold_cells, monkeypatch):
     assert after.misses == before.misses and after.hits > before.hits
 
 
-class _OneHistogramCyc(CycValue):
-    """`CycValue` for `rslocal` with `root_of_unity` removed and the calls
-    of `from_histogram` counted."""
-
-    histograms = 0
+class _NoRootCyc(CycValue):
+    """`CycValue` for `rslocal` with `root_of_unity` removed."""
 
     @staticmethod
     def root_of_unity(order, exponent):
         raise RuntimeError("root_of_unity in the W_fcg value path")
-
-    @staticmethod
-    def from_histogram(*args):
-        _OneHistogramCyc.histograms += 1
-        return CycValue.from_histogram(*args)
 
 
 class _NoCycSum:
@@ -210,25 +202,48 @@ def test_transform_values_need_no_per_group_cyc_values(cold_cells,
     # certify the elements first: certification reads f's own phases
     for p, m, n in W_INSTANCES:
         standard_E_element(DepthContext(p, m), n)
-    phase_at = rslocal._phase_at
-    monkeypatch.setattr(_OneHistogramCyc, "histograms", 0)
-    values = []
+    # every `from_histogram` call, wherever it is made, and every box read
+    built, reads = [], []
+    from_histogram, phase_at = CycValue.from_histogram, rslocal._phase_at
+    w_fcg = rslocal.W_fcg
 
-    def one_histogram(*args):
-        before = _OneHistogramCyc.histograms
-        values.append(phase_at(*args))
-        if _OneHistogramCyc.histograms != before + 1:
-            raise RuntimeError("a transform value built from "
-                               f"{_OneHistogramCyc.histograms - before} "
-                               "histograms")
-        return values[-1]
+    def counted(*args):
+        built.append(args)
+        return from_histogram(*args)
 
-    monkeypatch.setattr(rslocal, "CycValue", _OneHistogramCyc)
+    def read(*args):
+        reads.append(args)
+        return phase_at(*args)
+
+    # (boxes read, values built) per W_fcg call of the golden document
+    calls = []
+
+    def one_value(*args):
+        before = len(reads), len(built)
+        value = w_fcg(*args)
+        calls.append((len(reads) - before[0], len(built) - before[1]))
+        return value
+
+    monkeypatch.setattr(CycValue, "from_histogram", staticmethod(counted))
+    monkeypatch.setattr(rslocal, "_phase_at", read)
+    monkeypatch.setattr(rslocal, "CycValue", _NoRootCyc)
     monkeypatch.setattr(rslocal, "CycSum", _NoCycSum)
-    monkeypatch.setattr(rslocal, "_phase_at", one_histogram)
+    monkeypatch.setitem(golden_document.__globals__, "W_fcg", one_value)
     assert golden_document() == GOLDEN_FILE.read_text()
-    # and none outside the values, e.g. in the cell walk's zero test
-    assert values and _OneHistogramCyc.histograms == len(values)
+    # exactly one value per call, the returned box's: the certificate
+    # reads at least two boxes and builds none for those it drops, and
+    # neither does the cell walk's zero test on a cold cache
+    assert calls and all(boxes >= 2 and values == 1
+                         for boxes, values in calls)
+    # and one per K-point of an integral, one box read at each
+    monkeypatch.setattr(rslocal, "CycSum", CycSum)
+    f = standard_E_element(DepthContext(2, 1), 2)
+    for nprime, c in ((0, p_power_diag([-1, -1], 2)),
+                      (1, p_power_diag([0, 1], 2))):
+        del built[:], reads[:]
+        rslocal.Q_P(f, c, nprime)
+        assert reads and len(built) == len(reads)
+        assert all(len(args[2]) == f.n for args in reads)
 
 
 def test_cancelling_group_is_dropped(cold_cells, monkeypatch):
@@ -335,7 +350,7 @@ def sweep_cases(draw):
     nprime = draw(st.integers(0, 1)) if n == 3 else 0
     boxes = _real_cells(p, m, n, nprime, draw(st.integers(0, 1)), B)
     real = draw(st.sampled_from(boxes)) if boxes else TransformCells(
-        Fraction(1, p ** B), p ** B, ())
+        Fraction(1, p ** B), p ** B, (), SqrtRational.of_rational(1))
     extra = tuple(
         (draw(k_rows(p, m, n, draw(st.booleans()))),
          draw(psi_histograms(p, p ** B)))
@@ -345,7 +360,7 @@ def sweep_cases(draw):
     f = _element(p, m, n, draw(st.booleans()))
     kreps = [Mat(draw(k_rows(p, m, n, draw(st.booleans()))), p)
              for _ in range(draw(st.integers(1, 3)))]
-    return f, TransformCells(real.vol, p ** B, tuple(groups)), kreps
+    return f, replace(real, pB=p ** B, groups=tuple(groups)), kreps
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
