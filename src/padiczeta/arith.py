@@ -51,14 +51,6 @@ def valuation(x: Rat, p: int) -> int:
     return v
 
 
-def norm(x: Rat, p: int) -> Fraction:
-    """p-adic absolute value |x| = p^(-v_p(x)); |0| = 0."""
-    x = Fraction(x)
-    if x == 0:
-        return Fraction(0)
-    return Fraction(p) ** (-valuation(x, p))
-
-
 def frac_part(x: Rat, p: int) -> Fraction:
     """p-adic fractional part: the unique r in [0,1) with p-power denominator
     such that x - r is p-integral."""

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
 
-from .arith import norm, valuation
+from .arith import valuation
 
 
 class Mat:
@@ -521,13 +521,11 @@ def bruhat_open_cell(g: Mat) -> BruhatLDU | None:
 # ---------------------------------------------------------------------------
 
 def modular_delta(a: Mat) -> Fraction:
-    """delta_N(a) = prod_{i<j} |a_i/a_j| (delta_U is its inverse)."""
-    d = a.diagonal()
-    out = Fraction(1)
-    for i in range(len(d)):
-        for j in range(i + 1, len(d)):
-            out *= norm(d[i] / d[j], a.p)
-    return out
+    """delta_N(a) = prod_{i<j} |a_i/a_j| = p^(sum_{i<j} v(a_j) - v(a_i))
+    (delta_U is its inverse): p to twice `modular_delta_half_exponent`,
+    one valuation per diagonal entry.  A zero diagonal entry raises
+    ZeroDivisionError."""
+    return Fraction(a.p) ** (2 * modular_delta_half_exponent(a))
 
 
 def modular_delta_half_exponent(a: Mat) -> Fraction:

@@ -134,21 +134,6 @@ class ZMat:
         return f"ZMat({self.entries}, mod {self.p}^{self.e})"
 
 
-def enumerate_matrices(n: int, p: int, e: int):
-    """All n x n matrices over Z/p^e (lexicographic order)."""
-    mod = p ** e
-    for vals in itertools.product(range(mod), repeat=n * n):
-        yield ZMat(tuple(tuple(vals[i * n + j] for j in range(n))
-                         for i in range(n)), p, e)
-
-
-def enumerate_GL(n: int, p: int, e: int):
-    """All elements of GL_n(Z/p^e) (lexicographic order)."""
-    for z in enumerate_matrices(n, p, e):
-        if z.is_unit():
-            yield z
-
-
 def _commutes(x, t, n: int, mod: int) -> bool:
     """Whether x t = t x mod `mod`, for x given as its n * n entries in
     row order and t as integer rows: entry by entry, up to the first entry

@@ -6,8 +6,8 @@ upper unipotent) that are left K_A-invariant, right K(q^2)-invariant,
 supported on N K_A a0 K for the fixed descending profile |a0_i| =
 T^{(2i-1-n)/2}, and of recorded L^2-norm.  Our concentrated function has
 left *lower*-unipotent structure, so its class representative is the left
-translate by the longest Weyl element; the duality map g -> w_G g^{-T} is
-checked to preserve the class.
+translate by the longest Weyl element.  The tests check that the duality
+map g -> w_G g^{-T} preserves the class.
 
 The transform is W(f,c,g) = delta_N^{1/2}(c) * integral over u in N of
 f(c^{-1} w_G u g) psi^{-1}(u) du, evaluated as an exact finite sum.  The
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import (CertificateCapExceeded, CountedRoots, CycSum, CycValue,
-                    DepthContext, SqrtRational, certify, psi, valuation)
+                    DepthContext, SqrtRational, certify, valuation)
 from .group import (
     Mat,
     SubgroupSpec,
@@ -55,7 +55,6 @@ from .group import (
     modular_delta,
     modular_delta_half_exponent,
     p_power_diag,
-    unipotent_box,
 )
 from .residue import residue_rows, residue_rows_in_K
 from .testfn import TestFunction, _explicit_exponent_at, translate_for_H
@@ -68,8 +67,7 @@ class EClassElement:
     """A concentrated element of the N\\G class, with recorded norm.
 
     The underlying data is the lower-structured test function; values are
-    taken after left translation by the longest Weyl element, and `dual`
-    composes with the duality map g -> w_G g^{-T}.
+    taken after left translation by the longest Weyl element.
 
     The element keys the cell caches `_w_cell_data` and
     `nicedomain._cell_keys`, which one transform or vanishing call looks
@@ -83,17 +81,15 @@ class EClassElement:
 
     tf: TestFunction
     norm_sq: Fraction
-    dual: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash",
-                           hash((self.tf, self.norm_sq, self.dual)))
+        object.__setattr__(self, "_hash", hash((self.tf, self.norm_sq)))
 
     def __hash__(self) -> int:
         return self._hash
 
     def __reduce__(self):
-        return EClassElement, (self.tf, self.norm_sq, self.dual)
+        return EClassElement, (self.tf, self.norm_sq)
 
     @property
     def ctx(self) -> DepthContext:
@@ -104,10 +100,7 @@ class EClassElement:
         return self.tf.N
 
     def value_parts(self, g: Mat):
-        w = Mat.longest_weyl(self.n, self.ctx.p)
-        if self.dual:
-            g = w @ g.inv().transpose()
-        return self.tf.value_parts(w @ g)
+        return self.tf.value_parts(Mat.longest_weyl(self.n, self.ctx.p) @ g)
 
     def phase(self, g: Mat) -> CycValue:
         return self.value_parts(g)[1]
@@ -175,18 +168,11 @@ def certify_E_class(elem: EClassElement) -> dict:
     return checked
 
 
-def standard_E_element(ctx: DepthContext, n: int,
-                       dual: bool = False) -> EClassElement:
-    """The unit-norm concentrated element (or its dual), certified once
-    per (ctx, n, dual) in a process; a failed certification raises and
-    is not remembered."""
-    return _certified_element(ctx, n, dual)
-
-
 @functools.cache
-def _certified_element(ctx: DepthContext, n: int,
-                       dual: bool) -> EClassElement:
-    elem = EClassElement(translate_for_H(ctx, n), Fraction(1), dual)
+def standard_E_element(ctx: DepthContext, n: int) -> EClassElement:
+    """The unit-norm concentrated element, certified once per (ctx, n) in
+    a process; a failed certification raises and is not remembered."""
+    elem = EClassElement(translate_for_H(ctx, n), Fraction(1))
     certify_E_class(elem)
     return elem
 
@@ -231,14 +217,6 @@ def _box(ctx: DepthContext, a: Mat, B: int, coords):
     L = _cell_levels(ctx, a, B, coords)
     return ([range(p ** (B + L[c])) for c in coords],
             Fraction(p) ** (-sum(L.values())))
-
-
-def _u_cells(ctx: DepthContext, n: int, a: Mat, B: int, coords):
-    """(representative, volume) pairs covering the unipotent box of entry
-    depth p^{-B} by cells of the computed congruence pattern."""
-    ranges, vol = _box(ctx, a, B, coords)
-    return ((u, vol) for u in unipotent_box(n, ctx.p, coords, ranges,
-                                            ctx.p ** B))
 
 
 def _block_weyl(n: int, nprime: int, p: int) -> Mat:
@@ -290,7 +268,6 @@ def _w_cell_data(f: EClassElement, c: Mat, a: Mat, B: int,
     key.  `_w_cell_data.cache_info()` gives the hits and misses.
     The coefficient `_coeff(f, c)` of the values, which depends on (f, c)
     alone, travels with the cells, so a cached box carries it too.
-    Only for forward elements: the dual takes the slow path `_w_direct`.
     """
     return _box_cells(f, _head(f, c, _block_weyl(f.n, nprime, f.ctx.p)),
                       a, B, nprime, _coeff(f, c))
@@ -317,8 +294,6 @@ def _box_cells(f: EClassElement, head: Mat, a: Mat, B: int, nprime: int,
     """
     ctx, n = f.ctx, f.n
     p, pB = ctx.p, ctx.p ** B
-    if f.dual:
-        raise ValueError("cell data is only built for forward elements")
     if not a.is_diagonal():
         raise ValueError("the outer factor a must be diagonal")
     coords = [(k, l) for k in range(nprime, n) for l in range(k + 1, n)]
@@ -359,20 +334,6 @@ class WValue:
         return self.phase.abs_sq() * self.coeff.squared()
 
 
-def _w_direct(f: EClassElement, c: Mat, a: Mat, k: Mat, B: int) -> WValue:
-    """Slow path valid for dual elements: evaluate f cell by cell."""
-    ctx, n = f.ctx, f.n
-    coords = [(i, l) for i in range(n) for l in range(i + 1, n)]
-    wG = Mat.longest_weyl(n, ctx.p)
-    total = CycSum()
-    for u, vol in _u_cells(ctx, n, a, B, coords):
-        val = f.phase(c.inv() @ wG @ u @ a @ k)
-        if val.is_zero():
-            continue
-        total.add(psi(-u.superdiagonal_sum(), ctx.p) * vol * val)
-    return WValue(_coeff(f, c), total.value())
-
-
 def W_fcg(f: EClassElement, c: Mat, a: Mat, k: Mat) -> WValue:
     """The transform at g = a k (a diagonal, k in K), with a stabilization
     certificate over the unipotent box.  (The parabolic variant W_P is
@@ -380,12 +341,12 @@ def W_fcg(f: EClassElement, c: Mat, a: Mat, k: Mat) -> WValue:
 
     The value is returned at the first box depth B in BOX_START..BOX_CAP
     whose phase equals that of depth B - 1 (`arith.certify`), compared on
-    every call at this k.  For a forward element each box is the cells
-    of `_w_cell_data(f, c, a, B, 0)`, which do not depend on k: its
-    bounded cache shares them with every call at the same (f, c, a) and
-    with Q.  Only k mod q^2 is built per call, and `_phase_at` reads each
-    box at it: one integer histogram of (psi exponent, phase exponent)
-    pairs at the factor orders (p^B, T), kept as `arith.CountedRoots`.
+    every call at this k.  Each box is the cells of
+    `_w_cell_data(f, c, a, B, 0)`, which do not depend on k: its bounded
+    cache shares them with every call at the same (f, c, a) and with Q.
+    Only k mod q^2 is built per call, and `_phase_at` reads each box at
+    it: one integer histogram of (psi exponent, phase exponent) pairs at
+    the factor orders (p^B, T), kept as `arith.CountedRoots`.
     The certificate compares two boxes on those integer counts, so no
     value is built for a box it drops; the returned box alone is made a
     value, by `CycValue.from_histogram`, and its cells carry the
@@ -393,26 +354,22 @@ def W_fcg(f: EClassElement, c: Mat, a: Mat, k: Mat) -> WValue:
     their K-parts (at the points tried, those of box B are all among
     those of box B + 1), so the call keeps one dict from a K-part's rows
     to its phase exponent at k, which every box reads and extends: each
-    K-part is read once per call.  The dual element takes `_w_direct`.
-    c, a and k must have the size of f, and k must lie in K: the cells
-    are read at k mod q^2 only.  k is reduced mod q^2 once, and its
-    membership in K is read on those rows (`residue.residue_rows_in_K`).
+    K-part is read once per call.  c, a and k must have the size of f,
+    and k must lie in K: the cells are read at k mod q^2 only.  k is
+    reduced mod q^2 once, and its membership in K is read on those rows
+    (`residue.residue_rows_in_K`).
     """
     if not c.n == a.n == k.n == f.n:
         raise ValueError("c, a and k must have the size of f")
     zk = residue_rows_in_K(k, 2 * f.ctx.m)
-    boxes = range(BOX_START, BOX_CAP + 1)
-    cap = ("transform box cap exceeded without stabilization", "box_cap",
-           BOX_CAP, BOX_CAP)
-    if f.dual:
-        _, (_, phase) = certify(
-            ((B, _w_direct(f, c, a, k, B).phase) for B in boxes), *cap)
-        return WValue(_coeff(f, c), phase)
     phases = {}
     # each step carries its box's cells, for the coefficient
     _, (cells, counts) = certify(
         ((cells, _phase_at(f, cells, zk, phases))
-         for cells in (_w_cell_data(f, c, a, B, 0) for B in boxes)), *cap)
+         for cells in (_w_cell_data(f, c, a, B, 0)
+                       for B in range(BOX_START, BOX_CAP + 1))),
+        "transform box cap exceeded without stabilization", "box_cap",
+        BOX_CAP, BOX_CAP)
     return WValue(cells.coeff, counts.value())
 
 
@@ -623,8 +580,6 @@ def Q_P(f: EClassElement, c: Mat, nprime: int) -> Fraction:
     transversal is built once per call and read at every box.  c must be
     diagonal with first nprime entries 1.
     """
-    if f.dual:
-        raise ValueError("integrals are computed for the forward element")
     if any(c[i, i] != 1 for i in range(nprime)):
         raise ValueError(f"the first {nprime} entries of c must be 1")
     kreps = _k_transversal(f.ctx, f.n)

@@ -12,8 +12,8 @@ Iwasawa elimination of d g (d the denominator of g) gives the K-part mod
 q^2 exactly when a = 1, and the phase is read from it mod q^2.  The
 Fraction form of the same formula (Iwasawa decomposition, the a = 1 test,
 chi_theta of the stripped K-part) stays as `TestFunction.phase`, the route
-that the W_fcg twins and the dual function read, so that no fast path is
-checked against code it shares.
+that the W_fcg twins and the tests' dual element read, so that no fast
+path is checked against code it shares.
 
 Convolution levels.  The sum over K(q)/K(q^L) is exact as soon as J(g .)
 is right K(q^L)-invariant.  For integral g this happens already at L = 2m
@@ -171,21 +171,19 @@ def _explicit_exponent_at(krows, kcols, ctx: DepthContext):
     return total % T
 
 
-def _congruence_columns(z, ctx: DepthContext, tau, digits: int) -> list:
+def _congruence_columns(z, ctx: DepthContext, digits: int) -> list:
     """The candidates for each column j of z (1 + q off), one per column
     j of off with entries in range(digits), from `box_columns`: pairs of
     an exact integer column and its shift, the column's share q tr of the
-    projecting character's exponent.
-
-    tau=None reads only off[j-1][j] (the superdiagonal); a parameter tau
-    reads sum_i off[i][j] tau[j][i].
+    projecting character's exponent.  The character is chi_theta, whose
+    exponent reads only the superdiagonal: the shift of column j is
+    off[j-1][j].
     """
     n, q = len(z), ctx.q
     coords = [(i, j) for i in range(n) for j in range(n)]
-    weights = ({(j - 1, j): 1 for j in range(1, n)} if tau is None
-               else {(i, j): tau.mat.entries[j][i] for i, j in coords})
     return box_columns(z, 1, [1] * n, coords,
-                       [range(0, q * digits, q)] * len(coords), weights)
+                       [range(0, q * digits, q)] * len(coords),
+                       {(j - 1, j): 1 for j in range(1, n)})
 
 
 def _crout_column(col, low, j: int, inverse, T: int):
@@ -287,13 +285,13 @@ def _crout_walk(tables, inverse, T: int, leaf) -> None:
     walk(0, [()] * n, 0, 0, 0)
 
 
-def _convolution_integral(g: Mat, ctx: DepthContext, tau=None) -> CycValue:
+def _convolution_integral(g: Mat, ctx: DepthContext) -> CycValue:
     """Exact convolution at level 2m via residue arithmetic (g integral).
 
-    tau selects the projecting character; None means the subdiagonal
-    nilpotent, whose character only reads the superdiagonal.  Column j of
-    the term z (1 + q off) mod q^2 depends only on column j of off, so the
-    q^n candidates of each column are built once, incrementally, by
+    The projecting character is chi_theta, theta the subdiagonal
+    nilpotent, which only reads the superdiagonal.  Column j of the term
+    z (1 + q off) mod q^2 depends only on column j of off, so the q^n
+    candidates of each column are built once, incrementally, by
     `group.box_columns` (`_congruence_columns`).
 
     A term is L U mod T with L unit lower triangular, J vanishes on it
@@ -322,7 +320,7 @@ def _convolution_integral(g: Mat, ctx: DepthContext, tau=None) -> CycValue:
         _, d, prefix = _crout_column(col, prefix, j, inverse, T)
         if not d:
             return CycValue.from_histogram(counts, Fraction(1, q ** (n * n)))
-    *tables, last = _congruence_columns(z, ctx, tau, q)
+    *tables, last = _congruence_columns(z, ctx, q)
     # the leaves keep rows 0..n-2 of the column and the shift
     leaves = [(*col[:n - 1], s) for col, s in last]
 
@@ -400,7 +398,7 @@ def f_convolution(g: Mat, ctx: DepthContext,
     P = T * p ** ((n - 1) * v)
     pivots = [p ** ((i + 1) * v) for i in range(n)]
     lifts = [p ** ((n - 2 - i) * v) for i in range(n - 1)]
-    tables = _congruence_columns(g.num, ctx, None, p ** (L - m))
+    tables = _congruence_columns(g.num, ctx, p ** (L - m))
     pairs = collections.Counter()
 
     def walk(j, low, piv, inv, e, shift):

@@ -31,9 +31,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import CycValue, DepthContext, SqrtRational, psi_T, valuation
-from .group import Mat, bruhat_open_cell, p_power_diag
+from .group import (Mat, SubgroupSpec, bruhat_open_cell, iter_cosets,
+                    p_power_diag)
 from .params import TauParam, chi_tau_eval, is_subcyclic_wrt, theta_matrix
-from .residue import ZMat, enumerate_GL
+from .residue import ZMat
 from .testfn import _J_exponent_mod
 
 
@@ -139,7 +140,8 @@ def concentration_integral(tau: TauParam):
     ctx = tau.ctx
     ident = ZMat.identity(N, ctx.p, ctx.m)
     checked, violations = 0, []
-    for h in enumerate_GL(n, ctx.p, ctx.m):
+    for k in iter_cosets(SubgroupSpec("K", n, ctx.p), ctx.m):
+        h = ZMat.from_mat(k, ctx.m)
         checked += 1
         hg = h.embed(N)
         conj = TauParam(ctx, hg @ tau.mat @ hg.inv())
@@ -210,7 +212,8 @@ def concentration_check(tau: TauParam):
     profiles = [prof for prof in
                 itertools.product(range(-1, 2), repeat=n)
                 if any(prof)]
-    kreps = [k.embed(N).lift() for k in enumerate_GL(n, ctx.p, 1)]
+    kreps = [ZMat.from_mat(k, 1).embed(N).lift()
+             for k in iter_cosets(SubgroupSpec("K", n, ctx.p), 1)]
     for prof in profiles:
         a = p_power_diag((*prof, 0), ctx.p)
         for k in kreps:

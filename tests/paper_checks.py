@@ -5,9 +5,10 @@ object such a check needs, on finite exact data.  No `padiczeta verify`
 suite, `eval` object or benchmark workload reaches them, so they live
 next to the tests rather than in the package:
 
-- group: the n a k Iwasawa decomposition (`iwasawa_NAK`), the Iwahori
-  factorization of a principal congruence element (`iwahori_factor`) and
-  the bottom-row minor norms (`minor_norm_M`);
+- group: the p-adic absolute value (`norm`), the n a k Iwasawa
+  decomposition (`iwasawa_NAK`), the Iwahori factorization of a
+  principal congruence element (`iwahori_factor`) and the bottom-row
+  minor norms (`minor_norm_M`);
 - the slope cells: the dilation `A_rho`, a cell's representative and
   volume, the two-parameter move (`q1_q2_construct`, `q1_q2_properties`,
   `measure_preservation_check`), the invariance of h (`h_invariance_check`),
@@ -30,18 +31,27 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from padiczeta.arith import CycSum, DepthContext, SqrtRational, norm, psi, \
-    valuation
-from padiczeta.group import Mat, bruhat_open_cell, iwasawa_UAK, p_power_diag
+from padiczeta.arith import (CycSum, DepthContext, Rat, SqrtRational, psi,
+                             valuation)
+from padiczeta.group import (Mat, SubgroupSpec, bruhat_open_cell, iter_cosets,
+                             iwasawa_UAK, p_power_diag)
 from padiczeta.nicedomain import (NiceDomain, _parts_clean, _upper_coords,
                                   conj_by_A, vanishing_check)
 from padiczeta.params import (OmegaIdempotent, TauParam, _krylov_basis,
                               is_cyclic_wrt, is_subcyclic_wrt,
                               j_tau_membership)
-from padiczeta.residue import ZMat, enumerate_GL, int_det
+from padiczeta.residue import ZMat, int_det
 from padiczeta.rslocal import EClassElement
 from padiczeta.testfn import TestFunction, l2_norm_sq
 from twins import cell_members, section_value
+
+
+def norm(x: Rat, p: int) -> Fraction:
+    """p-adic absolute value |x| = p^(-v_p(x)); |0| = 0."""
+    x = Fraction(x)
+    if x == 0:
+        return Fraction(0)
+    return Fraction(p) ** (-valuation(x, p))
 
 
 # -- group: the n a k decomposition, Iwahori factors and minors --------------
@@ -546,8 +556,9 @@ def omega_sharp_L1(om: OmegaIdempotent) -> Fraction:
     p, m, N = ctx.p, ctx.m, om.tau.n
     n = N - 1
     hits = count = 0
-    for h in enumerate_GL(n, p, 2 * m):
+    for k in iter_cosets(SubgroupSpec("K", n, p), 2 * m):
         count += 1
+        h = ZMat.from_mat(k, 2 * m)
         if j_tau_membership(om.tau, h.embed(N).lift()):
             hits += 1
     return Fraction(hits, count) / om.vol_J

@@ -32,7 +32,7 @@ from padiczeta.params import (
     is_cyclic_wrt,
     theta_matrix,
 )
-from padiczeta.residue import ZMat, centralizer_in_GL, enumerate_matrices
+from padiczeta.residue import ZMat, centralizer_in_GL
 from padiczeta.rslocal import (
     QP_nonvanishing_check,
     denominator_scan,
@@ -55,7 +55,7 @@ from paper_checks import (
     representative,
     unique_NF_conjugate_cyclic,
 )
-from twins import sampled_domains
+from twins import enumerate_matrices, sampled_domains
 
 MATRIX = [(2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 2, 2)]
 

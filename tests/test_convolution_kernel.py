@@ -3,10 +3,12 @@
 The report bytes of `_convolution_integral(g, ctx).to_json()` are pinned by
 `tests/golden/convolution-integral.json`: seeded integral points at
 (p, m, n) = (2,2,2), (2,1,3), (5,1,2) and (3,1,2), on and off the support,
-with zero and nonzero values, under the default projector and under
-companion parameters tau.  `to_json` prints the stored order, which
-equality ignores, so only a byte comparison pins it.  Regenerate the file
-(only on purpose) with
+with zero and nonzero values, under the default projector (entries with
+"tau": null).  Its entries under companion parameters tau pin the same
+bytes of the per-term twin `per_term_convolution` (`tests/twins.py`),
+the one route that projects onto chi_tau.  `to_json` prints the stored
+order, which equality ignores, so only a byte comparison pins it.
+Regenerate the file (only on purpose) with
 
     PYTHONPATH=src python tests/test_convolution_kernel.py \
         > tests/golden/convolution-integral.json
@@ -14,10 +16,10 @@ equality ignores, so only a byte comparison pins it.  Regenerate the file
 The kernel `_J_exponent_mod` is checked against the open-cell kernel
 `J_open_cell` on the lifted matrix, including arguments with a non-unit
 leading minor, where both vanish.  The column walk of
-`_convolution_integral` is checked against a per-term loop over the
-product of the column tables, one `_J_exponent_mod` per term, and the
-golden points are evaluated once more with the explicit route's code and
-the per-term kernel made to raise.
+`_convolution_integral` is checked against the per-term twin, one
+`_J_exponent_mod` per term, and the golden points under the default
+projector are evaluated once more with the explicit route's code and the
+per-term kernel made to raise.
 
 The Crout walk `_crout_walk`, which the column walk and the direct zeta
 sum share, is checked leaf call for leaf call against its full twin
@@ -27,7 +29,6 @@ depth before the leaves takes no `_crout_column` step and reads one
 """
 
 import collections
-import itertools
 import json
 import random
 import sys
@@ -50,11 +51,11 @@ import padiczeta.whitmodel
 import padiczeta.zeta
 from padiczeta.arith import CycValue, DepthContext
 from padiczeta.group import Mat, box_columns
-from padiczeta.params import companion_matrix, theta_matrix
+from padiczeta.params import companion_matrix
 from padiczeta.residue import residue_rows
 from padiczeta.testfn import (_congruence_columns, _convolution_integral,
                               _crout_walk, _J_exponent_mod, _unit_inverses)
-from twins import J_open_cell, crout_walk_full
+from twins import J_open_cell, crout_walk_full, per_term_convolution
 
 GOLDEN_FILE = Path(__file__).parent / "golden" / "convolution-integral.json"
 INSTANCES = ((2, 2, 2), (2, 1, 3), (5, 1, 2), (3, 1, 2))
@@ -119,13 +120,16 @@ def golden_points():
 
 
 def golden_document() -> str:
+    """The golden points and their values: `_convolution_integral` under
+    the default projector, `per_term_convolution` under a parameter."""
     out = []
     for p, m, n, rows, coeffs in golden_points():
         ctx = DepthContext(p, m)
-        tau = None if coeffs is None else companion_matrix(coeffs, ctx)
         g = Mat(rows, p)
+        value = _convolution_integral(g, ctx) if coeffs is None else \
+            per_term_convolution(g, ctx, companion_matrix(coeffs, ctx))
         out.append({"p": p, "m": m, "n": n, "g": g.to_text(), "tau": coeffs,
-                    "value": _convolution_integral(g, ctx, tau).to_json()})
+                    "value": value.to_json()})
     return json.dumps(out, indent=1, sort_keys=True) + "\n"
 
 
@@ -172,30 +176,10 @@ WALK_INSTANCES = [(p, m, n) for n in range(1, 4) for p in (2, 3, 5)
                   for m in (1, 2) if (p ** m) ** (n * n) <= 2 ** 16]
 
 
-def per_term_convolution(g, ctx, tau):
-    """The integral convolution term by term: every term z (1 + q off) of
-    the product of the column tables of `box_columns` gets its own
-    `_J_exponent_mod`, less its shift q tr(off tau), with tau = theta (the
-    superdiagonal) for the default projector."""
-    n, q, T = g.n, ctx.q, ctx.T
-    z = residue_rows(g, 2 * ctx.m)
-    t = (tau or theta_matrix(n, ctx)).mat.entries
-    coords = [(i, j) for i in range(n) for j in range(n)]
-    tables = box_columns(z, 1, [1] * n, coords, [range(0, T, q)] * n * n,
-                         {(i, j): t[j][i] for i, j in coords})
-    counts = [0] * T
-    for terms in itertools.product(*tables):
-        cols, shifts = zip(*terms)
-        e = _J_exponent_mod(zip(*cols), ctx)
-        if e is not None:
-            counts[(e - sum(shifts)) % T] += 1
-    return CycValue.from_histogram(counts, Fraction(1, q ** (n * n)))
-
-
 @st.composite
 def walk_arguments(draw, instances, shapes=("open", "support", "random",
                                              "minor", "swap")):
-    """(g, ctx, tau) at one of the (p, m, n) instances.  g is integral,
+    """(g, ctx) at one of the (p, m, n) instances.  g is integral,
     with entries drawn past q^2 and over a unit denominator or none, of
     one of the shapes: open, a lower times an upper triangular matrix
     with unit diagonals (every leading minor a unit, so every term
@@ -204,8 +188,7 @@ def walk_arguments(draw, instances, shapes=("open", "support", "random",
     an open point with row k congruent mod p to a combination of the rows
     above it (every leading minor from k+1 on a non-unit, the determinant
     among them); swap, an open point with two rows swapped (most often a
-    non-unit leading minor with a unit determinant).  tau is None or a
-    companion parameter."""
+    non-unit leading minor with a unit determinant)."""
     p, m, n = draw(st.sampled_from(instances))
     shape = draw(st.sampled_from(shapes))
     ctx = DepthContext(p, m)
@@ -235,32 +218,25 @@ def walk_arguments(draw, instances, shapes=("open", "support", "random",
                              unique=True))
         rows[i], rows[j] = rows[j], rows[i]
     den = draw(st.sampled_from([1, 1, p + 1]))
-    g = Mat([[Fraction(x, den) for x in row] for row in rows], p)
-    tau = None
-    if draw(st.booleans()):
-        tau = companion_matrix([draw(st.integers(0, ctx.q - 1))
-                                for _ in range(n)], ctx)
-    return g, ctx, tau
+    return Mat([[Fraction(x, den) for x in row] for row in rows], p), ctx
 
 
-def check_walk(g, ctx, tau):
-    want = per_term_convolution(g, ctx, tau)
-    assert _convolution_integral(g, ctx, tau).to_json() == want.to_json()
+def check_walk(g, ctx):
+    want = per_term_convolution(g, ctx, None)
+    assert _convolution_integral(g, ctx).to_json() == want.to_json()
 
 
 CTX31 = DepthContext(3, 1)
 
 
 # rank 3 at q = 3, where the leaf weights have two components and a
-# count of the last column can hold several residues: an open point under
-# a companion parameter, where parents with equal last weights count the
-# column differently, then a support point under the default projector,
-# whose weights recur from the first call with other leaves
+# count of the last column can hold several residues: an open point, then
+# a support point, whose weights recur from the first call with other
+# leaves
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(walk_arguments(WALK_INSTANCES))
-@example((Mat.from_text("25,0,10;40,1,19;20,1,27", 3), CTX31,
-          companion_matrix([0, 2, 0], CTX31)))
-@example((Mat.from_text("5,21,3;110,490,78;130,602,158", 3), CTX31, None))
+@example((Mat.from_text("25,0,10;40,1,19;20,1,27", 3), CTX31))
+@example((Mat.from_text("5,21,3;110,490,78;130,602,158", 3), CTX31))
 def test_column_walk_matches_per_term_loop(args):
     check_walk(*args)
 
@@ -277,22 +253,26 @@ def test_column_walk_matches_per_term_loop_rank4(shape, data):
 def _walk_tables(p, m, n, kind, seed):
     """(tables, T) of the Crout walk at a seeded integral point of the
     given `_draw_point` kind: the columns 0..n-2 of the convolution tables
-    of `_congruence_columns` under the default projector (kind "conv"), a
-    companion parameter ("tau"), or the zero-share cell tables of the
-    direct zeta sum (`box_columns(..., {})`, kind "zeta")."""
+    of `_congruence_columns` (kind "conv"), of the same candidates under
+    the shares q tr(off tau) of a companion parameter tau ("tau", the
+    tables of `per_term_convolution`), or the zero-share cell tables of
+    the direct zeta sum (kind "zeta"), all from `box_columns`."""
     ctx = DepthContext(p, m)
     q, T = ctx.q, ctx.T
     rng = random.Random(seed)
     point = _draw_point(rng, rng.choice(["open", "generic"]), p, m, n)
     z = residue_rows(Mat(point, p), 2 * m)
-    if kind == "zeta":
-        coords = [(i, j) for i in range(n) for j in range(n)]
-        tables = box_columns(z, 1, [1] * n, coords,
-                             [range(0, T, q)] * len(coords), {})
+    coords = [(i, j) for i in range(n) for j in range(n)]
+    if kind == "conv":
+        tables = _congruence_columns(z, ctx, q)
     else:
-        tau = None if kind == "conv" else companion_matrix(
-            [rng.randrange(q) for _ in range(n)], ctx)
-        tables = _congruence_columns(z, ctx, tau, q)
+        weights = {}
+        if kind == "tau":
+            t = companion_matrix([rng.randrange(q) for _ in range(n)],
+                                 ctx).mat.entries
+            weights = {(i, j): t[j][i] for i, j in coords}
+        tables = box_columns(z, 1, [1] * n, coords,
+                             [range(0, T, q)] * len(coords), weights)
     return tables[:-1], T
 
 
@@ -371,7 +351,15 @@ def test_column_walk_runs_no_explicit_route_or_per_term_kernel(monkeypatch):
     for name in ("iwasawa_UAK", "bruhat_open_cell", "_explicit_on_K",
                  "chi_tau_eval", "_J_exponent_mod"):
         _forbid(monkeypatch, name)
-    assert golden_document() == GOLDEN_FILE.read_text()
+    # the golden entries under the default projector; the others are the
+    # per-term twin's
+    entries = [entry for entry in json.loads(GOLDEN_FILE.read_text())
+               if entry["tau"] is None]
+    assert len(entries) == 48
+    for entry in entries:
+        g = Mat.from_text(entry["g"], entry["p"])
+        value = _convolution_integral(g, DepthContext(entry["p"], entry["m"]))
+        assert value.to_json() == entry["value"], entry["g"]
 
 
 if __name__ == "__main__":

@@ -22,12 +22,11 @@ from padiczeta.rslocal import (
     _k_transversal,
     _transform_values_over_K,
     _w_cell_data,
-    _w_direct,
     pinned_outer_diagonal,
     standard_E_element,
 )
 from padiczeta.testfn import _convolution_integral, f_convolution
-from twins import section_value
+from twins import section_value, w_direct
 
 CTXS = [DepthContext(2, 1), DepthContext(3, 1)]
 ELEMS = {ctx: standard_E_element(ctx, 2) for ctx in CTXS}
@@ -84,7 +83,7 @@ def test_grouped_cells_match_direct_transform(ctx):
     for c, a, cells in transform_cases(ctx):
         for k in rng.sample(kreps, 2):
             [phase] = _transform_values_over_K(f, cells, [k])
-            slow = _w_direct(f, c, a, k, 3)
+            slow = w_direct(f, c, a, k, 3)
             assert _coeff(f, c) == slow.coeff
             assert phase == slow.phase, (c.to_text(), k.to_text())
 
@@ -110,16 +109,16 @@ def test_grouped_cells_match_direct_transform_hypothesis(ctx, e1, e2, ki):
     kreps = k_transversal(ctx)
     k = kreps[ki % len(kreps)]
     [phase] = _transform_values_over_K(f, cells, [k])
-    slow = _w_direct(f, c, a, k, 3)
+    slow = w_direct(f, c, a, k, 3)
     assert _coeff(f, c) == slow.coeff
     assert phase == slow.phase, (c.to_text(), k.to_text())
 
 
 def check_k_sweep(f, c, a, cells, kreps):
-    """The K-sweep at kreps against the Fraction twin `_w_direct`, and
+    """The K-sweep at kreps against the Fraction twin `w_direct`, and
     the K-square sum and nonvanishing test against those values; returns
     whether some value is nonzero."""
-    values = [_w_direct(f, c, a, k, 3).phase for k in kreps]
+    values = [w_direct(f, c, a, k, 3).phase for k in kreps]
     assert list(_transform_values_over_K(f, cells, kreps)) == values
     total = CycValue.zero
     for v in values:

@@ -20,6 +20,7 @@ from padiczeta.group import (
 )
 from paper_checks import (iwahori_factor, iwasawa_NAK, minor_norm_M,
                           upper_unipotent_in_level)
+from twins import delta_product
 
 
 def random_invertible(n, p, rng, spread=3):
@@ -181,6 +182,42 @@ def test_modular_delta():
         d = Mat.diag([Fraction(2) ** rng.randint(-3, 3) for _ in range(3)], 2)
         he = modular_delta_half_exponent(d)
         assert Fraction(2) ** (2 * he) == modular_delta(d)
+
+
+def _signed_unit(rng, p):
+    while True:
+        num, den = rng.randrange(1, 60), rng.randrange(1, 60)
+        if num % p and den % p:
+            return Fraction(rng.choice((-1, 1)) * num, den)
+
+
+def test_modular_delta_matches_its_product_twin():
+    # delta_N(a) = p^(2 h), h = `modular_delta_half_exponent(a)`, is the
+    # product of the absolute values |a_i / a_j|, i < j, at diagonals with
+    # unit parts, signs and negative exponents
+    rng = random.Random(32)
+    for _ in range(300):
+        p, n = rng.choice((2, 3, 5, 7)), rng.randrange(1, 5)
+        a = Mat.diag([_signed_unit(rng, p) * Fraction(p) ** rng.randint(-5, 5)
+                      for _ in range(n)], p)
+        got = modular_delta(a)
+        assert got == delta_product(a) and type(got) is Fraction
+
+
+@pytest.mark.parametrize("entries", [(0, 1), (1, 0), (3, 0, 2), (0, 0),
+                                     (1, 2, 0)])
+def test_modular_delta_of_a_zero_entry_raises(entries):
+    # a zero diagonal entry has no valuation; the product twin raises too,
+    # dividing by it, except when the first entry is the only zero, where
+    # every quotient it enters is 0 and the product is 0
+    a = Mat.diag(list(entries), 2)
+    with pytest.raises(ZeroDivisionError):
+        modular_delta(a)
+    if entries.index(0) == 0 and entries.count(0) == 1:
+        assert delta_product(a) == 0
+    else:
+        with pytest.raises(ZeroDivisionError):
+            delta_product(a)
 
 
 # -- volumes ----------------------------------------------------------------

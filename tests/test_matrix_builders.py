@@ -20,9 +20,9 @@ from padiczeta import nicedomain
 from padiczeta.nicedomain import (NiceDomain, _cell_sum, _region_classes,
                                   conj_by_A)
 from padiczeta.residue import residue_rows
-from padiczeta.rslocal import _cell_levels, _u_cells, standard_E_element
+from padiczeta.rslocal import _cell_levels, standard_E_element
 from paper_checks import cell_volume
-from twins import sampled_domains
+from twins import sampled_domains, u_cells
 
 CTX21 = DepthContext(2, 1)
 
@@ -256,7 +256,7 @@ def test_u_cells_match_reference(n, nprime, B, exps):
     a = Mat.diag([Fraction(p) ** x for x in exps], p)
     coords = [(k, l) for k in range(nprime, n) for l in range(k + 1, n)]
     L = _cell_levels(CTX21, a, B, coords)
-    got = list(_u_cells(CTX21, n, a, B, coords))
+    got = list(u_cells(CTX21, n, a, B, coords))
     want = ref_box(n, p, coords, [range(p ** (B + L[c])) for c in coords],
                    p ** B)
     assert_same_list([u for u, _ in got], want)

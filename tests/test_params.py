@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from padiczeta.arith import CycValue, DepthContext
-from padiczeta.group import Mat
+from padiczeta.group import Mat, SubgroupSpec, gl_order, iter_cosets
 from padiczeta.params import (
     TauParam,
     build_omega,
@@ -24,12 +24,7 @@ from padiczeta.params import (
     j_tau_transversal,
     theta_matrix,
 )
-from padiczeta.residue import (
-    ZMat,
-    centralizer_in_GL,
-    enumerate_GL,
-    enumerate_matrices,
-)
+from padiczeta.residue import ZMat, centralizer_in_GL
 from paper_checks import (
     charpoly,
     factor_subcyclic,
@@ -41,6 +36,7 @@ from paper_checks import (
     unique_NF_conjugate_cyclic,
     upper_left_block,
 )
+from twins import enumerate_GL, enumerate_matrices
 
 CTX21 = DepthContext(2, 1)
 CTX31 = DepthContext(3, 1)
@@ -82,6 +78,18 @@ def test_enumerate_GL_counts():
     assert sum(1 for _ in enumerate_GL(2, 2, 1)) == 6
     assert sum(1 for _ in enumerate_GL(2, 2, 2)) == 96
     assert sum(1 for _ in enumerate_matrices(2, 3, 1)) == 81
+
+
+@pytest.mark.parametrize("n,p,e", [(2, 2, 1), (2, 2, 2), (2, 3, 1),
+                                   (3, 2, 1), (2, 5, 1)])
+def test_K_transversal_is_the_GL_enumeration(n, p, e):
+    # the K transversal of `iter_cosets`, which the concentration suite
+    # reads as GL_n(Z/p^e), is every invertible matrix mod p^e, once each
+    # and in lexicographic order
+    got = [ZMat.from_mat(k, e)
+           for k in iter_cosets(SubgroupSpec("K", n, p), e)]
+    assert got == list(enumerate_GL(n, p, e))
+    assert len(got) == gl_order(n, p, e)
 
 
 def test_centralizer_of_irreducible_companion():

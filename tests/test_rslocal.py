@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from padiczeta.arith import DepthContext
+from padiczeta.arith import DepthContext, certify
 from padiczeta.group import Mat, SubgroupSpec, enumerate_cosets
 from padiczeta.rslocal import (
+    BOX_CAP,
+    BOX_START,
     D_P_exponent,
     D_P_value,
     EClassElement,
@@ -29,6 +31,7 @@ from padiczeta.rslocal import (
 )
 from padiczeta.testfn import translate_for_H
 from paper_checks import w_support_violated
+from twins import dual_element, w_direct
 
 CTX21 = DepthContext(2, 1)
 CTX31 = DepthContext(3, 1)
@@ -56,8 +59,10 @@ def test_class_membership_certified():
         assert sum(f.support_profile()) == 0
     # duality preserves the class
     for ctx, n in [(CTX21, 2), (CTX31, 2), (CTX21, 3)]:
-        fd = standard_E_element(ctx, n, dual=True)
-        assert fd.dual and fd.norm_sq == 1
+        fd = dual_element(ctx, n)
+        certify_E_class(fd)
+        assert fd.norm_sq == 1
+        assert fd != standard_E_element(ctx, n)
 
 
 def test_class_certification_rejects_bad_norm():
@@ -78,10 +83,15 @@ def test_transform_nonzero_on_pinned_coset():
 
 
 def test_transform_dual_element_evaluates():
-    fd = standard_E_element(CTX21, 2, dual=True)
+    # the dual has no cells: its transform is the cell-by-cell twin,
+    # certified over the unipotent box as `W_fcg` certifies its own
+    fd = dual_element(CTX21, 2)
     c = central_c(CTX21, 2)
     a, _ = pinned_outer_diagonal(F2, c)
-    vals = [W_fcg(fd, c, a, k) for k in k_transversal(CTX21, 2)]
+    vals = [certify(((B, w_direct(fd, c, a, k, B).phase)
+                     for B in range(BOX_START, BOX_CAP + 1)),
+                    "no stabilization", "box_cap", BOX_CAP, BOX_CAP)[1][1]
+            for k in k_transversal(CTX21, 2)]
     assert any(not v.is_zero() for v in vals)
 
 
@@ -167,11 +177,7 @@ def test_Q_values_rank2():
 def test_Q_rejects_bad_arguments():
     c = central_c(CTX21, 2)
     with pytest.raises(ValueError):
-        Q_P(standard_E_element(CTX21, 2, dual=True), c, 0)
-    with pytest.raises(ValueError):
         Q_P(F2, c, nprime=1)
-    with pytest.raises(ValueError):
-        _w_cell_data(standard_E_element(CTX21, 2, dual=True), c, c, 2, 0)
 
 
 def test_Q_depth_two():
@@ -277,13 +283,12 @@ def test_standard_element_is_certified_once(monkeypatch):
         certified.append(elem)
         return real(elem)
 
-    rslocal._certified_element.cache_clear()
+    rslocal.standard_E_element.cache_clear()
     monkeypatch.setattr(rslocal, "certify_E_class", counting)
     first = standard_E_element(ctx, 2)
     assert standard_E_element(ctx, 2) is first
-    assert standard_E_element(ctx, 2, dual=False) is first
     assert len(certified) == 1
-    assert standard_E_element(ctx, 2, dual=True) is not first
+    assert standard_E_element(CTX21, 2) is not first
     assert len(certified) == 2
 
 
@@ -296,7 +301,7 @@ def test_failed_certification_is_not_remembered(monkeypatch):
     def failing(elem):
         raise ValueError("injected certification failure")
 
-    rslocal._certified_element.cache_clear()
+    rslocal.standard_E_element.cache_clear()
     monkeypatch.setattr(rslocal, "certify_E_class", failing)
     with pytest.raises(ValueError, match="injected"):
         standard_E_element(ctx, 2)

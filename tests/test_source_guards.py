@@ -57,7 +57,17 @@ def _identifiers(nodes) -> set:
 
 def _unreached() -> tuple:
     """(top-level definitions, methods) of the package that the program
-    does not reach, as sorted "module.name" and "module.Class.name".
+    does not reach, as sorted "module.name" and "module.Class.name"
+    (`_reach`)."""
+    tops, methods, reached = _reach()
+    return (sorted(".".join(key) for key in tops if key not in reached),
+            sorted(".".join(key) for key in methods if key not in reached))
+
+
+def _reach() -> tuple:
+    """(tops, methods, reached): the package's top-level definitions and
+    methods, keyed (module, name) and (module, Class, name), each with the
+    nodes its reach reads, and the keys that the program reaches.
 
     The program is `cli.main`, the module-level code of every module
     (imports aside) and the benchmark: every identifier of
@@ -100,8 +110,7 @@ def _unreached() -> tuple:
         for key in new:
             names |= _identifiers(tops[key] if len(key) == 2
                                   else [methods[key]])
-    return (sorted(".".join(key) for key in tops if key not in reached),
-            sorted(".".join(key) for key in methods if key not in reached))
+    return tops, methods, reached
 
 
 def test_every_definition_is_reached_by_the_program():
@@ -117,6 +126,83 @@ def test_every_method_is_reached_by_the_program():
     # the same rule for the methods of the package's classes
     _, methods = _unreached()
     assert not methods, f"methods only the tests reach: {methods}"
+
+
+def _defaults(path: Path) -> list:
+    """(callee, parameter, positional index or None, offset) for each
+    defaulted parameter of a function or method of one module, and each
+    defaulted field of its dataclasses, whose callee is the class.
+
+    A call with j positional arguments covers the indices below j +
+    offset.  The offset is 1 for a method, whose self or cls a call by
+    attribute supplies (an unbound call then counts as one argument more,
+    erring toward set), and `__init__` is called by its class name."""
+    tree = ast.parse(path.read_text())
+    out, owners = [], {}
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for fn in cls.body:
+            if isinstance(fn, FUNCTIONS) and "staticmethod" not in \
+                    _identifiers(fn.decorator_list):
+                owners[fn] = (cls.name if fn.name == "__init__"
+                              else fn.name, 1)
+        if "dataclass" in _identifiers(cls.decorator_list):
+            fields = [s for s in cls.body if isinstance(s, ast.AnnAssign)
+                      and "ClassVar" not in ast.unparse(s.annotation)]
+            out += [(cls.name, s.target.id, i, 0)
+                    for i, s in enumerate(fields) if s.value is not None]
+    for fn in ast.walk(tree):
+        if not isinstance(fn, FUNCTIONS):
+            continue
+        name, offset = owners.get(fn, (fn.name, 0))
+        positional = fn.args.posonlyargs + fn.args.args
+        first = len(positional) - len(fn.args.defaults)
+        out += [(name, a.arg, i, offset)
+                for i, a in enumerate(positional) if i >= first]
+        out += [(name, a.arg, None, 0)
+                for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                if d is not None]
+    return out
+
+
+def test_every_default_is_set_by_the_program():
+    # the same rule for parameters: a default that no call of the program
+    # overrides is a setting only the tests make, and the code behind it
+    # moves to `tests/`.  The program's calls are those in the reached
+    # definitions, the module-level code and `perfbench/workloads.py`
+    # (the roots of `_unreached`); a call sets a parameter by keyword, by
+    # position, or through * or **, and names are matched across modules
+    tops, methods, reached = _reach()
+    nodes = [ast.parse(WORKLOADS.read_text())]
+    nodes += [top for path in SOURCES for top in ast.parse(path.read_text())
+              .body if not isinstance(top, DEFINITIONS + (
+                  ast.Import, ast.ImportFrom))]
+    nodes += [node for key in reached
+              for node in (tops[key] if len(key) == 2 else [methods[key]])]
+    calls = {}
+    for top in nodes:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                name = (getattr(node.func, "id", None)
+                        or getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+
+    def sets(call, param, index, offset):
+        if any(kw.arg in (param, None) for kw in call.keywords):
+            return True
+        if index is None:
+            return False
+        # a * argument may supply every position from its own on
+        first = next((i for i, a in enumerate(call.args)
+                      if isinstance(a, ast.Starred)), len(call.args))
+        return index < first + offset or first < len(call.args)
+
+    unset = sorted(f"{path.stem}.{name}.{param}" for path in SOURCES
+                   for name, param, index, offset in _defaults(path)
+                   if not any(sets(call, param, index, offset)
+                              for call in calls.get(name, [])))
+    assert not unset, f"defaults that no call of the program sets: {unset}"
 
 
 def test_residue_kernels_are_not_recursive():
@@ -431,10 +517,10 @@ def test_transform_cells_are_the_one_bounded_cache_in_rslocal():
     # they are cached under exactly that key, in a bounded cache, and
     # every call passes the five arguments positionally so that a box has
     # one key; the only other cache in `rslocal` is the certification of
-    # the standard element per (ctx, n, dual)
+    # the standard element per (ctx, n)
     tree = ast.parse((SOURCES[0].parent / "rslocal.py").read_text())
     cached = _cached_functions(tree)
-    assert set(cached) == {"_w_cell_data", "_certified_element"}
+    assert set(cached) == {"_w_cell_data", "standard_E_element"}
     fn, deco = cached["_w_cell_data"]
     assert [a.arg for a in fn.args.args] == ["f", "c", "a", "B", "nprime"]
     assert not fn.args.defaults and not fn.args.kwonlyargs

@@ -82,17 +82,17 @@ def test_warm_requests_hash_no_fraction(monkeypatch):
 
 def test_class_element_hash_is_the_field_hash():
     ctx = DepthContext(3, 1)
-    one = EClassElement(translate_for_H(ctx, 2), Fraction(1), False)
-    two = EClassElement(translate_for_H(ctx, 2), Fraction(1), False)
+    one = EClassElement(translate_for_H(ctx, 2), Fraction(1))
+    two = EClassElement(translate_for_H(ctx, 2), Fraction(1))
     assert one == two and one is not two
-    assert hash(one) == hash(two) == hash((one.tf, one.norm_sq, one.dual))
-    other = EClassElement(one.tf, Fraction(1), True)
-    assert other != one
+    assert hash(one) == hash(two) == hash((one.tf, one.norm_sq))
+    other = EClassElement(one.tf, Fraction(2))
+    assert other != one and hash(other) == hash((one.tf, Fraction(2)))
     # a pickled element comes back through its constructor, equal and with
     # an equal hash
     back = pickle.loads(pickle.dumps(one))
     assert back == one and hash(back) == hash(one)
-    assert one.__reduce__() == (EClassElement, (one.tf, Fraction(1), False))
+    assert one.__reduce__() == (EClassElement, (one.tf, Fraction(1)))
 
 
 def _unit(rng, p):
@@ -109,18 +109,17 @@ def test_coefficient_matches_its_fraction_twin():
     for _ in range(150):
         p, n = rng.choice((2, 3, 5)), rng.randrange(2, 5)
         if (p, n) not in elements:
-            tf = translate_for_H(DepthContext(p, 1), n)
-            elements[p, n] = [EClassElement(tf, Fraction(1), dual)
-                              for dual in (False, True)]
+            elements[p, n] = EClassElement(
+                translate_for_H(DepthContext(p, 1), n), Fraction(1))
         c = Mat.diag([_unit(rng, p) * Fraction(p) ** rng.randint(-6, 6)
                       for _ in range(n)], p)
         half = modular_delta_half_exponent(c)
         assert half == delta_half_exponent(c)
         assert type(half) is Fraction
-        for f in elements[p, n]:
-            coeff = _coeff(f, c)
-            assert coeff == transform_coeff(f, c)
-            assert repr(coeff) == repr(transform_coeff(f, c))
+        f = elements[p, n]
+        coeff = _coeff(f, c)
+        assert coeff == transform_coeff(f, c)
+        assert repr(coeff) == repr(transform_coeff(f, c))
 
 
 @pytest.mark.parametrize("entries", [(0, 1), (1, 0), (2, 0, 3)])

@@ -7,7 +7,6 @@ import pytest
 from padiczeta.arith import CycValue, DepthContext, MellinMonomial
 from padiczeta.group import SubgroupSpec, enumerate_cosets, gl_order
 from padiczeta.params import companion_matrix, theta_matrix
-from padiczeta.testfn import _convolution_integral
 from padiczeta.zeta import (
     ZetaResult,
     fiber_volume,
@@ -17,6 +16,7 @@ from padiczeta.zeta import (
     zeta_explicit,
     zeta_for_parameter,
 )
+from twins import per_term_convolution
 
 CTX21 = DepthContext(2, 1)
 CTX31 = DepthContext(3, 1)
@@ -103,7 +103,7 @@ def test_twisted_projection_vanishes_on_congruence():
     # must go through conjugation transport rather than a character swap
     tau = companion_matrix([1, 1], CTX21)
     for k in enumerate_cosets(SubgroupSpec("Kq", 2, 2, 1), 2):
-        assert _convolution_integral(k, CTX21, tau).is_zero()
+        assert per_term_convolution(k, CTX21, tau).is_zero()
 
 
 def test_volume_lemma_suite():

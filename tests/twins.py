@@ -25,9 +25,24 @@ Each function here is the slow, definitional form of a fast path in
   time.
 - `dual_value_parts(tf, g)`, the dual function at g, which reads f
   through `TestFunction.phase`.
+- `DualEClassElement`, the dual of a class element (f composed with the
+  duality map g -> w_G g^{-T}), which `rslocal.certify_E_class` certifies
+  as a member of the class, and `w_direct(f, c, a, k, B)`, the transform
+  of any class element at box depth B evaluated cell by cell on the
+  `Mat` representatives of `u_cells(ctx, n, a, B, coords)`; `W_fcg` is
+  checked against it, and it is the one transform route of the dual.
+- `per_term_convolution(g, ctx, tau)`, the integral convolution with
+  every term evaluated on its own by `testfn._J_exponent_mod`, under the
+  chi_theta projector or a parameter tau; the column walk of
+  `testfn._convolution_integral` is checked against it.
 - `delta_half_exponent(a)`, log_p of delta_N^{1/2}(a) from the Fraction
   quotients a_j / a_i of the diagonal; the integer form
-  `group.modular_delta_half_exponent` is checked against it.
+  `group.modular_delta_half_exponent` is checked against it, and
+  `delta_product(a)`, delta_N(a) as the product of the absolute values
+  |a_i / a_j|, against `group.modular_delta`.
+- `enumerate_matrices(n, p, e)` and `enumerate_GL(n, p, e)`, every n x n
+  matrix over Z/p^e and every invertible one, in lexicographic order;
+  the K transversal of `group.iter_cosets` is checked against the second.
 - `transform_coeff(f, c)`, the coefficient delta_N^{1/2}(c) c1 of the
   transform as the product of two square roots; `rslocal._coeff`, which
   scales the radicand of c1 on the integers, is checked against it.
@@ -40,21 +55,22 @@ the tests that read a few cells of every class at rank 3 draw from it.
 The file is not collected by pytest; the test modules import it.
 """
 
+import itertools
 from fractions import Fraction
 from operator import mul
 
 from padiczeta.arith import (CycSum, CycValue, DepthContext, SqrtRational,
-                             psi_T, valuation)
-from padiczeta.group import (Mat, SubgroupSpec, bruhat_open_cell,
+                             psi, psi_T, valuation)
+from padiczeta.group import (Mat, SubgroupSpec, box_columns, bruhat_open_cell,
                              enumerate_cosets, iwasawa_UAK, unipotent_box)
 from padiczeta.nicedomain import (NiceDomain, _base_points, _sqrt_split,
                                   _upper_coords)
 from padiczeta.params import chi_tau_eval, theta_matrix
-from padiczeta.residue import residue_rows
-from padiczeta.rslocal import EClassElement
+from padiczeta.residue import ZMat, residue_rows
+from padiczeta.rslocal import EClassElement, WValue, _box, _coeff
 from padiczeta.testfn import (TestFunction, _crout_column,
                               _explicit_exponent_mod, _explicit_on_K,
-                              _leaf_weights, translate_for_H)
+                              _J_exponent_mod, _leaf_weights, translate_for_H)
 from padiczeta.whitmodel import WhittakerOnH
 
 
@@ -110,6 +126,26 @@ def zeta_direct_counts(ctx: DepthContext, n: int) -> list:
             if e is not None:
                 counts[(w + s + sign * e) % T] += 1
     return counts
+
+
+def per_term_convolution(g: Mat, ctx: DepthContext, tau) -> CycValue:
+    """The integral convolution term by term: every term z (1 + q off) of
+    the product of the column tables of `box_columns` gets its own
+    `_J_exponent_mod`, less its shift q tr(off tau), with tau = theta (the
+    superdiagonal) for the default projector."""
+    n, q, T = g.n, ctx.q, ctx.T
+    z = residue_rows(g, 2 * ctx.m)
+    t = (tau or theta_matrix(n, ctx)).mat.entries
+    coords = [(i, j) for i in range(n) for j in range(n)]
+    tables = box_columns(z, 1, [1] * n, coords, [range(0, T, q)] * n * n,
+                         {(i, j): t[j][i] for i, j in coords})
+    counts = [0] * T
+    for terms in itertools.product(*tables):
+        cols, shifts = zip(*terms)
+        e = _J_exponent_mod(zip(*cols), ctx)
+        if e is not None:
+            counts[(e - sum(shifts)) % T] += 1
+    return CycValue.from_histogram(counts, Fraction(1, q ** (n * n)))
 
 
 def crout_walk_full(tables, inverse, T: int, leaf) -> None:
@@ -190,6 +226,47 @@ def dual_value_parts(tf: TestFunction, g: Mat):
     return tf.value_parts(w @ g.inv().transpose())
 
 
+class DualEClassElement(EClassElement):
+    """The dual of the class element with the same fields: its values
+    are those of the element composed with the duality map g -> w_G
+    g^{-T}.  It has no cells: its transform is `w_direct`, and it must
+    not reach `rslocal._w_cell_data`, `W_fcg` or `Q_P`, which read the
+    forward element's cells."""
+
+    def value_parts(self, g: Mat):
+        w = Mat.longest_weyl(self.n, self.ctx.p)
+        g = w @ g.inv().transpose()
+        return self.tf.value_parts(w @ g)
+
+
+def dual_element(ctx: DepthContext, n: int) -> DualEClassElement:
+    """The dual of `rslocal.standard_E_element(ctx, n)`, not certified."""
+    return DualEClassElement(translate_for_H(ctx, n), Fraction(1))
+
+
+def u_cells(ctx: DepthContext, n: int, a: Mat, B: int, coords):
+    """(representative, volume) pairs covering the unipotent box of entry
+    depth p^{-B} by cells of the computed congruence pattern."""
+    ranges, vol = _box(ctx, a, B, coords)
+    return ((u, vol) for u in unipotent_box(n, ctx.p, coords, ranges,
+                                            ctx.p ** B))
+
+
+def w_direct(f: EClassElement, c: Mat, a: Mat, k: Mat, B: int) -> WValue:
+    """The transform at box depth B, for any class element, the dual
+    included: f evaluated cell by cell."""
+    ctx, n = f.ctx, f.n
+    coords = [(i, l) for i in range(n) for l in range(i + 1, n)]
+    wG = Mat.longest_weyl(n, ctx.p)
+    total = CycSum()
+    for u, vol in u_cells(ctx, n, a, B, coords):
+        val = f.phase(c.inv() @ wG @ u @ a @ k)
+        if val.is_zero():
+            continue
+        total.add(psi(-u.superdiagonal_sum(), ctx.p) * vol * val)
+    return WValue(_coeff(f, c), total.value())
+
+
 def delta_half_exponent(a: Mat) -> Fraction:
     """log_p of delta_N^{1/2}(a), half the sum over i < j of the
     valuations of the Fraction quotients a_j / a_i."""
@@ -199,6 +276,33 @@ def delta_half_exponent(a: Mat) -> Fraction:
         for j in range(i + 1, len(d)):
             s += valuation(d[j] / d[i], a.p)
     return Fraction(s, 2)
+
+
+def delta_product(a: Mat) -> Fraction:
+    """delta_N(a) as the product over i < j of the p-adic absolute values
+    |a_i / a_j| of the Fraction quotients, |0| = 0."""
+    d = a.diagonal()
+    out = Fraction(1)
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            x = d[i] / d[j]
+            out *= Fraction(a.p) ** -valuation(x, a.p) if x else Fraction(0)
+    return out
+
+
+def enumerate_matrices(n: int, p: int, e: int):
+    """All n x n matrices over Z/p^e (lexicographic order)."""
+    mod = p ** e
+    for vals in itertools.product(range(mod), repeat=n * n):
+        yield ZMat(tuple(tuple(vals[i * n + j] for j in range(n))
+                         for i in range(n)), p, e)
+
+
+def enumerate_GL(n: int, p: int, e: int):
+    """All elements of GL_n(Z/p^e) (lexicographic order)."""
+    for z in enumerate_matrices(n, p, e):
+        if z.is_unit():
+            yield z
 
 
 def transform_coeff(f: EClassElement, c: Mat) -> SqrtRational:
