@@ -554,14 +554,6 @@ class SqrtRational:
     def squared(self) -> Fraction:
         return self.radicand if self.sign else Fraction(0)
 
-    def as_rational(self) -> Fraction | None:
-        """Exact rational value if the radicand is a perfect square."""
-        num, den = self.radicand.numerator, self.radicand.denominator
-        rn, rd = math.isqrt(num), math.isqrt(den)
-        if rn * rn == num and rd * rd == den:
-            return Fraction(self.sign) * Fraction(rn, rd)
-        return None
-
     def __repr__(self):
         s = {1: "", -1: "-", 0: "0*"}[self.sign]
         return f"{s}sqrt({self.radicand})"

@@ -113,8 +113,6 @@ def _canon(x):
         return {"sign": x.sign, "radicand": rat_to_text(x.radicand)}
     if isinstance(x, Mat):
         return x.to_text()
-    if isinstance(x, ZMat):
-        return [list(r) for r in x.entries]
     if isinstance(x, (list, tuple)):
         return [_canon(v) for v in x]
     if isinstance(x, dict):

@@ -199,9 +199,8 @@ class Mat:
         return out is not None and out[0][-1][-1] % self.p != 0
 
     def in_congruence(self, e: int) -> bool:
-        """Membership in K(p^e): congruent to 1 modulo p^e entrywise."""
-        if e == 0:
-            return self.in_K()
+        """Membership in K(p^e), e >= 1: congruent to 1 modulo p^e
+        entrywise."""
         if not self.is_integral():
             return False
         pe, den = self.p ** e, self.den

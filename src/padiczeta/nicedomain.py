@@ -56,7 +56,7 @@ from .group import (
     p_power_diag,
     unipotent_box,
 )
-from .residue import residue_rows, residue_rows_in_K
+from .residue import residue_rows
 from .rslocal import EClassElement
 from .testfn import _explicit_exponent_at
 
@@ -503,7 +503,9 @@ def vanishing_check(a: Mat, k: Mat, s: tuple, domain: NiceDomain,
     # the cells are read at k as a k' k, which needs a diagonal and k in K
     if not a.is_diagonal():
         raise ValueError("the outer factor a must be diagonal")
-    zk = residue_rows_in_K(k, 2 * m)
+    if not k.in_K():
+        raise ValueError("k must lie in K")
+    zk = residue_rows(k, 2 * m)
     # a = A / t on the integers: v(a_i) = v(A_ii) - v(t), read once
     vt = valuation(a.den, p)
     av = [valuation(r[i], p) - vt for i, r in enumerate(a.num)]

@@ -44,18 +44,6 @@ class TauParam:
     def n(self) -> int:
         return self.mat.n
 
-    def to_text(self) -> str:
-        body = ";".join(",".join(str(x) for x in row)
-                        for row in self.mat.entries)
-        return f"{body}@{self.ctx.p}^{self.ctx.m}"
-
-    @staticmethod
-    def from_text(s: str) -> "TauParam":
-        body, mod = s.split("@")
-        p, m = (int(t) for t in mod.split("^"))
-        rows = [[int(x) for x in row.split(",")] for row in body.split(";")]
-        return TauParam(DepthContext(p, m), ZMat.make(rows, p, m))
-
 
 def theta_matrix(N: int, ctx: DepthContext) -> TauParam:
     """The nilpotent parameter with ones on the subdiagonal.

@@ -32,18 +32,6 @@ def residue_rows(g: Mat, e: int) -> tuple:
     return tuple(tuple(x * inv % mod for x in row) for row in g.num)
 
 
-def residue_rows_in_K(k: Mat, e: int) -> tuple:
-    """`residue_rows(k, e)` for k in K = GL_n(Z_p), e >= 1, from one
-    reduction of k: k lies in K when it is p-integral and the determinant
-    of its rows mod p^e is a unit.  Raises ValueError for a k outside K."""
-    if not k.is_integral():
-        raise ValueError("k must lie in K")
-    rows = residue_rows(k, e)
-    if int_det(rows) % k.p == 0:
-        raise ValueError("k must lie in K")
-    return rows
-
-
 @dataclass(frozen=True)
 class ZMat:
     """A square matrix over Z/p^e with canonical entries in [0, p^e)."""

@@ -56,7 +56,7 @@ from .group import (
     modular_delta_half_exponent,
     p_power_diag,
 )
-from .residue import residue_rows, residue_rows_in_K
+from .residue import residue_rows
 from .testfn import TestFunction, _explicit_exponent_at, translate_for_H
 
 
@@ -330,9 +330,6 @@ class WValue:
     def is_zero(self) -> bool:
         return self.phase.is_zero()
 
-    def abs_sq(self) -> CycValue:
-        return self.phase.abs_sq() * self.coeff.squared()
-
 
 def W_fcg(f: EClassElement, c: Mat, a: Mat, k: Mat) -> WValue:
     """The transform at g = a k (a diagonal, k in K), with a stabilization
@@ -354,14 +351,17 @@ def W_fcg(f: EClassElement, c: Mat, a: Mat, k: Mat) -> WValue:
     their K-parts (at the points tried, those of box B are all among
     those of box B + 1), so the call keeps one dict from a K-part's rows
     to its phase exponent at k, which every box reads and extends: each
-    K-part is read once per call.  c, a and k must have the size of f,
-    and k must lie in K: the cells are read at k mod q^2 only.  k is
-    reduced mod q^2 once, and its membership in K is read on those rows
-    (`residue.residue_rows_in_K`).
+    K-part is read once per call.  c, a and k must have the size of f, c
+    must be diagonal (the coefficient reads its diagonal), and k must lie
+    in K: the cells are read at k mod q^2 only, reduced once.
     """
     if not c.n == a.n == k.n == f.n:
         raise ValueError("c, a and k must have the size of f")
-    zk = residue_rows_in_K(k, 2 * f.ctx.m)
+    if not c.is_diagonal():
+        raise ValueError("c must be diagonal")
+    if not k.in_K():
+        raise ValueError("k must lie in K")
+    zk = residue_rows(k, 2 * f.ctx.m)
     phases = {}
     # each step carries its box's cells, for the coefficient
     _, (cells, counts) = certify(

@@ -9,11 +9,17 @@ compared pointwise on exhaustive grids.
 
 The closed formula `f_explicit` runs on the integers: one early-exit
 Iwasawa elimination of d g (d the denominator of g) gives the K-part mod
-q^2 exactly when a = 1, and the phase is read from it mod q^2.  The
-Fraction form of the same formula (Iwasawa decomposition, the a = 1 test,
-chi_theta of the stripped K-part) stays as `TestFunction.phase`, the route
-that the W_fcg twins and the tests' dual element read, so that no fast
-path is checked against code it shares.
+q^2 exactly when a = 1, and the phase is read from it mod q^2.  On the
+support every phase of the package is one number, sum U[i][i+1] / U[i][i]
+mod q^2 for a matrix lower triangular mod q with a unit determinant, and
+one elimination reads it, `_support_exponent`: for `f_explicit`, for the
+cell readers through `_explicit_exponent_at`, and for the Whittaker side
+of the direct zeta sum (`whitmodel.WhittakerOnH.kq_exponent_mod`).  The
+definitional kernel J, which tests every pivot, is a twin in
+`tests/twins.py`.  The Fraction form of the same formula (Iwasawa
+decomposition, the a = 1 test, chi_theta of the stripped K-part) stays as
+`TestFunction.phase`, the route that the W_fcg twins and the tests' dual
+element read, so that no fast path is checked against code it shares.
 
 Convolution levels.  The sum over K(q)/K(q^L) is exact as soon as J(g .)
 is right K(q^L)-invariant.  For integral g this happens already at L = 2m
@@ -81,73 +87,51 @@ def _unit_inverses(p: int, T: int) -> tuple:
     return tuple(pow(u, -1, T) if u % p else 0 for u in range(T))
 
 
-def _J_exponent_mod(z, ctx: DepthContext):
-    """Exponent numerator e with J(lift(z)) = exp(2 pi i e / T), or None
-    when J vanishes, for an integral argument given by integer rows, which
-    are read modulo q^2 = T (they need not be reduced).
+def _support_exponent(rows, ctx: DepthContext) -> int:
+    """The phase exponent e in [0, T), T = q^2, of a matrix z on the
+    support: z integral, lower triangular mod q, with a unit determinant,
+    given by the integer rows 0..n-2 of z, which are read mod T (they need
+    not be reduced).  e is sum_i U[i][i+1] / U[i][i] mod T over the rows
+    U = D N of the split z = L D N (L lower, N upper unipotent): the
+    exponent of the open-cell kernel J, and, mod T, that of chi_theta of
+    z stripped of its lower part (a product of two q-multiples vanishes).
 
-    One unit-pivot elimination mod T: with z = L D N (N upper unipotent)
-    it leaves the rows R = D N, so n_{i,i+1} = R[i][i+1] / R[i][i].  Each
-    step reads the pivot row and replaces the rows below it by their Schur
-    complement.  A pivot is a non-unit exactly when the matching leading
-    minor is, which is where J vanishes.
-    """
-    p, T = ctx.p, ctx.T
-    inverse = _unit_inverses(p, T)
-    total = 0
-    head, *rest = z
-    while True:
-        pinv = inverse[head[0] % T]
-        if not pinv:
-            return None
-        if not rest:
-            return total % T
-        total += head[1] * pinv
-        tail = head[1:]
-        head, *rest = [[(x - f * y) % T for x, y in zip(row[1:], tail)]
-                       for row in rest for f in (row[0] * pinv,)]
-
-
-def _explicit_exponent_mod(z, ctx: DepthContext):
-    """Numerator of the explicit phase exponent (a T-th root of unity) for
-    an integral K-element known mod q^2, or None off the support: upper
-    entries must vanish mod q, and the phase reads the superdiagonal of
-    r = low(z)^{-1} z.
-
-    On the support z = low r with r = 1 mod q, so the pivots of z are units
-    and, mod q^2, the superdiagonal of the upper-unipotent LDU factor of z
-    equals that of r (a product of two q-multiples vanishes): this is the
-    exponent of the open-cell kernel `_J_exponent_mod`.
-    """
-    n, q = len(z), ctx.q
-    if any(z[i][j] % q for i in range(n) for j in range(i + 1, n)):
-        return None
-    return _J_exponent_mod(z, ctx)
+    Every diagonal entry of z is a unit, as det z is one and z is lower
+    triangular mod q.  Eliminating a column with such a pivot row, whose
+    entries past the pivot are 0 mod q, leaves the rows below unchanged
+    mod q, so each Schur complement is again lower triangular mod q with
+    the same diagonal, and every pivot is a unit: no pivot is tested, and
+    row n-1, which would only give the last pivot, is not read.  Each row
+    is eliminated mod T against the pivot rows above it (Doolittle's
+    order); row i of U depends on rows 0..i of z only, and so does each
+    summand U[i][i+1] / U[i][i], i < n-1."""
+    T = ctx.T
+    inverse = _unit_inverses(ctx.p, T)
+    pivots, total = [], 0
+    for r in rows:
+        for tail, pinv in pivots:
+            f = r[0] * pinv
+            r = [(x - f * y) % T for x, y in zip(r[1:], tail)]
+        pinv = inverse[r[0] % T]
+        total += r[1] * pinv
+        pivots.append((r[1:], pinv))
+    return total % T
 
 
 def _explicit_exponent_at(krows, kcols, ctx: DepthContext):
-    """`_explicit_exponent_mod` of z = krows k mod q^2, for the integer
-    rows krows of a K-part and the integer columns kcols of a K-point k,
-    both in K, read from rows 0..n-2 of z alone.  So a cell of head u a
-    with the K-part krows is read at a K-point k: u' a' k' k, k in K, has
-    the same a-part and the K-part k' k.
+    """The phase exponent of f's closed formula at z = krows k mod q^2,
+    for the integer rows krows of a K-part and the integer columns kcols
+    of a K-point k, both in K, or None off the support: an upper entry of
+    z not 0 mod q.  So a cell of head u a with the K-part krows is read at
+    a K-point k: u' a' k' k, k in K, has the same a-part and the K-part
+    k' k.
 
     Row by row, the upper entries of z are formed and tested mod q (off
     the support at the first that is not 0 mod q) before the rest of the
-    row is formed.  Row n-1 of z is never formed, and it is not needed.
-    On the support z is lower triangular mod q, and det z is a unit
-    because both factors lie in K; so every diagonal entry of z is a unit.
-    Eliminating a column with such a pivot row, whose entries past the
-    pivot are 0 mod q, leaves the rows below unchanged mod q, so each
-    Schur complement is again lower triangular mod q with the same
-    diagonal, and every pivot is a unit: the unit test of the last pivot,
-    the one use `_J_exponent_mod` makes of row n-1, cannot fail.  Each
-    formed row is eliminated mod q^2 against the pivot rows above it
-    (Doolittle's order), which gives the rows U = D N of `_J_exponent_mod`;
-    row i of U depends on rows 0..i of z only, and so does each summand
-    U[i][i+1] / U[i][i] of the exponent, i < n-1."""
+    row is formed.  On the support z is lower triangular mod q with a unit
+    determinant, as both factors lie in K, so rows 0..n-2 of z are read by
+    `_support_exponent`; row n-1 of z is never formed."""
     n, q = len(kcols), ctx.q
-    T = q * q
     rows = []
     for i in range(n - 1):
         row = krows[i]
@@ -159,16 +143,7 @@ def _explicit_exponent_at(krows, kcols, ctx: DepthContext):
             upper.append(x)
         rows.append([sum(map(operator.mul, row, col))
                      for col in kcols[:i + 1]] + upper)
-    inverse = _unit_inverses(ctx.p, T)
-    pivots, total = [], 0
-    for r in rows:
-        for tail, pinv in pivots:
-            f = r[0] * pinv
-            r = [(x - f * y) % T for x, y in zip(r[1:], tail)]
-        pinv = inverse[r[0] % T]
-        total += r[1] * pinv
-        pivots.append((r[1:], pinv))
-    return total % T
+    return _support_exponent(rows, ctx)
 
 
 def _congruence_columns(z, ctx: DepthContext, digits: int) -> list:
@@ -428,9 +403,10 @@ def f_explicit(g: Mat, ctx: DepthContext) -> CycValue:
 
     On the integers: the early-exit Iwasawa elimination of g.num
     (`group._unit_a_k_residue` over g.den) gives the rows of k mod q^2,
-    or None as soon as a pivot shows a != 1, and the phase exponent is
-    read from those rows (`_explicit_exponent_mod`).  A singular g has no
-    pivot, so it gives None too, and raises ZeroDivisionError as
+    or None as soon as a pivot shows a != 1.  k is on the support when
+    its upper entries are 0 mod q, and then its rows 0..n-2 give the
+    phase exponent (`_support_exponent`, as k lies in K).  A singular g
+    has no pivot, so it gives None too, and raises ZeroDivisionError as
     `f_convolution` does.  `TestFunction.phase` keeps the same formula on
     Fractions as the twin."""
     rows = _unit_a_k_residue(g.den, ctx.p, 2 * ctx.m)(g.num)
@@ -438,8 +414,11 @@ def f_explicit(g: Mat, ctx: DepthContext) -> CycValue:
         if g.det() == 0:
             raise ZeroDivisionError("singular matrix")
         return CycValue.zero
-    e = _explicit_exponent_mod(rows, ctx)
-    return CycValue.zero if e is None else CycValue.root_of_unity(ctx.T, e)
+    n, q = g.n, ctx.q
+    if any(rows[i][j] % q for i in range(n) for j in range(i + 1, n)):
+        return CycValue.zero
+    return CycValue.root_of_unity(ctx.T, _support_exponent(rows[:n - 1],
+                                                           ctx))
 
 
 def lower_borel_order(N: int, p: int, e: int) -> int:

@@ -14,7 +14,10 @@ Membership in the support is decided constructively: a_T^{-1} h lies in
 N(F) K(q) iff its factorization as an upper-unipotent n times a
 lower-triangular y exists and y lies in the congruence subgroup.  That
 factorization is the Bruhat open cell of the Weyl-flipped matrix, and n
-is the witness.
+is the witness.  At a point a_T y, y in K(q), the phase is read on the
+integers mod T = q^2 (`WhittakerOnH.kq_exponent_mod`), by the
+one elimination on the support that the closed formula of f uses
+(`testfn._support_exponent`).
 
 The module also verifies the concentration statement behind the support
 lemma: integrally, conjugation keeping the parameter subcyclic forces the
@@ -35,7 +38,7 @@ from .group import (Mat, SubgroupSpec, bruhat_open_cell, iter_cosets,
                     p_power_diag)
 from .params import TauParam, chi_tau_eval, is_subcyclic_wrt, theta_matrix
 from .residue import ZMat
-from .testfn import _J_exponent_mod
+from .testfn import _support_exponent
 
 
 def a_T_element(ctx: DepthContext, n: int) -> Mat:
@@ -106,13 +109,17 @@ class WhittakerOnH:
             raise ArithmeticError("support witness must be upper unipotent")
         return nwit, y
 
-    def kq_exponent_mod(self, y):
+    def kq_exponent_mod(self, y) -> int:
         """The exponent e with W(a_T y) = W(a_T) exp(2 pi i e / T), for y in
-        K(q) as integer rows read mod T; None off the split y = n y' of
-        `support_witness`.  chi_theta(y') = 1 for the lower-triangular y',
-        so the phase is psi_T of n's superdiagonal: `_J_exponent_mod` of the
-        anti-transpose (entry (i, j) = y[n-1-j][n-1-i]), split L D N."""
-        return _J_exponent_mod([c[::-1] for c in zip(*y)][::-1], self.ctx)
+        K(q) as integer rows read mod T.  y splits as n y' as in
+        `support_witness`, and chi_theta(y') = 1 for the lower-triangular
+        y', so the phase is psi_T of n's superdiagonal: the exponent of
+        the split L D N of the anti-transpose of y (entry (i, j) =
+        y[n-1-j][n-1-i]).  That matrix is 1 mod q, so it is on the support
+        of `testfn._support_exponent`, which reads its rows 0..n-2: the
+        reversed columns n-1, ..., 1 of y."""
+        return _support_exponent([c[::-1] for c in zip(*y)][:0:-1],
+                                 self.ctx)
 
     def value_parts(self, h: Mat):
         """(coefficient, phase) with W(h) = coefficient * phase; the
@@ -124,9 +131,6 @@ class WhittakerOnH:
         phase = psi_T(nwit.superdiagonal_sum(), self.ctx) * chi_tau_eval(
             theta_matrix(self.n, self.ctx), y)
         return self.peak, phase
-
-    def phase(self, h: Mat) -> CycValue:
-        return self.value_parts(h)[1]
 
 
 # -- concentration ----------------------------------------------------------

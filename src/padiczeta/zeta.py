@@ -21,15 +21,16 @@ K(q^2)-invariant, so level q^2 is exact.  As y and u y lie in K(q) and the
 translated a_T is central, both phases of a term are mod-q^2 eliminations
 on integer rows: no Iwasawa, no Fractions, no per-term code shared with
 the explicit route.  The W phase is read once per y
-(`WhittakerOnH.kq_exponent_mod`) into a table in the order of the
-identity box's columns.  The f phase is read by a column walk: column j
-of u y = u (1 + q X) depends only on column j of X, so per cell u the
+(`WhittakerOnH.kq_exponent_mod`, by the elimination on the support of
+`testfn._support_exponent`) into a table in the order of the identity
+box's columns.  The f phase is read by a column walk: column j of
+u y = u (1 + q X) depends only on column j of X, so per cell u the
 products are walked depth first over their column candidates, one
 left-looking (Crout) LU step mod q^2 per column, by the walk that the
 convolution at integral points runs (`testfn._crout_walk`), and each
-leaf is counted as its own term.  Every u y is u mod q, so the support
-test and the unit-pivot test of the f kernel are made once per cell, on
-u itself.
+leaf is counted as its own term.  Every cell u is 1 + q x with x strictly
+upper triangular, so every u y is 1 mod q: every term is on the support
+of f, and no term is tested.
 
 The parameter enters through conjugation transport: every uniform tau is
 conjugate over the integers to the companion matrix of its characteristic
@@ -182,17 +183,11 @@ def _direct_counts(tf: TestFunction, W: WhittakerOnH) -> list:
     convolution runs (`testfn._crout_walk`): at each parent of the last
     column it hands over the prefix exponent e and the linear form that
     takes the last column to the last summand, and each leaf is counted
-    on its own, e plus that form at the leaf being f(u y) of
-    `_explicit_exponent_mod`.  w(y) = `WhittakerOnH.kq_exponent_mod(y)` is
-    read once per y, by its own elimination, into a table in the walk's
-    product order, built from the identity box's columns.
-
-    Every u y = u mod q, as y = 1 mod q.  So the two tests of
-    `_explicit_exponent_mod` are made once per cell, on u itself: its
-    support test reads the upper entries of u y mod q, which are those of
-    u; and when they vanish, u y is lower triangular mod q, so its pivots
-    (each leading minor over the one before) are its diagonal entries mod
-    q, which are those of u.  A cell that fails skips all its terms."""
+    on its own, e plus that form at the leaf being the exponent of f at
+    u y.  w(y) = `WhittakerOnH.kq_exponent_mod(y)` is read once per y
+    into a table in the walk's product order, built from the identity
+    box's columns.  Every u y is 1 mod q, so the walk tests no term: each
+    is on the support of f, with unit pivots."""
     ctx, n = tf.ctx, tf.N
     p, q, T = ctx.p, ctx.q, ctx.T
     sign = -1 if tf.conjugate else 1
@@ -206,16 +201,10 @@ def _direct_counts(tf: TestFunction, W: WhittakerOnH) -> list:
     for table in box_columns(ident, 1, [1] * n, coords, ranges, {}):
         ys = [y + (col,) for y in ys for col, _ in table]
     wy = [W.kq_exponent_mod(list(zip(*y))) for y in ys]
-    if None in wy:
-        raise ArithmeticError("K(q) points lie on the support")
     counts = [0] * T
     for u in enumerate_cosets(SubgroupSpec("KN", n, p, ctx.m), 2 * ctx.m):
-        z = u.num
-        if any(z[i][j] % q for i in range(n) for j in range(i + 1, n)) \
-                or any(not z[i][i] % p for i in range(n)):
-            continue
         s = int(u.superdiagonal_sum())
-        *tables, last = box_columns(z, 1, [1] * n, coords, ranges, {})
+        *tables, last = box_columns(u.num, 1, [1] * n, coords, ranges, {})
         leaves = [col[:n - 1] for col, _ in last]
 
         def leaf(weights, e, idx):
@@ -245,11 +234,11 @@ def zeta_direct(ctx: DepthContext, n: int) -> ZetaResult:
     so offset 0), each term is a root of unity with exponent mod T = q^2
     w(y) + s(u) -/+ f(u y): w = `WhittakerOnH.kq_exponent_mod`, read once
     per y into a table; s the superdiagonal sum of u (psi_T(u)); and f the
-    exponent of `_explicit_exponent_mod` at u y, negated when tf.conjugate.
-    f is read by a depth-first column walk over the products u y of each
-    cell, with the support and pivot tests made once per cell, on u
-    (`_direct_counts`).  Every term is evaluated on its own and counted in
-    a histogram of exponents, which becomes one value at the end.
+    exponent of f's closed formula at u y, which is 1 mod q and so on the
+    support, negated when tf.conjugate.  f is read by a depth-first column
+    walk over the products u y of each cell (`_direct_counts`).  Every
+    term is evaluated on its own and counted in a histogram of exponents,
+    which becomes one value at the end.
     """
     tf = translate_for_H(ctx, n)
     W = WhittakerOnH(ctx, n)

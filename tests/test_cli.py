@@ -221,6 +221,10 @@ def test_eval_Wfcg_k_outside_K_is_a_config_error(capsys):
           "--k", "1,0,5;0,1,7;0,0,1"], "c, a and k must have the size of f"),
         (["--c", "1/2,0;0,1/2", "--a", "1/4,0,0;0,1,0;0,0,1"],
          "c, a and k must have the size of f"),
+        # the coefficient reads the diagonal of c: a permutation c and a
+        # unipotent c are refused, not read
+        (["--c", "0,1;1,0"], "c must be diagonal"),
+        (["--c", "1,1;0,1"], "c must be diagonal"),
     ]:
         assert main(["eval", "Wfcg", "--p", "2", *args]) == 2, args
         captured = capsys.readouterr()

@@ -13,13 +13,14 @@ Regenerate the file (only on purpose) with
     PYTHONPATH=src python tests/test_convolution_kernel.py \
         > tests/golden/convolution-integral.json
 
-The kernel `_J_exponent_mod` is checked against the open-cell kernel
-`J_open_cell` on the lifted matrix, including arguments with a non-unit
-leading minor, where both vanish.  The column walk of
-`_convolution_integral` is checked against the per-term twin, one
+The twin kernel `_J_exponent_mod` (`tests/twins.py`) is checked against
+the open-cell kernel `J_open_cell` on the lifted matrix, including
+arguments with a non-unit leading minor, where both vanish.  The column
+walk of `_convolution_integral` is checked against the per-term twin, one
 `_J_exponent_mod` per term, and the golden points under the default
 projector are evaluated once more with the explicit route's code and the
-per-term kernel made to raise.
+package's phase kernel on the support, `testfn._support_exponent`, made
+to raise.
 
 The Crout walk `_crout_walk`, which the column walk and the direct zeta
 sum share, is checked leaf call for leaf call against its full twin
@@ -54,8 +55,9 @@ from padiczeta.group import Mat, box_columns
 from padiczeta.params import companion_matrix
 from padiczeta.residue import residue_rows
 from padiczeta.testfn import (_congruence_columns, _convolution_integral,
-                              _crout_walk, _J_exponent_mod, _unit_inverses)
-from twins import J_open_cell, crout_walk_full, per_term_convolution
+                              _crout_walk, _unit_inverses)
+from twins import (J_open_cell, _J_exponent_mod, crout_walk_full,
+                   per_term_convolution)
 
 GOLDEN_FILE = Path(__file__).parent / "golden" / "convolution-integral.json"
 INSTANCES = ((2, 2, 2), (2, 1, 3), (5, 1, 2), (3, 1, 2))
@@ -349,7 +351,7 @@ def _forbid(monkeypatch, name):
 
 def test_column_walk_runs_no_explicit_route_or_per_term_kernel(monkeypatch):
     for name in ("iwasawa_UAK", "bruhat_open_cell", "_explicit_on_K",
-                 "chi_tau_eval", "_J_exponent_mod"):
+                 "chi_tau_eval", "_support_exponent"):
         _forbid(monkeypatch, name)
     # the golden entries under the default projector; the others are the
     # per-term twin's

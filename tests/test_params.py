@@ -404,8 +404,3 @@ def test_omega_sharp_rank3():
     # recorded constant: mass/T^{n/2} = (28/3)/4 = 7/3 at this instance
     assert mass == Fraction(28, 3)
     assert omega_sharp_ratio(om) == Fraction(49, 9)
-
-
-def test_tau_param_text_roundtrip():
-    tau = companion_matrix([1, 0, 1], CTX22)
-    assert TauParam.from_text(tau.to_text()) == tau

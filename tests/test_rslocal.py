@@ -137,7 +137,8 @@ def test_transform_right_character_equivariance():
         for r in enumerate_cosets(SubgroupSpec("Kq", 2, 2, 1), 2)[:4]:
             [phase] = _transform_values_over_K(F2, cells, [k @ r])
             shifted = WValue(coeff, phase)
-            assert shifted.abs_sq() == base.abs_sq()
+            assert (shifted.phase.abs_sq() * shifted.coeff.squared()
+                    == base.phase.abs_sq() * base.coeff.squared())
 
 
 def test_stabilization_certificate_required(monkeypatch):

@@ -332,8 +332,53 @@ def test_character_sums_share_one_sweep_and_one_kernel():
     for module, name in readers:
         names = called(_functions(module, {name})[name])
         assert "_explicit_exponent_at" in names, name
-        assert not names & {"_J_exponent_mod", "_explicit_exponent_mod"}, \
-            name
+        assert "_support_exponent" not in names, name
+
+
+def _callers(name: str) -> set:
+    """The top-level functions and methods of the package, as
+    "module.name" and "module.Class.name", whose body calls name, as a
+    bare name or an attribute."""
+    def calls(fn):
+        return any(isinstance(node, ast.Call)
+                   and (getattr(node.func, "id", None)
+                        or getattr(node.func, "attr", None)) == name
+                   for node in ast.walk(fn))
+
+    out = set()
+    for path in SOURCES:
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, FUNCTIONS):
+                defs = [(top.name, top)]
+            elif isinstance(top, ast.ClassDef):
+                defs = [(f"{top.name}.{fn.name}", fn) for fn in top.body
+                        if isinstance(fn, FUNCTIONS)]
+            else:
+                continue
+            out |= {f"{path.stem}.{key}" for key, fn in defs if calls(fn)}
+    return out
+
+
+def test_one_phase_kernel_on_the_support():
+    # the closed formula of f, the cell readers and the W side of the
+    # direct zeta sum read one number, sum U[i][i+1] / U[i][i] mod q^2 of
+    # a matrix lower triangular mod q with a unit determinant, by one
+    # elimination, `testfn._support_exponent`; the table of unit inverses
+    # is read only by it and by the two callers of the Crout walk, and the
+    # definitional kernels that test every pivot are twins in `tests/`
+    assert _callers("_crout_walk") == {"testfn._convolution_integral",
+                                       "zeta._direct_counts"}
+    extra = _callers("_unit_inverses") - _callers("_crout_walk") - {
+        "testfn._support_exponent"}
+    assert not extra, f"other readers of the unit inverses: {sorted(extra)}"
+    defined = sorted(f"{path.stem}.{node.name}" for path in SOURCES
+                     for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, FUNCTIONS) and node.name in {
+                         "_J_exponent_mod", "_explicit_exponent_mod"})
+    assert not defined, f"definitional kernels in src: {defined}"
+    assert _callers("_support_exponent") == {
+        "testfn.f_explicit", "testfn._explicit_exponent_at",
+        "whitmodel.WhittakerOnH.kq_exponent_mod"}
 
 
 def _called_names(fn, local: dict) -> set:
@@ -359,7 +404,7 @@ def test_formula_and_convolution_routes_share_no_kernel():
     # the two routes of `testfn-agreement` stay independent: the integer
     # closed formula reaches no convolution column walk and none of the
     # Fraction route (Iwasawa, chi_tau_eval); the convolution reaches no
-    # Iwasawa K-part reader, open-cell exponent kernel or per-term
+    # Iwasawa K-part reader, phase kernel on the support or per-term
     # elimination; and the Fraction formula in `TestFunction.phase`, which
     # the W_fcg twins read f through, shares no integer kernel with the
     # cell walk they check
@@ -376,11 +421,11 @@ def test_formula_and_convolution_routes_share_no_kernel():
          {"_crout_column", "_congruence_columns", "iwasawa_UAK",
           "chi_tau_eval"}),
         ("TestFunction.phase", phase, {"_unit_a_k_residue",
-                                       "_J_exponent_mod"}),
+                                       "_support_exponent"}),
     ]
     rules += [(name, local[name],
-               {"_a_k_residue", "_unit_a_k_residue", "_J_exponent_mod",
-                "_explicit_exponent_mod", "_eliminate"})
+               {"_a_k_residue", "_unit_a_k_residue", "_support_exponent",
+                "_eliminate"})
               for name in ("f_convolution", "_convolution_integral")]
     found = [f"{name} -> {sorted(_called_names(fn, local) & banned)}"
              for name, fn, banned in rules

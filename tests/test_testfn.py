@@ -20,7 +20,7 @@ from padiczeta.testfn import (
     translate_for_H,
 )
 from paper_checks import base_test_function, l2_norm_report
-from twins import J_open_cell, dual_value_parts
+from twins import J_open_cell, _explicit_exponent_mod, dual_value_parts
 
 CTX21 = DepthContext(2, 1)
 CTX31 = DepthContext(3, 1)
@@ -109,8 +109,7 @@ def test_explicit_exponent_at_matches_the_full_product():
                                             for j in range(n)]
                                            for i in range(n)], T)
                     krows = _times_mod(b, _inverse_mod(k, p, T), T)
-                want = testfn._explicit_exponent_mod(_times_mod(krows, k, T),
-                                                     ctx)
+                want = _explicit_exponent_mod(_times_mod(krows, k, T), ctx)
                 got = testfn._explicit_exponent_at(krows, list(zip(*k)),
                                                    ctx)
                 assert got == want, (p, m, n, krows, k)

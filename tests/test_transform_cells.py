@@ -60,7 +60,8 @@ from padiczeta.rslocal import (EClassElement, TransformCells, W_fcg,
                                _outer_diagonals, _transform_values_over_K,
                                _w_cell_data, pinned_outer_diagonal,
                                standard_E_element)
-from padiczeta.testfn import _explicit_exponent_mod, translate_for_H
+from padiczeta.testfn import translate_for_H
+from twins import _explicit_exponent_mod
 
 GOLDEN_FILE = Path(__file__).parent / "golden" / "w-fcg.json"
 W_INSTANCES = ((2, 1, 2), (3, 1, 2), (2, 2, 2), (3, 2, 2), (2, 1, 3))

@@ -3,8 +3,8 @@
 `rslocal.W_fcg` reads its coefficient delta_N^{1/2}(c) c1 from the
 integer diagonal of c (`rslocal._coeff`, through the integer
 `group.modular_delta_half_exponent`), and both it and
-`nicedomain.vanishing_check` reduce k mod q^2 once, reading its
-membership in K on those rows (`residue.residue_rows_in_K`).  The class
+`nicedomain.vanishing_check` test k for membership in K (`Mat.in_K`) and
+reduce it mod q^2 once.  The class
 element that keys the cell caches hashes its fields once, on
 construction.  The Fraction forms are the twins `delta_half_exponent` and
 `transform_coeff` in `tests/twins.py`.
@@ -21,7 +21,6 @@ from padiczeta.arith import DepthContext
 from padiczeta.group import Mat, modular_delta_half_exponent, p_power_diag
 from padiczeta.nicedomain import (NiceDomain, hypothesis_diagonal,
                                   scan_box_domains, vanishing_check)
-from padiczeta.residue import residue_rows, residue_rows_in_K
 from padiczeta.rslocal import (EClassElement, W_fcg, _coeff,
                                pinned_outer_diagonal, standard_E_element)
 from padiczeta.testfn import translate_for_H
@@ -134,22 +133,3 @@ def test_coefficient_of_a_singular_diagonal_raises_as_its_twin(entries):
             twin(c)
         with pytest.raises(expected.type):
             fast(c)
-
-
-def test_rows_in_K_agree_with_membership():
-    # one reduction of k decides K-membership as `Mat.in_K` does, and
-    # gives the rows `residue_rows` gives
-    rng = random.Random(32)
-    members = 0
-    for _ in range(400):
-        p, n, e = rng.choice((2, 3)), rng.randrange(2, 4), rng.randrange(1, 5)
-        k = Mat([[Fraction(rng.randrange(-9, 10),
-                           rng.choice((1, 1, 1, 2, 3, 5)))
-                  for _ in range(n)] for _ in range(n)], p)
-        if k.in_K():
-            members += 1
-            assert residue_rows_in_K(k, e) == residue_rows(k, e)
-        else:
-            with pytest.raises(ValueError, match="^k must lie in K$"):
-                residue_rows_in_K(k, e)
-    assert 0 < members < 400

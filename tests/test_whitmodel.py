@@ -50,8 +50,8 @@ def test_peak_value_and_support():
     c, phase = W.value_parts(W.a_T)
     assert c == W.peak and phase == CycValue.one
     # off support
-    assert W.phase(W.a_T @ Mat.diag([2, 1], 2)).is_zero()
-    assert W.phase(Mat.identity(2, 2)).is_zero()
+    assert W.value_parts(W.a_T @ Mat.diag([2, 1], 2))[1].is_zero()
+    assert W.value_parts(Mat.identity(2, 2))[1].is_zero()
 
 
 def test_value_on_parametrized_support():
@@ -86,11 +86,11 @@ def test_left_equivariance_plain_character():
     W = WhittakerOnH(ctx, 2)
     pts = [W.a_T, W.a_T @ Mat.from_text("1,1/2;0,1", 2)]
     for h in pts:
-        base = W.phase(h)
+        base = W.value_parts(h)[1]
         for b in [Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(2)]:
             v = Mat([[1, b], [0, 1]], 2)
             scaled = v @ h
-            lhs = W.phase(scaled)
+            lhs = W.value_parts(scaled)[1]
             from padiczeta.arith import psi
             assert lhs == psi(b, 2) * base
 
@@ -105,11 +105,11 @@ def test_support_scan_exhaustive_slice():
         for e2 in range(-4, 2):
             a = Mat.diag([Fraction(2) ** e1, Fraction(2) ** e2], 2)
             for k in rng.sample(ks, 12):
-                got = not W.phase(a @ k).is_zero()
+                got = not W.value_parts(a @ k)[1].is_zero()
                 if (e1, e2) != (-4, -2):
                     assert not got
     # the a_T coset itself meets the support for lower-triangular-mod-q k
-    hits = sum(not W.phase(W.a_T @ k).is_zero() for k in ks)
+    hits = sum(not W.value_parts(W.a_T @ k)[1].is_zero() for k in ks)
     assert 0 < hits < len(ks)
 
 

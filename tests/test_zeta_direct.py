@@ -9,14 +9,15 @@ m in {1, 2}.  Regenerate the file (only on purpose) with
         > tests/golden/zeta-direct.json
 
 Each term of the direct double sum is a root of unity whose exponent is
-read mod q^2 by two integer kernels: the W side
-`WhittakerOnH.kq_exponent_mod(y)` and the f side
-`_explicit_exponent_mod(u y)`.  Both are checked pointwise against the
-Fraction routes they replace (`WhittakerOnH.value_parts` and
-`mellin_component`).  The route reads the f side by the column walk
-`testfn._crout_walk`, which is checked leaf by leaf against
-`_explicit_exponent_mod(u y)`, and its histogram is checked int for int
-against the per-term twin `tests/twins.py` `zeta_direct_counts`.  The
+read mod q^2 on integer rows: the W side by
+`WhittakerOnH.kq_exponent_mod(y)`, the f side as the twin
+`_explicit_exponent_mod(u y)` (`tests/twins.py`) reads it.  Both are
+checked pointwise against the Fraction routes they replace
+(`WhittakerOnH.value_parts` and `mellin_component`).  The route reads the
+f side by the column walk `testfn._crout_walk`, which is checked leaf by
+leaf against `_explicit_exponent_mod(u y)`, and its histogram is checked
+int for int against the per-term twin `zeta_direct_counts`, which reads
+its W side by the twin `_J_exponent_mod` of the anti-transpose.  The
 direct route is checked to run none of the explicit route's code, and the
 other way round.
 """
@@ -42,14 +43,14 @@ import padiczeta.whitmodel
 import padiczeta.zeta
 from padiczeta.arith import CycValue, DepthContext
 from padiczeta.group import Mat, box_columns, enumerate_cosets
-from padiczeta.testfn import (_crout_walk, _explicit_exponent_mod,
-                             _unit_inverses, mellin_component,
+from padiczeta.testfn import (_crout_walk, _unit_inverses, mellin_component,
                              translate_for_H)
 from padiczeta.whitmodel import WhittakerOnH
 from padiczeta.zeta import (_central_exponents, _direct_counts, zeta_direct,
                             zeta_explicit)
 
 import twins
+from twins import _explicit_exponent_mod
 
 GOLDEN_FILE = Path(__file__).parent / "golden" / "zeta-direct.json"
 # (p, m, n)
@@ -134,34 +135,6 @@ def _counts(p, m, n):
 
 
 def test_direct_counts_match_the_per_term_twin():
-    for p, m, n in INSTANCES:
-        assert _counts(p, m, n) == twins.zeta_direct_counts(
-            DepthContext(p, m), n), (p, m, n)
-
-
-def test_direct_counts_skip_the_cells_off_the_support(monkeypatch):
-    # cells that no transversal of K_N(q) holds: one with a non-unit pivot
-    # (p in the last diagonal entry), one off the support (a unit upper
-    # corner) and two on the support that are not unipotent (1 + q on the
-    # diagonal, and a unit lower corner); the walk skips the first two, as
-    # the per-term loop does term by term, and reads the others
-    def with_extra_cells(spec, L):
-        reps = enumerate_cosets(spec, L)
-        if spec.tag != "KN":
-            return reps
-        n, p, q = spec.N, spec.p, spec.p ** spec.e
-        changes = [{(n - 1, n - 1): p}, {(0, 0): 1 + q}]
-        if n > 1:
-            changes += [{(0, n - 1): 1}, {(0, 0): 1 + q, (n - 1, 0): 1}]
-        extra = []
-        for change in changes:
-            rows = [[change.get((i, j), int(i == j)) for j in range(n)]
-                    for i in range(n)]
-            extra.append(Mat(rows, p))
-        return reps + extra
-
-    monkeypatch.setattr(padiczeta.zeta, "enumerate_cosets", with_extra_cells)
-    monkeypatch.setattr(twins, "enumerate_cosets", with_extra_cells)
     for p, m, n in INSTANCES:
         assert _counts(p, m, n) == twins.zeta_direct_counts(
             DepthContext(p, m), n), (p, m, n)
@@ -259,7 +232,7 @@ def test_direct_route_runs_no_explicit_route_code(monkeypatch):
 def test_explicit_route_runs_no_direct_route_kernel(monkeypatch):
     want = {(p, m, n): zeta_explicit(DepthContext(p, m), n)
             for p, m, n in INSTANCES}
-    for name in ("_J_exponent_mod", "_crout_column", "_crout_walk"):
+    for name in ("_support_exponent", "_crout_column", "_crout_walk"):
         _forbid(monkeypatch, name)
     for (p, m, n), z in want.items():
         assert zeta_explicit(DepthContext(p, m), n).agrees_with(z)

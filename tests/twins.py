@@ -4,14 +4,23 @@ Each function here is the slow, definitional form of a fast path in
 `padiczeta`, kept as the reference the tests compare it with:
 
 - `J_open_cell(g, ctx)`, the open-cell kernel J on a `Mat`, through the
-  Bruhat decomposition; the mod-q^2 kernel `testfn._J_exponent_mod` is
-  checked against it.
+  Bruhat decomposition; the mod-q^2 kernel `_J_exponent_mod` is checked
+  against it.
+- `_J_exponent_mod(z, ctx)`, the exponent of J at integer rows mod q^2:
+  one unit-pivot elimination of all n rows that tests every pivot, None
+  where J vanishes; and `_explicit_exponent_mod(z, ctx)`, the closed
+  formula of f on a K-part's rows: None off the support (an upper entry
+  not 0 mod q), else `_J_exponent_mod`.  The package's one reader on the
+  support, `testfn._support_exponent` (rows 0..n-2, no test), is checked
+  against them through `f_explicit`, `testfn._explicit_exponent_at` and
+  `WhittakerOnH.kq_exponent_mod`.
 - `coset_sum(g, ctx, L)`, the normalized sum of J(g r) conj(chi_theta(r))
   over the `Mat` representatives r of K(q)/K(q^L); the level walk of
   `testfn.f_convolution(g, ctx, L=L)` is checked against it byte for byte.
 - `zeta_direct_counts(ctx, n)`, the histogram of the direct zeta double
-  sum with every term (y, u) evaluated on its own: the product u y formed
-  in full and its f exponent read by `testfn._explicit_exponent_mod`; the
+  sum with every term (y, u) evaluated on its own: the W exponent of y
+  read by `_J_exponent_mod` of its anti-transpose, and the product u y
+  formed in full and its f exponent read by `_explicit_exponent_mod`; the
   column walk of `zeta._direct_counts` is checked against it int for int.
 - `crout_walk_full(tables, inverse, T, leaf)`, the Crout walk that takes
   a full `testfn._crout_column` step at every depth and reads each
@@ -32,7 +41,7 @@ Each function here is the slow, definitional form of a fast path in
   `Mat` representatives of `u_cells(ctx, n, a, B, coords)`; `W_fcg` is
   checked against it, and it is the one transform route of the dual.
 - `per_term_convolution(g, ctx, tau)`, the integral convolution with
-  every term evaluated on its own by `testfn._J_exponent_mod`, under the
+  every term evaluated on its own by `_J_exponent_mod`, under the
   chi_theta projector or a parameter tau; the column walk of
   `testfn._convolution_integral` is checked against it.
 - `delta_half_exponent(a)`, log_p of delta_N^{1/2}(a) from the Fraction
@@ -68,10 +77,8 @@ from padiczeta.nicedomain import (NiceDomain, _base_points, _sqrt_split,
 from padiczeta.params import chi_tau_eval, theta_matrix
 from padiczeta.residue import ZMat, residue_rows
 from padiczeta.rslocal import EClassElement, WValue, _box, _coeff
-from padiczeta.testfn import (TestFunction, _crout_column,
-                              _explicit_exponent_mod, _explicit_on_K,
-                              _J_exponent_mod, _leaf_weights, translate_for_H)
-from padiczeta.whitmodel import WhittakerOnH
+from padiczeta.testfn import (TestFunction, _crout_column, _explicit_on_K,
+                              _leaf_weights, _unit_inverses, translate_for_H)
 
 
 def J_open_cell(g: Mat, ctx: DepthContext) -> CycValue:
@@ -85,6 +92,50 @@ def J_open_cell(g: Mat, ctx: DepthContext) -> CycValue:
         if valuation(d, ctx.p) != 0:
             return CycValue.zero
     return psi_T(dec.n.superdiagonal_sum(), ctx)
+
+
+def _J_exponent_mod(z, ctx: DepthContext):
+    """Exponent numerator e with J(lift(z)) = exp(2 pi i e / T), or None
+    when J vanishes, for an integral argument given by integer rows, which
+    are read modulo q^2 = T (they need not be reduced).
+
+    One unit-pivot elimination mod T: with z = L D N (N upper unipotent)
+    it leaves the rows R = D N, so n_{i,i+1} = R[i][i+1] / R[i][i].  Each
+    step reads the pivot row and replaces the rows below it by their Schur
+    complement.  A pivot is a non-unit exactly when the matching leading
+    minor is, which is where J vanishes.
+    """
+    p, T = ctx.p, ctx.T
+    inverse = _unit_inverses(p, T)
+    total = 0
+    head, *rest = z
+    while True:
+        pinv = inverse[head[0] % T]
+        if not pinv:
+            return None
+        if not rest:
+            return total % T
+        total += head[1] * pinv
+        tail = head[1:]
+        head, *rest = [[(x - f * y) % T for x, y in zip(row[1:], tail)]
+                       for row in rest for f in (row[0] * pinv,)]
+
+
+def _explicit_exponent_mod(z, ctx: DepthContext):
+    """Numerator of the explicit phase exponent (a T-th root of unity) for
+    an integral K-element known mod q^2, or None off the support: upper
+    entries must vanish mod q, and the phase reads the superdiagonal of
+    r = low(z)^{-1} z.
+
+    On the support z = low r with r = 1 mod q, so the pivots of z are units
+    and, mod q^2, the superdiagonal of the upper-unipotent LDU factor of z
+    equals that of r (a product of two q-multiples vanishes): this is the
+    exponent of the open-cell kernel `_J_exponent_mod`.
+    """
+    n, q = len(z), ctx.q
+    if any(z[i][j] % q for i in range(n) for j in range(i + 1, n)):
+        return None
+    return _J_exponent_mod(z, ctx)
 
 
 def coset_sum(g: Mat, ctx: DepthContext, L: int) -> CycValue:
@@ -106,17 +157,19 @@ def zeta_direct_counts(ctx: DepthContext, n: int) -> list:
     """The definitional twin of the direct zeta double sum: the histogram
     of T ints of the term exponents w(y) + s(u) -/+ f(u y) mod T, over the
     `Mat` representatives y of K_H(q)/K_H(q^2) and the cells u of
-    K_N(q)/K_N(q^2), each term's product u y formed in full and read by
+    K_N(q)/K_N(q^2): w(y) is `_J_exponent_mod` of the anti-transpose of y
+    (entry (i, j) = y[n-1-j][n-1-i]), whose split L D N gives the
+    superdiagonal of the unipotent n in W(a_T y) = W(a_T) psi_T(n), and
+    each term's product u y is formed in full and read by
     `_explicit_exponent_mod` (None skips the term)."""
     tf = translate_for_H(ctx, n)
-    W = WhittakerOnH(ctx, n)
     T, m = ctx.T, ctx.m
     sign = -1 if tf.conjugate else 1
     cells = [(u.num, int(u.superdiagonal_sum())) for u in enumerate_cosets(
         SubgroupSpec("KN", n, ctx.p, m), 2 * m)]
     counts = [0] * T
     for y in enumerate_cosets(SubgroupSpec("Kq", n, ctx.p, m), 2 * m):
-        w = W.kq_exponent_mod(y.num)
+        w = _J_exponent_mod([c[::-1] for c in zip(*y.num)][::-1], ctx)
         if w is None:
             raise ArithmeticError("K(q) points lie on the support")
         cols = tuple(zip(*y.num))
